@@ -30,7 +30,6 @@ from .model import (
     EValuedPolynomial,
     block_decompose,
     gram_matrix,
-    h_inner,
     h_norm_sq,
     haar_degree_bound,
     haar_polynomial_basis,
@@ -47,10 +46,13 @@ from .model import (
 from .operators import (
     KINDS,
     OperatorHandle,
+    WeightFunction,
     apply,
     apply_power,
+    check_left_invertible,
     estimate_lower_bound,
     estimate_norm,
+    eval_weight,
     lower_bound_m,
     make_operator,
     operator_norm,
@@ -80,12 +82,9 @@ from .stepfun import (
 )
 from .symbols import (
     Symbol,
-    WeightFunction,
     affine,
-    check_left_invertible,
     constant,
     eval_phi,
-    eval_weight,
     exponential,
     expression_to_string,
     parse_phi_spec,

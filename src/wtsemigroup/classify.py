@@ -31,20 +31,12 @@ import numpy as np
 from .operators import OperatorHandle, apply_power
 from .stepfun import StepFunction, norm_sq
 from .symbols import Symbol, eval_phi
+from .util import DEFAULT_WINDOW
 
 
 def bracket(symbol: Symbol, t: float, n: int, x) -> float | np.ndarray:
     """delta_n(x): exact finite alternating sum; binomials in integer arithmetic."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if n > 64:
-        raise OverflowError("bracket order capped at 64")
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    base = eval_phi(symbol, arr)
-    total = np.zeros(arr.shape, dtype=float)
-    for k in range(n + 1):
-        coeff = float((-1) ** k * math.comb(n, k))
-        total += coeff * (eval_phi(symbol, arr + k * t) / base)
+    total = bracket_table(symbol, t, n, np.atleast_1d(np.asarray(x, dtype=float)))[n]
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(total[0])
     return total
@@ -52,13 +44,17 @@ def bracket(symbol: Symbol, t: float, n: int, x) -> float | np.ndarray:
 
 def bracket_table(symbol: Symbol, t: float, n_max: int, grid: np.ndarray) -> np.ndarray:
     """delta_n(grid) for n = 0..n_max, sharing the phi(x + k t) evaluations."""
-    ratios = np.empty((n_max + 1, grid.size), dtype=float)
+    if n_max < 0:
+        raise ValueError("order must be nonnegative")
+    if n_max > 64:
+        raise OverflowError("bracket order capped at 64")
+    ratios = np.empty((n_max + 1, *grid.shape), dtype=float)
     base = eval_phi(symbol, grid)
     for k in range(n_max + 1):
         ratios[k] = eval_phi(symbol, grid + k * t) / base
     table = np.empty_like(ratios)
     for n in range(n_max + 1):
-        acc = np.zeros(grid.size, dtype=float)
+        acc = np.zeros(grid.shape, dtype=float)
         for k in range(n + 1):
             acc += float((-1) ** k * math.comb(n, k)) * ratios[k]
         table[n] = acc
@@ -164,10 +160,8 @@ def classify(
     so in their names; subnormality is never claimed, only the Hausdorff
     moment necessary condition ("candidate").
     """
-    if max_order > 64:
-        raise OverflowError("classification order capped at 64")
     if x_max is None:
-        x_max = 64.0 * t
+        x_max = DEFAULT_WINDOW * t
     grid = _sample_grid(symbol, t, max_order, x_max, samples)
     table = bracket_table(symbol, t, max_order, grid)
     tol = np.array(

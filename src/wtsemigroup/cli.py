@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -36,14 +37,14 @@ NUMERIC_ERROR = 3
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--phi", required=True, help="symbol spec, e.g. const:1, expr:x+1, exp:a=2")
-    p.add_argument("--t", type=float, default=1.0, help="translation step (default 1)")
+    p.add_argument("--t", type=float, default=RunConfig.t, help="translation step (default 1)")
     p.add_argument("--xmax", type=float, default=None, help="sampling window end (default 64 t)")
     p.add_argument("--h", type=float, default=None, help="cell width for generated test data (default t/256)")
-    p.add_argument("--nmax", type=int, default=32, help="order cap for norm sequences / classification")
+    p.add_argument("--nmax", type=int, default=RunConfig.n_max, help="order cap for norm sequences / classification")
     p.add_argument("--tol", action="append", default=[], metavar="NAME=VAL", help="override a named tolerance")
-    p.add_argument("--seed", type=int, default=0, help="seed for generated test data")
+    p.add_argument("--seed", type=int, default=RunConfig.seed, help="seed for generated test data")
     p.add_argument("--out", default=None, help="write machine output to this path")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=RunConfig.fmt)
 
 
 def _parse_complex(text: str) -> complex:
@@ -64,9 +65,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("kernel", help="evaluate the diagonal reproducing kernel")
     _add_common(pk)
-    pk.add_argument("--z", type=_parse_complex, default=None, help="single z value: re or re,im")
+    pk.add_argument(
+        "--z", type=_parse_complex, default=None,
+        help="single z value: re or re,im; write --z=re,im when re is negative",
+    )
     pk.add_argument("--z-grid", default=None, metavar="unit:N", help="z grid: N points on the unit circle")
-    pk.add_argument("--lambda", dest="lam", type=_parse_complex, required=True)
+    pk.add_argument(
+        "--lambda", dest="lam", type=_parse_complex, required=True,
+        help="lambda: re or re,im; write --lambda=re,im when re is negative",
+    )
     pk.add_argument("--x", type=float, default=0.0, help="point in [0, t) where the diagonal acts")
     pk.add_argument("--series-tol", type=float, default=1e-10)
 
@@ -84,6 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    for flag, value in (("--t", args.t), ("--xmax", args.xmax), ("--h", args.h)):
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise SymbolSyntaxError(f"{flag} must be a positive finite number, got {value!r}")
+    if args.seed < 0:
+        raise SymbolSyntaxError(f"--seed must be nonnegative, got {args.seed}")
     cfg = RunConfig(
         phi=args.phi,
         t=args.t,
@@ -100,8 +112,18 @@ def _config_from_args(args) -> RunConfig:
             raise SymbolSyntaxError(f"bad tolerance override {item!r}; use NAME=VAL")
         if name not in cfg.tol:
             raise SymbolSyntaxError(f"unknown tolerance {name!r}; known: {sorted(cfg.tol)}")
-        cfg.tol[name] = float(value)
+        try:
+            cfg.tol[name] = float(value)
+        except ValueError:
+            raise SymbolSyntaxError(f"tolerance {name}: {value!r} is not a number") from None
+        if not cfg.tol[name] >= 0:
+            raise SymbolSyntaxError(f"tolerance {name} must be nonnegative")
     return cfg
+
+
+def _require_nmax(cfg: RunConfig, least: int, purpose: str):
+    if cfg.n_max < least:
+        raise SymbolSyntaxError(f"--nmax must be at least {least} {purpose}, got {cfg.n_max}")
 
 
 def _emit(cfg: RunConfig, payload: str):
@@ -125,23 +147,25 @@ def _z_points(args) -> list[complex]:
     if args.z_grid is None:
         raise SymbolSyntaxError("kernel needs --z or --z-grid")
     kind, _, count = args.z_grid.partition(":")
-    if kind != "unit" or not count:
-        raise SymbolSyntaxError(f"unsupported z grid {args.z_grid!r}; use unit:N")
+    if kind != "unit" or not count.isdigit() or int(count) < 1:
+        raise SymbolSyntaxError(f"unsupported z grid {args.z_grid!r}; use unit:N with N >= 1")
     n = int(count)
     return [complex(np.cos(2 * np.pi * k / n), np.sin(2 * np.pi * k / n)) for k in range(n)]
 
 
 def cmd_kernel(args) -> int:
     cfg = _config_from_args(args)
+    points = _z_points(args)
     symbol = parse_phi_spec(cfg.phi)
     validate_positivity(symbol, cfg.resolved_x_max)
     radius = symbol.model_disc_radius(cfg.t)
     if radius is None:
-        op_l = make_operator(symbol, cfg.t, "L", x_max=cfg.resolved_x_max, eps_inv=cfg.eps_inv)
+        _require_nmax(cfg, 2, "to fit the disc radius")
+        op_l = make_operator(symbol, cfg.t, "L", x_max=cfg.resolved_x_max)
         radius = 1.0 / spectral_radius(op_l, cfg.n_max, cfg.resolved_x_max).estimate
-    kern = make_kernel(symbol, cfg.t, radius=radius, margin=cfg.margin)
+    kern = make_kernel(symbol, cfg.t, radius=radius)
     rows = []
-    for z in _z_points(args):
+    for z in points:
         value, n_terms, tail = kernel_series(kern, z, args.lam, args.x, tol=args.series_tol)
         row = {
             "z": [z.real, z.imag],
@@ -187,17 +211,11 @@ def cmd_kernel(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg = _config_from_args(args)
+    _require_nmax(cfg, 1, "for classification")
     symbol = parse_phi_spec(cfg.phi)
     validate_positivity(symbol, cfg.resolved_x_max)
     order = min(cfg.n_max, 64)
-    report = classify(
-        symbol,
-        cfg.t,
-        max_order=order,
-        x_max=cfg.resolved_x_max,
-        samples=cfg.class_samples,
-        tol_class=cfg.tol_class,
-    )
+    report = classify(symbol, cfg.t, max_order=order, x_max=cfg.resolved_x_max)
     print(f"# classify phi={cfg.phi} t={cfg.t:g} order<={report.max_order}")
     for label in report.labels:
         print(f"  label  {label}")
@@ -209,16 +227,10 @@ def cmd_classify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = _config_from_args(args)
+    _require_nmax(cfg, 2, "for the spectral tail fit")
     symbol = parse_phi_spec(cfg.phi)
     validate_positivity(symbol, cfg.resolved_x_max)
-    summary = spectral_summary(
-        symbol,
-        cfg.t,
-        n_max=cfg.n_max,
-        x_max=cfg.resolved_x_max,
-        samples=cfg.samples,
-        eps_inv=cfg.eps_inv,
-    )
+    summary = spectral_summary(symbol, cfg.t, n_max=cfg.n_max, x_max=cfg.resolved_x_max)
     print(
         f"# spectrum phi={cfg.phi} t={cfg.t:g} r={summary.r:.9g} r1={summary.r1:.9g} "
         f"model_disc={summary.model_disc_radius:.9g} window_limited={summary.window_limited}"
@@ -249,6 +261,8 @@ def cmd_spectrum(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     symbol = parse_phi_spec(cfg.phi)
+    if symbol.model_disc_radius(cfg.t) is None:
+        _require_nmax(cfg, 2, "to fit the disc radius")
     validate_positivity(symbol, cfg.resolved_x_max)
     results = run_verify(symbol, cfg)
     width = max(len(r.name) for r in results)

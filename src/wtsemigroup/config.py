@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+
+from .util import DEFAULT_WINDOW
 
 DEFAULT_TOLERANCES = {
     # identities that cancel cell by cell under the midpoint rule; on dyadic
@@ -37,13 +39,6 @@ class RunConfig:
     x_max: float | None = None  # default 64 t
     h: float | None = None  # default t / 256
     n_max: int = 32
-    series_cap: int = 10_000
-    margin: float = 0.05
-    eps_inv: float = 1e-6
-    samples: int = 10_001
-    class_order: int = 16
-    class_samples: int = 4096
-    tol_class: float = 1e-9
     seed: int = 0
     out: str | None = None
     fmt: str = "json"
@@ -58,11 +53,8 @@ class RunConfig:
 
     @property
     def resolved_x_max(self) -> float:
-        return self.x_max if self.x_max is not None else 64.0 * self.t
+        return self.x_max if self.x_max is not None else DEFAULT_WINDOW * self.t
 
     @property
     def resolved_h(self) -> float:
         return self.h if self.h is not None else self.t / 256.0
-
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)

@@ -25,10 +25,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoClosedFormError, OutsideConvergenceDomainError
-from .operators import OperatorHandle, apply_power, make_operator
-from .stepfun import StepFunction, haar, inner, norm_sq, restrict_to_E, zero
-from .symbols import Symbol, eval_phi
-from .util import gauss5_cells, sum_series
+from .operators import OperatorHandle, apply_power, make_operator, phi_ratio
+from .stepfun import StepFunction, haar, inner, norm, norm_sq, restrict_to_E, zero
+from .symbols import Symbol
+from .util import SERIES_CAP, gauss5_cells, sum_series
+
+DOMAIN_MARGIN = 0.05  # kernel series run only for |z conj(lambda)| < radius^2 (1 - margin)
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,6 @@ def model_map(
     t: float,
     f: StepFunction,
     n_terms: int | None = None,
-    eps_inv: float = 1e-6,
 ) -> EValuedPolynomial:
     """U f: coefficient n is the restriction of L_t^n f to [0, t).
 
@@ -81,7 +82,7 @@ def model_map(
     support of f, and the result is exact in the sense that model_inverse
     recovers f. An explicit smaller n_terms marks the result truncated.
     """
-    op_l = make_operator(symbol, t, "L", eps_inv=eps_inv)
+    op_l = make_operator(symbol, t, "L")
     if n_terms is None:
         n_terms = max(0, math.ceil(f.hi / t) - 1) if f.values.size else 0
     coeffs = [restrict_to_E(apply_power(op_l, n, f), t) for n in range(n_terms + 1)]
@@ -99,11 +100,6 @@ def model_inverse(symbol: Symbol, t: float, p: EValuedPolynomial) -> StepFunctio
     return total
 
 
-def h_inner(symbol: Symbol, t: float, p: EValuedPolynomial, q: EValuedPolynomial) -> complex:
-    """Model-space pairing, computed by pulling both sides back to L2."""
-    return inner(model_inverse(symbol, t, p), model_inverse(symbol, t, q))
-
-
 def h_norm_sq(symbol: Symbol, t: float, p: EValuedPolynomial) -> float:
     return norm_sq(model_inverse(symbol, t, p))
 
@@ -113,7 +109,6 @@ def parseval_defect(
     t: float,
     f: StepFunction,
     quadrature: str = "pullback",
-    eps_inv: float = 1e-6,
 ) -> float:
     """| sum_n integral (phi(x+nt)/phi(x)) |c_n|^2 dx  -  ||f||^2 |.
 
@@ -124,7 +119,7 @@ def parseval_defect(
     exposes the genuine O(h^2) midpoint discretization error of the
     coefficients and is the route to use for mesh-refinement studies.
     """
-    p = model_map(symbol, t, f, eps_inv=eps_inv)
+    p = model_map(symbol, t, f)
     target = norm_sq(f)
     if quadrature == "pullback":
         return abs(h_norm_sq(symbol, t, p) - target)
@@ -134,13 +129,9 @@ def parseval_defect(
     for n, c in enumerate(p.coeffs):
         if c.is_zero():
             continue
-        nt = n * t
-
-        def w(x, nt=nt):
-            x = np.asarray(x, dtype=float)
-            return eval_phi(symbol, x + nt) / eval_phi(symbol, x)
-
-        cell_ints = gauss5_cells(w, c.breakpoints[:-1], c.breakpoints[1:])
+        cell_ints = gauss5_cells(
+            lambda x: phi_ratio(symbol, x, n * t, 0), c.breakpoints[:-1], c.breakpoints[1:]
+        )
         total += float(np.sum(np.abs(c.values) ** 2 * cell_ints))
     return abs(total - target)
 
@@ -163,19 +154,18 @@ class DiagonalKernel:
     t: float
     radius: float
     closed_form: Optional[str] = None
-    margin: float = 0.05
+    margin: float = DOMAIN_MARGIN
 
     def coefficient(self, n: int, x) -> np.ndarray:
         """Multiplier phi(x)/phi(x + n t) of q**n; positive and bounded."""
-        x = np.asarray(x, dtype=float)
-        return eval_phi(self.symbol, x) / eval_phi(self.symbol, x + n * self.t)
+        return phi_ratio(self.symbol, x, 0, n * self.t)
 
 
 def make_kernel(
     symbol: Symbol,
     t: float,
     radius: float | None = None,
-    margin: float = 0.05,
+    margin: float = DOMAIN_MARGIN,
 ) -> DiagonalKernel:
     """Kernel with the disc radius taken from the symbol when known exactly.
 
@@ -194,7 +184,7 @@ def kernel_series(
     lam: complex,
     x: float,
     tol: float = 1e-10,
-    n_cap: int = 10_000,
+    n_cap: int = SERIES_CAP,
     check_domain: bool = True,
 ):
     """Truncated kernel series with an empirical geometric tail bound.
@@ -212,7 +202,7 @@ def kernel_series(
     xv = float(x)
 
     def term(n: int) -> complex:
-        return complex(k.coefficient(n, xv)) * q**n
+        return complex(k.coefficient(n, xv) * q**n)
 
     return sum_series(term, tol, n_cap)
 
@@ -223,7 +213,7 @@ def kernel_eval(
     lam: complex,
     x: float,
     tol: float = 1e-10,
-    n_cap: int = 10_000,
+    n_cap: int = SERIES_CAP,
 ) -> complex:
     value, _, _ = kernel_series(k, z, lam, x, tol=tol, n_cap=n_cap)
     return value
@@ -255,7 +245,7 @@ def kernel_closed_form(
     if tag == "two_isometry":
 
         def term(n: int) -> complex:
-            return (n * k.t / (x + 1.0 + n * k.t)) * q**n
+            return complex((n * k.t / (x + 1.0 + n * k.t)) * q**n)
 
         residual, _, _ = sum_series(term, tol)
         return 1.0 / (1.0 - q) - residual
@@ -282,30 +272,20 @@ def kernel_preimage(
     lam: complex,
     e: StepFunction,
     tol: float = 1e-12,
-    n_cap: int = 10_000,
-    eps_inv: float = 1e-6,
+    n_cap: int = SERIES_CAP,
 ) -> StepFunction:
-    """U^{-1}(k(., lambda) e) = sum_n conj(lambda)^n (L_t*)^n e, tail-truncated."""
-    op = make_operator(symbol, t, "L_adjoint", eps_inv=eps_inv)
+    """U^{-1}(k(., lambda) e) = sum_n conj(lambda)^n (L_t*)^n e, tail-truncated.
+
+    Raises TailBoundNotAchievedError when the tail bound is not reached by
+    term n_cap.
+    """
+    op = make_operator(symbol, t, "L_adjoint")
     lam_bar = np.conj(complex(lam))
-    total = zero()
-    prev: float | None = None
-    ratios: list[float] = []
-    streak = 0
-    for n in range(n_cap + 1):
-        term = apply_power(op, n, e).scale(lam_bar**n)
-        total = total + term
-        mag = float(np.sqrt(norm_sq(term)))
-        if prev is not None:
-            rho = (mag / prev) if prev > 0 else (0.0 if mag == 0.0 else np.inf)
-            ratios.append(rho)
-            streak = streak + 1 if rho < 1.0 else 0
-        if streak >= 5:
-            rho = max(ratios[-5:])
-            if rho == 0.0 or mag * rho / (1.0 - rho) < tol:
-                break
-        prev = mag
-    return total
+
+    def term(n: int) -> StepFunction:
+        return apply_power(op, n, e).scale(lam_bar**n)
+
+    return sum_series(term, tol, n_cap, size=norm)[0]
 
 
 @dataclass(frozen=True)
@@ -329,13 +309,6 @@ def reproducing_check(
     lhs = sum(inner(c, e) * complex(lam) ** n for n, c in enumerate(p.coeffs))
     rhs = inner(f, kernel_preimage(symbol, t, lam, e, tol=tol))
     return ReproducingCheck(complex(lhs), complex(rhs), abs(complex(lhs) - complex(rhs)))
-
-
-def adjoint_eigenvector_candidate(
-    symbol: Symbol, t: float, w: complex, e: StepFunction, tol: float = 1e-12
-) -> StepFunction:
-    """v with S_t* v = conj(w) v up to the series tail: the kernel preimage at w."""
-    return kernel_preimage(symbol, t, w, e, tol=tol)
 
 
 # ---------------------------------------------------------------------------

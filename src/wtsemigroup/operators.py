@@ -24,12 +24,72 @@ import numpy as np
 
 from .errors import NotLeftInvertibleError, TruncationWarning
 from .stepfun import StepFunction, norm_sq
-from .symbols import Symbol, check_left_invertible, eval_phi
-from .util import golden_max, golden_min
+from .symbols import Symbol, eval_phi
+from .util import DEFAULT_WINDOW, sample_then_refine
 
 KINDS = ("S", "S_adjoint", "S_dual", "L", "L_adjoint")
 _RIGHT = {"S", "S_dual", "L_adjoint"}  # support marches right by t per power
 _DUAL = {"S_dual", "L", "L_adjoint"}  # need left invertibility
+# the n-step weight of each kind at an output point mu is
+# sqrt(phi(mu + a n t) / phi(mu + b n t)); kind -> (a, b)
+_SHIFTS = {"S": (0, -1), "S_adjoint": (1, 0), "S_dual": (-1, 0), "L": (0, 1), "L_adjoint": (-1, 0)}
+EPS_INV = 1e-6  # inf phi(x+t)/phi(x) must exceed this for left invertibility
+
+
+def phi_ratio(symbol: Symbol, x, num: float, den: float):
+    """phi(x + num) / phi(x + den): the quantity behind every weight, the
+    inverse of the model map, the kernel coefficients and left invertibility."""
+    x = np.asarray(x, dtype=float)
+    return eval_phi(symbol, x + num) / eval_phi(symbol, x + den)
+
+
+# ---------------------------------------------------------------------------
+# Weights and left invertibility
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WeightFunction:
+    """w_t(x) = sqrt(phi(x)/phi(x-t)) for x >= t, exactly 0 below t."""
+
+    base: Symbol
+    t: float
+
+    def __post_init__(self):
+        if not self.t > 0:
+            raise ValueError("translation step t must be positive")
+
+
+def eval_weight(w: WeightFunction, x):
+    arr = np.asarray(x, dtype=float)
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    arr = np.atleast_1d(arr)
+    out = np.zeros(arr.shape, dtype=float)
+    mask = arr >= w.t
+    if np.any(mask):
+        out[mask] = np.sqrt(phi_ratio(w.base, arr[mask], 0, -w.t))
+    return float(out[0]) if scalar else out
+
+
+@dataclass(frozen=True)
+class LeftInvertibilityCheck:
+    ok: bool
+    inf_estimate: float
+    arg_inf: float
+    threshold: float
+
+
+def check_left_invertible(symbol: Symbol, t: float, x_max: float) -> LeftInvertibilityCheck:
+    """Estimate inf over [0, x_max] of phi(x+t)/phi(x) and compare to EPS_INV."""
+    if not t > 0:
+        raise ValueError("t must be positive")
+    inf_est, arg_inf, _ = sample_then_refine(lambda x: phi_ratio(symbol, x, t, 0), x_max, "min")
+    return LeftInvertibilityCheck(inf_est > EPS_INV, inf_est, arg_inf, EPS_INV)
+
+
+# ---------------------------------------------------------------------------
+# Operators and their powers
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -40,11 +100,7 @@ class OperatorHandle:
 
 
 def make_operator(
-    symbol: Symbol,
-    t: float,
-    kind: str = "S",
-    x_max: float | None = None,
-    eps_inv: float = 1e-6,
+    symbol: Symbol, t: float, kind: str = "S", x_max: float | None = None
 ) -> OperatorHandle:
     """Build a validated handle; dual kinds require the inf ratio check."""
     if not t > 0:
@@ -52,27 +108,14 @@ def make_operator(
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}; expected one of {KINDS}")
     if kind in _DUAL:
-        window = x_max if x_max is not None else 64.0 * t
-        chk = check_left_invertible(symbol, t, window, eps_inv=eps_inv)
+        window = x_max if x_max is not None else DEFAULT_WINDOW * t
+        chk = check_left_invertible(symbol, t, window)
         if not chk.ok:
             raise NotLeftInvertibleError(
                 f"inf phi(x+t)/phi(x) ~ {chk.inf_estimate:.3g} at x={chk.arg_inf:.6g} "
-                f"is not above {eps_inv:g}"
+                f"is not above {EPS_INV:g}"
             )
     return OperatorHandle(symbol, float(t), kind)
-
-
-def _power_weight(op: OperatorHandle, n: int, mu: np.ndarray) -> np.ndarray:
-    """Closed-form n-step multiplier evaluated at output points mu."""
-    phi = op.symbol
-    nt = n * op.t
-    if op.kind == "S":
-        return np.sqrt(eval_phi(phi, mu) / eval_phi(phi, mu - nt))
-    if op.kind in ("S_dual", "L_adjoint"):
-        return np.sqrt(eval_phi(phi, mu - nt) / eval_phi(phi, mu))
-    if op.kind == "S_adjoint":
-        return np.sqrt(eval_phi(phi, mu + nt) / eval_phi(phi, mu))
-    return np.sqrt(eval_phi(phi, mu) / eval_phi(phi, mu + nt))  # L
 
 
 def apply_power(
@@ -83,11 +126,12 @@ def apply_power(
         raise ValueError("power must be nonnegative")
     if n == 0 or f.values.size == 0:
         return f
-    shift = n * op.t if op.kind in _RIGHT else -n * op.t
-    g = f.translate(shift)
+    nt = n * op.t
+    g = f.translate(nt if op.kind in _RIGHT else -nt)
     if g.values.size == 0:
         return g
-    out = g.with_values(g.values * _power_weight(op, n, g.midpoints()))
+    a, b = _SHIFTS[op.kind]
+    out = g.with_values(g.values * np.sqrt(phi_ratio(op.symbol, g.midpoints(), a * nt, b * nt)))
     if x_max is not None and out.hi > x_max:
         kept = out.restrict(0.0, x_max)
         dropped = norm_sq(out) - norm_sq(kept)
@@ -114,22 +158,9 @@ def n_step_base_ratio(op: OperatorHandle, n: int):
     ||op^n f||^2 = integral of this squared against |f|^2, so its essential
     sup / inf over the window bound the operator norm from both sides.
     """
-    phi = op.symbol
     nt = n * op.t
-
-    if op.kind in ("S", "S_adjoint"):
-
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            return np.sqrt(eval_phi(phi, x + nt) / eval_phi(phi, x))
-
-    else:
-
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            return np.sqrt(eval_phi(phi, x) / eval_phi(phi, x + nt))
-
-    return g
+    num, den = (nt, 0) if op.kind in ("S", "S_adjoint") else (0, nt)
+    return lambda x: np.sqrt(phi_ratio(op.symbol, x, num, den))
 
 
 @dataclass(frozen=True)
@@ -139,28 +170,7 @@ class ExtremumEstimate:
     window_limited: bool  # extremum sits at the far window edge x = x_max
 
 
-def _sampled_extremum(op, n, x_max, samples, mode) -> ExtremumEstimate:
-    g = n_step_base_ratio(op, n)
-    grid = np.linspace(0.0, x_max, samples)
-    vals = g(grid)
-    i = int(np.argmax(vals) if mode == "max" else np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, samples - 1)]
-    scalar = lambda y: float(g(np.asarray([y]))[0])
-    if mode == "max":
-        arg, refined = golden_max(scalar, lo, hi)
-        better = refined > vals[i]
-        value = max(float(vals[i]), refined)
-    else:
-        arg, refined = golden_min(scalar, lo, hi)
-        better = refined < vals[i]
-        value = min(float(vals[i]), refined)
-    return ExtremumEstimate(value, float(arg) if better else float(grid[i]), i == samples - 1)
-
-
-def estimate_norm(
-    op: OperatorHandle, n: int, x_max: float, samples: int = 10_001
-) -> ExtremumEstimate:
+def estimate_norm(op: OperatorHandle, n: int, x_max: float) -> ExtremumEstimate:
     """Sampled essential sup of the n-step weight, refined near the arg-sup.
 
     Monotone under refinement: the returned value never drops below the grid
@@ -169,12 +179,10 @@ def estimate_norm(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _sampled_extremum(op, n, x_max, samples, "max")
+    return ExtremumEstimate(*sample_then_refine(n_step_base_ratio(op, n), x_max, "max"))
 
 
-def estimate_lower_bound(
-    op: OperatorHandle, n: int, x_max: float, samples: int = 10_001
-) -> ExtremumEstimate:
+def estimate_lower_bound(op: OperatorHandle, n: int, x_max: float) -> ExtremumEstimate:
     """Sampled essential inf of the n-step weight: m(op^n) = inf ||op^n f||/||f||.
 
     Concentrating f near the arg-inf realizes the bound, so this is the
@@ -184,12 +192,12 @@ def estimate_lower_bound(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _sampled_extremum(op, n, x_max, samples, "min")
+    return ExtremumEstimate(*sample_then_refine(n_step_base_ratio(op, n), x_max, "min"))
 
 
-def operator_norm(op: OperatorHandle, n: int, x_max: float, samples: int = 10_001) -> float:
-    return estimate_norm(op, n, x_max, samples).value
+def operator_norm(op: OperatorHandle, n: int, x_max: float) -> float:
+    return estimate_norm(op, n, x_max).value
 
 
-def lower_bound_m(op: OperatorHandle, n: int, x_max: float, samples: int = 10_001) -> float:
-    return estimate_lower_bound(op, n, x_max, samples).value
+def lower_bound_m(op: OperatorHandle, n: int, x_max: float) -> float:
+    return estimate_lower_bound(op, n, x_max).value

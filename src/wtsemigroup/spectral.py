@@ -25,6 +25,7 @@ from .operators import (
 )
 from .stepfun import StepFunction, indicator, inner, norm
 from .symbols import Symbol
+from .util import DEFAULT_WINDOW, SERIES_CAP
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,12 @@ def spectral_radius(
     op: OperatorHandle,
     n_max: int,
     x_max: float,
-    samples: int = 10_001,
     fit_residual_max: float = 0.05,
 ) -> RadiusEstimate:
     """r(op) from the norm sequence; diagnostics flag slow or window-biased fits."""
     if n_max < 2:
         raise ValueError("need n_max >= 2 for the tail fit")
-    ests = [estimate_norm(op, n, x_max, samples) for n in range(1, n_max + 1)]
+    ests = [estimate_norm(op, n, x_max) for n in range(1, n_max + 1)]
     return _fit_radius(ests, fit_residual_max)
 
 
@@ -82,22 +82,19 @@ def lower_spectral_bound(
     op: OperatorHandle,
     n_max: int,
     x_max: float,
-    samples: int = 10_001,
     fit_residual_max: float = 0.05,
 ) -> RadiusEstimate:
     """r_1(op) = lim m(op^n)^(1/n), same fitting scheme on the lower moduli."""
     if n_max < 2:
         raise ValueError("need n_max >= 2 for the tail fit")
-    ests = [estimate_lower_bound(op, n, x_max, samples) for n in range(1, n_max + 1)]
+    ests = [estimate_lower_bound(op, n, x_max) for n in range(1, n_max + 1)]
     return _fit_radius(ests, fit_residual_max)
 
 
-def annulus(
-    op: OperatorHandle, n_max: int, x_max: float, samples: int = 10_001
-) -> tuple[float, float]:
+def annulus(op: OperatorHandle, n_max: int, x_max: float) -> tuple[float, float]:
     """[r_1, r]: the approximate point spectrum lives between these circles."""
-    r1 = lower_spectral_bound(op, n_max, x_max, samples).estimate
-    r = spectral_radius(op, n_max, x_max, samples).estimate
+    r1 = lower_spectral_bound(op, n_max, x_max).estimate
+    r = spectral_radius(op, n_max, x_max).estimate
     return (r1, r)
 
 
@@ -136,17 +133,15 @@ def spectral_summary(
     t: float,
     n_max: int = 32,
     x_max: float | None = None,
-    samples: int = 10_001,
-    eps_inv: float = 1e-6,
 ) -> SpectralSummary:
     """Full spectral picture for S_t: radius, annulus, model disc, diagnostics."""
     if x_max is None:
-        x_max = 64.0 * t
+        x_max = DEFAULT_WINDOW * t
     op_s = make_operator(symbol, t, "S")
-    fit_r = spectral_radius(op_s, n_max, x_max, samples)
-    fit_r1 = lower_spectral_bound(op_s, n_max, x_max, samples)
-    op_l = make_operator(symbol, t, "L", x_max=x_max, eps_inv=eps_inv)
-    fit_l = spectral_radius(op_l, n_max, x_max, samples)
+    fit_r = spectral_radius(op_s, n_max, x_max)
+    fit_r1 = lower_spectral_bound(op_s, n_max, x_max)
+    op_l = make_operator(symbol, t, "L", x_max=x_max)
+    fit_l = spectral_radius(op_l, n_max, x_max)
     note = None
     if symbol.name == "exp":
         a = float(symbol.param)
@@ -249,7 +244,7 @@ def verify_adjoint_eigenvector(
     e: StepFunction,
     tol: float = 1e-8,
     n_terms: int | None = None,
-    n_cap: int = 10_000,
+    n_cap: int = SERIES_CAP,
 ) -> AdjointEigenResult:
     """Build v = sum conj(w)^n (L_t*)^n e and measure the eigen relation.
 
@@ -261,10 +256,8 @@ def verify_adjoint_eigenvector(
     op_sadj = OperatorHandle(symbol, t, "S_adjoint")
     if n_terms is not None:
         w_bar = np.conj(complex(w))
-        v = None
-        for n in range(n_terms + 1):
-            term = apply_power(op_ladj, n, e).scale(w_bar**n)
-            v = term if v is None else v + term
+        terms = [apply_power(op_ladj, n, e).scale(w_bar**n) for n in range(n_terms + 1)]
+        v = sum(terms[1:], terms[0])
         used = n_terms + 1
     else:
         v = kernel_preimage(symbol, t, w, e, tol=tol, n_cap=n_cap)

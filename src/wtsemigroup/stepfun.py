@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -221,10 +220,6 @@ def zero() -> StepFunction:
 
 def indicator(lo: float, hi: float, value: complex = 1.0) -> StepFunction:
     return StepFunction(np.array([lo, hi], dtype=float), np.array([value], dtype=complex))
-
-
-def from_cells(breakpoints: Iterable[float], values: Iterable[complex]) -> StepFunction:
-    return StepFunction(np.asarray(list(breakpoints), dtype=float), np.asarray(list(values), dtype=complex))
 
 
 # -- pairing ----------------------------------------------------------------

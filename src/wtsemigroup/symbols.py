@@ -6,13 +6,9 @@ exponentials a**x); anything else is parsed from a one-variable arithmetic
 expression over +, -, *, /, power, exp and log. Evaluation is pure and
 vectorized, so a symbol is safe to share between threads.
 
-The weight attached to a step t is
-
-    w_t(x) = sqrt(phi(x) / phi(x - t))   for x >= t,   0 below t,
-
-and the k-step weight uses phi(x - k t) in the denominator.  All positivity
-checking is by dense sampling on a finite window; what the symbol does past
-the window is the caller's responsibility.
+The weights that phi generates, and the left-invertibility test, live in
+operators.py. All positivity checking is by dense sampling on a finite
+window; what the symbol does past the window is the caller's responsibility.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonPositiveSymbolError, SymbolSyntaxError
-from .util import golden_min
 
 # ---------------------------------------------------------------------------
 # Expression trees
@@ -329,6 +324,13 @@ def parse_symbol(text: str) -> Symbol:
     return Symbol("expr", expr=tree, spec=f"expr:{text}")
 
 
+def _spec_number(text: str, spec: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise SymbolSyntaxError(f"bad number {text!r} in phi spec", None, spec) from None
+
+
 def parse_phi_spec(spec: str) -> Symbol:
     """Resolve a phi spec string: builtin name[:params] or expr:<expression>.
 
@@ -343,7 +345,7 @@ def parse_phi_spec(spec: str) -> Symbol:
             raise SymbolSyntaxError("empty expression in phi spec", None, spec)
         return parse_symbol(rest)
     if head == "const":
-        return constant(float(rest) if rest else 1.0)
+        return constant(_spec_number(rest, spec) if rest else 1.0)
     if head == "affine":
         return affine()
     if head in ("reciprocal", "recip"):
@@ -354,7 +356,7 @@ def parse_phi_spec(spec: str) -> Symbol:
         if not rest:
             raise SymbolSyntaxError("exp needs a base, e.g. exp:a=2", None, spec)
         value = rest.partition("=")[2] if "=" in rest else rest
-        return exponential(float(value))
+        return exponential(_spec_number(value, spec))
     if head == "exp2x":
         return exponential(math.exp(2.0))
     raise SymbolSyntaxError(
@@ -386,30 +388,6 @@ def eval_phi(symbol: Symbol, x):
     return vals
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """w_t(x) = sqrt(phi(x)/phi(x-t)) for x >= t, exactly 0 below t."""
-
-    base: Symbol
-    t: float
-
-    def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("translation step t must be positive")
-
-
-def eval_weight(w: WeightFunction, x):
-    arr = np.asarray(x, dtype=float)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros(arr.shape, dtype=float)
-    mask = arr >= w.t
-    if np.any(mask):
-        xm = arr[mask]
-        out[mask] = np.sqrt(eval_phi(w.base, xm) / eval_phi(w.base, xm - w.t))
-    return float(out[0]) if scalar else out
-
-
 def validate_positivity(
     symbol: Symbol, x_max: float, samples: int = 10_000, floor: float = 1e-6
 ) -> float:
@@ -428,40 +406,3 @@ def validate_positivity(
         fine = np.linspace(lo, hi, 200)
         lowest = min(lowest, float(np.min(eval_phi(symbol, fine))))
     return lowest
-
-
-@dataclass(frozen=True)
-class LeftInvertibilityCheck:
-    ok: bool
-    inf_estimate: float
-    arg_inf: float
-    threshold: float
-
-
-def check_left_invertible(
-    symbol: Symbol,
-    t: float,
-    x_max: float,
-    samples: int = 10_001,
-    eps_inv: float = 1e-6,
-) -> LeftInvertibilityCheck:
-    """Estimate inf over [0, x_max] of phi(x+t)/phi(x) and compare to eps_inv."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    grid = np.linspace(0.0, x_max, samples)
-
-    def ratio(x):
-        x = np.asarray(x, dtype=float)
-        return eval_phi(symbol, x + t) / eval_phi(symbol, x)
-
-    vals = ratio(grid)
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, samples - 1)]
-    arg, refined = golden_min(lambda y: float(ratio(np.asarray([y]))[0]), lo, hi)
-    inf_est = min(float(vals[i]), refined)
-    if refined < vals[i]:
-        arg_inf = float(arg)
-    else:
-        arg_inf = float(grid[i])
-    return LeftInvertibilityCheck(inf_est > eps_inv, inf_est, arg_inf, eps_inv)

@@ -6,6 +6,10 @@ import numpy as np
 
 from .errors import TailBoundNotAchievedError
 
+DEFAULT_WINDOW = 64.0  # sampling window [0, 64 t] unless the caller sets x_max
+SAMPLES = 10_001  # grid points of a sampled extremum
+SERIES_CAP = 10_000  # last term index a tail-bounded series may reach
+
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 
@@ -37,6 +41,31 @@ def golden_max(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float]
 def golden_min(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
     x, v = golden_max(lambda y: -fn(y), lo, hi, iters=iters)
     return x, -v
+
+
+def sample_then_refine(fn, x_max: float, mode: str) -> tuple[float, float, bool]:
+    """Sup (mode "max") or inf (mode "min") of a vectorized fn on [0, x_max].
+
+    Samples a uniform grid, then refines by golden section between the
+    neighbours of the best sample; the grid value wins ties, so the result
+    never falls behind the grid. Returns (value, arg, at_edge), where at_edge
+    flags a best sample at the far edge x = x_max.
+    """
+    grid = np.linspace(0.0, x_max, SAMPLES)
+    vals = fn(grid)
+    i = int(np.argmax(vals) if mode == "max" else np.argmin(vals))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, SAMPLES - 1)]
+    scalar = lambda y: float(fn(np.asarray([y]))[0])
+    if mode == "max":
+        arg, refined = golden_max(scalar, lo, hi)
+        better = refined > vals[i]
+    else:
+        arg, refined = golden_min(scalar, lo, hi)
+        better = refined < vals[i]
+    if better:
+        return refined, float(arg), i == SAMPLES - 1
+    return float(vals[i]), float(grid[i]), i == SAMPLES - 1
 
 
 # Gauss-Legendre 5-point rule on [-1, 1]; used where an integral must not
@@ -72,30 +101,31 @@ def gauss5_cells(fn, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     return half * (vals @ _GL5_WEIGHTS)
 
 
-def sum_series(term_fn, tol: float, n_cap: int = 10_000, consecutive: int = 5):
+def sum_series(term_fn, tol: float, n_cap: int = SERIES_CAP, consecutive: int = 5, size=abs):
     """Sum term_fn(0) + term_fn(1) + ... with an empirical geometric tail bound.
 
-    Stops once the term-ratio has stayed below 1 for `consecutive` steps and
-    the geometric tail estimate |term_N| * rho / (1 - rho) drops below tol.
-    Returns (value, n_terms, tail_estimate); raises TailBoundNotAchievedError
-    when the cap is hit first.
+    Terms are numbers or anything else that adds, such as step functions;
+    size(term) measures each one. Stops once the size ratio of consecutive
+    terms has stayed below 1 for `consecutive` steps and the geometric tail
+    estimate size(term_N) * rho / (1 - rho) drops below tol. Returns
+    (value, n_terms, tail_estimate); raises TailBoundNotAchievedError when
+    the cap is hit first.
     """
-    total = 0j
-    prev: float | None = None
+    total = term_fn(0)
+    prev = size(total)
     ratios: list[float] = []
     streak = 0
     tail = np.inf
-    for n in range(n_cap + 1):
-        term = complex(term_fn(n))
-        total += term
-        mag = abs(term)
-        if prev is not None:
-            if prev == 0.0:
-                rho = 0.0 if mag == 0.0 else np.inf
-            else:
-                rho = mag / prev
-            ratios.append(rho)
-            streak = streak + 1 if rho < 1.0 else 0
+    for n in range(1, n_cap + 1):
+        term = term_fn(n)
+        total = total + term
+        mag = size(term)
+        if prev == 0.0:
+            rho = 0.0 if mag == 0.0 else np.inf
+        else:
+            rho = mag / prev
+        ratios.append(rho)
+        streak = streak + 1 if rho < 1.0 else 0
         if streak >= consecutive:
             rho = max(ratios[-consecutive:])
             tail = mag * rho / (1.0 - rho) if rho > 0.0 else 0.0

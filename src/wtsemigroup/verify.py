@@ -17,6 +17,7 @@ import numpy as np
 from .classify import bracket_integral, bracket_quadratic_form
 from .config import RunConfig
 from .model import (
+    DOMAIN_MARGIN,
     kernel_closed_form,
     kernel_eval,
     make_kernel,
@@ -63,7 +64,7 @@ def run_verify(symbol: Symbol, cfg: RunConfig) -> list[CheckResult]:
     op_sadj = OperatorHandle(symbol, t, "S_adjoint")
     op_shalf = make_operator(symbol, t / 2, "S")
     op_sfull = make_operator(symbol, 1.5 * t, "S")
-    op_l = make_operator(symbol, t, "L", x_max=cfg.resolved_x_max, eps_inv=cfg.eps_inv)
+    op_l = make_operator(symbol, t, "L", x_max=cfg.resolved_x_max)
 
     results: list[CheckResult] = []
 
@@ -108,15 +109,15 @@ def run_verify(symbol: Symbol, cfg: RunConfig) -> list[CheckResult]:
     # unitarity of the model map, both evaluation routes; the quadrature
     # route carries the O(h^2) coefficient error, so its budget is anchored
     # at h = t/256 and rescaled quadratically for coarser meshes
-    r = parseval_defect(symbol, t, f, quadrature="pullback", eps_inv=cfg.eps_inv)
+    r = parseval_defect(symbol, t, f, quadrature="pullback")
     results.append(_result("parseval_pullback", r, tol["parseval_pullback"]))
-    r = parseval_defect(symbol, t, f, quadrature="gauss", eps_inv=cfg.eps_inv)
+    r = parseval_defect(symbol, t, f, quadrature="gauss")
     quad_tol = tol["parseval_quadrature"] * max(1.0, (256.0 * h / t) ** 2)
     results.append(_result("parseval_quadrature", r, quad_tol, f"h={h:g}"))
 
     # intertwining: U S_t shifts coefficients
-    p = model_map(symbol, t, f, eps_inv=cfg.eps_inv)
-    p_shift = model_map(symbol, t, apply(op_s, f), eps_inv=cfg.eps_inv)
+    p = model_map(symbol, t, f)
+    p_shift = model_map(symbol, t, apply(op_s, f))
     r = norm(p_shift.coeffs[0])
     for n in range(1, len(p_shift.coeffs)):
         prev = p.coeffs[n - 1] if n - 1 < len(p.coeffs) else None
@@ -129,7 +130,7 @@ def run_verify(symbol: Symbol, cfg: RunConfig) -> list[CheckResult]:
     radius = symbol.model_disc_radius(t)
     if radius is None:
         radius = 1.0 / spectral_radius(op_l, cfg.n_max, cfg.resolved_x_max).estimate
-    lam = 0.4 * radius * (1.0 - cfg.margin)
+    lam = 0.4 * radius * (1.0 - DOMAIN_MARGIN)
     e = indicator(0.0, t).scale(1.0 / np.sqrt(t)).subdivide(per_block)
     chk = reproducing_check(symbol, t, f, lam, e)
     results.append(_result("reproducing", chk.diff, tol["reproducing"], f"lambda={lam:g}"))
@@ -139,7 +140,7 @@ def run_verify(symbol: Symbol, cfg: RunConfig) -> list[CheckResult]:
     results.append(_result("circular_symmetry", r, tol["circular_symmetry"], "theta=2"))
 
     # adjoint eigenvector inside the model disc
-    w = 0.5 * radius * (1.0 - cfg.margin)
+    w = 0.5 * radius * (1.0 - DOMAIN_MARGIN)
     res = verify_adjoint_eigenvector(symbol, t, w, e, tol=tol["adjoint_eigenvector"] / 10)
     results.append(_result("adjoint_eigenvector", res.residual, tol["adjoint_eigenvector"], f"w={w:g}"))
 
@@ -153,7 +154,7 @@ def run_verify(symbol: Symbol, cfg: RunConfig) -> list[CheckResult]:
 
     # kernel series against the closed form, when one is tagged
     if symbol.closed_form is not None:
-        kern = make_kernel(symbol, t, margin=cfg.margin)
+        kern = make_kernel(symbol, t)
         rng_k = np.random.default_rng(cfg.seed + 1)
         worst = 0.0
         for _ in range(10):

@@ -175,10 +175,56 @@ def test_missing_subcommand_usage(capsys):
     assert main([]) == 2
 
 
-def test_deterministic_json(capsys):
-    _, out1, _ = run(capsys, "spectrum", "--phi", "exp:a=2", "--t", "0.5", "--seed", "0")
-    _, out2, _ = run(capsys, "spectrum", "--phi", "exp:a=2", "--t", "0.5", "--seed", "0")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "--z-grid", "unit:8", "--lambda=0.3,0.2", "--x", "0.1"),
+        ("classify",),
+        ("spectrum",),
+        ("verify",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_deterministic_json(capsys, argv):
+    _, out1, _ = run(capsys, *argv, "--phi", "exp:a=2", "--t", "0.5", "--seed", "0")
+    _, out2, _ = run(capsys, *argv, "--phi", "exp:a=2", "--t", "0.5", "--seed", "0")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--phi", "const:abc"),
+        ("classify", "--phi", "exp:a=abc"),
+        ("classify", "--phi", "const:1", "--t", "-1"),
+        ("classify", "--phi", "const:1", "--t", "0"),
+        ("classify", "--phi", "const:1", "--t", "nan"),
+        ("spectrum", "--phi", "const:1", "--nmax", "1"),
+        ("classify", "--phi", "const:1", "--nmax", "0"),
+        ("classify", "--phi", "const:1", "--nmax", "-3"),
+        ("kernel", "--phi", "expr:x+1", "--nmax", "1", "--z", "0.1", "--lambda", "0.2"),
+        ("verify", "--phi", "const:1", "--h", "0"),
+        ("verify", "--phi", "const:1", "--xmax", "-3"),
+        ("verify", "--phi", "const:1", "--seed", "-1"),
+        ("kernel", "--phi", "const:1", "--z-grid", "unit:0", "--lambda", "0.5"),
+        ("kernel", "--phi", "const:1", "--z-grid", "unit:abc", "--lambda", "0.5"),
+        ("verify", "--phi", "const:1", "--tol", "reproducing=abc"),
+    ],
+    ids=" ".join,
+)
+def test_bad_arguments_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("usage error:")
+    assert err.count("\n") == 1
+
+
+def test_kernel_negative_lambda_equals_form(capsys):
+    code, out, _ = run(capsys, "kernel", "--phi", "const:1", "--z", "0.1", "--lambda=-0.3,0.1")
+    assert code == 0
+    payload = json.loads(machine_payload(out))
+    q = 0.1 * complex(-0.3, -0.1)
+    assert complex(*payload["rows"][0]["k"]) == pytest.approx(1.0 / (1.0 - q), abs=1e-9)
 
 
 def test_out_file(tmp_path, capsys):

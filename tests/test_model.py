@@ -227,6 +227,13 @@ def test_kernel_divergence_outside_radius():
         kernel_series(k, 1.02, 1.03, 0.0, check_domain=False)
 
 
+def test_kernel_preimage_raises_at_cap():
+    # |lambda| = 0.9: five shrinking terms are needed before any tail bound
+    e = indicator(0.0, 1.0)
+    with pytest.raises(TailBoundNotAchievedError):
+        kernel_preimage(constant(1.0), 1.0, 0.9, e, n_cap=3)
+
+
 def test_kernel_no_closed_form_for_expression():
     sym = parse_symbol("x+2")
     k = make_kernel(sym, 1.0, radius=1.0)

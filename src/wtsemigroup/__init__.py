@@ -70,6 +70,7 @@ from .spectral import (
 )
 from .stepfun import (
     StepFunction,
+    add_all,
     distance,
     haar,
     indicator,

@@ -155,6 +155,8 @@ def _z_points(args) -> list[complex]:
 
 def cmd_kernel(args) -> int:
     cfg = _config_from_args(args)
+    if not 0.0 <= args.x < cfg.t:
+        raise SymbolSyntaxError(f"--x must lie in E = [0, t) = [0, {cfg.t:g}), got {args.x!r}")
     points = _z_points(args)
     symbol = parse_phi_spec(cfg.phi)
     validate_positivity(symbol, cfg.resolved_x_max)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NoClosedFormError, OutsideConvergenceDomainError
 from .operators import OperatorHandle, apply_power, make_operator, phi_ratio
-from .stepfun import StepFunction, haar, inner, norm, norm_sq, restrict_to_E, zero
+from .stepfun import StepFunction, add_all, haar, inner, norm, norm_sq, restrict_to_E
 from .symbols import Symbol
 from .util import SERIES_CAP, gauss5_cells, sum_series
 
@@ -85,19 +85,33 @@ def model_map(
     op_l = make_operator(symbol, t, "L")
     if n_terms is None:
         n_terms = max(0, math.ceil(f.hi / t) - 1) if f.values.size else 0
-    coeffs = [restrict_to_E(apply_power(op_l, n, f), t) for n in range(n_terms + 1)]
+    coeffs = [
+        restrict_to_E(apply_power(op_l, n, _cells_meeting_block(f, n * op_l.t, op_l.t)), t)
+        for n in range(n_terms + 1)
+    ]
     beyond = f.restrict((n_terms + 1) * t, max(f.hi, (n_terms + 1) * t))
     return EValuedPolynomial(t, tuple(coeffs), truncated=not beyond.is_zero())
+
+
+def _cells_meeting_block(f: StepFunction, nt: float, t: float) -> StepFunction:
+    """The cells of f that L_t^n carries into [0, t), with nt = n * t.
+
+    Cut by cell index, so the translated breakpoints and midpoints are the
+    same floats as for the whole of f. fl(b - nt) <= 0 exactly when b <= nt,
+    so the cell holding nt starts the slice. Every breakpoint after the
+    first one at or past fl(nt + t) exceeds nt + t in exact arithmetic, so
+    one extra cell takes the slice to t or beyond after the shift.
+    """
+    bp = f.breakpoints
+    lo = max(int(np.searchsorted(bp, nt, side="right")) - 1, 0)
+    hi = min(int(np.searchsorted(bp, nt + t, side="left")) + 1, f.values.size)
+    return StepFunction(bp[lo : hi + 1], f.values[lo:hi], truncated=f.truncated)
 
 
 def model_inverse(symbol: Symbol, t: float, p: EValuedPolynomial) -> StepFunction:
     """U^{-1}: reassemble f block by block, f|[nt,(n+1)t) = S_t^n c_n."""
     op_s = OperatorHandle(symbol, t, "S")
-    total = zero()
-    for n, c in enumerate(p.coeffs):
-        if not c.is_zero():
-            total = total + apply_power(op_s, n, c)
-    return total
+    return add_all(apply_power(op_s, n, c) for n, c in enumerate(p.coeffs) if not c.is_zero())
 
 
 def h_norm_sq(symbol: Symbol, t: float, p: EValuedPolynomial) -> float:
@@ -281,11 +295,14 @@ def kernel_preimage(
     """
     op = make_operator(symbol, t, "L_adjoint")
     lam_bar = np.conj(complex(lam))
+    terms: list[StepFunction] = []
 
-    def term(n: int) -> StepFunction:
-        return apply_power(op, n, e).scale(lam_bar**n)
+    def term_norm(n: int) -> float:
+        terms.append(apply_power(op, n, e).scale(lam_bar**n))
+        return norm(terms[-1])
 
-    return sum_series(term, tol, n_cap, size=norm)[0]
+    sum_series(term_norm, tol, n_cap)
+    return add_all(terms)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ the output cell midpoint.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -79,8 +80,13 @@ class LeftInvertibilityCheck:
     threshold: float
 
 
+@functools.lru_cache(maxsize=256)
 def check_left_invertible(symbol: Symbol, t: float, x_max: float) -> LeftInvertibilityCheck:
-    """Estimate inf over [0, x_max] of phi(x+t)/phi(x) and compare to EPS_INV."""
+    """Estimate inf over [0, x_max] of phi(x+t)/phi(x) and compare to EPS_INV.
+
+    Memoized on (symbol, t, x_max): symbols are frozen and hashable, and the
+    result is frozen, so every caller may share it.
+    """
     if not t > 0:
         raise ValueError("t must be positive")
     inf_est, arg_inf, _ = sample_then_refine(lambda x: phi_ratio(symbol, x, t, 0), x_max, "min")

@@ -97,14 +97,7 @@ class StepFunction:
     __rmul__ = __mul__
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
-        if self.values.size == 0:
-            return other
-        if other.values.size == 0:
-            return self
-        bp = np.unique(np.concatenate([self.breakpoints, other.breakpoints]))
-        left = bp[:-1]
-        vals = self.values_at_left_edges(left) + other.values_at_left_edges(left)
-        return _trimmed(bp, vals, self.truncated or other.truncated)
+        return add_all((self, other))
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
         return self + other.scale(-1.0)
@@ -212,6 +205,28 @@ def _trimmed(bp: np.ndarray, vals: np.ndarray, truncated: bool = False) -> StepF
         return zero()
     a, b = nz[0], nz[-1] + 1
     return StepFunction(bp[a : b + 1], vals[a:b], truncated=truncated)
+
+
+def add_all(pieces) -> StepFunction:
+    """Sum of step functions over one merged mesh, in a single pass.
+
+    Each piece adds its values over its own span of the merged breakpoints,
+    in the order given, so every cell sums in the same order as the left
+    fold of `+` and the values agree bit for bit (up to the sign of an exact
+    zero). The mesh can be finer than the fold's only where a partial sum
+    has exactly zero edge cells, which the fold trims away.
+    """
+    pieces = [p for p in pieces if p.values.size]
+    if not pieces:
+        return zero()
+    if len(pieces) == 1:
+        return pieces[0]
+    bp = np.unique(np.concatenate([p.breakpoints for p in pieces]))
+    vals = np.zeros(bp.size - 1, dtype=complex)
+    for p in pieces:
+        idx = np.searchsorted(bp, p.breakpoints)
+        vals[idx[0] : idx[-1]] += np.repeat(p.values, np.diff(idx))
+    return _trimmed(bp, vals, any(p.truncated for p in pieces))
 
 
 def zero() -> StepFunction:

@@ -101,25 +101,24 @@ def gauss5_cells(fn, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     return half * (vals @ _GL5_WEIGHTS)
 
 
-def sum_series(term_fn, tol: float, n_cap: int = SERIES_CAP, consecutive: int = 5, size=abs):
+def sum_series(term_fn, tol: float, n_cap: int = SERIES_CAP, consecutive: int = 5):
     """Sum term_fn(0) + term_fn(1) + ... with an empirical geometric tail bound.
 
-    Terms are numbers or anything else that adds, such as step functions;
-    size(term) measures each one. Stops once the size ratio of consecutive
-    terms has stayed below 1 for `consecutive` steps and the geometric tail
-    estimate size(term_N) * rho / (1 - rho) drops below tol. Returns
+    Stops once the ratio |term_n| / |term_(n-1)| has stayed below 1 for
+    `consecutive` steps and the geometric tail estimate
+    |term_N| * rho / (1 - rho) drops below tol. Returns
     (value, n_terms, tail_estimate); raises TailBoundNotAchievedError when
     the cap is hit first.
     """
     total = term_fn(0)
-    prev = size(total)
+    prev = abs(total)
     ratios: list[float] = []
     streak = 0
     tail = np.inf
     for n in range(1, n_cap + 1):
         term = term_fn(n)
         total = total + term
-        mag = size(term)
+        mag = abs(term)
         if prev == 0.0:
             rho = 0.0 if mag == 0.0 else np.inf
         else:

@@ -209,6 +209,8 @@ def test_deterministic_json(capsys, argv):
         ("kernel", "--phi", "const:1", "--z-grid", "unit:0", "--lambda", "0.5"),
         ("kernel", "--phi", "const:1", "--z-grid", "unit:abc", "--lambda", "0.5"),
         ("verify", "--phi", "const:1", "--tol", "reproducing=abc"),
+        ("kernel", "--phi", "const:1", "--x", "-1", "--z", "0.1", "--lambda", "0.3"),
+        ("kernel", "--phi", "const:1", "--t", "1", "--x", "5", "--z", "0.1", "--lambda", "0.3"),
     ],
     ids=" ".join,
 )

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from wtsemigroup import (
+    DEFAULT_TOLERANCES,
     EValuedPolynomial,
     NoClosedFormError,
     OperatorHandle,
     OutsideConvergenceDomainError,
+    StepFunction,
     TailBoundNotAchievedError,
     affine,
     apply,
+    apply_power,
     block_decompose,
     constant,
     distance,
@@ -29,12 +32,14 @@ from wtsemigroup import (
     model_map,
     norm,
     norm_sq,
+    parse_phi_spec,
     parse_symbol,
     parseval_defect,
     piecewise_cap,
     random_step,
     reciprocal,
     reproducing_check,
+    restrict_to_E,
     zero,
 )
 
@@ -93,6 +98,25 @@ def test_roundtrip_random():
     for sym in (affine(), reciprocal(), piecewise_cap()):
         p = model_map(sym, 1.0, f)
         assert distance(model_inverse(sym, 1.0, p), f) < 1e-14
+
+
+@pytest.mark.parametrize("spec", ["affine", "reciprocal", "cap", "exp:a=2"])
+def test_model_map_blockwise_equals_whole_f(spec):
+    # each coefficient sees only the cells of f near its block; at the
+    # non-dyadic t = 0.3 it must still equal L^n of the whole of f, cut to E
+    sym, t = parse_phi_spec(spec), 0.3
+    rng = np.random.default_rng(12)
+    uniform = random_step(rng, 0.0, 40 * t, 40 * 16)
+    bp = np.unique(rng.uniform(0.01, 40 * t, 500))
+    scattered = StepFunction(bp, [1.0, 1j] @ rng.standard_normal((2, bp.size - 1)))
+    op_l = make_operator(sym, t, "L")
+    for f in (uniform, scattered):
+        p = model_map(sym, t, f)
+        assert len(p.coeffs) == 40
+        for n, c in enumerate(p.coeffs):
+            ref = restrict_to_E(apply_power(op_l, n, f), t)
+            assert np.array_equal(c.breakpoints, ref.breakpoints)
+            assert np.array_equal(c.values, ref.values)
 
 
 def test_inverse_single_coefficient():
@@ -278,6 +302,17 @@ def test_reproducing_random_function():
     e = indicator(0.0, 1.0).subdivide(128)
     chk = reproducing_check(affine(), 1.0, f, 0.35 + 0.2j, e)
     assert chk.diff < 1e-9
+
+
+def test_reproducing_near_disc_boundary():
+    # |lambda| = 0.99 of the disc radius: the preimage sums 2,831 blocks
+    sym, t = affine(), 1.0
+    rng = np.random.default_rng(5)
+    f = random_step(rng, 0.0, 16 * t, 16 * 256, unit_norm=True)
+    e = indicator(0.0, t).scale(1.0 / np.sqrt(t)).subdivide(256)
+    lam = 0.99 * sym.model_disc_radius(t) * np.exp(0.7j)
+    chk = reproducing_check(sym, t, f, lam, e)
+    assert chk.diff <= DEFAULT_TOLERANCES["reproducing"]
 
 
 def test_adjoint_eigenvector_relation_through_model():

@@ -1,8 +1,14 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtsemigroup import (
     StepFunction,
+    add_all,
     distance,
     haar,
     indicator,
@@ -190,3 +196,61 @@ def test_json_roundtrip_bit_exact():
     g = StepFunction.from_json(f.to_json())
     assert np.array_equal(f.breakpoints, g.breakpoints)
     assert np.array_equal(f.values, g.values)
+
+
+# -- one-merge sum against the pairwise fold ----------------------------------
+
+
+def _pairwise_add(f, g):
+    """Reference: merge two meshes, read both at each left edge, trim the edges."""
+    if f.values.size == 0:
+        return g
+    if g.values.size == 0:
+        return f
+    bp = np.unique(np.concatenate([f.breakpoints, g.breakpoints]))
+    vals = f.values_at_left_edges(bp[:-1]) + g.values_at_left_edges(bp[:-1])
+    nz = np.nonzero(vals != 0)[0]
+    if nz.size == 0:
+        return zero()
+    a, b = nz[0], nz[-1] + 1
+    return StepFunction(bp[a : b + 1], vals[a:b], truncated=f.truncated or g.truncated)
+
+
+# grid edges, three of them not dyadic; each drawn edge moves by up to two ulps,
+# so pieces overlap, touch, miss each other or overlap by a sliver
+_EDGES = (0.0, 0.1, 0.25, 0.3, 0.5, 1.0, 1.2, 2.0)
+
+
+@st.composite
+def _piece(draw):
+    edges = []
+    for e in draw(st.lists(st.sampled_from(_EDGES), min_size=2, max_size=6)):
+        for _ in range(draw(st.integers(0, 2))):
+            e = np.nextafter(e, draw(st.sampled_from((-np.inf, np.inf))))
+        edges.append(max(float(e), 0.0))
+    bp = np.unique(edges)
+    if bp.size < 2:
+        return zero()
+    # positive real parts: no partial sum cancels to an exactly zero cell,
+    # which the pairwise fold would trim and the one merge would keep
+    vals = [
+        complex(draw(st.floats(0.5, 2.0)), draw(st.floats(-2.0, 2.0)))
+        for _ in range(bp.size - 1)
+    ]
+    return StepFunction(bp, np.array(vals), truncated=draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_piece(), max_size=6))
+def test_add_all_equals_pairwise_fold(pieces):
+    ref = functools.reduce(_pairwise_add, pieces, zero())
+    for got in (add_all(pieces), functools.reduce(operator.add, pieces, zero())):
+        assert np.array_equal(got.breakpoints, ref.breakpoints)
+        assert np.array_equal(got.values, ref.values)
+        assert got.truncated == ref.truncated
+
+
+def test_add_all_empty_and_single():
+    f = StepFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, 3.0]))
+    assert add_all([]).is_zero()
+    assert add_all([zero(), f, zero()]) is f

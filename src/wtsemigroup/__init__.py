@@ -30,7 +30,6 @@ from .model import (
     EValuedPolynomial,
     block_decompose,
     gram_matrix,
-    h_norm_sq,
     haar_degree_bound,
     haar_polynomial_basis,
     kernel_closed_form,
@@ -61,6 +60,7 @@ from .spectral import (
     SpectralSummary,
     annulus,
     lower_spectral_bound,
+    model_disc_radius,
     nonsurjectivity_residual,
     point_spectrum_floor,
     spectral_radius,

@@ -24,14 +24,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .operators import OperatorHandle, apply_power
 from .stepfun import StepFunction, norm_sq
 from .symbols import Symbol, eval_phi
-from .util import DEFAULT_WINDOW
+from .util import window
+
+MAX_ORDER = 64  # highest bracket order that bracket_table computes
+CLASS_SAMPLES = 4096  # uniform grid points of the sign analysis, before kink clusters
 
 
 def bracket(symbol: Symbol, t: float, n: int, x) -> float | np.ndarray:
@@ -46,8 +49,8 @@ def bracket_table(symbol: Symbol, t: float, n_max: int, grid: np.ndarray) -> np.
     """delta_n(grid) for n = 0..n_max, sharing the phi(x + k t) evaluations."""
     if n_max < 0:
         raise ValueError("order must be nonnegative")
-    if n_max > 64:
-        raise OverflowError("bracket order capped at 64")
+    if n_max > MAX_ORDER:
+        raise OverflowError(f"bracket order capped at {MAX_ORDER}")
     ratios = np.empty((n_max + 1, *grid.shape), dtype=float)
     base = eval_phi(symbol, grid)
     for k in range(n_max + 1):
@@ -107,27 +110,14 @@ class ClassificationReport:
     grid_points: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "phi": self.phi,
-            "t": self.t,
-            "max_order": self.max_order,
-            "tol_class": self.tol_class,
-            "labels": list(self.labels),
-            "witnesses": {
-                name: {"n": w.n, "x": w.x, "value": w.value}
-                for name, w in self.witnesses.items()
-            },
-            "m_isometry": self.m_isometry,
-            "max_hyperexpansive_order": self.max_hyperexpansive_order,
-            "grid_points": self.grid_points,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def _sample_grid(symbol: Symbol, t: float, n_max: int, x_max: float, samples: int) -> np.ndarray:
-    grid = [np.linspace(0.0, x_max, samples)]
+def _sample_grid(symbol: Symbol, t: float, n_max: int, x_max: float) -> np.ndarray:
+    grid = [np.linspace(0.0, x_max, CLASS_SAMPLES)]
     # densify around points where x + k t crosses a kink of a piecewise symbol
     offsets = np.array([-1e-3, -1e-6, 0.0, 1e-6, 1e-3])
     for kink in symbol.kinks:
@@ -149,7 +139,6 @@ def classify(
     t: float,
     max_order: int = 16,
     x_max: float | None = None,
-    samples: int = 4096,
     tol_class: float = 1e-9,
 ) -> ClassificationReport:
     """Sign analysis of delta_n on a dense grid, n = 1..max_order.
@@ -160,9 +149,8 @@ def classify(
     so in their names; subnormality is never claimed, only the Hausdorff
     moment necessary condition ("candidate").
     """
-    if x_max is None:
-        x_max = DEFAULT_WINDOW * t
-    grid = _sample_grid(symbol, t, max_order, x_max, samples)
+    x_max = window(t, x_max)
+    grid = _sample_grid(symbol, t, max_order, x_max)
     table = bracket_table(symbol, t, max_order, grid)
     tol = np.array(
         [tol_class * max(1.0, float(np.max(np.abs(table[n])))) for n in range(max_order + 1)]

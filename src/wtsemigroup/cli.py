@@ -12,10 +12,11 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from .classify import classify
+from .classify import MAX_ORDER, classify
 from .config import RunConfig
 from .errors import (
     NonPositiveSymbolError,
@@ -25,11 +26,10 @@ from .errors import (
     TailBoundNotAchievedError,
 )
 from .model import kernel_closed_form, kernel_series, make_kernel
-from .operators import make_operator
-from .spectral import spectral_radius, spectral_summary
+from .spectral import model_disc_radius, spectral_summary
 from .symbols import parse_phi_spec, validate_positivity
 from .util import fmt17
-from .verify import all_passed, run_verify
+from .verify import MAX_CELLS, all_passed, run_verify
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
@@ -160,11 +160,9 @@ def cmd_kernel(args) -> int:
     points = _z_points(args)
     symbol = parse_phi_spec(cfg.phi)
     validate_positivity(symbol, cfg.resolved_x_max)
-    radius = symbol.model_disc_radius(cfg.t)
-    if radius is None:
+    if symbol.model_disc_radius(cfg.t) is None:
         _require_nmax(cfg, 2, "to fit the disc radius")
-        op_l = make_operator(symbol, cfg.t, "L", x_max=cfg.resolved_x_max)
-        radius = 1.0 / spectral_radius(op_l, cfg.n_max, cfg.resolved_x_max).estimate
+    radius = model_disc_radius(symbol, cfg.t, cfg.n_max, cfg.resolved_x_max)
     kern = make_kernel(symbol, cfg.t, radius=radius)
     rows = []
     for z in points:
@@ -214,10 +212,11 @@ def cmd_kernel(args) -> int:
 def cmd_classify(args) -> int:
     cfg = _config_from_args(args)
     _require_nmax(cfg, 1, "for classification")
+    if cfg.n_max > MAX_ORDER:
+        raise SymbolSyntaxError(f"--nmax must be at most {MAX_ORDER} for classification, got {cfg.n_max}")
     symbol = parse_phi_spec(cfg.phi)
     validate_positivity(symbol, cfg.resolved_x_max)
-    order = min(cfg.n_max, 64)
-    report = classify(symbol, cfg.t, max_order=order, x_max=cfg.resolved_x_max)
+    report = classify(symbol, cfg.t, max_order=cfg.n_max, x_max=cfg.resolved_x_max)
     print(f"# classify phi={cfg.phi} t={cfg.t:g} order<={report.max_order}")
     for label in report.labels:
         print(f"  label  {label}")
@@ -262,6 +261,12 @@ def cmd_spectrum(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
+    # t / h first: per_block cannot round an infinite ratio
+    if not cfg.t / cfg.resolved_h <= MAX_CELLS or 8 * cfg.per_block > MAX_CELLS:
+        raise SymbolSyntaxError(
+            f"--h {cfg.resolved_h:g} asks for more than {MAX_CELLS} cells of test data; "
+            f"use --h >= t/{MAX_CELLS // 8}"
+        )
     symbol = parse_phi_spec(cfg.phi)
     if symbol.model_disc_radius(cfg.t) is None:
         _require_nmax(cfg, 2, "to fit the disc radius")
@@ -277,16 +282,7 @@ def cmd_verify(args) -> int:
         "t": cfg.t,
         "h": cfg.resolved_h,
         "seed": cfg.seed,
-        "checks": [
-            {
-                "name": r.name,
-                "residual": r.residual,
-                "tol": r.tol,
-                "passed": r.passed,
-                "note": r.note,
-            }
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
         "all_passed": all_passed(results),
     }
     _emit(cfg, _json(payload))

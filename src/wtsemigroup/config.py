@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .util import DEFAULT_WINDOW
+from .util import window
 
 DEFAULT_TOLERANCES = {
     # identities that cancel cell by cell under the midpoint rule; on dyadic
@@ -53,8 +53,13 @@ class RunConfig:
 
     @property
     def resolved_x_max(self) -> float:
-        return self.x_max if self.x_max is not None else DEFAULT_WINDOW * self.t
+        return window(self.t, self.x_max)
 
     @property
     def resolved_h(self) -> float:
         return self.h if self.h is not None else self.t / 256.0
+
+    @property
+    def per_block(self) -> int:
+        """Cells per block of verify's mesh: t / h snapped so translation by t keeps cell edges."""
+        return max(1, round(self.t / self.resolved_h))

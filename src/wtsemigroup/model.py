@@ -31,6 +31,7 @@ from .symbols import Symbol
 from .util import SERIES_CAP, gauss5_cells, sum_series
 
 DOMAIN_MARGIN = 0.05  # kernel series run only for |z conj(lambda)| < radius^2 (1 - margin)
+CLOSED_FORM_TOL = 1e-12  # tail bound of the residual series in the two_isometry closed form
 
 
 @dataclass(frozen=True)
@@ -114,10 +115,6 @@ def model_inverse(symbol: Symbol, t: float, p: EValuedPolynomial) -> StepFunctio
     return add_all(apply_power(op_s, n, c) for n, c in enumerate(p.coeffs) if not c.is_zero())
 
 
-def h_norm_sq(symbol: Symbol, t: float, p: EValuedPolynomial) -> float:
-    return norm_sq(model_inverse(symbol, t, p))
-
-
 def parseval_defect(
     symbol: Symbol,
     t: float,
@@ -136,7 +133,7 @@ def parseval_defect(
     p = model_map(symbol, t, f)
     target = norm_sq(f)
     if quadrature == "pullback":
-        return abs(h_norm_sq(symbol, t, p) - target)
+        return abs(norm_sq(model_inverse(symbol, t, p)) - target)
     if quadrature != "gauss":
         raise ValueError("quadrature must be 'pullback' or 'gauss'")
     total = 0.0
@@ -168,7 +165,6 @@ class DiagonalKernel:
     t: float
     radius: float
     closed_form: Optional[str] = None
-    margin: float = DOMAIN_MARGIN
 
     def coefficient(self, n: int, x) -> np.ndarray:
         """Multiplier phi(x)/phi(x + n t) of q**n; positive and bounded."""
@@ -179,7 +175,6 @@ def make_kernel(
     symbol: Symbol,
     t: float,
     radius: float | None = None,
-    margin: float = DOMAIN_MARGIN,
 ) -> DiagonalKernel:
     """Kernel with the disc radius taken from the symbol when known exactly.
 
@@ -189,7 +184,7 @@ def make_kernel(
         radius = symbol.model_disc_radius(t)
         if radius is None:
             raise ValueError("no exact radius known; pass radius=1/r(L_t) explicitly")
-    return DiagonalKernel(symbol, t, float(radius), symbol.closed_form, margin)
+    return DiagonalKernel(symbol, t, float(radius), symbol.closed_form)
 
 
 def kernel_series(
@@ -204,14 +199,14 @@ def kernel_series(
     """Truncated kernel series with an empirical geometric tail bound.
 
     Returns (value, n_terms, tail_estimate). The domain guard enforces
-    |z conj(lambda)| < radius**2 (1 - margin); disable it only to probe
+    |z conj(lambda)| < radius**2 (1 - DOMAIN_MARGIN); disable it only to probe
     divergence behaviour.
     """
     q = complex(z) * np.conj(complex(lam))
-    if check_domain and abs(q) >= k.radius**2 * (1.0 - k.margin):
+    if check_domain and abs(q) >= k.radius**2 * (1.0 - DOMAIN_MARGIN):
         raise OutsideConvergenceDomainError(
             f"|z conj(lambda)| = {abs(q):.6g} is not below "
-            f"{k.radius**2 * (1.0 - k.margin):.6g} = radius^2 (1 - margin)"
+            f"{k.radius**2 * (1.0 - DOMAIN_MARGIN):.6g} = radius^2 (1 - margin)"
         )
     xv = float(x)
 
@@ -233,9 +228,7 @@ def kernel_eval(
     return value
 
 
-def kernel_closed_form(
-    k: DiagonalKernel, z: complex, lam: complex, x: float, tol: float = 1e-12
-) -> complex:
+def kernel_closed_form(k: DiagonalKernel, z: complex, lam: complex, x: float) -> complex:
     """Closed or semi-closed kernel value for the tagged special symbols.
 
     szego            1/(1-q)
@@ -261,7 +254,7 @@ def kernel_closed_form(
         def term(n: int) -> complex:
             return complex((n * k.t / (x + 1.0 + n * k.t)) * q**n)
 
-        residual, _, _ = sum_series(term, tol)
+        residual, _, _ = sum_series(term, CLOSED_FORM_TOL)
         return 1.0 / (1.0 - q) - residual
     if tag == "piecewise_cap":
         if x >= 1.0:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NotLeftInvertibleError, TruncationWarning
 from .stepfun import StepFunction, norm_sq
 from .symbols import Symbol, eval_phi
-from .util import DEFAULT_WINDOW, sample_then_refine
+from .util import sample_then_refine, window
 
 KINDS = ("S", "S_adjoint", "S_dual", "L", "L_adjoint")
 _RIGHT = {"S", "S_dual", "L_adjoint"}  # support marches right by t per power
@@ -114,8 +114,7 @@ def make_operator(
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}; expected one of {KINDS}")
     if kind in _DUAL:
-        window = x_max if x_max is not None else DEFAULT_WINDOW * t
-        chk = check_left_invertible(symbol, t, window)
+        chk = check_left_invertible(symbol, t, window(t, x_max))
         if not chk.ok:
             raise NotLeftInvertibleError(
                 f"inf phi(x+t)/phi(x) ~ {chk.inf_estimate:.3g} at x={chk.arg_inf:.6g} "

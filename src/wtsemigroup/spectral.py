@@ -10,7 +10,7 @@ the spectrum itself is the closed disc of radius r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,9 +23,11 @@ from .operators import (
     estimate_norm,
     make_operator,
 )
-from .stepfun import StepFunction, indicator, inner, norm
+from .stepfun import StepFunction, add_all, indicator, inner, norm
 from .symbols import Symbol
-from .util import DEFAULT_WINDOW, SERIES_CAP
+from .util import SERIES_CAP, window
+
+FIT_RESIDUAL_MAX = 0.05  # a tail fit with a larger log residual is flagged non_convergent
 
 
 @dataclass(frozen=True)
@@ -39,12 +41,8 @@ class RadiusEstimate:
     window_limited: bool
     non_convergent: bool
 
-    @property
-    def last_term(self) -> float:
-        return self.sequence[-1]
 
-
-def _fit_radius(ests, fit_residual_max: float) -> RadiusEstimate:
+def _fit_radius(ests) -> RadiusEstimate:
     values = [e.value for e in ests]
     ns = np.arange(1, len(values) + 1, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -61,34 +59,24 @@ def _fit_radius(ests, fit_residual_max: float) -> RadiusEstimate:
         values=tuple(float(v) for v in vals),
         args=tuple(float(e.arg) for e in ests),
         window_limited=any(e.window_limited for e in ests),
-        non_convergent=resid > fit_residual_max,
+        non_convergent=resid > FIT_RESIDUAL_MAX,
     )
 
 
-def spectral_radius(
-    op: OperatorHandle,
-    n_max: int,
-    x_max: float,
-    fit_residual_max: float = 0.05,
-) -> RadiusEstimate:
+def spectral_radius(op: OperatorHandle, n_max: int, x_max: float) -> RadiusEstimate:
     """r(op) from the norm sequence; diagnostics flag slow or window-biased fits."""
     if n_max < 2:
         raise ValueError("need n_max >= 2 for the tail fit")
     ests = [estimate_norm(op, n, x_max) for n in range(1, n_max + 1)]
-    return _fit_radius(ests, fit_residual_max)
+    return _fit_radius(ests)
 
 
-def lower_spectral_bound(
-    op: OperatorHandle,
-    n_max: int,
-    x_max: float,
-    fit_residual_max: float = 0.05,
-) -> RadiusEstimate:
+def lower_spectral_bound(op: OperatorHandle, n_max: int, x_max: float) -> RadiusEstimate:
     """r_1(op) = lim m(op^n)^(1/n), same fitting scheme on the lower moduli."""
     if n_max < 2:
         raise ValueError("need n_max >= 2 for the tail fit")
     ests = [estimate_lower_bound(op, n, x_max) for n in range(1, n_max + 1)]
-    return _fit_radius(ests, fit_residual_max)
+    return _fit_radius(ests)
 
 
 def annulus(op: OperatorHandle, n_max: int, x_max: float) -> tuple[float, float]:
@@ -96,6 +84,16 @@ def annulus(op: OperatorHandle, n_max: int, x_max: float) -> tuple[float, float]
     r1 = lower_spectral_bound(op, n_max, x_max).estimate
     r = spectral_radius(op, n_max, x_max).estimate
     return (r1, r)
+
+
+def model_disc_radius(symbol: Symbol, t: float, n_max: int, x_max: float) -> float:
+    """The model disc radius 1/r(L_t): exact for the built-in symbols, else
+    from the tail fit of ||L_t^n|| over n = 1..n_max on [0, x_max]."""
+    exact = symbol.model_disc_radius(t)
+    if exact is not None:
+        return exact
+    op_l = make_operator(symbol, t, "L", x_max=x_max)
+    return 1.0 / spectral_radius(op_l, n_max, x_max).estimate
 
 
 @dataclass(frozen=True)
@@ -113,19 +111,7 @@ class SpectralSummary:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "r1": self.r1,
-            "r_L": self.r_L,
-            "disc_radius": self.disc_radius,
-            "annulus": list(self.annulus),
-            "model_disc_radius": self.model_disc_radius,
-            "window_limited": self.window_limited,
-            "point_spectrum": self.point_spectrum,
-            "adjoint_point_spectrum": self.adjoint_point_spectrum,
-            "radius_note": self.radius_note,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 def spectral_summary(
@@ -135,8 +121,7 @@ def spectral_summary(
     x_max: float | None = None,
 ) -> SpectralSummary:
     """Full spectral picture for S_t: radius, annulus, model disc, diagnostics."""
-    if x_max is None:
-        x_max = DEFAULT_WINDOW * t
+    x_max = window(t, x_max)
     op_s = make_operator(symbol, t, "S")
     fit_r = spectral_radius(op_s, n_max, x_max)
     fit_r1 = lower_spectral_bound(op_s, n_max, x_max)
@@ -256,8 +241,7 @@ def verify_adjoint_eigenvector(
     op_sadj = OperatorHandle(symbol, t, "S_adjoint")
     if n_terms is not None:
         w_bar = np.conj(complex(w))
-        terms = [apply_power(op_ladj, n, e).scale(w_bar**n) for n in range(n_terms + 1)]
-        v = sum(terms[1:], terms[0])
+        v = add_all(apply_power(op_ladj, n, e).scale(w_bar**n) for n in range(n_terms + 1))
         used = n_terms + 1
     else:
         v = kernel_preimage(symbol, t, w, e, tol=tol, n_cap=n_cap)
@@ -300,7 +284,4 @@ def nonsurjectivity_residual(symbol: Symbol, t: float, basis: list[StepFunction]
     gram = np.array([[inner(u, v) for v in images] for u in images])
     rhs = np.array([inner(target, u) for u in images])
     coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    proj = None
-    for c, u in zip(coeffs, images):
-        proj = u.scale(c) if proj is None else proj + u.scale(c)
-    return norm(target - proj) if proj is not None else norm(target)
+    return norm(target - add_all(u.scale(c) for c, u in zip(coeffs, images)))

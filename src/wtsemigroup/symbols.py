@@ -22,6 +22,9 @@ import numpy as np
 
 from .errors import NonPositiveSymbolError, SymbolSyntaxError
 
+POSITIVITY_SAMPLES = 10_000  # uniform grid of validate_positivity
+POSITIVITY_FLOOR = 1e-6  # samples below this are refined on a finer local grid
+
 # ---------------------------------------------------------------------------
 # Expression trees
 # ---------------------------------------------------------------------------
@@ -388,21 +391,19 @@ def eval_phi(symbol: Symbol, x):
     return vals
 
 
-def validate_positivity(
-    symbol: Symbol, x_max: float, samples: int = 10_000, floor: float = 1e-6
-) -> float:
+def validate_positivity(symbol: Symbol, x_max: float) -> float:
     """Sample phi on [0, x_max]; raise on any non-positive or non-finite value.
 
-    Values below `floor` trigger a local refinement pass so that narrow dips
-    in user expressions are not missed by the uniform grid.
+    Values below POSITIVITY_FLOOR trigger a local refinement pass so that
+    narrow dips in user expressions are not missed by the uniform grid.
     """
-    grid = np.linspace(0.0, x_max, samples)
+    grid = np.linspace(0.0, x_max, POSITIVITY_SAMPLES)
     vals = eval_phi(symbol, grid)  # raises on violation
     lowest = float(np.min(vals))
-    suspicious = np.nonzero(vals < floor)[0]
+    suspicious = np.nonzero(vals < POSITIVITY_FLOOR)[0]
     for i in suspicious:
         lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, samples - 1)]
+        hi = grid[min(i + 1, POSITIVITY_SAMPLES - 1)]
         fine = np.linspace(lo, hi, 200)
         lowest = min(lowest, float(np.min(eval_phi(symbol, fine))))
     return lowest

@@ -9,12 +9,19 @@ from .errors import TailBoundNotAchievedError
 DEFAULT_WINDOW = 64.0  # sampling window [0, 64 t] unless the caller sets x_max
 SAMPLES = 10_001  # grid points of a sampled extremum
 SERIES_CAP = 10_000  # last term index a tail-bounded series may reach
+GOLDEN_ITERS = 80  # golden-section steps after the grid search
+TAIL_STREAK = 5  # consecutive shrinking terms before the geometric tail is trusted
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 
 
-def golden_max(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
+def window(t: float, x_max: float | None) -> float:
+    """The sampling window end: x_max when given, else DEFAULT_WINDOW * t."""
+    return x_max if x_max is not None else DEFAULT_WINDOW * t
+
+
+def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximization of a scalar function on [lo, hi]."""
     a, b = float(lo), float(hi)
     if not b > a:
@@ -24,7 +31,7 @@ def golden_max(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float]
     d = a + _INVPHI * h
     fc = float(fn(c))
     fd = float(fn(d))
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc >= fd:
             b, d, fd = d, c, fc
             h = b - a
@@ -36,11 +43,6 @@ def golden_max(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float]
             d = a + _INVPHI * h
             fd = float(fn(d))
     return (c, fc) if fc >= fd else (d, fd)
-
-
-def golden_min(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
-    x, v = golden_max(lambda y: -fn(y), lo, hi, iters=iters)
-    return x, -v
 
 
 def sample_then_refine(fn, x_max: float, mode: str) -> tuple[float, float, bool]:
@@ -61,7 +63,8 @@ def sample_then_refine(fn, x_max: float, mode: str) -> tuple[float, float, bool]
         arg, refined = golden_max(scalar, lo, hi)
         better = refined > vals[i]
     else:
-        arg, refined = golden_min(scalar, lo, hi)
+        arg, neg = golden_max(lambda y: -scalar(y), lo, hi)
+        refined = -neg
         better = refined < vals[i]
     if better:
         return refined, float(arg), i == SAMPLES - 1
@@ -101,11 +104,11 @@ def gauss5_cells(fn, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     return half * (vals @ _GL5_WEIGHTS)
 
 
-def sum_series(term_fn, tol: float, n_cap: int = SERIES_CAP, consecutive: int = 5):
+def sum_series(term_fn, tol: float, n_cap: int = SERIES_CAP):
     """Sum term_fn(0) + term_fn(1) + ... with an empirical geometric tail bound.
 
     Stops once the ratio |term_n| / |term_(n-1)| has stayed below 1 for
-    `consecutive` steps and the geometric tail estimate
+    TAIL_STREAK steps and the geometric tail estimate
     |term_N| * rho / (1 - rho) drops below tol. Returns
     (value, n_terms, tail_estimate); raises TailBoundNotAchievedError when
     the cap is hit first.
@@ -125,8 +128,8 @@ def sum_series(term_fn, tol: float, n_cap: int = SERIES_CAP, consecutive: int = 
             rho = mag / prev
         ratios.append(rho)
         streak = streak + 1 if rho < 1.0 else 0
-        if streak >= consecutive:
-            rho = max(ratios[-consecutive:])
+        if streak >= TAIL_STREAK:
+            rho = max(ratios[-TAIL_STREAK:])
             tail = mag * rho / (1.0 - rho) if rho > 0.0 else 0.0
             if tail < tol:
                 return total, n + 1, tail

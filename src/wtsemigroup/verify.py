@@ -18,6 +18,7 @@ from .classify import bracket_integral, bracket_quadratic_form
 from .config import RunConfig
 from .model import (
     DOMAIN_MARGIN,
+    block_decompose,
     kernel_closed_form,
     kernel_eval,
     make_kernel,
@@ -27,12 +28,14 @@ from .model import (
 )
 from .operators import OperatorHandle, apply, apply_power, make_operator
 from .spectral import (
-    spectral_radius,
+    model_disc_radius,
     verify_adjoint_eigenvector,
     verify_circular_symmetry,
 )
 from .stepfun import indicator, inner, norm, random_step, restrict_to_E
 from .symbols import Symbol
+
+MAX_CELLS = 2**19  # budget for the 8 * cfg.per_block cells of each test function on [0, 8 t)
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,7 @@ def _result(name: str, residual: float, tol: float, note: str = "") -> CheckResu
 def run_verify(symbol: Symbol, cfg: RunConfig) -> list[CheckResult]:
     """Run every invariant suite at the configured tolerances."""
     t = cfg.t
-    # snap the mesh to whole cells per block so that translation by t maps
-    # cell boundaries onto cell boundaries; the rounding-level suites need it
-    per_block = max(1, round(t / cfg.resolved_h))
+    per_block = cfg.per_block  # the rounding-level suites need the snapped mesh
     h = t / per_block
     rng = np.random.default_rng(cfg.seed)
     f = random_step(rng, 0.0, 8 * t, 8 * per_block, unit_norm=True)
@@ -97,7 +98,7 @@ def run_verify(symbol: Symbol, cfg: RunConfig) -> list[CheckResult]:
     results.append(_result("adjoint_kernel", r, tol["adjoint_kernel"]))
 
     # orthogonal blocks chi_[nt,(n+1)t) f
-    blocks = [f.restrict(n * t, (n + 1) * t) for n in range(8)]
+    blocks = block_decompose(f, t, 7)
     r = max(
         abs(inner(blocks[m], blocks[n]))
         for m in range(8)
@@ -127,9 +128,7 @@ def run_verify(symbol: Symbol, cfg: RunConfig) -> list[CheckResult]:
 
     # reproducing property at a safe lambda; e lives on the same mesh as f
     # so the two evaluation routes share their midpoint resolution
-    radius = symbol.model_disc_radius(t)
-    if radius is None:
-        radius = 1.0 / spectral_radius(op_l, cfg.n_max, cfg.resolved_x_max).estimate
+    radius = model_disc_radius(symbol, t, cfg.n_max, cfg.resolved_x_max)
     lam = 0.4 * radius * (1.0 - DOMAIN_MARGIN)
     e = indicator(0.0, t).scale(1.0 / np.sqrt(t)).subdivide(per_block)
     chk = reproducing_check(symbol, t, f, lam, e)

@@ -1,8 +1,10 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from wtsemigroup import RunConfig, classify, parse_phi_spec, run_verify, spectral_summary
 from wtsemigroup.cli import main
 
 
@@ -211,6 +213,9 @@ def test_deterministic_json(capsys, argv):
         ("verify", "--phi", "const:1", "--tol", "reproducing=abc"),
         ("kernel", "--phi", "const:1", "--x", "-1", "--z", "0.1", "--lambda", "0.3"),
         ("kernel", "--phi", "const:1", "--t", "1", "--x", "5", "--z", "0.1", "--lambda", "0.3"),
+        ("classify", "--phi", "const:1", "--nmax", "100"),
+        ("verify", "--phi", "const:1", "--h", "1e-7"),
+        ("verify", "--phi", "const:1", "--h", "1e-320"),
     ],
     ids=" ".join,
 )
@@ -238,3 +243,68 @@ def test_out_file(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert payload["rows"][0]["k"][0] == pytest.approx(1.0 / (1.0 - 0.12), abs=1e-9)
     assert "wrote" in out
+
+
+def test_verify_accepts_mesh_at_cell_budget(monkeypatch, capsys):
+    # a smaller budget keeps the run short; h = t/64 snaps to 8 * 64 cells
+    monkeypatch.setattr("wtsemigroup.cli.MAX_CELLS", 8 * 64)
+    assert run(capsys, "verify", "--phi", "const:1", "--h", "0.015625")[0] == 0
+    code, _, err = run(capsys, "verify", "--phi", "const:1", "--h", "0.0153")
+    assert code == 2 and "t/64" in err
+
+
+# The hand-written payload builders that the dataclass-derived ones replaced,
+# kept as the reference for the JSON the CLI prints.
+
+
+def _spectral_summary_dict(s) -> dict:
+    return {
+        "r": s.r,
+        "r1": s.r1,
+        "r_L": s.r_L,
+        "disc_radius": s.disc_radius,
+        "annulus": list(s.annulus),
+        "model_disc_radius": s.model_disc_radius,
+        "window_limited": s.window_limited,
+        "point_spectrum": s.point_spectrum,
+        "adjoint_point_spectrum": s.adjoint_point_spectrum,
+        "radius_note": s.radius_note,
+        "diagnostics": s.diagnostics,
+    }
+
+
+def _classification_report_dict(r) -> dict:
+    return {
+        "phi": r.phi,
+        "t": r.t,
+        "max_order": r.max_order,
+        "tol_class": r.tol_class,
+        "labels": list(r.labels),
+        "witnesses": {
+            name: {"n": w.n, "x": w.x, "value": w.value} for name, w in r.witnesses.items()
+        },
+        "m_isometry": r.m_isometry,
+        "max_hyperexpansive_order": r.max_hyperexpansive_order,
+        "grid_points": r.grid_points,
+    }
+
+
+def _check_row(r) -> dict:
+    return {"name": r.name, "residual": r.residual, "tol": r.tol, "passed": r.passed, "note": r.note}
+
+
+def _emitted(payload) -> str:
+    # what cli._json writes; tuples and lists print alike
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("phi,t", [("const:1", 1.0), ("affine", 1.0), ("cap", 0.25), ("expr:x^2+1", 1.0)])
+def test_payloads_match_hand_written_reference(phi, t):
+    sym = parse_phi_spec(phi)
+    summary = spectral_summary(sym, t)
+    assert _emitted(summary.to_json_dict()) == _emitted(_spectral_summary_dict(summary))
+    report = classify(sym, t, max_order=16)
+    assert report.witnesses or phi == "const:1"  # witness rows take part where they exist
+    assert _emitted(report.to_json_dict()) == _emitted(_classification_report_dict(report))
+    for r in run_verify(sym, RunConfig(phi=phi, t=t)):
+        assert asdict(r) == _check_row(r)

@@ -12,8 +12,10 @@ from wtsemigroup import (
     lower_spectral_bound,
     make_kernel,
     make_operator,
+    model_disc_radius,
     nonsurjectivity_residual,
     norm,
+    parse_phi_spec,
     piecewise_cap,
     point_spectrum_floor,
     random_step,
@@ -26,6 +28,20 @@ from wtsemigroup import (
 from wtsemigroup.errors import TailBoundNotAchievedError
 
 E2X = exponential(np.exp(2.0))
+
+
+@pytest.mark.parametrize(
+    "sym,t",
+    [(constant(1.0), 1.0), (affine(), 1.0), (reciprocal(), 2.0), (piecewise_cap(), 0.25), (exponential(2.0), 0.5)],
+)
+def test_model_disc_radius_exact_for_builtins(sym, t):
+    assert model_disc_radius(sym, t, 32, 64.0 * t) == sym.model_disc_radius(t)
+
+
+def test_model_disc_radius_fitted_matches_summary():
+    sym = parse_phi_spec("expr:x+1")
+    assert sym.model_disc_radius(1.0) is None
+    assert model_disc_radius(sym, 1.0, 32, 64.0) == 1.0 / spectral_summary(sym, 1.0).r_L
 
 
 def test_radius_constant_symbol():
@@ -116,7 +132,7 @@ def test_summary_exponential_radius_note():
 def test_kernel_radius_consistency():
     # inside the disc the tail rule certifies convergence; outside, on the
     # closed-form examples, the terms stop decreasing
-    k = make_kernel(constant(1.0), 1.0, margin=0.05)
+    k = make_kernel(constant(1.0), 1.0)
     r = k.radius * (1.0 - 0.05)
     value, n_terms, tail = kernel_series(k, r, r, 0.0)
     assert np.isfinite(value.real) and n_terms < 10_000

@@ -50,7 +50,9 @@ from .operators import (
     apply_power,
     check_left_invertible,
     estimate_lower_bound,
+    estimate_lower_bounds,
     estimate_norm,
+    estimate_norms,
     eval_weight,
     lower_bound_m,
     make_operator,

@@ -157,6 +157,8 @@ def cmd_kernel(args) -> int:
     cfg = _config_from_args(args)
     if not 0.0 <= args.x < cfg.t:
         raise SymbolSyntaxError(f"--x must lie in E = [0, t) = [0, {cfg.t:g}), got {args.x!r}")
+    if not (args.series_tol > 0 and math.isfinite(args.series_tol)):
+        raise SymbolSyntaxError(f"--series-tol must be a positive finite number, got {args.series_tol!r}")
     points = _z_points(args)
     symbol = parse_phi_spec(cfg.phi)
     validate_positivity(symbol, cfg.resolved_x_max)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NoClosedFormError, OutsideConvergenceDomainError
 from .operators import OperatorHandle, apply_power, make_operator, phi_ratio
 from .stepfun import StepFunction, add_all, haar, inner, norm, norm_sq, restrict_to_E
-from .symbols import Symbol
+from .symbols import Symbol, eval_phi
 from .util import SERIES_CAP, gauss5_cells, sum_series
 
 DOMAIN_MARGIN = 0.05  # kernel series run only for |z conj(lambda)| < radius^2 (1 - margin)
@@ -208,10 +208,26 @@ def kernel_series(
             f"|z conj(lambda)| = {abs(q):.6g} is not below "
             f"{k.radius**2 * (1.0 - DOMAIN_MARGIN):.6g} = radius^2 (1 - margin)"
         )
-    xv = float(x)
+    xv = float(x) + 0.0  # maps -0.0 to 0.0, as the x + 0 of phi_ratio does
+    phi_x = eval_phi(k.symbol, xv)
+    points = np.empty(0)
+    den: list[float] = []
+    bad = 0  # index of the first table entry eval_phi would refuse
 
     def term(n: int) -> complex:
-        return complex(k.coefficient(n, xv) * q**n)
+        nonlocal points, den, bad
+        if n == len(den):
+            # phi(x + n t) for n < size, unchecked: a tail that is never
+            # summed may overflow (e^(2x) past x = 355) or turn non-positive
+            points = xv + np.arange(min(max(16, 2 * n), n_cap + 1)) * k.t
+            with np.errstate(over="ignore"):
+                vals = k.symbol.values(points)
+            ok = ~(points < 0) & np.isfinite(vals) & (vals > 0)  # what eval_phi enforces
+            bad = int(np.argmin(ok)) if not ok.all() else ok.size
+            den = vals.tolist()
+        if n >= bad:
+            eval_phi(k.symbol, points[n])  # raises the error of a one-point evaluation
+        return complex(phi_x / den[n] * q**n)
 
     return sum_series(term, tol, n_cap)
 

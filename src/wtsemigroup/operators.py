@@ -89,7 +89,7 @@ def check_left_invertible(symbol: Symbol, t: float, x_max: float) -> LeftInverti
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    inf_est, arg_inf, _ = sample_then_refine(lambda x: phi_ratio(symbol, x, t, 0), x_max, "min")
+    inf_est, arg_inf, _ = sample_then_refine(lambda x, _row: phi_ratio(symbol, x, t, 0), 1, x_max, "min")[0]
     return LeftInvertibilityCheck(inf_est > EPS_INV, inf_est, arg_inf, EPS_INV)
 
 
@@ -157,22 +157,29 @@ def apply(op: OperatorHandle, f: StepFunction, x_max: float | None = None) -> St
 # ---------------------------------------------------------------------------
 
 
-def n_step_base_ratio(op: OperatorHandle, n: int):
-    """The n-step weight as a function of the base point x (where f lives).
-
-    ||op^n f||^2 = integral of this squared against |f|^2, so its essential
-    sup / inf over the window bound the operator norm from both sides.
-    """
-    nt = n * op.t
-    num, den = (nt, 0) if op.kind in ("S", "S_adjoint") else (0, nt)
-    return lambda x: np.sqrt(phi_ratio(op.symbol, x, num, den))
-
-
 @dataclass(frozen=True)
 class ExtremumEstimate:
     value: float
     arg: float
     window_limited: bool  # extremum sits at the far window edge x = x_max
+
+
+def _weight_extrema(op: OperatorHandle, ns, x_max: float, mode: str) -> list[ExtremumEstimate]:
+    """Sup or inf over the base point x (where f lives) of the n-step weight,
+    for each n in ns, found by one sample_then_refine over all n.
+
+    ||op^n f||^2 = integral of the squared weight against |f|^2, so its
+    essential sup / inf over the window bound the operator norm from both
+    sides. The weight is sqrt(phi(x + num)/phi(x + den)), with n t in num
+    for S and S_adjoint and in den for the other kinds.
+    """
+    if not ns or min(ns) < 1:
+        raise ValueError("n must be >= 1")
+    nt = np.asarray(ns) * op.t  # the floats n * op.t, one per row
+    zero = np.zeros_like(nt)
+    num, den = (nt, zero) if op.kind in ("S", "S_adjoint") else (zero, nt)
+    fn = lambda x, row: np.sqrt(phi_ratio(op.symbol, x, num[row], den[row]))
+    return [ExtremumEstimate(*est) for est in sample_then_refine(fn, len(nt), x_max, mode)]
 
 
 def estimate_norm(op: OperatorHandle, n: int, x_max: float) -> ExtremumEstimate:
@@ -182,9 +189,12 @@ def estimate_norm(op: OperatorHandle, n: int, x_max: float) -> ExtremumEstimate:
     maximum. Continuity of phi makes the sampled sup converge to the true
     essential sup as the grid densifies.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return ExtremumEstimate(*sample_then_refine(n_step_base_ratio(op, n), x_max, "max"))
+    return _weight_extrema(op, [n], x_max, "max")[0]
+
+
+def estimate_norms(op: OperatorHandle, n_max: int, x_max: float) -> list[ExtremumEstimate]:
+    """estimate_norm for n = 1..n_max, all refined in one lockstep search."""
+    return _weight_extrema(op, range(1, n_max + 1), x_max, "max")
 
 
 def estimate_lower_bound(op: OperatorHandle, n: int, x_max: float) -> ExtremumEstimate:
@@ -195,9 +205,12 @@ def estimate_lower_bound(op: OperatorHandle, n: int, x_max: float) -> ExtremumEs
     kinds (S_adjoint, L) the kernel makes the literal infimum zero; the
     sampled value is the modulus transverse to the kernel.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return ExtremumEstimate(*sample_then_refine(n_step_base_ratio(op, n), x_max, "min"))
+    return _weight_extrema(op, [n], x_max, "min")[0]
+
+
+def estimate_lower_bounds(op: OperatorHandle, n_max: int, x_max: float) -> list[ExtremumEstimate]:
+    """estimate_lower_bound for n = 1..n_max, all refined in one lockstep search."""
+    return _weight_extrema(op, range(1, n_max + 1), x_max, "min")
 
 
 def operator_norm(op: OperatorHandle, n: int, x_max: float) -> float:

@@ -19,8 +19,8 @@ from .operators import (
     OperatorHandle,
     apply,
     apply_power,
-    estimate_lower_bound,
-    estimate_norm,
+    estimate_lower_bounds,
+    estimate_norms,
     make_operator,
 )
 from .stepfun import StepFunction, add_all, indicator, inner, norm
@@ -67,16 +67,14 @@ def spectral_radius(op: OperatorHandle, n_max: int, x_max: float) -> RadiusEstim
     """r(op) from the norm sequence; diagnostics flag slow or window-biased fits."""
     if n_max < 2:
         raise ValueError("need n_max >= 2 for the tail fit")
-    ests = [estimate_norm(op, n, x_max) for n in range(1, n_max + 1)]
-    return _fit_radius(ests)
+    return _fit_radius(estimate_norms(op, n_max, x_max))
 
 
 def lower_spectral_bound(op: OperatorHandle, n_max: int, x_max: float) -> RadiusEstimate:
     """r_1(op) = lim m(op^n)^(1/n), same fitting scheme on the lower moduli."""
     if n_max < 2:
         raise ValueError("need n_max >= 2 for the tail fit")
-    ests = [estimate_lower_bound(op, n, x_max) for n in range(1, n_max + 1)]
-    return _fit_radius(ests)
+    return _fit_radius(estimate_lower_bounds(op, n_max, x_max))
 
 
 def annulus(op: OperatorHandle, n_max: int, x_max: float) -> tuple[float, float]:
@@ -281,6 +279,8 @@ def nonsurjectivity_residual(symbol: Symbol, t: float, basis: list[StepFunction]
     op = OperatorHandle(symbol, t, "S")
     target = indicator(0.0, t)
     images = [apply(op, b) for b in basis]
+    if not images:
+        return norm(target)  # an empty basis spans {0}; lstsq refuses an empty Gram matrix
     gram = np.array([[inner(u, v) for v in images] for u in images])
     rhs = np.array([inner(target, u) for u in images])
     coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)

@@ -21,54 +21,68 @@ def window(t: float, x_max: float | None) -> float:
     return x_max if x_max is not None else DEFAULT_WINDOW * t
 
 
-def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of a scalar function on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    if not b > a:
-        return a, float(fn(a))
+def golden_max(fn, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximization on the brackets [lo_i, hi_i], in lockstep.
+
+    fn maps the k points of one step (lane i at index i) to their k values.
+    Every lane makes the float operations of a one-bracket search: the same
+    comparison fc >= fd picks its side, and a lane whose bracket is empty
+    (not hi > lo) stays at lo. Returns (args, values) per lane.
+    """
+    a = np.array(lo, dtype=float, ndmin=1)
+    b = np.array(hi, dtype=float, ndmin=1)
+    b = np.where(b > a, b, a)
     h = b - a
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
-    fc = float(fn(c))
-    fd = float(fn(d))
+    fc = fn(c)
+    fd = fn(d)
     for _ in range(GOLDEN_ITERS):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = float(fn(c))
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = float(fn(d))
-    return (c, fc) if fc >= fd else (d, fd)
+        left = fc >= fd  # the maximum lies in [a, d]: d becomes the new b
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, fkept = np.where(left, c, d), np.where(left, fc, fd)
+        h = b - a
+        new = a + np.where(left, _INVPHI2, _INVPHI) * h
+        fnew = fn(new)
+        c, fc = np.where(left, new, kept), np.where(left, fnew, fkept)
+        d, fd = np.where(left, kept, new), np.where(left, fkept, fnew)
+    left = fc >= fd
+    return np.where(left, c, d), np.where(left, fc, fd)
 
 
-def sample_then_refine(fn, x_max: float, mode: str) -> tuple[float, float, bool]:
-    """Sup (mode "max") or inf (mode "min") of a vectorized fn on [0, x_max].
+def sample_then_refine(fn, rows: int, x_max: float, mode: str) -> list[tuple[float, float, bool]]:
+    """Sup (mode "max") or inf (mode "min") on [0, x_max] of each of several functions.
 
-    Samples a uniform grid, then refines by golden section between the
-    neighbours of the best sample; the grid value wins ties, so the result
-    never falls behind the grid. Returns (value, arg, at_edge), where at_edge
-    flags a best sample at the far edge x = x_max.
+    fn(x, row) evaluates function `row` at the points x; row is an index, or
+    an index array matching x. Each row is sampled on a uniform grid and
+    reduced to its best sample before the next row is sampled, so one grid
+    of values is alive at a time. All rows are then refined together by one
+    lockstep golden section between the neighbours of their best samples;
+    the grid value wins ties, so no result falls behind its grid. Returns
+    (value, arg, at_edge) per row, where at_edge flags a best sample at the
+    far edge x = x_max.
     """
     grid = np.linspace(0.0, x_max, SAMPLES)
-    vals = fn(grid)
-    i = int(np.argmax(vals) if mode == "max" else np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, SAMPLES - 1)]
-    scalar = lambda y: float(fn(np.asarray([y]))[0])
+    pick = np.argmax if mode == "max" else np.argmin
+    best = np.empty(rows, dtype=int)
+    best_vals = np.empty(rows)
+    for row in range(rows):
+        vals = fn(grid, row)
+        best[row] = pick(vals)
+        best_vals[row] = vals[best[row]]
+    lanes = np.arange(rows)
+    lo = grid[np.maximum(best - 1, 0)]
+    hi = grid[np.minimum(best + 1, SAMPLES - 1)]
     if mode == "max":
-        arg, refined = golden_max(scalar, lo, hi)
-        better = refined > vals[i]
+        args, refined = golden_max(lambda y: fn(y, lanes), lo, hi)
+        better = refined > best_vals
     else:
-        arg, neg = golden_max(lambda y: -scalar(y), lo, hi)
+        args, neg = golden_max(lambda y: -fn(y, lanes), lo, hi)
         refined = -neg
-        better = refined < vals[i]
-    if better:
-        return refined, float(arg), i == SAMPLES - 1
-    return float(vals[i]), float(grid[i]), i == SAMPLES - 1
+        better = refined < best_vals
+    value = np.where(better, refined, best_vals)
+    arg = np.where(better, args, grid[best])
+    return list(zip(value.tolist(), arg.tolist(), (best == SAMPLES - 1).tolist()))
 
 
 # Gauss-Legendre 5-point rule on [-1, 1]; used where an integral must not

@@ -216,6 +216,9 @@ def test_deterministic_json(capsys, argv):
         ("classify", "--phi", "const:1", "--nmax", "100"),
         ("verify", "--phi", "const:1", "--h", "1e-7"),
         ("verify", "--phi", "const:1", "--h", "1e-320"),
+        ("kernel", "--phi", "const:1", "--z", "0.1", "--lambda", "0.2", "--series-tol", "-1"),
+        ("kernel", "--phi", "const:1", "--z", "0.1", "--lambda", "0.2", "--series-tol", "0"),
+        ("kernel", "--phi", "const:1", "--z", "0.1", "--lambda", "0.2", "--series-tol", "nan"),
     ],
     ids=" ".join,
 )

@@ -3,8 +3,10 @@ import pytest
 
 from wtsemigroup import (
     DEFAULT_TOLERANCES,
+    DiagonalKernel,
     EValuedPolynomial,
     NoClosedFormError,
+    NonPositiveSymbolError,
     OperatorHandle,
     OutsideConvergenceDomainError,
     StepFunction,
@@ -249,6 +251,28 @@ def test_kernel_divergence_outside_radius():
     k = make_kernel(constant(1.0), 1.0)
     with pytest.raises(TailBoundNotAchievedError):
         kernel_series(k, 1.02, 1.03, 0.0, check_domain=False)
+
+
+def test_kernel_series_table_past_overflow():
+    # 328 terms: the table of phi(x + n) holds 512, and e^(2x) overflows past
+    # x = 355; entries that are never summed must not raise
+    k = make_kernel(E2X, 1.0)
+    z, lam = 0.9 * k.radius, k.radius * complex(0.6, 0.8)
+    value, n_terms, tail = kernel_series(k, z, lam, 0.5, tol=1e-14)
+    assert n_terms == 328 and tail < 1e-14
+    assert abs(value - kernel_closed_form(k, z, lam, 0.5)) < 1e-12
+
+
+def test_kernel_series_raises_at_first_non_positive_term():
+    # phi = 3 - x turns negative at x + n t with n = 30, in the second table
+    k = DiagonalKernel(parse_symbol("3-x"), 0.1, 10.0)
+    with pytest.raises(NonPositiveSymbolError) as info:
+        kernel_series(k, 0.99, 1.0, 0.05, check_domain=False)
+    assert info.value.x == 0.05 + 30 * 0.1
+    assert info.value.value == 3.0 - (0.05 + 30 * 0.1)
+    # a cap below n = 30 stops the sum before it reaches the bad point
+    with pytest.raises(TailBoundNotAchievedError):
+        kernel_series(k, 0.99, 1.0, 0.05, n_cap=20, check_domain=False)
 
 
 def test_kernel_preimage_raises_at_cap():

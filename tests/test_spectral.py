@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from wtsemigroup import (
     affine,
     annulus,
     constant,
+    estimate_lower_bound,
+    estimate_norm,
     exponential,
     haar,
     indicator,
@@ -28,6 +32,35 @@ from wtsemigroup import (
 from wtsemigroup.errors import TailBoundNotAchievedError
 
 E2X = exponential(np.exp(2.0))
+
+
+@pytest.mark.parametrize("kind", ["S", "S_adjoint", "L"])
+@pytest.mark.parametrize("spec,t", [("affine", 1.0), ("cap", 0.25), ("exp:a=2", 0.5), ("expr:x^2+1", 1.0)])
+def test_fits_equal_per_n_estimates(spec, t, kind):
+    # the fits refine all n in one lockstep search; each row must be the
+    # one-n estimate, bit for bit
+    op = make_operator(parse_phi_spec(spec), t, kind)
+    n_max, x_max = 5, 64.0 * t
+    for fit, estimate in ((spectral_radius, estimate_norm), (lower_spectral_bound, estimate_lower_bound)):
+        per_n = [estimate(op, n, x_max) for n in range(1, n_max + 1)]
+        got = fit(op, n_max, x_max)
+        assert got.values == tuple(e.value for e in per_n)
+        assert got.args == tuple(e.arg for e in per_n)
+        assert got.window_limited == any(e.window_limited for e in per_n)
+
+
+def test_spectral_summary_memory_stays_flat():
+    # the grid is sampled one n at a time: a (n_max, samples) table of
+    # 32 x 10,001 floats alone would take 2.6 MB
+    sym = parse_phi_spec("expr:x^2+1")
+    spectral_summary(sym, 1.0)  # warm: memoized checks and lazy imports
+    tracemalloc.start()
+    try:
+        spectral_summary(sym, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize(
@@ -215,3 +248,10 @@ def test_zero_in_spectrum_projection_residual():
     basis = [haar(j, k) for j in (-1, 0, 1) for k in range(4)]
     res = nonsurjectivity_residual(affine(), 0.5, basis)
     assert res >= (1.0 - 1e-9) * norm(indicator(0.0, 0.5))
+
+
+def test_zero_in_spectrum_empty_basis():
+    # the empty span is {0}, so the residual is ||chi_[0,t)|| = sqrt(t)
+    res = nonsurjectivity_residual(affine(), 0.5, [])
+    assert res == norm(indicator(0.0, 0.5))
+    assert res == pytest.approx(np.sqrt(0.5), rel=1e-15)

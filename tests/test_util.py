@@ -1,0 +1,115 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wtsemigroup import check_left_invertible, parse_phi_spec
+from wtsemigroup.operators import phi_ratio
+from wtsemigroup.util import GOLDEN_ITERS, SAMPLES, golden_max, sample_then_refine
+
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
+
+
+def _golden_scalar(fn, lo, hi):
+    """The one-bracket golden-section search that golden_max runs per lane."""
+    a, b = float(lo), float(hi)
+    if not b > a:
+        return a, float(fn(a))
+    h = b - a
+    c = a + _INVPHI2 * h
+    d = a + _INVPHI * h
+    fc = float(fn(c))
+    fd = float(fn(d))
+    for _ in range(GOLDEN_ITERS):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = a + _INVPHI2 * h
+            fc = float(fn(c))
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _INVPHI * h
+            fd = float(fn(d))
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def _sample_then_refine_scalar(fn, x_max, mode):
+    """The one-function grid-then-golden search that sample_then_refine runs per row."""
+    grid = np.linspace(0.0, x_max, SAMPLES)
+    vals = fn(grid)
+    i = int(np.argmax(vals) if mode == "max" else np.argmin(vals))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, SAMPLES - 1)]
+    scalar = lambda y: float(fn(np.asarray([y]))[0])
+    if mode == "max":
+        arg, refined = _golden_scalar(scalar, lo, hi)
+        better = refined > vals[i]
+    else:
+        arg, neg = _golden_scalar(lambda y: -scalar(y), lo, hi)
+        refined = -neg
+        better = refined < vals[i]
+    if better:
+        return refined, float(arg), i == SAMPLES - 1
+    return float(vals[i]), float(grid[i]), i == SAMPLES - 1
+
+
+# objectives with one peak, several peaks, plateaus and exact ties (fc == fd)
+_OBJECTIVES = {
+    "quadratic": lambda m, s: lambda y: -s * (y - m) * (y - m),
+    "plateau": lambda m, s: lambda y: float(math.floor((y - m) * s)),
+    "constant": lambda m, s: lambda y: s,
+    "rounded_vee": lambda m, s: lambda y: round(-abs(y - m), 1),
+    "cosine": lambda m, s: lambda y: math.cos(s * y + m),
+}
+
+
+@st.composite
+def _lane(draw):
+    lo = draw(st.floats(-50.0, 50.0))
+    hi = draw(
+        st.one_of(
+            st.floats(-50.0, 50.0),  # hi <= lo is an empty bracket
+            st.just(lo),
+            st.just(float(np.nextafter(lo, np.inf))),
+            st.floats(1e-9, 100.0).map(lambda w: lo + w),
+        )
+    )
+    kind = draw(st.sampled_from(sorted(_OBJECTIVES)))
+    m = draw(st.floats(-60.0, 60.0))
+    s = draw(st.floats(0.0, 10.0))
+    return lo, hi, _OBJECTIVES[kind](m, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_lane(), min_size=1, max_size=6))
+def test_golden_max_lockstep_equals_scalar(lanes):
+    objectives = [obj for _, _, obj in lanes]
+    fn = lambda ys: np.array([obj(y) for obj, y in zip(objectives, ys)])
+    args, values = golden_max(fn, [lo for lo, _, _ in lanes], [hi for _, hi, _ in lanes])
+    for i, (lo, hi, obj) in enumerate(lanes):
+        arg, value = _golden_scalar(obj, lo, hi)
+        assert args[i] == arg
+        assert values[i] == value
+
+
+@pytest.mark.parametrize("mode", ["max", "min"])
+@pytest.mark.parametrize("spec,t", [("cap", 0.25), ("exp:a=2", 0.5), ("expr:x^2+1", 1.0)])
+def test_sample_then_refine_rows_equal_scalar(spec, t, mode):
+    symbol = parse_phi_spec(spec)
+    shifts = np.array([1, 2, 5]) * t
+    fn = lambda x, row: np.sqrt(phi_ratio(symbol, x, 0.0, shifts[row]))
+    rows = sample_then_refine(fn, len(shifts), 64.0 * t, mode)
+    for row, shift in enumerate(shifts):
+        ref = _sample_then_refine_scalar(lambda x: np.sqrt(phi_ratio(symbol, x, 0.0, shift)), 64.0 * t, mode)
+        assert rows[row] == ref
+
+
+def test_left_invertibility_check_equals_scalar():
+    symbol = parse_phi_spec("reciprocal")
+    chk = check_left_invertible(symbol, 2.0, 128.0)
+    ref = _sample_then_refine_scalar(lambda x: phi_ratio(symbol, x, 2.0, 0), 128.0, "min")
+    assert (chk.inf_estimate, chk.arg_inf) == ref[:2]

@@ -23,7 +23,6 @@ from .errors import (
     OutsideConvergenceDomainError,
     SymbolSyntaxError,
     TailBoundNotAchievedError,
-    TruncationWarning,
 )
 from .model import (
     DiagonalKernel,
@@ -33,7 +32,6 @@ from .model import (
     haar_degree_bound,
     haar_polynomial_basis,
     kernel_closed_form,
-    kernel_eval,
     kernel_preimage,
     kernel_series,
     make_kernel,
@@ -45,7 +43,6 @@ from .model import (
 from .operators import (
     KINDS,
     OperatorHandle,
-    WeightFunction,
     apply,
     apply_power,
     check_left_invertible,
@@ -53,14 +50,10 @@ from .operators import (
     estimate_lower_bounds,
     estimate_norm,
     estimate_norms,
-    eval_weight,
-    lower_bound_m,
     make_operator,
-    operator_norm,
 )
 from .spectral import (
     SpectralSummary,
-    annulus,
     lower_spectral_bound,
     model_disc_radius,
     nonsurjectivity_residual,

@@ -22,7 +22,6 @@ the subnormal-contraction class, reported as a "candidate" label only.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -35,6 +34,7 @@ from .util import window
 
 MAX_ORDER = 64  # highest bracket order that bracket_table computes
 CLASS_SAMPLES = 4096  # uniform grid points of the sign analysis, before kink clusters
+TOL_CLASS = 1e-9  # zero band of delta_n, relative to max(1, max |delta_n|) on the grid
 
 
 def bracket(symbol: Symbol, t: float, n: int, x) -> float | np.ndarray:
@@ -112,9 +112,6 @@ class ClassificationReport:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
 
 def _sample_grid(symbol: Symbol, t: float, n_max: int, x_max: float) -> np.ndarray:
     grid = [np.linspace(0.0, x_max, CLASS_SAMPLES)]
@@ -139,7 +136,6 @@ def classify(
     t: float,
     max_order: int = 16,
     x_max: float | None = None,
-    tol_class: float = 1e-9,
 ) -> ClassificationReport:
     """Sign analysis of delta_n on a dense grid, n = 1..max_order.
 
@@ -153,7 +149,7 @@ def classify(
     grid = _sample_grid(symbol, t, max_order, x_max)
     table = bracket_table(symbol, t, max_order, grid)
     tol = np.array(
-        [tol_class * max(1.0, float(np.max(np.abs(table[n])))) for n in range(max_order + 1)]
+        [TOL_CLASS * max(1.0, float(np.max(np.abs(table[n])))) for n in range(max_order + 1)]
     )
 
     labels: list[str] = []
@@ -209,7 +205,7 @@ def classify(
         phi=symbol.describe(),
         t=t,
         max_order=max_order,
-        tol_class=tol_class,
+        tol_class=TOL_CLASS,
         labels=tuple(labels),
         witnesses=witnesses,
         m_isometry=m_isometry,

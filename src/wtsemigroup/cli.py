@@ -3,7 +3,8 @@
 Every command prints a short human summary to stdout and writes the
 machine-readable payload (JSON or CSV) either below it or to --out.
 Outputs are deterministic given the flags and seed. Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 numeric or convergence error.
+1 verification failure, 2 usage error, 3 numeric or convergence error,
+141 stdout closed early by its reader.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -33,6 +35,7 @@ from .verify import MAX_CELLS, all_passed, run_verify
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
+BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose reader left
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -128,8 +131,11 @@ def _require_nmax(cfg: RunConfig, least: int, purpose: str):
 
 def _emit(cfg: RunConfig, payload: str):
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise SymbolSyntaxError(f"cannot write --out {cfg.out}: {exc.strerror}") from None
         print(f"wrote {cfg.out}")
     else:
         print(payload)
@@ -311,6 +317,17 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # the reader left early; as the CPython notes on SIGPIPE advise, point
+        # stdout's descriptor at devnull so the flush at exit cannot raise again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):  # io.UnsupportedOperation: no descriptor
+            return BROKEN_PIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return BROKEN_PIPE
     except SymbolSyntaxError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

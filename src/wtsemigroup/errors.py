@@ -46,7 +46,3 @@ class TailBoundNotAchievedError(RuntimeError):
 
 class NoClosedFormError(LookupError):
     """The kernel carries no closed-form tag."""
-
-
-class TruncationWarning(UserWarning):
-    """Nonzero mass was dropped past the configured domain end."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -106,7 +105,7 @@ def _cells_meeting_block(f: StepFunction, nt: float, t: float) -> StepFunction:
     bp = f.breakpoints
     lo = max(int(np.searchsorted(bp, nt, side="right")) - 1, 0)
     hi = min(int(np.searchsorted(bp, nt + t, side="left")) + 1, f.values.size)
-    return StepFunction(bp[lo : hi + 1], f.values[lo:hi], truncated=f.truncated)
+    return StepFunction(bp[lo : hi + 1], f.values[lo:hi])
 
 
 def model_inverse(symbol: Symbol, t: float, p: EValuedPolynomial) -> StepFunction:
@@ -157,14 +156,17 @@ class DiagonalKernel:
     """Evaluator of the diagonal kernel series with its convergence guard.
 
     radius is the model disc radius 1/r(L_t); the series in q = z conj(lambda)
-    converges for |q| < radius**2. closed_form tags the five special shapes
-    with known (semi-)closed formulas.
+    converges for |q| < radius**2.
     """
 
     symbol: Symbol
     t: float
     radius: float
-    closed_form: Optional[str] = None
+
+    @property
+    def closed_form(self) -> str | None:
+        """The symbol's tag of a shape with a known (semi-)closed formula."""
+        return self.symbol.closed_form
 
     def coefficient(self, n: int, x) -> np.ndarray:
         """Multiplier phi(x)/phi(x + n t) of q**n; positive and bounded."""
@@ -184,7 +186,7 @@ def make_kernel(
         radius = symbol.model_disc_radius(t)
         if radius is None:
             raise ValueError("no exact radius known; pass radius=1/r(L_t) explicitly")
-    return DiagonalKernel(symbol, t, float(radius), symbol.closed_form)
+    return DiagonalKernel(symbol, t, float(radius))
 
 
 def kernel_series(
@@ -194,16 +196,14 @@ def kernel_series(
     x: float,
     tol: float = 1e-10,
     n_cap: int = SERIES_CAP,
-    check_domain: bool = True,
 ):
     """Truncated kernel series with an empirical geometric tail bound.
 
     Returns (value, n_terms, tail_estimate). The domain guard enforces
-    |z conj(lambda)| < radius**2 (1 - DOMAIN_MARGIN); disable it only to probe
-    divergence behaviour.
+    |z conj(lambda)| < radius**2 (1 - DOMAIN_MARGIN).
     """
     q = complex(z) * np.conj(complex(lam))
-    if check_domain and abs(q) >= k.radius**2 * (1.0 - DOMAIN_MARGIN):
+    if abs(q) >= k.radius**2 * (1.0 - DOMAIN_MARGIN):
         raise OutsideConvergenceDomainError(
             f"|z conj(lambda)| = {abs(q):.6g} is not below "
             f"{k.radius**2 * (1.0 - DOMAIN_MARGIN):.6g} = radius^2 (1 - margin)"
@@ -230,18 +230,6 @@ def kernel_series(
         return complex(phi_x / den[n] * q**n)
 
     return sum_series(term, tol, n_cap)
-
-
-def kernel_eval(
-    k: DiagonalKernel,
-    z: complex,
-    lam: complex,
-    x: float,
-    tol: float = 1e-10,
-    n_cap: int = SERIES_CAP,
-) -> complex:
-    value, _, _ = kernel_series(k, z, lam, x, tol=tol, n_cap=n_cap)
-    return value
 
 
 def kernel_closed_form(k: DiagonalKernel, z: complex, lam: complex, x: float) -> complex:
@@ -327,13 +315,11 @@ def reproducing_check(
     f: StepFunction,
     lam: complex,
     e: StepFunction,
-    n_terms: int | None = None,
-    tol: float = 1e-12,
 ) -> ReproducingCheck:
     """Both sides of the reproducing identity, computed independently."""
-    p = model_map(symbol, t, f, n_terms=n_terms)
+    p = model_map(symbol, t, f)
     lhs = sum(inner(c, e) * complex(lam) ** n for n, c in enumerate(p.coeffs))
-    rhs = inner(f, kernel_preimage(symbol, t, lam, e, tol=tol))
+    rhs = inner(f, kernel_preimage(symbol, t, lam, e))
     return ReproducingCheck(complex(lhs), complex(rhs), abs(complex(lhs) - complex(rhs)))
 
 

@@ -1,12 +1,14 @@
 """The translation operators S_t, their adjoints, and the Cauchy dual family.
 
-Five kinds act on step functions:
+Four kinds act on step functions:
 
     S          (S_t f)(x)  = sqrt(phi(x)/phi(x-t))   f(x-t),  x >= t
     S_adjoint  (S_t* f)(x) = sqrt(phi(x+t)/phi(x))   f(x+t)
-    S_dual     (S_t' f)(x) = sqrt(phi(x-t)/phi(x))   f(x-t),  x >= t
-    L          (L_t f)(x)  = sqrt(phi(x)/phi(x+t))   f(x+t)      (= S_t'*)
-    L_adjoint  same action as S_dual                              (= S_t'')
+    L          (L_t f)(x)  = sqrt(phi(x)/phi(x+t))   f(x+t)
+    L_adjoint  (L_t* f)(x) = sqrt(phi(x-t)/phi(x))   f(x-t),  x >= t
+
+L_adjoint is the Cauchy dual S_t' = S_t (S_t* S_t)^{-1}, and L_t = S_t'* is
+the left inverse of S_t.
 
 Powers are applied through the closed-form k-step weight, e.g.
 (S_t^k f)(x) = sqrt(phi(x)/phi(x-kt)) f(x-kt), never by repeated
@@ -18,22 +20,21 @@ the output cell midpoint.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotLeftInvertibleError, TruncationWarning
-from .stepfun import StepFunction, norm_sq
+from .errors import NotLeftInvertibleError
+from .stepfun import StepFunction
 from .symbols import Symbol, eval_phi
 from .util import sample_then_refine, window
 
-KINDS = ("S", "S_adjoint", "S_dual", "L", "L_adjoint")
-_RIGHT = {"S", "S_dual", "L_adjoint"}  # support marches right by t per power
-_DUAL = {"S_dual", "L", "L_adjoint"}  # need left invertibility
+KINDS = ("S", "S_adjoint", "L", "L_adjoint")
+_RIGHT = {"S", "L_adjoint"}  # support marches right by t per power
+_DUAL = {"L", "L_adjoint"}  # need left invertibility
 # the n-step weight of each kind at an output point mu is
 # sqrt(phi(mu + a n t) / phi(mu + b n t)); kind -> (a, b)
-_SHIFTS = {"S": (0, -1), "S_adjoint": (1, 0), "S_dual": (-1, 0), "L": (0, 1), "L_adjoint": (-1, 0)}
+_SHIFTS = {"S": (0, -1), "S_adjoint": (1, 0), "L": (0, 1), "L_adjoint": (-1, 0)}
 EPS_INV = 1e-6  # inf phi(x+t)/phi(x) must exceed this for left invertibility
 
 
@@ -45,31 +46,8 @@ def phi_ratio(symbol: Symbol, x, num: float, den: float):
 
 
 # ---------------------------------------------------------------------------
-# Weights and left invertibility
+# Left invertibility
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """w_t(x) = sqrt(phi(x)/phi(x-t)) for x >= t, exactly 0 below t."""
-
-    base: Symbol
-    t: float
-
-    def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("translation step t must be positive")
-
-
-def eval_weight(w: WeightFunction, x):
-    arr = np.asarray(x, dtype=float)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros(arr.shape, dtype=float)
-    mask = arr >= w.t
-    if np.any(mask):
-        out[mask] = np.sqrt(phi_ratio(w.base, arr[mask], 0, -w.t))
-    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -77,7 +55,6 @@ class LeftInvertibilityCheck:
     ok: bool
     inf_estimate: float
     arg_inf: float
-    threshold: float
 
 
 @functools.lru_cache(maxsize=256)
@@ -90,7 +67,7 @@ def check_left_invertible(symbol: Symbol, t: float, x_max: float) -> LeftInverti
     if not t > 0:
         raise ValueError("t must be positive")
     inf_est, arg_inf, _ = sample_then_refine(lambda x, _row: phi_ratio(symbol, x, t, 0), 1, x_max, "min")[0]
-    return LeftInvertibilityCheck(inf_est > EPS_INV, inf_est, arg_inf, EPS_INV)
+    return LeftInvertibilityCheck(inf_est > EPS_INV, inf_est, arg_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +100,7 @@ def make_operator(
     return OperatorHandle(symbol, float(t), kind)
 
 
-def apply_power(
-    op: OperatorHandle, n: int, f: StepFunction, x_max: float | None = None
-) -> StepFunction:
+def apply_power(op: OperatorHandle, n: int, f: StepFunction) -> StepFunction:
     """Apply the n-th power in one step; n = 0 is the identity."""
     if n < 0:
         raise ValueError("power must be nonnegative")
@@ -136,20 +111,11 @@ def apply_power(
     if g.values.size == 0:
         return g
     a, b = _SHIFTS[op.kind]
-    out = g.with_values(g.values * np.sqrt(phi_ratio(op.symbol, g.midpoints(), a * nt, b * nt)))
-    if x_max is not None and out.hi > x_max:
-        kept = out.restrict(0.0, x_max)
-        dropped = norm_sq(out) - norm_sq(kept)
-        if dropped > 0:
-            warnings.warn(
-                f"dropped mass {dropped:.3g} beyond x_max={x_max:g}", TruncationWarning
-            )
-        return StepFunction(kept.breakpoints, kept.values, truncated=True)
-    return out
+    return g.with_values(g.values * np.sqrt(phi_ratio(op.symbol, g.midpoints(), a * nt, b * nt)))
 
 
-def apply(op: OperatorHandle, f: StepFunction, x_max: float | None = None) -> StepFunction:
-    return apply_power(op, 1, f, x_max=x_max)
+def apply(op: OperatorHandle, f: StepFunction) -> StepFunction:
+    return apply_power(op, 1, f)
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +177,3 @@ def estimate_lower_bound(op: OperatorHandle, n: int, x_max: float) -> ExtremumEs
 def estimate_lower_bounds(op: OperatorHandle, n_max: int, x_max: float) -> list[ExtremumEstimate]:
     """estimate_lower_bound for n = 1..n_max, all refined in one lockstep search."""
     return _weight_extrema(op, range(1, n_max + 1), x_max, "min")
-
-
-def operator_norm(op: OperatorHandle, n: int, x_max: float) -> float:
-    return estimate_norm(op, n, x_max).value
-
-
-def lower_bound_m(op: OperatorHandle, n: int, x_max: float) -> float:
-    return estimate_lower_bound(op, n, x_max).value

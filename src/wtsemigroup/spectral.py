@@ -18,14 +18,13 @@ from .model import kernel_preimage
 from .operators import (
     OperatorHandle,
     apply,
-    apply_power,
     estimate_lower_bounds,
     estimate_norms,
     make_operator,
 )
 from .stepfun import StepFunction, add_all, indicator, inner, norm
 from .symbols import Symbol
-from .util import SERIES_CAP, window
+from .util import window
 
 FIT_RESIDUAL_MAX = 0.05  # a tail fit with a larger log residual is flagged non_convergent
 
@@ -33,7 +32,6 @@ FIT_RESIDUAL_MAX = 0.05  # a tail fit with a larger log residual is flagged non_
 @dataclass(frozen=True)
 class RadiusEstimate:
     estimate: float
-    slope: float
     fit_residual: float
     sequence: tuple[float, ...]  # a_n = value_n ** (1/n)
     values: tuple[float, ...]  # ||op^n|| or m(op^n) for n = 1..n_max
@@ -53,7 +51,6 @@ def _fit_radius(ests) -> RadiusEstimate:
     a_n = vals ** (1.0 / ns)
     return RadiusEstimate(
         estimate=float(np.exp(slope)),
-        slope=float(slope),
         fit_residual=resid,
         sequence=tuple(float(a) for a in a_n),
         values=tuple(float(v) for v in vals),
@@ -75,13 +72,6 @@ def lower_spectral_bound(op: OperatorHandle, n_max: int, x_max: float) -> Radius
     if n_max < 2:
         raise ValueError("need n_max >= 2 for the tail fit")
     return _fit_radius(estimate_lower_bounds(op, n_max, x_max))
-
-
-def annulus(op: OperatorHandle, n_max: int, x_max: float) -> tuple[float, float]:
-    """[r_1, r]: the approximate point spectrum lives between these circles."""
-    r1 = lower_spectral_bound(op, n_max, x_max).estimate
-    r = spectral_radius(op, n_max, x_max).estimate
-    return (r1, r)
 
 
 def model_disc_radius(symbol: Symbol, t: float, n_max: int, x_max: float) -> float:
@@ -216,8 +206,6 @@ def verify_circular_symmetry(
 @dataclass(frozen=True)
 class AdjointEigenResult:
     residual: float  # ||S_t* v - conj(w) v|| / ||v||
-    n_terms: int
-    w: complex
 
 
 def verify_adjoint_eigenvector(
@@ -226,26 +214,16 @@ def verify_adjoint_eigenvector(
     w: complex,
     e: StepFunction,
     tol: float = 1e-8,
-    n_terms: int | None = None,
-    n_cap: int = SERIES_CAP,
 ) -> AdjointEigenResult:
     """Build v = sum conj(w)^n (L_t*)^n e and measure the eigen relation.
 
-    The truncation index comes from the geometric tail rule at `tol` unless
-    n_terms pins it explicitly; the residual is then |w|^(N+1)||(L*)^N e||
-    over ||v|| up to rounding.
+    The geometric tail rule at `tol` fixes the number N of terms; the
+    residual is then |w|^N ||(L*)^(N-1) e|| over ||v|| up to rounding.
     """
-    op_ladj = make_operator(symbol, t, "L_adjoint")
     op_sadj = OperatorHandle(symbol, t, "S_adjoint")
-    if n_terms is not None:
-        w_bar = np.conj(complex(w))
-        v = add_all(apply_power(op_ladj, n, e).scale(w_bar**n) for n in range(n_terms + 1))
-        used = n_terms + 1
-    else:
-        v = kernel_preimage(symbol, t, w, e, tol=tol, n_cap=n_cap)
-        used = -1
+    v = kernel_preimage(symbol, t, w, e, tol=tol)
     resid = norm(apply(op_sadj, v) - v.scale(np.conj(complex(w)))) / norm(v)
-    return AdjointEigenResult(resid, used, complex(w))
+    return AdjointEigenResult(resid)
 
 
 def point_spectrum_floor(

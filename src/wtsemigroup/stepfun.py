@@ -24,7 +24,6 @@ from .util import fmt17
 class StepFunction:
     breakpoints: np.ndarray  # strictly increasing, nonnegative
     values: np.ndarray  # complex, one per cell; implicit 0 outside
-    truncated: bool = False
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -84,7 +83,7 @@ class StepFunction:
     # -- algebra -----------------------------------------------------------
 
     def with_values(self, new_values) -> "StepFunction":
-        return StepFunction(self.breakpoints, new_values, truncated=self.truncated)
+        return StepFunction(self.breakpoints, new_values)
 
     def scale(self, c: complex) -> "StepFunction":
         if self.values.size == 0 or c == 0:
@@ -118,7 +117,7 @@ class StepFunction:
         inner_bp = self.breakpoints[(self.breakpoints > a) & (self.breakpoints < b)]
         bp = np.concatenate([[a], inner_bp, [b]])
         vals = self.values_at_left_edges(bp[:-1])
-        return _trimmed(bp, vals, self.truncated)
+        return _trimmed(bp, vals)
 
     def translate(self, shift: float) -> "StepFunction":
         """Shift the graph by `shift`; a left shift clips exactly at 0."""
@@ -140,7 +139,7 @@ class StepFunction:
                 return zero()
             bp = np.concatenate([[0.0], bp[idx:]])
             vals = vals[idx - 1 :]
-        return StepFunction(bp, vals, truncated=self.truncated)
+        return StepFunction(bp, vals)
 
     def subdivide(self, m: int) -> "StepFunction":
         """Split every cell into m equal parts; same function, finer mesh."""
@@ -149,9 +148,7 @@ class StepFunction:
         bp = self.breakpoints
         pieces = [np.linspace(bp[i], bp[i + 1], m + 1)[:-1] for i in range(bp.size - 1)]
         pieces.append(bp[-1:])
-        return StepFunction(
-            np.concatenate(pieces), np.repeat(self.values, m), truncated=self.truncated
-        )
+        return StepFunction(np.concatenate(pieces), np.repeat(self.values, m))
 
     # -- serialization -----------------------------------------------------
 
@@ -160,7 +157,6 @@ class StepFunction:
             "breakpoints": [float(b) for b in self.breakpoints],
             "values_re": [float(v.real) for v in self.values],
             "values_im": [float(v.imag) for v in self.values],
-            "truncated": self.truncated,
         }
 
     @staticmethod
@@ -168,7 +164,7 @@ class StepFunction:
         vals = np.asarray(d["values_re"], dtype=float) + 1j * np.asarray(
             d["values_im"], dtype=float
         )
-        return StepFunction(np.asarray(d["breakpoints"], dtype=float), vals, d.get("truncated", False))
+        return StepFunction(np.asarray(d["breakpoints"], dtype=float), vals)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -198,13 +194,13 @@ class StepFunction:
         return StepFunction(np.asarray(bps), np.asarray(vals, dtype=complex))
 
 
-def _trimmed(bp: np.ndarray, vals: np.ndarray, truncated: bool = False) -> StepFunction:
+def _trimmed(bp: np.ndarray, vals: np.ndarray) -> StepFunction:
     """Drop exactly-zero edge cells; collapse to the canonical zero function."""
     nz = np.nonzero(vals != 0)[0]
     if nz.size == 0:
         return zero()
     a, b = nz[0], nz[-1] + 1
-    return StepFunction(bp[a : b + 1], vals[a:b], truncated=truncated)
+    return StepFunction(bp[a : b + 1], vals[a:b])
 
 
 def add_all(pieces) -> StepFunction:
@@ -226,7 +222,7 @@ def add_all(pieces) -> StepFunction:
     for p in pieces:
         idx = np.searchsorted(bp, p.breakpoints)
         vals[idx[0] : idx[-1]] += np.repeat(p.values, np.diff(idx))
-    return _trimmed(bp, vals, any(p.truncated for p in pieces))
+    return _trimmed(bp, vals)
 
 
 def zero() -> StepFunction:
@@ -301,15 +297,11 @@ def random_step(
     lo: float,
     hi: float,
     cells: int,
-    complex_values: bool = True,
     unit_norm: bool = False,
 ) -> StepFunction:
-    """Random step function on a uniform mesh; deterministic given the rng."""
+    """Random complex step function on a uniform mesh; deterministic given the rng."""
     bp = np.linspace(lo, hi, cells + 1)
-    vals = rng.standard_normal(cells)
-    if complex_values:
-        vals = vals + 1j * rng.standard_normal(cells)
-    f = StepFunction(bp, vals)
+    f = StepFunction(bp, rng.standard_normal(cells) + 1j * rng.standard_normal(cells))
     if unit_norm:
         f = f.scale(1.0 / norm(f))
     return f

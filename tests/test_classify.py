@@ -133,7 +133,7 @@ def test_classify_report_json_roundtrip():
     import json
 
     rep = classify(piecewise_cap(), 0.25)
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(rep.to_json_dict()))
     assert payload["labels"] == list(rep.labels)
     assert payload["max_order"] == 16
 

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -227,6 +229,27 @@ def test_bad_arguments_usage_error(capsys, argv):
     assert code == 2
     assert err.startswith("usage error:")
     assert err.count("\n") == 1
+
+
+def test_unwritable_out_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, _, err = run(capsys, "spectrum", "--phi", "const:1", "--out", str(target))
+    assert code == 2
+    assert err.startswith("usage error: cannot write --out ")
+    assert err.count("\n") == 1
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away; like StringIO it has no descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_pipe_exits_141(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    argv = ["kernel", "--phi", "const:1", "--z-grid", "unit:256", "--lambda=0.5,0", "--x", "0.2"]
+    assert main(argv) == 141
 
 
 def test_kernel_negative_lambda_equals_form(capsys):

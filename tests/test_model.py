@@ -25,7 +25,6 @@ from wtsemigroup import (
     indicator,
     inner,
     kernel_closed_form,
-    kernel_eval,
     kernel_preimage,
     kernel_series,
     make_kernel,
@@ -182,7 +181,7 @@ def test_intertwining_shifts_coefficients():
 
 def test_kernel_szego_value():
     k = make_kernel(constant(1.0), 1.0)
-    assert kernel_eval(k, 0.5, 0.5, 0.0) == pytest.approx(4.0 / 3.0, abs=1e-9)
+    assert kernel_series(k, 0.5, 0.5, 0.0)[0] == pytest.approx(4.0 / 3.0, abs=1e-9)
 
 
 def test_kernel_scaled_szego_value():
@@ -190,14 +189,14 @@ def test_kernel_scaled_szego_value():
     k = make_kernel(E2X, 1.0)
     assert k.radius == pytest.approx(np.e, rel=1e-15)
     expect = 1.0 / (1.0 - np.exp(-2.0))
-    assert kernel_eval(k, 1.0, 1.0, 0.0) == pytest.approx(expect, abs=1e-9)
+    assert kernel_series(k, 1.0, 1.0, 0.0)[0] == pytest.approx(expect, abs=1e-9)
     assert kernel_closed_form(k, 1.0, 1.0, 0.0) == pytest.approx(expect, rel=1e-15)
 
 
 def test_kernel_at_origin_is_one():
     for sym, t in ((constant(1.0), 1.0), (affine(), 1.0), (reciprocal(), 2.0)):
         k = make_kernel(sym, t)
-        assert kernel_eval(k, 0.0, 0.3, 0.1) == 1.0 + 0j
+        assert kernel_series(k, 0.0, 0.3, 0.1)[0] == 1.0 + 0j
 
 
 def test_kernel_bergman_like_closed():
@@ -206,19 +205,19 @@ def test_kernel_bergman_like_closed():
     assert kernel_closed_form(k, 0.5, 0.5, 0.0) == pytest.approx(
         4.0 / 3.0 + 8.0 / 9.0, rel=1e-15
     )
-    assert kernel_eval(k, 0.5, 0.5, 0.0) == pytest.approx(20.0 / 9.0, abs=1e-9)
+    assert kernel_series(k, 0.5, 0.5, 0.0)[0] == pytest.approx(20.0 / 9.0, abs=1e-9)
 
 
 def test_kernel_szego_negative_lambda():
     k = make_kernel(constant(1.0), 1.0)
     assert kernel_closed_form(k, 0.9, -0.9, 0.0) == pytest.approx(1.0 / 1.81, rel=1e-15)
-    assert kernel_eval(k, 0.9, -0.9, 0.0) == pytest.approx(1.0 / 1.81, abs=1e-9)
+    assert kernel_series(k, 0.9, -0.9, 0.0)[0] == pytest.approx(1.0 / 1.81, abs=1e-9)
 
 
 def test_kernel_cap_szego_branch_above_one():
     k = make_kernel(piecewise_cap(), 0.25)
     assert kernel_closed_form(k, 0.5, 0.5, 1.5) == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert kernel_eval(k, 0.5, 0.5, 1.5) == pytest.approx(4.0 / 3.0, abs=1e-9)
+    assert kernel_series(k, 0.5, 0.5, 1.5)[0] == pytest.approx(4.0 / 3.0, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -238,19 +237,20 @@ def test_kernel_series_matches_closed_form(sym, t):
         z = 0.9 * k.radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         lam = 0.9 * k.radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         x = rng.uniform(0.0, t)
-        assert abs(kernel_eval(k, z, lam, x) - kernel_closed_form(k, z, lam, x)) < 1e-8
+        assert abs(kernel_series(k, z, lam, x)[0] - kernel_closed_form(k, z, lam, x)) < 1e-8
 
 
 def test_kernel_domain_guard():
     k = make_kernel(constant(1.0), 1.0)
     with pytest.raises(OutsideConvergenceDomainError):
-        kernel_eval(k, 1.0, 1.0, 0.0)
+        kernel_series(k, 1.0, 1.0, 0.0)
 
 
 def test_kernel_divergence_outside_radius():
-    k = make_kernel(constant(1.0), 1.0)
+    # the true radius is 1; a kernel that claims radius 2 lets the guard pass
+    k = DiagonalKernel(constant(1.0), 1.0, 2.0)
     with pytest.raises(TailBoundNotAchievedError):
-        kernel_series(k, 1.02, 1.03, 0.0, check_domain=False)
+        kernel_series(k, 1.02, 1.03, 0.0)
 
 
 def test_kernel_series_table_past_overflow():
@@ -267,12 +267,12 @@ def test_kernel_series_raises_at_first_non_positive_term():
     # phi = 3 - x turns negative at x + n t with n = 30, in the second table
     k = DiagonalKernel(parse_symbol("3-x"), 0.1, 10.0)
     with pytest.raises(NonPositiveSymbolError) as info:
-        kernel_series(k, 0.99, 1.0, 0.05, check_domain=False)
+        kernel_series(k, 0.99, 1.0, 0.05)
     assert info.value.x == 0.05 + 30 * 0.1
     assert info.value.value == 3.0 - (0.05 + 30 * 0.1)
     # a cap below n = 30 stops the sum before it reaches the bad point
     with pytest.raises(TailBoundNotAchievedError):
-        kernel_series(k, 0.99, 1.0, 0.05, n_cap=20, check_domain=False)
+        kernel_series(k, 0.99, 1.0, 0.05, n_cap=20)
 
 
 def test_kernel_preimage_raises_at_cap():

@@ -4,7 +4,6 @@ import pytest
 from wtsemigroup import (
     NotLeftInvertibleError,
     OperatorHandle,
-    TruncationWarning,
     affine,
     apply,
     apply_power,
@@ -16,10 +15,9 @@ from wtsemigroup import (
     exponential,
     indicator,
     inner,
-    lower_bound_m,
     make_operator,
     norm,
-    operator_norm,
+    parse_phi_spec,
     parse_symbol,
     random_step,
     restrict_to_E,
@@ -87,23 +85,23 @@ def test_power_matches_iterated_application_affine():
 def test_operator_norm_affine():
     op = make_operator(affine(), 1.0, "S")
     # sup over base points of sqrt(phi(x+1)/phi(x)) = sqrt(2) at x = 0
-    assert operator_norm(op, 1, 64.0) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert estimate_norm(op, 1, 64.0).value == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_operator_norm_exponential_exact():
     op = make_operator(E2X, 1.0, "S")
     for n in (1, 2, 5):
-        assert operator_norm(op, n, 64.0) == pytest.approx(np.exp(n), rel=1e-13)
+        assert estimate_norm(op, n, 64.0).value == pytest.approx(np.exp(n), rel=1e-13)
 
 
 def test_operator_norm_constant():
     op = make_operator(constant(5.0), 1.0, "S")
-    assert operator_norm(op, 3, 64.0) == 1.0
+    assert estimate_norm(op, 3, 64.0).value == 1.0
 
 
 def test_lower_bound_constant():
     op = make_operator(constant(5.0), 1.0, "S")
-    assert lower_bound_m(op, 1, 64.0) == 1.0
+    assert estimate_lower_bound(op, 1, 64.0).value == 1.0
 
 
 def test_lower_bound_affine_window_edge():
@@ -116,7 +114,7 @@ def test_lower_bound_affine_window_edge():
 
 def test_lower_bound_exponential():
     op = make_operator(E2X, 1.0, "S")
-    assert lower_bound_m(op, 2, 64.0) == pytest.approx(np.exp(2.0), rel=1e-13)
+    assert estimate_lower_bound(op, 2, 64.0).value == pytest.approx(np.exp(2.0), rel=1e-13)
 
 
 def test_norm_not_window_limited_at_left_extremum():
@@ -133,9 +131,21 @@ def test_dual_kinds_require_left_invertibility():
 
 
 def test_dual_semigroup_inverts_weight():
-    op = make_operator(affine(), 1.0, "S_dual")
+    op = make_operator(affine(), 1.0, "L_adjoint")
     out = apply(op, indicator(1.0, 2.0))
     assert out.values[0] == pytest.approx(np.sqrt(2.5 / 3.5), abs=1e-15)
+
+
+@pytest.mark.parametrize("spec,t", [("affine", 1.0), ("reciprocal", 1.0), ("cap", 0.25), ("exp:a=2", 0.5)])
+def test_L_adjoint_is_cauchy_dual(spec, t):
+    # S_t* S_t multiplies by phi(x+t)/phi(x), so the Cauchy dual
+    # S_t' = S_t (S_t* S_t)^{-1} is S_t after multiplying by phi(x)/phi(x+t)
+    sym = parse_phi_spec(spec)
+    f = random_step(np.random.default_rng(9), 0.0, 8 * t, 128, unit_norm=True)
+    mids = f.midpoints()
+    inverse_gram = f.with_values(f.values * eval_phi(sym, mids) / eval_phi(sym, mids + t))
+    dual = apply(make_operator(sym, t, "S"), inverse_gram)
+    assert distance(apply(make_operator(sym, t, "L_adjoint"), f), dual) < 1e-13
 
 
 def test_semigroup_law_random():
@@ -200,14 +210,6 @@ def test_diagonal_identity_L_Ladjoint():
     mids = f.midpoints()
     expect = f.with_values(f.values * eval_phi(sym, mids) / eval_phi(sym, mids + 1.0))
     assert distance(out, expect) < 1e-13
-
-
-def test_truncation_warning_and_flag():
-    op = make_operator(affine(), 1.0, "S")
-    with pytest.warns(TruncationWarning):
-        out = apply(op, indicator(3.0, 4.0), x_max=3.5)
-    assert out.truncated
-    assert out.hi <= 3.5
 
 
 def test_unknown_kind_rejected():

@@ -80,7 +80,8 @@ def test_haar_parseval_on_window():
     # coarse scales contribute 2^j (integral f)^2, so scanning j down to -40
     # resolves the tail below 1e-10 for moderate f
     rng = np.random.default_rng(5)
-    f = random_step(rng, 0.0, 4.0, 32, complex_values=False)
+    f = random_step(rng, 0.0, 4.0, 32)
+    f = f.with_values(f.values.real)  # the real parts are the first 32 draws
     total = 0.0
     for j in range(-40, 4):
         kmax = max(0, int(4 * 2**j) - 1)
@@ -213,7 +214,7 @@ def _pairwise_add(f, g):
     if nz.size == 0:
         return zero()
     a, b = nz[0], nz[-1] + 1
-    return StepFunction(bp[a : b + 1], vals[a:b], truncated=f.truncated or g.truncated)
+    return StepFunction(bp[a : b + 1], vals[a:b])
 
 
 # grid edges, three of them not dyadic; each drawn edge moves by up to two ulps,
@@ -237,7 +238,7 @@ def _piece(draw):
         complex(draw(st.floats(0.5, 2.0)), draw(st.floats(-2.0, 2.0)))
         for _ in range(bp.size - 1)
     ]
-    return StepFunction(bp, np.array(vals), truncated=draw(st.booleans()))
+    return StepFunction(bp, np.array(vals))
 
 
 @settings(max_examples=300, deadline=None)
@@ -247,7 +248,6 @@ def test_add_all_equals_pairwise_fold(pieces):
     for got in (add_all(pieces), functools.reduce(operator.add, pieces, zero())):
         assert np.array_equal(got.breakpoints, ref.breakpoints)
         assert np.array_equal(got.values, ref.values)
-        assert got.truncated == ref.truncated
 
 
 def test_add_all_empty_and_single():

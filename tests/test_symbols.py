@@ -4,20 +4,22 @@ import pytest
 from wtsemigroup import (
     NonPositiveSymbolError,
     SymbolSyntaxError,
-    WeightFunction,
     affine,
+    apply_power,
     check_left_invertible,
     constant,
     eval_phi,
-    eval_weight,
     exponential,
     expression_to_string,
+    make_operator,
     parse_phi_spec,
     parse_symbol,
     piecewise_cap,
+    random_step,
     reciprocal,
     validate_positivity,
 )
+from wtsemigroup.operators import phi_ratio
 
 
 def test_parse_affine_tree():
@@ -97,36 +99,37 @@ def test_validate_positivity_ok():
     assert validate_positivity(parse_symbol("x*x+0.5"), 64.0) == pytest.approx(0.5, abs=1e-6)
 
 
+# the one-step weight of S_t at x >= t is sqrt(phi(x)/phi(x-t)) = sqrt(phi_ratio(phi, x, 0, -t))
+
+
 def test_weight_affine_at_step():
-    w = WeightFunction(affine(), 1.0)
     # oracle: sqrt(phi(1)/phi(0)) evaluated independently
-    assert eval_weight(w, 1.0) == pytest.approx(np.sqrt(2.0 / 1.0), abs=1e-12)
+    assert np.sqrt(phi_ratio(affine(), 1.0, 0, -1.0)) == pytest.approx(np.sqrt(2.0 / 1.0), abs=1e-12)
 
 
 def test_weight_zero_below_step_exactly():
-    w = WeightFunction(affine(), 1.0)
-    assert eval_weight(w, 0.5) == 0.0
+    # S_t f vanishes on [0, t) exactly, whatever f does there
+    f = random_step(np.random.default_rng(0), 0.0, 2.0, 64)
+    g = apply_power(make_operator(affine(), 1.0, "S"), 1, f)
+    assert g.lo == 1.0
     xs = np.linspace(0.0, 0.999, 57)
-    assert np.all(eval_weight(w, xs) == 0.0)
+    assert np.all(g.values_at_left_edges(xs) == 0.0)
 
 
 def test_weight_exponential_constant():
     # sqrt(e^{2x} / e^{2(x-t)}) simplifies to e^t for every x >= t
-    w = WeightFunction(exponential(np.exp(2.0)), 0.7)
     xs = np.linspace(0.7, 40.0, 101)
-    assert np.max(np.abs(eval_weight(w, xs) - np.exp(0.7))) < 1e-12
+    w = np.sqrt(phi_ratio(exponential(np.exp(2.0)), xs, 0, -0.7))
+    assert np.max(np.abs(w - np.exp(0.7))) < 1e-12
 
 
 @pytest.mark.parametrize("sym", [constant(2.0), affine(), reciprocal(), piecewise_cap(), exponential(1.7)])
 def test_weight_cocycle_identity(sym):
     # phi_{t+s}(x) = phi_t(x) phi_s(x-t) for x >= s+t
     t, s = 0.6, 0.9
-    wts = WeightFunction(sym, t + s)
-    wt = WeightFunction(sym, t)
-    ws = WeightFunction(sym, s)
     xs = np.linspace(t + s, 50.0, 211)
-    lhs = eval_weight(wts, xs)
-    rhs = eval_weight(wt, xs) * eval_weight(ws, xs - t)
+    lhs = np.sqrt(phi_ratio(sym, xs, 0, -(t + s)))
+    rhs = np.sqrt(phi_ratio(sym, xs, 0, -t)) * np.sqrt(phi_ratio(sym, xs - t, 0, -s))
     assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) < 1e-12
 
 

@@ -9,8 +9,9 @@ from wtsemigroup import check_left_invertible, parse_phi_spec
 from wtsemigroup.operators import phi_ratio
 from wtsemigroup.util import GOLDEN_ITERS, SAMPLES, golden_max, sample_then_refine
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
+# Python floats, so every point the reference search visits is a Python float
+_INVPHI = float((np.sqrt(5.0) - 1.0) / 2.0)
+_INVPHI2 = float((3.0 - np.sqrt(5.0)) / 2.0)
 
 
 def _golden_scalar(fn, lo, hi):
@@ -88,7 +89,9 @@ def _lane(draw):
 @given(st.lists(_lane(), min_size=1, max_size=6))
 def test_golden_max_lockstep_equals_scalar(lanes):
     objectives = [obj for _, _, obj in lanes]
-    fn = lambda ys: np.array([obj(y) for obj, y in zip(objectives, ys)])
+    # obj sees a Python float on both sides: round() on an np.float64 rounds
+    # differently (round(np.float64(-0.05), 1) is -0.0, round(-0.05, 1) is -0.1)
+    fn = lambda ys: np.array([obj(float(y)) for obj, y in zip(objectives, ys)])
     args, values = golden_max(fn, [lo for lo, _, _ in lanes], [hi for _, hi, _ in lanes])
     for i, (lo, hi, obj) in enumerate(lanes):
         arg, value = _golden_scalar(obj, lo, hi)

@@ -10,6 +10,7 @@ Outputs are deterministic given the flags and seed. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -121,7 +122,26 @@ def _config_from_args(args) -> RunConfig:
             raise SymbolSyntaxError(f"tolerance {name}: {value!r} is not a number") from None
         if not cfg.tol[name] >= 0:
             raise SymbolSyntaxError(f"tolerance {name} must be nonnegative")
+    _check_out(cfg.out)
     return cfg
+
+
+def _check_out(path: str | None):
+    """Refuse an --out path that cannot be written before any work starts:
+    not a directory, in an existing writable directory. _emit still reports
+    a write that fails later."""
+    if not path:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = errno.EISDIR
+    elif not os.path.isdir(folder):
+        reason = errno.ENOENT
+    elif not os.access(folder, os.W_OK | os.X_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise SymbolSyntaxError(f"cannot write --out {path}: {os.strerror(reason)}")
 
 
 def _require_nmax(cfg: RunConfig, least: int, purpose: str):

@@ -24,13 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoClosedFormError, OutsideConvergenceDomainError
-from .operators import OperatorHandle, apply_power, make_operator, phi_ratio
-from .stepfun import StepFunction, add_all, haar, inner, norm, norm_sq, restrict_to_E
-from .symbols import Symbol, eval_phi
+from .operators import OperatorHandle, apply_power, make_operator, phi_ratio, weight_table
+from .stepfun import StepFunction, haar, inner, norm_sq, sum_pieces, zero
+from .symbols import Symbol, eval_phi, phi_table
 from .util import SERIES_CAP, gauss5_cells, sum_series
 
 DOMAIN_MARGIN = 0.05  # kernel series run only for |z conj(lambda)| < radius^2 (1 - margin)
 CLOSED_FORM_TOL = 1e-12  # tail bound of the residual series in the two_isometry closed form
+TABLE_CELLS = 2**14  # cells in one table of the model passes; longer passes run in row chunks
 
 
 @dataclass(frozen=True)
@@ -85,33 +86,137 @@ def model_map(
     op_l = make_operator(symbol, t, "L")
     if n_terms is None:
         n_terms = max(0, math.ceil(f.hi / t) - 1) if f.values.size else 0
-    coeffs = [
-        restrict_to_E(apply_power(op_l, n, _cells_meeting_block(f, n * op_l.t, op_l.t)), t)
-        for n in range(n_terms + 1)
-    ]
+    bp, ns = f.breakpoints, np.arange(n_terms + 1)
+    nt = ns * op_l.t  # the floats n * t
+    # row n holds the cells of f that L_t^n carries into [0, t): fl(b - nt) <= 0
+    # exactly when b <= nt, so the cell holding nt starts the row; every
+    # breakpoint after the first one at or past fl(nt + t) exceeds nt + t in
+    # exact arithmetic, so one extra cell takes the row to t after the shift
+    first = np.maximum(np.searchsorted(bp, nt, side="right") - 1, 0)
+    cells = np.minimum(np.searchsorted(bp, nt + op_l.t, side="left") + 1, f.values.size) - first
+    coeffs: list[StepFunction] = []
+    for a, b in _chunks(cells):
+        coeffs += _map_rows(op_l, f, ns[a:b], first[a:b], cells[a:b])
     beyond = f.restrict((n_terms + 1) * t, max(f.hi, (n_terms + 1) * t))
     return EValuedPolynomial(t, tuple(coeffs), truncated=not beyond.is_zero())
 
 
-def _cells_meeting_block(f: StepFunction, nt: float, t: float) -> StepFunction:
-    """The cells of f that L_t^n carries into [0, t), with nt = n * t.
+def _chunks(cells: np.ndarray):
+    """Row ranges [a, b) of at most TABLE_CELLS cells each; a longer row is alone."""
+    ends = np.cumsum(cells)
+    a = 0
+    while a < cells.size:
+        base = ends[a - 1] if a else 0
+        b = max(int(np.searchsorted(ends, base + TABLE_CELLS, side="right")), a + 1)
+        yield a, b
+        a = b
 
-    Cut by cell index, so the translated breakpoints and midpoints are the
-    same floats as for the whole of f. fl(b - nt) <= 0 exactly when b <= nt,
-    so the cell holding nt starts the slice. Every breakpoint after the
-    first one at or past fl(nt + t) exceeds nt + t in exact arithmetic, so
-    one extra cell takes the slice to t or beyond after the shift.
-    """
-    bp = f.breakpoints
-    lo = max(int(np.searchsorted(bp, nt, side="right")) - 1, 0)
-    hi = min(int(np.searchsorted(bp, nt + t, side="left")) + 1, f.values.size)
-    return StepFunction(bp[lo : hi + 1], f.values[lo:hi])
+
+def _unmoved(ns: np.ndarray, row: np.ndarray) -> int:
+    """Number of leading cells whose row has n = 0, which apply_power leaves
+    as they are; rows ascend in n, so every later cell moves."""
+    return int(np.searchsorted(row, 1)) if ns[0] == 0 else 0
+
+
+def _weigh(op: OperatorHandle, ns: np.ndarray, row: np.ndarray, left, right, vals):
+    """Multiply the cells of rows with n = ns[row] > 0 by the weight of
+    apply_power at their midpoints, in place. Returns the mask of cells
+    apply_power would refuse: a phi value eval_phi refuses, or a product
+    that is not finite."""
+    z = _unmoved(ns, row)
+    w, bad = weight_table(op, ns[row[z:]] * op.t, 0.5 * (left[z:] + right[z:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals[z:] *= w
+    refused = np.zeros(row.size, dtype=bool)
+    refused[z:] = bad | ~np.isfinite(vals[z:])
+    return refused
+
+
+def _map_rows(op_l: OperatorHandle, f: StepFunction, ns, first, cells) -> list[StepFunction]:
+    """restrict_to_E(apply_power(op_l, n, f), t) for the rows n = ns of a chunk."""
+    t, bp = op_l.t, f.breakpoints
+    row = np.repeat(np.arange(ns.size), cells)
+    cell = first[row] + np.arange(row.size) - (np.cumsum(cells) - cells)[row]
+    shift = ns[row] * t
+    left = bp[cell] - shift
+    right = bp[cell + 1] - shift
+    left = np.where(left > 0, left, 0.0)  # the clip at 0 of translate and restrict
+    keep = right > left  # drops cells left of 0 and cells that rounding collapses
+    row, cell, left, right = row[keep], cell[keep], left[keep], right[keep]
+    vals = f.values[cell]
+    refused = _weigh(op_l, ns, row, left, right, vals)
+    if refused.any():  # the first refused row raises what apply_power raises
+        r = row[np.argmax(refused)]
+        lo, hi = first[r], first[r] + cells[r]
+        apply_power(op_l, int(ns[r]), StepFunction(bp[lo : hi + 1], f.values[lo:hi]))
+    keep = left < t  # restrict to [0, t)
+    row, left, right, vals = row[keep], left[keep], np.minimum(right[keep], t), vals[keep]
+    # one function per row, without its exactly-zero edge cells (as _trimmed)
+    nz = np.flatnonzero(vals != 0)
+    rows = np.arange(ns.size)
+    lo = np.searchsorted(row[nz], rows, side="left")
+    hi = np.searchsorted(row[nz], rows, side="right")
+    out = []
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        if a == b:
+            out.append(zero())
+            continue
+        i, j = nz[a], nz[b - 1] + 1
+        out.append(StepFunction(np.append(left[i:j], right[j - 1]), vals[i:j]))
+    return out
 
 
 def model_inverse(symbol: Symbol, t: float, p: EValuedPolynomial) -> StepFunction:
     """U^{-1}: reassemble f block by block, f|[nt,(n+1)t) = S_t^n c_n."""
     op_s = OperatorHandle(symbol, t, "S")
-    return add_all(apply_power(op_s, n, c) for n, c in enumerate(p.coeffs) if not c.is_zero())
+    coeffs = [(n, c) for n, c in enumerate(p.coeffs) if not c.is_zero()]
+    ns = np.array([n for n, _ in coeffs], dtype=int)
+    cells = np.array([c.values.size for _, c in coeffs], dtype=int)
+    pieces = []
+    for a, b in _chunks(cells):
+        row = np.repeat(np.arange(b - a), cells[a:b])
+        bps = [c.breakpoints for _, c in coeffs[a:b]]
+        left = np.concatenate([x[:-1] for x in bps])
+        right = np.concatenate([x[1:] for x in bps])
+        vals = np.concatenate([c.values for _, c in coeffs[a:b]])
+        row, left, right, vals, refused = _shift_rows(op_s, ns[a:b], row, left, right, vals)
+        if refused.any():  # the first refused row raises what apply_power raises
+            n, c = coeffs[a + row[np.argmax(refused)]]
+            apply_power(op_s, n, c)
+        pieces.append(_pieces(row, left, right, vals))
+    return _sum_rows(pieces)
+
+
+def _shift_rows(op: OperatorHandle, ns, row, left, right, vals):
+    """apply_power(op, n, .) of a kind that moves right, on rows laid end to
+    end with n = ns[row]: the cells of rows with n > 0 move by n t, the ones
+    rounding collapses are dropped, and the rest are weighted. Returns the
+    kept (row, left, right, vals) and the mask of refused cells (_weigh)."""
+    z = _unmoved(ns, row)
+    shift = ns[row[z:]] * op.t
+    left[z:] += shift
+    right[z:] += shift
+    keep = right > left
+    if not keep.all():
+        row, left, right, vals = row[keep], left[keep], right[keep], vals[keep]
+    return row, left, right, vals, _weigh(op, ns, row, left, right, vals)
+
+
+def _pieces(row, left, right, vals):
+    """The rows of a chunk as pieces of stepfun.sum_pieces: each row's left
+    edges, then its last right edge. Returns (breakpoints, values, cells, rows)."""
+    last = np.flatnonzero(np.diff(row, append=-1))
+    return np.insert(left, last + 1, right[last]), vals, np.diff(last, prepend=-1), row[last]
+
+
+def _sum_rows(pieces) -> StepFunction:
+    """add_all of the rows of _pieces chunks (breakpoints, values, cells, ...), in order."""
+    chunks = [c[:3] for c in pieces if c[2].size]
+    if not chunks:
+        return zero()
+    if len(chunks) == 1 and chunks[0][2].size == 1:
+        return StepFunction(chunks[0][0], chunks[0][1])  # one piece: as it is, untrimmed
+    return sum_pieces(chunks)
 
 
 def parseval_defect(
@@ -220,10 +325,8 @@ def kernel_series(
             # phi(x + n t) for n < size, unchecked: a tail that is never
             # summed may overflow (e^(2x) past x = 355) or turn non-positive
             points = xv + np.arange(min(max(16, 2 * n), n_cap + 1)) * k.t
-            with np.errstate(over="ignore"):
-                vals = k.symbol.values(points)
-            ok = ~(points < 0) & np.isfinite(vals) & (vals > 0)  # what eval_phi enforces
-            bad = int(np.argmin(ok)) if not ok.all() else ok.size
+            vals, refused = phi_table(k.symbol, points)
+            bad = int(np.argmax(refused)) if refused.any() else refused.size
             den = vals.tolist()
         if n >= bad:
             eval_phi(k.symbol, points[n])  # raises the error of a one-point evaluation
@@ -287,19 +390,69 @@ def kernel_preimage(
 ) -> StepFunction:
     """U^{-1}(k(., lambda) e) = sum_n conj(lambda)^n (L_t*)^n e, tail-truncated.
 
+    The terms are rows of one table, grown as the sum needs them by the
+    doubling rule of kernel_series in chunks of at most TABLE_CELLS cells.
+    Rows past the last summed term are never checked; a summed row that
+    apply_power would refuse is replayed through it and raises its error.
     Raises TailBoundNotAchievedError when the tail bound is not reached by
     term n_cap.
     """
     op = make_operator(symbol, t, "L_adjoint")
     lam_bar = np.conj(complex(lam))
-    terms: list[StepFunction] = []
+    per_chunk = max(1, TABLE_CELLS // max(e.values.size, 1))
+    pieces: list[tuple] = []  # _pieces of each chunk, with n for rows
+    norms: list[float] = []
+    refused: list[bool] = []
 
     def term_norm(n: int) -> float:
-        terms.append(apply_power(op, n, e).scale(lam_bar**n))
-        return norm(terms[-1])
+        if n == len(norms):
+            ns = np.arange(n, min(max(16, 2 * n), n_cap + 1, n + per_chunk))
+            chunk, chunk_norms, chunk_refused = _preimage_rows(op, e, lam_bar, ns)
+            pieces.append(chunk)
+            norms.extend(chunk_norms.tolist())
+            refused.extend(chunk_refused.tolist())
+        if refused[n]:
+            apply_power(op, n, e).scale(lam_bar**n)  # raises the error of term n
+        return norms[n]
 
-    sum_series(term_norm, tol, n_cap)
-    return add_all(terms)
+    _, n_terms, _ = sum_series(term_norm, tol, n_cap)
+    summed = []
+    for bps, vals, cells, ns in pieces:  # the first k pieces hold terms n < n_terms
+        k = int(np.searchsorted(ns, n_terms))
+        size = int(cells[:k].sum())
+        summed.append((bps[: size + k], vals[:size], cells[:k]))
+    return _sum_rows(summed)
+
+
+def _preimage_rows(op: OperatorHandle, e: StepFunction, lam_bar: complex, ns: np.ndarray):
+    """Terms apply_power(op, n, e).scale(lam_bar**n) for n in ns, unchecked.
+
+    Returns the _pieces of the nonzero terms (rows numbered by n), the norm
+    of each term and whether apply_power or scale would refuse it.
+    """
+    k, m = ns.size, e.values.size
+    row = np.repeat(np.arange(k), m)
+    left, right = np.tile(e.breakpoints[:-1], k), np.tile(e.breakpoints[1:], k)
+    row, left, right, vals, refused = _shift_rows(op, ns, row, left, right, np.tile(e.values, k))
+    sq = np.empty(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.array([lam_bar**n for n in ns.tolist()], dtype=complex)
+        if row.size == k * m:  # no cell collapsed: a (k, m) table
+            vals = (vals.reshape(k, m) * scale[:, None]).ravel()
+            sq[:] = (np.abs(vals) ** 2 * (right - left)).reshape(k, m).sum(axis=1)
+        else:
+            bounds = np.searchsorted(row, np.arange(k + 1))
+            for r, (a, b) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+                vals[a:b] = vals[a:b] * scale[r]
+                sq[r] = np.sum(np.abs(vals[a:b]) ** 2 * (right[a:b] - left[a:b]))
+    refused |= ~np.isfinite(vals)
+    row_refused = np.zeros(k, dtype=bool)
+    row_refused[row[refused]] = True
+    if not scale.all():  # scale(0) is the zero function, left out of the sum
+        live = (scale != 0)[row]
+        row, left, right, vals = row[live], left[live], right[live], vals[live]
+    bps, vals, cells, rows = _pieces(row, left, right, vals)
+    return (bps, vals, cells, ns[rows]), np.sqrt(sq), row_refused
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotLeftInvertibleError
+from .errors import NonPositiveSymbolError, NotLeftInvertibleError
 from .stepfun import StepFunction
-from .symbols import Symbol, eval_phi
+from .symbols import Symbol, eval_phi, phi_table
 from .util import sample_then_refine, window
 
 KINDS = ("S", "S_adjoint", "L", "L_adjoint")
@@ -112,6 +112,28 @@ def apply_power(op: OperatorHandle, n: int, f: StepFunction) -> StepFunction:
         return g
     a, b = _SHIFTS[op.kind]
     return g.with_values(g.values * np.sqrt(phi_ratio(op.symbol, g.midpoints(), a * nt, b * nt)))
+
+
+def weight_table(op: OperatorHandle, nt, x) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of apply_power at many output points in one pass, one
+    nt = n * op.t per point: sqrt(phi(x + a nt) / phi(x + b nt)).
+
+    Returns (weights, refused), where refused marks the points at which
+    apply_power's phi_ratio would raise; elsewhere each weight is the float
+    apply_power multiplies by. The table goes through phi_ratio; only when
+    that refuses a point is it evaluated again, unchecked, to mark them all.
+    """
+    a, b = _SHIFTS[op.kind]
+    try:
+        with np.errstate(over="ignore"):  # refused below; a replay warns as apply_power does
+            w = np.sqrt(phi_ratio(op.symbol, x, a * nt, b * nt))
+        return w, np.zeros(w.shape, dtype=bool)
+    except (ValueError, NonPositiveSymbolError):
+        pass
+    num, bad_num = phi_table(op.symbol, x + a * nt)
+    den, bad_den = phi_table(op.symbol, x + b * nt)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.sqrt(num / den), bad_num | bad_den
 
 
 def apply(op: OperatorHandle, f: StepFunction) -> StepFunction:

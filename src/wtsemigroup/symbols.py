@@ -391,6 +391,16 @@ def eval_phi(symbol: Symbol, x):
     return vals
 
 
+def phi_table(symbol: Symbol, x) -> tuple[np.ndarray, np.ndarray]:
+    """phi at the points x without eval_phi's checks, for tables whose far
+    entries may never be used: returns (values, refused), where refused marks
+    the points at which eval_phi would raise. Overflow warns nothing."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = symbol.values(x)
+    return vals, (x < 0) | ~(np.isfinite(vals) & (vals > 0))
+
+
 def validate_positivity(symbol: Symbol, x_max: float) -> float:
     """Sample phi on [0, x_max]; raise on any non-positive or non-finite value.
 

@@ -239,6 +239,18 @@ def test_unwritable_out_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify", "classify", "kernel"])
+@pytest.mark.parametrize("where", ["missing dir", "directory"])
+def test_unwritable_out_refused_before_work(tmp_path, capsys, command, where):
+    # the path is checked before any computation: nothing reaches stdout
+    target = tmp_path / "missing" / "x.json" if where == "missing dir" else tmp_path
+    extra = ["--z", "0.1", "--lambda", "0.2"] if command == "kernel" else []
+    code, out, err = run(capsys, command, "--phi", "const:1", *extra, "--out", str(target))
+    assert code == 2 and out == ""
+    reason = "No such file or directory" if where == "missing dir" else "Is a directory"
+    assert err == f"usage error: cannot write --out {target}: {reason}\n"
+
+
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader has gone away; like StringIO it has no descriptor."""
 

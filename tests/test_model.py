@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import wtsemigroup.model as model_module
 from wtsemigroup import (
     DEFAULT_TOLERANCES,
     DiagonalKernel,
@@ -11,6 +16,7 @@ from wtsemigroup import (
     OutsideConvergenceDomainError,
     StepFunction,
     TailBoundNotAchievedError,
+    add_all,
     affine,
     apply,
     apply_power,
@@ -43,6 +49,7 @@ from wtsemigroup import (
     restrict_to_E,
     zero,
 )
+from wtsemigroup.util import SERIES_CAP, sum_series
 
 E2X = exponential(np.exp(2.0))
 
@@ -118,6 +125,207 @@ def test_model_map_blockwise_equals_whole_f(spec):
             ref = restrict_to_E(apply_power(op_l, n, f), t)
             assert np.array_equal(c.breakpoints, ref.breakpoints)
             assert np.array_equal(c.values, ref.values)
+
+
+# ---------------------------------------------------------------------------
+# the batched passes against their row-by-row reference, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def reference_model_map(symbol, t, f, n_terms=None):
+    """model_map as one apply_power per block, on the cells of f near it."""
+    op_l = make_operator(symbol, t, "L")
+    if n_terms is None:
+        n_terms = max(0, math.ceil(f.hi / t) - 1) if f.values.size else 0
+    bp, coeffs = f.breakpoints, []
+    for n in range(n_terms + 1):
+        nt = n * op_l.t
+        lo = max(int(np.searchsorted(bp, nt, side="right")) - 1, 0)
+        hi = min(int(np.searchsorted(bp, nt + op_l.t, side="left")) + 1, f.values.size)
+        block = StepFunction(bp[lo : hi + 1], f.values[lo:hi])
+        coeffs.append(restrict_to_E(apply_power(op_l, n, block), t))
+    beyond = f.restrict((n_terms + 1) * t, max(f.hi, (n_terms + 1) * t))
+    return EValuedPolynomial(t, tuple(coeffs), truncated=not beyond.is_zero())
+
+
+def reference_model_inverse(symbol, t, p):
+    op_s = OperatorHandle(symbol, t, "S")
+    return add_all(apply_power(op_s, n, c) for n, c in enumerate(p.coeffs) if not c.is_zero())
+
+
+def reference_kernel_preimage(symbol, t, lam, e, tol=1e-12, n_cap=SERIES_CAP):
+    """kernel_preimage as a list of terms, one apply_power and scale each."""
+    op = make_operator(symbol, t, "L_adjoint")
+    lam_bar = np.conj(complex(lam))
+    terms = []
+
+    def term_norm(n):
+        terms.append(apply_power(op, n, e).scale(lam_bar**n))
+        return norm(terms[-1])
+
+    sum_series(term_norm, tol, n_cap)
+    return add_all(terms)
+
+
+def assert_same_bytes(got, ref):
+    assert np.array_equal(got.breakpoints, ref.breakpoints)
+    assert got.breakpoints.tobytes() == ref.breakpoints.tobytes()
+    assert got.values.tobytes() == ref.values.tobytes()
+
+
+def outcome(fn):
+    """The result of fn, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - compared as data
+        return (type(exc), str(exc))
+
+
+def assert_same_outcome(got, ref):
+    if isinstance(ref, tuple):
+        assert got == ref
+    elif isinstance(ref, EValuedPolynomial):
+        assert got.truncated == ref.truncated and len(got.coeffs) == len(ref.coeffs)
+        for a, b in zip(got.coeffs, ref.coeffs):
+            assert_same_bytes(a, b)
+    else:
+        assert_same_bytes(got, ref)
+
+
+SPECS = ["const:1", "affine", "reciprocal", "cap", "exp:a=2", "exp2x", "expr:x^2+1"]
+
+
+@st.composite
+def step_data(draw, t):
+    """Scattered breakpoints from past 0 to mid-block, exact zeros at the
+    edges, and now and then a cell an ulp wide, which collapses on a shift."""
+    blocks = draw(st.integers(1, 12))
+    cells = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.sampled_from([0.0, 0.0, 0.37 * t, 2.5 * t]))
+    hi = lo + (blocks - draw(st.sampled_from([0.0, 0.5, 0.9]))) * t
+    bp = np.unique(np.concatenate([[lo, hi], rng.uniform(lo, hi, cells)]))
+    if draw(st.booleans()):  # ulp-wide cells next to some breakpoints
+        picks = bp[rng.integers(0, bp.size - 1, 3)]
+        bp = np.unique(np.concatenate([bp, np.nextafter(picks, np.inf)]))
+    vals = rng.standard_normal(bp.size - 1) + 1j * rng.standard_normal(bp.size - 1)
+    zeros = draw(st.sampled_from(["none", "edges", "all", "some"]))
+    if zeros == "edges":
+        vals[: rng.integers(1, 3)] = 0.0
+        vals[-rng.integers(1, 3) :] = 0.0
+    elif zeros == "all":
+        vals[:] = 0.0
+    elif zeros == "some":
+        vals[rng.uniform(size=vals.size) < 0.3] = 0.0
+    return StepFunction(bp, vals)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec=st.sampled_from(SPECS),
+    t=st.sampled_from([0.3, 1 / 3, 0.7, 1.0, 0.25]),
+    data=st.data(),
+    n_terms=st.sampled_from([None, None, 0, 2]),
+    table_cells=st.sampled_from([2**16, 7, 40]),
+)
+def test_model_passes_equal_row_by_row_reference(spec, t, data, n_terms, table_cells):
+    # small table bounds put chunk boundaries inside the passes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_module, "TABLE_CELLS", table_cells)
+        check_model_passes(parse_phi_spec(spec), t, data, n_terms)
+
+
+def check_model_passes(sym, t, data, n_terms):
+    f = data.draw(step_data(t))
+    if data.draw(st.booleans()):
+        f = zero()
+    got = outcome(lambda: model_map(sym, t, f, n_terms))
+    ref = outcome(lambda: reference_model_map(sym, t, f, n_terms))
+    assert_same_outcome(got, ref)
+    if isinstance(ref, EValuedPolynomial):
+        assert_same_outcome(
+            outcome(lambda: model_inverse(sym, t, got)), outcome(lambda: reference_model_inverse(sym, t, ref))
+        )
+    # coefficients whose cells collapse when shifted far right
+    p = EValuedPolynomial(t, (zero(),) * 40 + (f.restrict(0.0, t),) * 3)
+    assert_same_outcome(outcome(lambda: model_inverse(sym, t, p)), outcome(lambda: reference_model_inverse(sym, t, p)))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec=st.sampled_from(["const:1", "affine", "reciprocal", "cap", "exp:a=2"]),
+    t=st.sampled_from([0.3, 0.7, 1.0, 0.25]),
+    frac=st.sampled_from([0.0, 0.3, 0.9]),
+    angle=st.floats(0.0, 2 * np.pi),
+    cells=st.integers(1, 40),
+    shape=st.sampled_from(["E", "narrow", "zero edges", "past t"]),
+    table_cells=st.sampled_from([2**16, 50]),
+)
+def test_kernel_preimage_equals_term_list(spec, t, frac, angle, cells, shape, table_cells):
+    sym = parse_phi_spec(spec)
+    e = indicator(0.0, t).subdivide(cells)
+    if shape == "narrow":  # a cell an ulp wide, which collapses once shifted by n t
+        bp = np.unique(np.append(e.breakpoints, [0.5 * t, np.nextafter(0.5 * t, np.inf)]))
+        e = StepFunction(bp, np.arange(1, bp.size) * (1 + 0.5j))
+    elif shape == "zero edges":
+        e = StepFunction(np.linspace(0.0, t, cells + 3), np.r_[0.0, np.arange(1, cells + 1), 0.0])
+    elif shape == "past t":  # the terms overlap
+        e = indicator(0.1 * t, 2.3 * t).subdivide(cells)
+    lam = frac * sym.model_disc_radius(t) * np.exp(1j * angle)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_module, "TABLE_CELLS", table_cells)
+        got = outcome(lambda: kernel_preimage(sym, t, lam, e))
+    assert_same_outcome(got, outcome(lambda: reference_kernel_preimage(sym, t, lam, e)))
+
+
+def test_model_inverse_keeps_a_lone_piece_as_it_is():
+    # one nonzero coefficient is returned untrimmed, as add_all returns one piece
+    c = StepFunction(np.linspace(0.0, 0.3, 5), [0.0, 1j, 2.0, 0.0])
+    p = EValuedPolynomial(0.3, (zero(),) * 5 + (c,))
+    got = model_inverse(affine(), 0.3, p)
+    assert got.values.size == 4
+    assert_same_bytes(got, reference_model_inverse(affine(), 0.3, p))
+
+
+def test_model_passes_raise_the_first_error_of_the_block_loop():
+    # phi = 3 - x passes the left-invertibility window [0, 64 t] = [0, 2.56]
+    # and turns negative at 3: each pass raises the first error of its loop
+    sym, t = parse_symbol("3-x"), 0.04
+    f = StepFunction(np.linspace(0.0, 4.0, 801), np.linspace(1.0, 2.0, 800))
+    p = EValuedPolynomial(t, (indicator(0.0, t).subdivide(3),) * 90)
+    e = indicator(0.0, t).subdivide(8)
+    for got, ref in (
+        (lambda: model_map(sym, t, f), lambda: reference_model_map(sym, t, f)),
+        (lambda: model_inverse(sym, t, p), lambda: reference_model_inverse(sym, t, p)),
+        (lambda: kernel_preimage(sym, t, 0.99, e), lambda: reference_kernel_preimage(sym, t, 0.99, e)),
+    ):
+        error = outcome(got)
+        assert error[0] is NonPositiveSymbolError
+        assert error == outcome(ref)
+    # 2^x overflows at x = 1024: the first block past it raises
+    sym, t = parse_phi_spec("exp:a=2"), 0.5
+    f = StepFunction(np.linspace(0.0, 1100.0, 2201), np.ones(2200))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        error = outcome(lambda: model_map(sym, t, f))
+    assert error == (NonPositiveSymbolError, "symbol value inf at x=1024.25 violates positivity")
+
+
+def test_kernel_preimage_table_past_overflow():
+    # 1,562 terms reach x = 937; the table of 2,048 rows reaches x > 1024,
+    # where 2^x overflows: rows past the last summed term must not raise
+    sym, t = parse_phi_spec("exp:a=2"), 0.6
+    e = indicator(0.0, t).scale(1.0 / np.sqrt(t)).subdivide(16)
+    lam = 0.98 * sym.model_disc_radius(t) * np.exp(0.3j)
+    pre = kernel_preimage(sym, t, lam, e)
+    assert pre.hi == pytest.approx(937.2, abs=1e-9)
+    assert_same_bytes(pre, reference_kernel_preimage(sym, t, lam, e))
+    # at t = 0.7 a summed term reaches the overflow: the one-term error is raised
+    t = 0.7
+    e = indicator(0.0, t).scale(1.0 / np.sqrt(t)).subdivide(16)
+    lam = 0.98 * sym.model_disc_radius(t) * np.exp(0.3j)
+    with pytest.raises(NonPositiveSymbolError) as info, pytest.warns(RuntimeWarning, match="overflow"):
+        kernel_preimage(sym, t, lam, e)
+    assert str(info.value) == "symbol value inf at x=1024.0343750000002 violates positivity"
 
 
 def test_inverse_single_coefficient():

@@ -29,7 +29,7 @@ from .errors import (
     TailBoundNotAchievedError,
 )
 from .model import kernel_closed_form, kernel_series, make_kernel
-from .spectral import model_disc_radius, spectral_summary
+from .spectral import MAX_FIT_ORDER, model_disc_radius, spectral_summary
 from .symbols import parse_phi_spec, validate_positivity
 from .util import fmt17
 from .verify import MAX_CELLS, all_passed, run_verify
@@ -144,9 +144,11 @@ def _check_out(path: str | None):
     raise SymbolSyntaxError(f"cannot write --out {path}: {os.strerror(reason)}")
 
 
-def _require_nmax(cfg: RunConfig, least: int, purpose: str):
+def _require_nmax(cfg: RunConfig, least: int, most: int, purpose: str):
     if cfg.n_max < least:
         raise SymbolSyntaxError(f"--nmax must be at least {least} {purpose}, got {cfg.n_max}")
+    if cfg.n_max > most:
+        raise SymbolSyntaxError(f"--nmax must be at most {most} {purpose}, got {cfg.n_max}")
 
 
 def _emit(cfg: RunConfig, payload: str):
@@ -189,7 +191,7 @@ def cmd_kernel(args) -> int:
     symbol = parse_phi_spec(cfg.phi)
     validate_positivity(symbol, cfg.resolved_x_max)
     if symbol.model_disc_radius(cfg.t) is None:
-        _require_nmax(cfg, 2, "to fit the disc radius")
+        _require_nmax(cfg, 2, MAX_FIT_ORDER, "to fit the disc radius")
     radius = model_disc_radius(symbol, cfg.t, cfg.n_max, cfg.resolved_x_max)
     kern = make_kernel(symbol, cfg.t, radius=radius)
     rows = []
@@ -239,9 +241,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg = _config_from_args(args)
-    _require_nmax(cfg, 1, "for classification")
-    if cfg.n_max > MAX_ORDER:
-        raise SymbolSyntaxError(f"--nmax must be at most {MAX_ORDER} for classification, got {cfg.n_max}")
+    _require_nmax(cfg, 1, MAX_ORDER, "for classification")
     symbol = parse_phi_spec(cfg.phi)
     validate_positivity(symbol, cfg.resolved_x_max)
     report = classify(symbol, cfg.t, max_order=cfg.n_max, x_max=cfg.resolved_x_max)
@@ -256,7 +256,7 @@ def cmd_classify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = _config_from_args(args)
-    _require_nmax(cfg, 2, "for the spectral tail fit")
+    _require_nmax(cfg, 2, MAX_FIT_ORDER, "for the spectral tail fit")
     symbol = parse_phi_spec(cfg.phi)
     validate_positivity(symbol, cfg.resolved_x_max)
     summary = spectral_summary(symbol, cfg.t, n_max=cfg.n_max, x_max=cfg.resolved_x_max)
@@ -297,7 +297,7 @@ def cmd_verify(args) -> int:
         )
     symbol = parse_phi_spec(cfg.phi)
     if symbol.model_disc_radius(cfg.t) is None:
-        _require_nmax(cfg, 2, "to fit the disc radius")
+        _require_nmax(cfg, 2, MAX_FIT_ORDER, "to fit the disc radius")
     validate_positivity(symbol, cfg.resolved_x_max)
     results = run_verify(symbol, cfg)
     width = max(len(r.name) for r in results)

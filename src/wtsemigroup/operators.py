@@ -32,6 +32,7 @@ from .util import sample_then_refine, window
 KINDS = ("S", "S_adjoint", "L", "L_adjoint")
 _RIGHT = {"S", "L_adjoint"}  # support marches right by t per power
 _DUAL = {"L", "L_adjoint"}  # need left invertibility
+_NUM_SHIFTED = {"S", "S_adjoint"}  # n-step weight over the base point: sqrt(phi(x + nt)/phi(x))
 # the n-step weight of each kind at an output point mu is
 # sqrt(phi(mu + a n t) / phi(mu + b n t)); kind -> (a, b)
 _SHIFTS = {"S": (0, -1), "S_adjoint": (1, 0), "L": (0, 1), "L_adjoint": (-1, 0)}
@@ -66,7 +67,8 @@ def check_left_invertible(symbol: Symbol, t: float, x_max: float) -> LeftInverti
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    inf_est, arg_inf, _ = sample_then_refine(lambda x, _row: phi_ratio(symbol, x, t, 0), 1, x_max, "min")[0]
+    ratio = lambda x: phi_ratio(symbol, x, t, 0)
+    inf_est, arg_inf, _ = sample_then_refine(lambda grid: [ratio(grid)], ratio, ["min"], x_max)[0]
     return LeftInvertibilityCheck(inf_est > EPS_INV, inf_est, arg_inf)
 
 
@@ -152,22 +154,45 @@ class ExtremumEstimate:
     window_limited: bool  # extremum sits at the far window edge x = x_max
 
 
-def _weight_extrema(op: OperatorHandle, ns, x_max: float, mode: str) -> list[ExtremumEstimate]:
-    """Sup or inf over the base point x (where f lives) of the n-step weight,
-    for each n in ns, found by one sample_then_refine over all n.
+def _weight_extrema(symbol: Symbol, t: float, ns, x_max: float, fits) -> list[list[ExtremumEstimate]]:
+    """Sup or inf over the base point x (where f lives) of the n-step weight
+    of each fit (kind, mode) in fits, for each n in ns: one list per fit.
 
     ||op^n f||^2 = integral of the squared weight against |f|^2, so its
     essential sup / inf over the window bound the operator norm from both
-    sides. The weight is sqrt(phi(x + num)/phi(x + den)), with n t in num
-    for S and S_adjoint and in den for the other kinds.
+    sides. The weight is sqrt(phi(x + nt)/phi(x)) for S and S_adjoint and
+    sqrt(phi(x)/phi(x + nt)) for the other kinds, so every fit reads one
+    table: phi(grid + nt) per n, and phi(grid) once, right after the first
+    of them (phi_ratio's order for S). Once the grid is sampled, each kind
+    is checked with make_operator (left invertibility for the dual kinds);
+    then one lockstep search refines every (n, fit) lane.
     """
     if not ns or min(ns) < 1:
         raise ValueError("n must be >= 1")
-    nt = np.asarray(ns) * op.t  # the floats n * op.t, one per row
-    zero = np.zeros_like(nt)
-    num, den = (nt, zero) if op.kind in ("S", "S_adjoint") else (zero, nt)
-    fn = lambda x, row: np.sqrt(phi_ratio(op.symbol, x, num[row], den[row]))
-    return [ExtremumEstimate(*est) for est in sample_then_refine(fn, len(nt), x_max, mode)]
+    nt = np.asarray(ns) * t  # the floats n * t, one per n
+    shifted = np.array([kind in _NUM_SHIFTED for kind, _ in fits])
+
+    def sample(grid):
+        p0 = None
+        for shift in nt:
+            pn = eval_phi(symbol, grid + shift)
+            if p0 is None:
+                p0 = eval_phi(symbol, grid)
+            up = np.sqrt(pn / p0) if shifted.any() else None
+            down = None if shifted.all() else np.sqrt(p0 / pn)
+            for s in shifted:
+                yield up if s else down
+        for kind, _ in fits:
+            make_operator(symbol, t, kind, x_max=x_max)
+
+    # lane n * len(fits) + i is fit i at the n-th shift, the order sample yields
+    lane_nt = np.repeat(nt, len(fits))
+    lane_shifted = np.tile(shifted, nt.size)
+    num = np.where(lane_shifted, lane_nt, 0.0)
+    den = np.where(lane_shifted, 0.0, lane_nt)
+    refine = lambda y: np.sqrt(phi_ratio(symbol, y, num, den))
+    found = sample_then_refine(sample, refine, [mode for _, mode in fits] * nt.size, x_max)
+    return [[ExtremumEstimate(*est) for est in found[i :: len(fits)]] for i in range(len(fits))]
 
 
 def estimate_norm(op: OperatorHandle, n: int, x_max: float) -> ExtremumEstimate:
@@ -177,12 +202,12 @@ def estimate_norm(op: OperatorHandle, n: int, x_max: float) -> ExtremumEstimate:
     maximum. Continuity of phi makes the sampled sup converge to the true
     essential sup as the grid densifies.
     """
-    return _weight_extrema(op, [n], x_max, "max")[0]
+    return _weight_extrema(op.symbol, op.t, [n], x_max, [(op.kind, "max")])[0][0]
 
 
 def estimate_norms(op: OperatorHandle, n_max: int, x_max: float) -> list[ExtremumEstimate]:
     """estimate_norm for n = 1..n_max, all refined in one lockstep search."""
-    return _weight_extrema(op, range(1, n_max + 1), x_max, "max")
+    return _weight_extrema(op.symbol, op.t, range(1, n_max + 1), x_max, [(op.kind, "max")])[0]
 
 
 def estimate_lower_bound(op: OperatorHandle, n: int, x_max: float) -> ExtremumEstimate:
@@ -193,9 +218,9 @@ def estimate_lower_bound(op: OperatorHandle, n: int, x_max: float) -> ExtremumEs
     kinds (S_adjoint, L) the kernel makes the literal infimum zero; the
     sampled value is the modulus transverse to the kernel.
     """
-    return _weight_extrema(op, [n], x_max, "min")[0]
+    return _weight_extrema(op.symbol, op.t, [n], x_max, [(op.kind, "min")])[0][0]
 
 
 def estimate_lower_bounds(op: OperatorHandle, n_max: int, x_max: float) -> list[ExtremumEstimate]:
     """estimate_lower_bound for n = 1..n_max, all refined in one lockstep search."""
-    return _weight_extrema(op, range(1, n_max + 1), x_max, "min")
+    return _weight_extrema(op.symbol, op.t, range(1, n_max + 1), x_max, [(op.kind, "min")])[0]

@@ -17,6 +17,7 @@ import numpy as np
 from .model import kernel_preimage
 from .operators import (
     OperatorHandle,
+    _weight_extrema,
     apply,
     estimate_lower_bounds,
     estimate_norms,
@@ -27,6 +28,9 @@ from .symbols import Symbol
 from .util import window
 
 FIT_RESIDUAL_MAX = 0.05  # a tail fit with a larger log residual is flagged non_convergent
+MAX_FIT_ORDER = 1024  # largest n_max the command line fits, 32 times the default
+# the fits of spectral_summary: ||S_t^n||, m(S_t^n) and ||L_t^n||
+SUMMARY_FITS = (("S", "max"), ("S", "min"), ("L", "max"))
 
 
 @dataclass(frozen=True)
@@ -60,17 +64,20 @@ def _fit_radius(ests) -> RadiusEstimate:
     )
 
 
-def spectral_radius(op: OperatorHandle, n_max: int, x_max: float) -> RadiusEstimate:
-    """r(op) from the norm sequence; diagnostics flag slow or window-biased fits."""
+def _check_n_max(n_max: int):
     if n_max < 2:
         raise ValueError("need n_max >= 2 for the tail fit")
+
+
+def spectral_radius(op: OperatorHandle, n_max: int, x_max: float) -> RadiusEstimate:
+    """r(op) from the norm sequence; diagnostics flag slow or window-biased fits."""
+    _check_n_max(n_max)
     return _fit_radius(estimate_norms(op, n_max, x_max))
 
 
 def lower_spectral_bound(op: OperatorHandle, n_max: int, x_max: float) -> RadiusEstimate:
     """r_1(op) = lim m(op^n)^(1/n), same fitting scheme on the lower moduli."""
-    if n_max < 2:
-        raise ValueError("need n_max >= 2 for the tail fit")
+    _check_n_max(n_max)
     return _fit_radius(estimate_lower_bounds(op, n_max, x_max))
 
 
@@ -108,13 +115,17 @@ def spectral_summary(
     n_max: int = 32,
     x_max: float | None = None,
 ) -> SpectralSummary:
-    """Full spectral picture for S_t: radius, annulus, model disc, diagnostics."""
+    """Full spectral picture for S_t: radius, annulus, model disc, diagnostics.
+
+    r, r_1 and r(L_t) are the fits of spectral_radius(S_t),
+    lower_spectral_bound(S_t) and spectral_radius(L_t), found in one pass:
+    one phi table per shift and one refinement for all three.
+    """
     x_max = window(t, x_max)
-    op_s = make_operator(symbol, t, "S")
-    fit_r = spectral_radius(op_s, n_max, x_max)
-    fit_r1 = lower_spectral_bound(op_s, n_max, x_max)
-    op_l = make_operator(symbol, t, "L", x_max=x_max)
-    fit_l = spectral_radius(op_l, n_max, x_max)
+    make_operator(symbol, t, "S")  # refuses t <= 0 before any phi is evaluated
+    _check_n_max(n_max)
+    extrema = _weight_extrema(symbol, t, range(1, n_max + 1), x_max, SUMMARY_FITS)
+    fit_r, fit_r1, fit_l = (_fit_radius(ests) for ests in extrema)
     note = None
     if symbol.name == "exp":
         a = float(symbol.param)

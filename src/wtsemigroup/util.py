@@ -50,36 +50,36 @@ def golden_max(fn, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return np.where(left, c, d), np.where(left, fc, fd)
 
 
-def sample_then_refine(fn, rows: int, x_max: float, mode: str) -> list[tuple[float, float, bool]]:
-    """Sup (mode "max") or inf (mode "min") on [0, x_max] of each of several functions.
+def sample_then_refine(sample, refine, modes, x_max: float) -> list[tuple[float, float, bool]]:
+    """Sup (mode "max") or inf (mode "min") on [0, x_max] of several functions,
+    one per entry of modes.
 
-    fn(x, row) evaluates function `row` at the points x; row is an index, or
-    an index array matching x. Each row is sampled on a uniform grid and
-    reduced to its best sample before the next row is sampled, so one grid
-    of values is alive at a time. All rows are then refined together by one
-    lockstep golden section between the neighbours of their best samples;
-    the grid value wins ties, so no result falls behind its grid. Returns
-    (value, arg, at_edge) per row, where at_edge flags a best sample at the
-    far edge x = x_max.
+    sample(grid) yields the values of the functions on a uniform grid, in row
+    order, and may yield one array for several rows; each row is reduced to
+    its best sample before the next is drawn, so a sampler that computes its
+    rows as it yields them keeps one table of values alive. refine(y)
+    evaluates row i at y[i] for every row at once. All rows are then refined
+    together by one lockstep golden section between the neighbours of their
+    best samples, a min row on its negated values; the grid value wins ties,
+    so no result falls behind its grid. Returns (value, arg, at_edge) per
+    row, where at_edge flags a best sample at the far edge x = x_max.
     """
     grid = np.linspace(0.0, x_max, SAMPLES)
-    pick = np.argmax if mode == "max" else np.argmin
-    best = np.empty(rows, dtype=int)
-    best_vals = np.empty(rows)
-    for row in range(rows):
-        vals = fn(grid, row)
-        best[row] = pick(vals)
+    is_max = np.array([mode == "max" for mode in modes], dtype=bool)
+    best = np.empty(is_max.size, dtype=int)
+    best_vals = np.empty(is_max.size)
+    for row, vals in enumerate(sample(grid)):
+        best[row] = np.argmax(vals) if is_max[row] else np.argmin(vals)
         best_vals[row] = vals[best[row]]
-    lanes = np.arange(rows)
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, SAMPLES - 1)]
-    if mode == "max":
-        args, refined = golden_max(lambda y: fn(y, lanes), lo, hi)
-        better = refined > best_vals
-    else:
-        args, neg = golden_max(lambda y: -fn(y, lanes), lo, hi)
-        refined = -neg
-        better = refined < best_vals
+
+    def signed(y):
+        vals = refine(y)
+        return np.where(is_max, vals, -vals)
+    args, got = golden_max(signed, lo, hi)
+    refined = np.where(is_max, got, -got)
+    better = np.where(is_max, refined > best_vals, refined < best_vals)
     value = np.where(better, refined, best_vals)
     arg = np.where(better, args, grid[best])
     return list(zip(value.tolist(), arg.tolist(), (best == SAMPLES - 1).tolist()))

@@ -8,6 +8,7 @@ import pytest
 
 from wtsemigroup import RunConfig, classify, parse_phi_spec, run_verify, spectral_summary
 from wtsemigroup.cli import main
+from wtsemigroup.spectral import MAX_FIT_ORDER
 
 
 def run(capsys, *argv):
@@ -229,6 +230,40 @@ def test_bad_arguments_usage_error(capsys, argv):
     assert code == 2
     assert err.startswith("usage error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,purpose",
+    [
+        (("spectrum", "--phi", "const:1"), "for the spectral tail fit"),
+        (("kernel", "--phi", "expr:x+1", "--z", "0.1", "--lambda", "0.2"), "to fit the disc radius"),
+        (("verify", "--phi", "expr:x^2+1"), "to fit the disc radius"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, tuple) else None,
+)
+def test_spectral_fit_nmax_cap_refused_before_work(capsys, monkeypatch, argv, purpose):
+    # 10**9 shifts would ask for an 8 GB array of shifts and hours of phi
+    # tables; the cap is checked before any fit starts
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr("wtsemigroup.operators.sample_then_refine", no_fit)
+    code, out, err = run(capsys, *argv, "--nmax", "1000000000")
+    assert code == 2 and out == ""
+    assert err == f"usage error: --nmax must be at most {MAX_FIT_ORDER} {purpose}, got 1000000000\n"
+
+
+def test_spectral_fit_nmax_cap_is_inclusive(capsys):
+    code, out, _ = run(capsys, "spectrum", "--phi", "const:1", "--xmax", "0.5", "--nmax", str(MAX_FIT_ORDER))
+    assert code == 0
+    assert len(json.loads(machine_payload(out))["diagnostics"]["norms"]) == MAX_FIT_ORDER
+
+
+@pytest.mark.parametrize("argv", [("kernel", "--z", "0.1", "--lambda", "0.2"), ("verify",)], ids=" ".join)
+def test_nmax_cap_leaves_exact_disc_radius_alone(capsys, argv):
+    # built-in symbols have an exact disc radius: no fit runs, so no cap
+    code, _, err = run(capsys, *argv, "--phi", "const:1", "--nmax", "1000000000")
+    assert code == 0 and err == ""
 
 
 def test_unwritable_out_usage_error(tmp_path, capsys):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wtsemigroup import (
     DiagonalKernel,
@@ -29,8 +31,10 @@ from wtsemigroup import (
     verify_adjoint_eigenvector,
     verify_circular_symmetry,
 )
-from wtsemigroup.errors import TailBoundNotAchievedError
-from wtsemigroup.util import TAIL_STREAK
+from wtsemigroup.errors import NonPositiveSymbolError, NotLeftInvertibleError, TailBoundNotAchievedError
+from wtsemigroup.operators import ExtremumEstimate, _weight_extrema, phi_ratio
+from wtsemigroup.spectral import SUMMARY_FITS, _fit_radius
+from wtsemigroup.util import SAMPLES, TAIL_STREAK, golden_max, window
 
 E2X = exponential(np.exp(2.0))
 
@@ -48,6 +52,113 @@ def test_fits_equal_per_n_estimates(spec, t, kind):
         assert got.values == tuple(e.value for e in per_n)
         assert got.args == tuple(e.arg for e in per_n)
         assert got.window_limited == any(e.window_limited for e in per_n)
+
+
+def _reference_extrema(op, n_max, x_max, mode):
+    """One fit searched on its own, as spectral_summary searched each of its
+    three fits: every row samples phi_ratio on the grid, then one lockstep
+    golden section refines that fit's rows, on negated values for an inf."""
+    nt = np.arange(1, n_max + 1) * op.t
+    zero = np.zeros_like(nt)
+    num, den = (nt, zero) if op.kind in ("S", "S_adjoint") else (zero, nt)
+    fn = lambda x, row: np.sqrt(phi_ratio(op.symbol, x, num[row], den[row]))
+    grid = np.linspace(0.0, x_max, SAMPLES)
+    pick = np.argmax if mode == "max" else np.argmin
+    best = np.empty(n_max, dtype=int)
+    best_vals = np.empty(n_max)
+    for row in range(n_max):
+        vals = fn(grid, row)
+        best[row] = pick(vals)
+        best_vals[row] = vals[best[row]]
+    lanes = np.arange(n_max)
+    lo = grid[np.maximum(best - 1, 0)]
+    hi = grid[np.minimum(best + 1, SAMPLES - 1)]
+    if mode == "max":
+        args, refined = golden_max(lambda y: fn(y, lanes), lo, hi)
+        better = refined > best_vals
+    else:
+        args, neg = golden_max(lambda y: -fn(y, lanes), lo, hi)
+        refined = -neg
+        better = refined < best_vals
+    value = np.where(better, refined, best_vals)
+    arg = np.where(better, args, grid[best])
+    return [ExtremumEstimate(*est) for est in zip(value.tolist(), arg.tolist(), (best == SAMPLES - 1).tolist())]
+
+
+def _reference_fits(sym, t, n_max, x_max):
+    """spectral_radius(S), lower_spectral_bound(S) and spectral_radius(L),
+    each through its own search, in the order spectral_summary ran them."""
+    op_s = make_operator(sym, t, "S")
+    fit_r = _fit_radius(_reference_extrema(op_s, n_max, x_max, "max"))
+    fit_r1 = _fit_radius(_reference_extrema(op_s, n_max, x_max, "min"))
+    op_l = make_operator(sym, t, "L", x_max=x_max)
+    return fit_r, fit_r1, _fit_radius(_reference_extrema(op_l, n_max, x_max, "max"))
+
+
+def _outcome(fn):
+    try:
+        with np.errstate(over="ignore"):  # exp2x overflows far out on some windows
+            return fn()
+    except (NonPositiveSymbolError, NotLeftInvertibleError) as exc:
+        return type(exc), str(exc)
+
+
+_PARITY_SPECS = ["const:1", "affine", "reciprocal", "cap", "exp:a=2", "exp2x", "expr:x+1", "expr:x^2+1"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    spec=st.sampled_from(_PARITY_SPECS),
+    t=st.floats(0.1, 2.0),
+    n_max=st.integers(2, 40),
+    x_max=st.one_of(st.none(), st.floats(0.5, 400.0)),
+)
+@example(spec="affine", t=1.0, n_max=8, x_max=None)  # window-limited inf
+@example(spec="reciprocal", t=2.0, n_max=6, x_max=None)  # window-limited sup
+@example(spec="cap", t=0.3, n_max=32, x_max=None)  # kink
+@example(spec="exp2x", t=2.0, n_max=40, x_max=300.0)  # phi overflows on the grid
+def test_summary_fits_bitwise_equal_per_fit_searches(spec, t, n_max, x_max):
+    sym = parse_phi_spec(spec)
+    x_max = window(t, x_max)
+    ref = _outcome(lambda: _reference_fits(sym, t, n_max, x_max))
+    got = _outcome(lambda: [_fit_radius(e) for e in _weight_extrema(sym, t, range(1, n_max + 1), x_max, SUMMARY_FITS)])
+    if isinstance(ref, tuple) and isinstance(ref[0], type):
+        assert got == ref
+        assert _outcome(lambda: spectral_summary(sym, t, n_max=n_max, x_max=x_max)) == ref
+        return
+    for fit, want in zip(got, ref):
+        for name in ("values", "args", "sequence"):
+            assert np.asarray(getattr(fit, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
+        assert fit.window_limited == want.window_limited
+        assert fit.estimate == want.estimate
+    summary = spectral_summary(sym, t, n_max=n_max, x_max=x_max)
+    assert (summary.r, summary.r1, summary.r_L) == tuple(fit.estimate for fit in ref)
+    assert summary.window_limited == (ref[0].window_limited or ref[1].window_limited)
+
+
+@pytest.mark.parametrize(
+    "spec,x_max,error,message",
+    [
+        ("expr:40-x", 32.0, NonPositiveSymbolError, "symbol value 0.0 at x=40.0 violates positivity"),
+        (
+            "expr:exp(0-16*x)",
+            2.0,
+            NotLeftInvertibleError,
+            "inf phi(x+t)/phi(x) ~ 1.13e-07 at x=1.0692 is not above 1e-06",
+        ),
+        ("expr:exp(0-16*x)", 64.0, NonPositiveSymbolError, "symbol value 0.0 at x=46.574400000000004 violates positivity"),
+        # not left invertible, and phi underflows on the grid only from n = 2 on:
+        # the grid table is complete before the check runs
+        ("expr:exp(0-16*x)", 45.0, NonPositiveSymbolError, "symbol value 0.0 at x=46.5725 violates positivity"),
+    ],
+)
+def test_spectral_summary_first_error_as_per_fit_searches(spec, x_max, error, message):
+    # the grid table comes first (phi(grid + nt) before phi(grid)), then the
+    # left invertibility check, then the refinement: the first error is the
+    # one the fit-by-fit searches raised
+    with pytest.raises(error) as info:
+        spectral_summary(parse_phi_spec(spec), 1.0, x_max=x_max)
+    assert str(info.value) == message
 
 
 def test_spectral_summary_memory_stays_flat():

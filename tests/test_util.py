@@ -105,9 +105,32 @@ def test_sample_then_refine_rows_equal_scalar(spec, t, mode):
     symbol = parse_phi_spec(spec)
     shifts = np.array([1, 2, 5]) * t
     fn = lambda x, row: np.sqrt(phi_ratio(symbol, x, 0.0, shifts[row]))
-    rows = sample_then_refine(fn, len(shifts), 64.0 * t, mode)
+    lanes = np.arange(len(shifts))
+    sample = lambda grid: (fn(grid, row) for row in lanes)
+    rows = sample_then_refine(sample, lambda y: fn(y, lanes), [mode] * len(shifts), 64.0 * t)
     for row, shift in enumerate(shifts):
         ref = _sample_then_refine_scalar(lambda x: np.sqrt(phi_ratio(symbol, x, 0.0, shift)), 64.0 * t, mode)
+        assert rows[row] == ref
+
+
+@pytest.mark.parametrize("spec,t", [("cap", 0.25), ("affine", 1.0), ("expr:x^2+1", 1.0)])
+def test_sample_then_refine_mode_per_row_equals_scalar(spec, t):
+    # one sampled array serves a max row and a min row; each row is still
+    # the one-function search in its own mode
+    symbol = parse_phi_spec(spec)
+    shifts = np.array([1, 1, 3, 3, 2]) * t
+    modes = ["max", "min", "min", "max", "min"]
+    lanes = np.arange(len(shifts))
+    fn = lambda x, row: np.sqrt(phi_ratio(symbol, x, shifts[row], 0.0))
+
+    def sample(grid):
+        for row in (0, 2, 4):
+            vals = fn(grid, row)
+            yield from [vals, vals] if row < 4 else [vals]
+
+    rows = sample_then_refine(sample, lambda y: fn(y, lanes), modes, 64.0 * t)
+    for row, (shift, mode) in enumerate(zip(shifts, modes)):
+        ref = _sample_then_refine_scalar(lambda x: np.sqrt(phi_ratio(symbol, x, shift, 0.0)), 64.0 * t, mode)
         assert rows[row] == ref
 
 

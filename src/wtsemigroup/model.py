@@ -18,16 +18,18 @@ independent quadrature on the model side.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoClosedFormError, OutsideConvergenceDomainError
+from . import util
+from .errors import NoClosedFormError, OutsideConvergenceDomainError, TailBoundNotAchievedError
 from .operators import OperatorHandle, apply_power, make_operator, phi_ratio, weight_table
 from .stepfun import StepFunction, haar, inner, norm_sq, sum_pieces, zero
 from .symbols import Symbol, eval_phi, phi_table
-from .util import SERIES_CAP, gauss5_cells, sum_series
+from .util import TAIL_STREAK, gauss5_cells, sum_series
 
 DOMAIN_MARGIN = 0.05  # kernel series run only for |z conj(lambda)| < radius^2 (1 - margin)
 CLOSED_FORM_TOL = 1e-12  # tail bound of the residual series in the two_isometry closed form
@@ -294,19 +296,16 @@ def make_kernel(
     return DiagonalKernel(symbol, t, float(radius))
 
 
-def kernel_series(
-    k: DiagonalKernel,
-    z: complex,
-    lam: complex,
-    x: float,
-    tol: float = 1e-10,
-    n_cap: int = SERIES_CAP,
-):
+def kernel_series(k: DiagonalKernel, z: complex, lam: complex, x: float, tol: float = 1e-10):
     """Truncated kernel series with an empirical geometric tail bound.
 
     Returns (value, n_terms, tail_estimate). The domain guard enforces
-    |z conj(lambda)| < radius**2 (1 - DOMAIN_MARGIN).
+    |z conj(lambda)| < radius**2 (1 - DOMAIN_MARGIN). The coefficients come
+    from one phi column per (symbol, t, x), shared by every z, lambda and
+    tol; a phi value that eval_phi refuses raises its error only if the sum
+    reaches it.
     """
+    # a numpy complex: q**n is numpy's power, the floats np.power(q, n) gives
     q = complex(z) * np.conj(complex(lam))
     if abs(q) >= k.radius**2 * (1.0 - DOMAIN_MARGIN):
         raise OutsideConvergenceDomainError(
@@ -314,25 +313,67 @@ def kernel_series(
             f"{k.radius**2 * (1.0 - DOMAIN_MARGIN):.6g} = radius^2 (1 - margin)"
         )
     xv = float(x) + 0.0  # maps -0.0 to 0.0, as the x + 0 of phi_ratio does
-    phi_x = eval_phi(k.symbol, xv)
-    points = np.empty(0)
-    den: list[float] = []
-    bad = 0  # index of the first table entry eval_phi would refuse
+    phi_x, column = _phi_column(k.symbol, k.t, xv)
 
-    def term(n: int) -> complex:
-        nonlocal points, den, bad
-        if n == len(den):
-            # phi(x + n t) for n < size, unchecked: a tail that is never
-            # summed may overflow (e^(2x) past x = 355) or turn non-positive
-            points = xv + np.arange(min(max(16, 2 * n), n_cap + 1)) * k.t
-            vals, refused = phi_table(k.symbol, points)
-            bad = int(np.argmax(refused)) if refused.any() else refused.size
-            den = vals.tolist()
-        if n >= bad:
-            eval_phi(k.symbol, points[n])  # raises the error of a one-point evaluation
-        return complex(phi_x / den[n] * q**n)
+    def terms(size: int) -> np.ndarray:
+        den = column(size)
+        with np.errstate(all="ignore"):  # terms past the stop may overflow
+            return (phi_x / den) * np.power(q, np.arange(den.size))
 
-    return sum_series(term, tol, n_cap)
+    def replay(n: int):
+        eval_phi(k.symbol, xv + n * k.t)  # raises the error of a one-point evaluation
+
+    return _sum_or_replay(terms, tol, _table_size(q, tol), replay)
+
+
+@functools.lru_cache(maxsize=256)
+def _phi_column(symbol: Symbol, t: float, x: float):
+    """phi(x), checked, and column(size): phi(x + n t) for n < size, cut
+    before the first value eval_phi refuses, for one (symbol, t, x).
+
+    The column keeps the longest table read so far and is evaluated again,
+    unchecked and at the new length, only when a longer one is asked for: a
+    tail that is never summed may overflow (e^(2x) past x = 355) or turn
+    non-positive. Entry n is the same float at any length.
+    """
+    phi_x = eval_phi(symbol, x)
+    table = (np.empty(0), 0)  # values and the index of the first refused one
+
+    def column(size: int) -> np.ndarray:
+        nonlocal table
+        vals, bad = table
+        if vals.size < size:
+            vals, refused = phi_table(symbol, x + np.arange(size) * t)
+            bad = int(np.argmax(refused)) if refused.any() else size
+            table = (vals, bad)  # one store: a reader sees a matching pair
+        return vals[: min(size, bad)]
+
+    return phi_x, column
+
+
+def _table_size(q: complex, tol: float) -> int:
+    """First table size of a series in q: the n at which the geometric tail
+    |q|**n |q| / (1 - |q|) falls below tol, plus TAIL_STREAK, and at least
+    16; the doubling of sum_series covers coefficients that grow."""
+    r = float(abs(q))
+    bound = tol * (1.0 - r) / r if 0.0 < r < 1.0 else 1.0  # inf for a subnormal r
+    if not 0.0 < bound < 1.0:
+        return 16
+    return max(16, math.ceil(math.log(bound) / math.log(r)) + TAIL_STREAK)
+
+
+def _sum_or_replay(terms, tol: float, size: int, replay):
+    """sum_series(terms, tol, size) for terms whose table stops growing at a
+    term that cannot be formed: when the rule has not held before that term
+    n, replay(n) raises the term's own error."""
+    try:
+        return sum_series(terms, tol, size)
+    except TailBoundNotAchievedError as exc:
+        if exc.n_terms > util.SERIES_CAP:  # the table reached the cap, not a bad term
+            raise
+        failed = exc.n_terms
+    replay(failed)
+    raise AssertionError(f"term {failed} replayed without its error")
 
 
 def kernel_closed_form(k: DiagonalKernel, z: complex, lam: complex, x: float) -> complex:
@@ -358,10 +399,11 @@ def kernel_closed_form(k: DiagonalKernel, z: complex, lam: complex, x: float) ->
         return 1.0 / (1.0 - q) + (k.t / (x + 1.0)) * q / (1.0 - q) ** 2
     if tag == "two_isometry":
 
-        def term(n: int) -> complex:
-            return complex((n * k.t / (x + 1.0 + n * k.t)) * q**n)
+        def terms(size: int) -> np.ndarray:
+            nt = np.arange(size) * k.t
+            return (nt / (x + 1.0 + nt)) * np.power(q, np.arange(size))
 
-        residual, _, _ = sum_series(term, CLOSED_FORM_TOL)
+        residual, _, _ = sum_series(terms, CLOSED_FORM_TOL, _table_size(q, CLOSED_FORM_TOL))
         return 1.0 / (1.0 - q) - residual
     if tag == "piecewise_cap":
         if x >= 1.0:
@@ -386,36 +428,39 @@ def kernel_preimage(
     lam: complex,
     e: StepFunction,
     tol: float = 1e-12,
-    n_cap: int = SERIES_CAP,
 ) -> StepFunction:
     """U^{-1}(k(., lambda) e) = sum_n conj(lambda)^n (L_t*)^n e, tail-truncated.
 
-    The terms are rows of one table, grown as the sum needs them by the
-    doubling rule of kernel_series in chunks of at most TABLE_CELLS cells.
-    Rows past the last summed term are never checked; a summed row that
-    apply_power would refuse is replayed through it and raises its error.
-    Raises TailBoundNotAchievedError when the tail bound is not reached by
-    term n_cap.
+    The terms are rows of one table, grown by one chunk of at most
+    TABLE_CELLS cells each time sum_series asks for more, from the first
+    size |lambda| and tol give; their norms are the table that the tail
+    rule reads. Rows past the last summed term are never checked; a
+    summed row that apply_power would refuse is replayed through it and
+    raises its error. Raises TailBoundNotAchievedError when the tail bound is
+    not reached by term SERIES_CAP.
     """
     op = make_operator(symbol, t, "L_adjoint")
     lam_bar = np.conj(complex(lam))
     per_chunk = max(1, TABLE_CELLS // max(e.values.size, 1))
     pieces: list[tuple] = []  # _pieces of each chunk, with n for rows
-    norms: list[float] = []
-    refused: list[bool] = []
+    norms, bad = np.empty(0), None  # bad: the first refused row, once built
 
-    def term_norm(n: int) -> float:
-        if n == len(norms):
-            ns = np.arange(n, min(max(16, 2 * n), n_cap + 1, n + per_chunk))
+    def terms(size: int) -> np.ndarray:
+        nonlocal norms, bad
+        # one chunk a call: sum_series asks again while the table grows
+        if norms.size < size and bad is None:
+            ns = np.arange(norms.size, min(size, norms.size + per_chunk))
             chunk, chunk_norms, chunk_refused = _preimage_rows(op, e, lam_bar, ns)
             pieces.append(chunk)
-            norms.extend(chunk_norms.tolist())
-            refused.extend(chunk_refused.tolist())
-        if refused[n]:
-            apply_power(op, n, e).scale(lam_bar**n)  # raises the error of term n
-        return norms[n]
+            norms = np.concatenate([norms, chunk_norms])
+            if chunk_refused.any():
+                bad = int(ns[np.argmax(chunk_refused)])
+        return norms[: size if bad is None else min(size, bad)]
 
-    _, n_terms, _ = sum_series(term_norm, tol, n_cap)
+    def replay(n: int):
+        apply_power(op, n, e).scale(lam_bar**n)  # raises the error of term n
+
+    _, n_terms, _ = _sum_or_replay(terms, tol, _table_size(lam_bar, tol), replay)
     summed = []
     for bps, vals, cells, ns in pieces:  # the first k pieces hold terms n < n_terms
         k = int(np.searchsorted(ns, n_terms))
@@ -436,7 +481,7 @@ def _preimage_rows(op: OperatorHandle, e: StepFunction, lam_bar: complex, ns: np
     row, left, right, vals, refused = _shift_rows(op, ns, row, left, right, np.tile(e.values, k))
     sq = np.empty(k)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.array([lam_bar**n for n in ns.tolist()], dtype=complex)
+        scale = np.power(lam_bar, ns)  # lam_bar**n, numpy's power either way
         if row.size == k * m:  # no cell collapsed: a (k, m) table
             vals = (vals.reshape(k, m) * scale[:, None]).ravel()
             sq[:] = (np.abs(vals) ** 2 * (right - left)).reshape(k, m).sum(axis=1)

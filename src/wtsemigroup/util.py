@@ -118,37 +118,59 @@ def gauss5_cells(fn, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     return half * (vals @ _GL5_WEIGHTS)
 
 
-def sum_series(term_fn, tol: float, n_cap: int = SERIES_CAP):
-    """Sum term_fn(0) + term_fn(1) + ... with an empirical geometric tail bound.
+def sum_series(terms, tol: float, size: int = 16):
+    """Sum a series from a table of its terms, with an empirical geometric tail bound.
 
-    Stops once the ratio |term_n| / |term_(n-1)| has stayed below 1 for
-    TAIL_STREAK steps and the geometric tail estimate
-    |term_N| * rho / (1 - rho) drops below tol. Returns
-    (value, n_terms, tail_estimate); raises TailBoundNotAchievedError when
-    the cap is hit first.
+    terms(size) returns the first terms as an array, at most size of them:
+    fewer when it builds its table a step at a time or cannot form the next
+    term. sum_series asks again, for twice the size, until the rule holds,
+    SERIES_CAP + 1 terms have been seen or the table stops growing. The rule
+    stops at the first N at which the ratios |a_n| / |a_(n-1)| have stayed
+    below 1 for TAIL_STREAK steps and the tail estimate |a_N| rho / (1 - rho),
+    rho the largest of those ratios, is below tol; a ratio over a zero term
+    is 0 if the term is 0 too and inf otherwise. The value is the running sum
+    of the terms in order. Returns (value, n_terms, tail_estimate) as Python
+    numbers; raises TailBoundNotAchievedError with the number of terms seen
+    and the last tail estimate when the table ends first.
     """
-    total = term_fn(0)
-    prev = abs(total)
-    ratios: list[float] = []
-    streak = 0
-    tail = np.inf
-    for n in range(1, n_cap + 1):
-        term = term_fn(n)
-        total = total + term
-        mag = abs(term)
-        if prev == 0.0:
-            rho = 0.0 if mag == 0.0 else np.inf
-        else:
-            rho = mag / prev
-        ratios.append(rho)
-        streak = streak + 1 if rho < 1.0 else 0
-        if streak >= TAIL_STREAK:
-            rho = max(ratios[-TAIL_STREAK:])
-            tail = mag * rho / (1.0 - rho) if rho > 0.0 else 0.0
-            if tail < tol:
-                return total, n + 1, tail
-        prev = mag
-    raise TailBoundNotAchievedError(n_cap + 1, float(tail), tol)
+    cap = SERIES_CAP + 1
+    size, seen = min(size, cap), -1
+    while True:
+        table = np.asarray(terms(size))
+        with np.errstate(all="ignore"):  # as the Python floats of a loop, silently
+            mags = np.hypot(table.real, table.imag)  # abs() of each term, to the bit
+            stop, tail = _tail_rule(mags, tol)
+            if stop is not None:
+                value = np.add.accumulate(table[: stop + 1])[-1]  # in order, as a loop adds
+                return value.item(), stop + 1, tail
+        if table.size in (seen, cap):
+            raise TailBoundNotAchievedError(table.size, tail, tol)
+        seen, size = table.size, min(2 * size, cap)
+
+
+def _tail_rule(mags: np.ndarray, tol: float) -> tuple[int | None, float]:
+    """The stopping rule of sum_series on the term magnitudes mags: the first
+    index N at which it holds, or None, and the tail estimate at N, or else
+    at the last index with TAIL_STREAK shrinking ratios (inf if none). Runs
+    under sum_series' errstate: the estimates off a streak may divide by 0."""
+    if mags.size <= TAIL_STREAK:
+        return None, np.inf
+    prev, mag = mags[:-1], mags[1:]
+    # 0/0 stays 0, x/0 is inf
+    ratios = np.divide(mag, prev, out=np.zeros(mag.size), where=(mag != 0.0) | (prev != 0.0))
+    # rho[j]: the largest ratio of terms j + 1, ..., j + TAIL_STREAK; NaN fails < 1
+    rho = ratios[: ratios.size - TAIL_STREAK + 1].copy()
+    for k in range(1, TAIL_STREAK):
+        np.maximum(rho, ratios[k : k + rho.size], out=rho)
+    streak = rho < 1.0
+    # rho = 0 only after a zero term or an infinite one: the estimate is 0 there
+    tail = mags[TAIL_STREAK:] * rho / (1.0 - rho)
+    held = streak & (tail < tol)
+    first = int(held.argmax())
+    if held[first]:
+        return first + TAIL_STREAK, float(tail[first])
+    shrinking = np.flatnonzero(streak)
+    return None, float(tail[shrinking[-1]]) if shrinking.size else np.inf
 
 
 def fmt17(x: float) -> str:

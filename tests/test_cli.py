@@ -1,11 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import wtsemigroup
 from wtsemigroup import RunConfig, classify, parse_phi_spec, run_verify, spectral_summary
 from wtsemigroup.cli import main
 from wtsemigroup.spectral import MAX_FIT_ORDER
@@ -381,3 +384,29 @@ def test_payloads_match_hand_written_reference(phi, t):
     assert _emitted(report.to_json_dict()) == _emitted(_classification_report_dict(report))
     for r in run_verify(sym, RunConfig(phi=phi, t=t)):
         assert asdict(r) == _check_row(r)
+
+
+def fresh_process(*argv):
+    """Exit code, stdout and stderr of the CLI in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(wtsemigroup.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wtsemigroup.cli", *argv], capture_output=True, text=True, env=env, check=False
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_print_what_a_fresh_process_prints(capsys):
+    # main keeps one parser per process: no default or --tol list may leak
+    # from one call into the next
+    runs = [
+        ("classify", "--phi", "affine", "--t", "1"),
+        ("verify", "--phi", "const:1", "--tol", "reproducing=1e-3", "--tol", "kernel_agreement=1e-4"),
+        ("verify", "--phi", "const:1", "--tol", "semigroup_law=0.01"),
+        ("verify", "--phi", "const:1"),
+        ("spectrum", "--phi", "const:1", "--nmax", "8"),
+        ("classify", "--phi", "affine", "--t", "1"),
+        ("kernel", "--phi", "const:1", "--lambda", "0.5"),
+    ]
+    for argv in runs:
+        assert run(capsys, *argv) == fresh_process(*argv), argv

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import wtsemigroup.model as model_module
@@ -49,7 +50,9 @@ from wtsemigroup import (
     restrict_to_E,
     zero,
 )
-from wtsemigroup.util import SERIES_CAP, sum_series
+import wtsemigroup.util as util_module
+from wtsemigroup.symbols import eval_phi, phi_table
+from wtsemigroup.util import TAIL_STREAK, sum_series
 
 E2X = exponential(np.exp(2.0))
 
@@ -153,7 +156,34 @@ def reference_model_inverse(symbol, t, p):
     return add_all(apply_power(op_s, n, c) for n, c in enumerate(p.coeffs) if not c.is_zero())
 
 
-def reference_kernel_preimage(symbol, t, lam, e, tol=1e-12, n_cap=SERIES_CAP):
+def reference_sum_series(term_fn, tol, n_cap=None):
+    """util.sum_series as the sequential loop it replaced: one term_fn(n) per term."""
+    n_cap = util_module.SERIES_CAP if n_cap is None else n_cap
+    total = term_fn(0)
+    prev = abs(total)
+    ratios = []
+    streak = 0
+    tail = np.inf
+    for n in range(1, n_cap + 1):
+        term = term_fn(n)
+        total = total + term
+        mag = abs(term)
+        if prev == 0.0:
+            rho = 0.0 if mag == 0.0 else np.inf
+        else:
+            rho = mag / prev
+        ratios.append(rho)
+        streak = streak + 1 if rho < 1.0 else 0
+        if streak >= TAIL_STREAK:
+            rho = max(ratios[-TAIL_STREAK:])
+            tail = mag * rho / (1.0 - rho) if rho > 0.0 else 0.0
+            if tail < tol:
+                return total, n + 1, tail
+        prev = mag
+    raise TailBoundNotAchievedError(n_cap + 1, float(tail), tol)
+
+
+def reference_kernel_preimage(symbol, t, lam, e, tol=1e-12):
     """kernel_preimage as a list of terms, one apply_power and scale each."""
     op = make_operator(symbol, t, "L_adjoint")
     lam_bar = np.conj(complex(lam))
@@ -163,8 +193,38 @@ def reference_kernel_preimage(symbol, t, lam, e, tol=1e-12, n_cap=SERIES_CAP):
         terms.append(apply_power(op, n, e).scale(lam_bar**n))
         return norm(terms[-1])
 
-    sum_series(term_norm, tol, n_cap)
+    reference_sum_series(term_norm, tol)
     return add_all(terms)
+
+
+def reference_kernel_series(k, z, lam, x, tol=1e-10):
+    """kernel_series as one term per call of the loop, from a phi table per
+    call that doubles as the loop reaches its end."""
+    q = complex(z) * np.conj(complex(lam))
+    if abs(q) >= k.radius**2 * (1.0 - model_module.DOMAIN_MARGIN):
+        raise OutsideConvergenceDomainError(
+            f"|z conj(lambda)| = {abs(q):.6g} is not below "
+            f"{k.radius**2 * (1.0 - model_module.DOMAIN_MARGIN):.6g} = radius^2 (1 - margin)"
+        )
+    n_cap = util_module.SERIES_CAP
+    xv = float(x) + 0.0
+    phi_x = eval_phi(k.symbol, xv)
+    points = np.empty(0)
+    den = []
+    bad = 0
+
+    def term(n):
+        nonlocal points, den, bad
+        if n == len(den):
+            points = xv + np.arange(min(max(16, 2 * n), n_cap + 1)) * k.t
+            vals, refused = phi_table(k.symbol, points)
+            bad = int(np.argmax(refused)) if refused.any() else refused.size
+            den = vals.tolist()
+        if n >= bad:
+            eval_phi(k.symbol, points[n])
+        return complex(phi_x / den[n] * q**n)
+
+    return reference_sum_series(term, tol, n_cap)
 
 
 def assert_same_bytes(got, ref):
@@ -308,6 +368,31 @@ def test_model_passes_raise_the_first_error_of_the_block_loop():
     with pytest.warns(RuntimeWarning, match="overflow"):
         error = outcome(lambda: model_map(sym, t, f))
     assert error == (NonPositiveSymbolError, "symbol value inf at x=1024.25 violates positivity")
+
+
+def test_kernel_preimage_builds_one_chunk_past_its_last_term(monkeypatch):
+    # rows past the stopping term are built and dropped: at most one chunk
+    # of TABLE_CELLS // cells = 64 rows, not a doubled table
+    built = []
+    rows = model_module._preimage_rows
+
+    def counted_rows(op, e, lam_bar, ns):
+        built.append(ns.size)
+        return rows(op, e, lam_bar, ns)
+
+    summed = []
+    series = model_module.sum_series
+
+    def counted_series(*args):
+        result = series(*args)
+        summed.append(result[1])
+        return result
+
+    monkeypatch.setattr(model_module, "_preimage_rows", counted_rows)
+    monkeypatch.setattr(model_module, "sum_series", counted_series)
+    kernel_preimage(affine(), 1.0, 0.9 * np.exp(0.4j), indicator(0.0, 1.0).subdivide(256))
+    assert summed == [260]
+    assert max(built) <= 64 and sum(built) < 260 + 64
 
 
 def test_kernel_preimage_table_past_overflow():
@@ -479,15 +564,189 @@ def test_kernel_series_raises_at_first_non_positive_term():
     assert info.value.x == 0.05 + 30 * 0.1
     assert info.value.value == 3.0 - (0.05 + 30 * 0.1)
     # a cap below n = 30 stops the sum before it reaches the bad point
-    with pytest.raises(TailBoundNotAchievedError):
-        kernel_series(k, 0.99, 1.0, 0.05, n_cap=20)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(TailBoundNotAchievedError):
+        mp.setattr(util_module, "SERIES_CAP", 20)
+        kernel_series(k, 0.99, 1.0, 0.05)
 
 
 def test_kernel_preimage_raises_at_cap():
     # |lambda| = 0.9: five shrinking terms are needed before any tail bound
     e = indicator(0.0, 1.0)
-    with pytest.raises(TailBoundNotAchievedError):
-        kernel_preimage(constant(1.0), 1.0, 0.9, e, n_cap=3)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(TailBoundNotAchievedError):
+        mp.setattr(util_module, "SERIES_CAP", 3)
+        kernel_preimage(constant(1.0), 1.0, 0.9, e)
+
+
+# ---------------------------------------------------------------------------
+# the table-driven tail rule against its sequential loop, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def same_result(got, ref):
+    """Equal (value, n_terms, tail) by repr and type, or equal errors."""
+    if isinstance(ref, tuple) and isinstance(ref[0], type):
+        return got == ref
+    return [type(v) for v in got] == [type(v) for v in ref] and repr(got) == repr(ref)
+
+
+def series_outcome(fn):
+    """outcome(fn), with the count and tail of a TailBoundNotAchievedError."""
+    try:
+        return fn()
+    except TailBoundNotAchievedError as exc:
+        return (type(exc), str(exc), exc.n_terms, repr(exc.tail_estimate))
+    except Exception as exc:  # noqa: BLE001 - compared as data
+        return (type(exc), str(exc))
+
+
+@st.composite
+def term_sequences(draw):
+    """Terms n = 0, 1, ...: a drawn head with exact zeros, exact repeats
+    (ratio 1) and random entries, then a geometric tail that may not shrink."""
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    head = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "random", "tiny"]), max_size=30)):
+        if kind == "zero":
+            head.append(0.0 if real else 0j)
+        elif kind == "repeat" and head:
+            head.append(head[-1])
+        else:
+            v = rng.standard_normal() * (1e-300 if kind == "tiny" else 1.0)
+            head.append(v if real else complex(v, rng.standard_normal()))
+    base = head[-1] if head and head[-1] != 0 else (0.7 if real else 0.7 - 0.2j)
+    ratio = draw(st.sampled_from([0.0, 0.3, 0.9, 0.999, 1.0, 1.001]))
+    if not real:
+        ratio = ratio * complex(np.cos(1.3), np.sin(1.3))
+    h = len(head)
+    return lambda n: head[n] if n < h else base * ratio ** (n - h + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    term=term_sequences(),
+    tol=st.sampled_from([0.0, 1e-18, 1e-12, 1e-6, 0.5, np.inf]),
+    cap=st.sampled_from([None, 5, 6, 40, 300]),
+    end=st.one_of(st.none(), st.integers(0, 80)),
+    size=st.sampled_from([1, 16, 23, 200]),
+    step=st.sampled_from([None, 1, 7]),
+)
+def test_sum_series_equals_the_loop(term, tol, cap, end, size, step):
+    # end: a table ends before term `end`, which cannot be formed; the loop
+    # raises there, and sum_series reports the terms it saw instead.
+    # step: the table grows by at most step terms a call
+    def term_fn(n):
+        if end is not None and n >= end:
+            raise ArithmeticError(f"term {n}")
+        return term(n)
+
+    assume(step is None or cap is not None)  # a call per step up to 10,001 terms is slow
+    table = []
+
+    def terms(k):
+        k = k if step is None else min(k, len(table) + step)
+        table.extend(term(n) for n in range(len(table), k))
+        return np.array(table[: k if end is None else min(k, end)])
+
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(util_module, "SERIES_CAP", cap)
+        ref = series_outcome(lambda: reference_sum_series(term_fn, tol))
+        got = series_outcome(lambda: sum_series(terms, tol, size))
+    if ref[0] is ArithmeticError:
+        assert got[0] is TailBoundNotAchievedError and got[2] == end
+    else:
+        assert same_result(got, ref)
+
+
+KERNEL_SPECS = ["const:1", "affine", "reciprocal", "cap", "exp:a=2", "exp2x", "expr:x+1", "expr:x^2+1"]
+
+
+def kernel_for(spec, t):
+    sym = parse_phi_spec(spec)
+    radius = sym.model_disc_radius(t)
+    return DiagonalKernel(sym, t, 1.0 if radius is None else radius)
+
+
+def reference_closed_form(k, z, lam, x):
+    """kernel_closed_form's two_isometry branch with its residual summed by the loop."""
+    q = complex(z) * np.conj(complex(lam))
+    residual, _, _ = reference_sum_series(
+        lambda n: complex((n * k.t / (x + 1.0 + n * k.t)) * q**n), model_module.CLOSED_FORM_TOL
+    )
+    return 1.0 / (1.0 - q) - residual
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=st.sampled_from(KERNEL_SPECS),
+    t=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+    x_frac=st.sampled_from([0.0, 0.3, 0.999]),
+    q_frac=st.sampled_from([0.0, 1e-320, 0.3, 0.9, 0.99999999]),
+    where=st.sampled_from(["lambda = 0", "z = 0", "both", "general"]),
+    angles=st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi)),
+    tol=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-18]),
+    clear=st.booleans(),
+)
+@example(spec="exp2x", t=1.0, x_frac=0.0, q_frac=0.99, where="general", angles=(0.0, 0.0), tol=1e-10, clear=True)
+def test_kernel_series_equals_the_loop(spec, t, x_frac, q_frac, where, angles, tol, clear):
+    # |q| = q_frac of the guard radius^2 (1 - DOMAIN_MARGIN)
+    k = kernel_for(spec, t)
+    x = x_frac * t
+    size = k.radius * np.sqrt(q_frac * (1.0 - model_module.DOMAIN_MARGIN))
+    z, lam = size * np.exp(1j * angles[0]), size * np.exp(1j * angles[1])
+    if where in ("z = 0", "both"):
+        z = 0.0
+    if where in ("lambda = 0", "both"):
+        lam = 0.0
+    if clear:
+        model_module._phi_column.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref = series_outcome(lambda: reference_kernel_series(k, z, lam, x, tol))
+        got = series_outcome(lambda: kernel_series(k, z, lam, x, tol))
+    assert same_result(got, ref)
+    if spec == "affine" and not isinstance(ref[0], type):
+        cf, ref_cf = kernel_closed_form(k, z, lam, x), reference_closed_form(k, z, lam, x)
+        assert repr(cf) == repr(ref_cf)
+
+
+def test_kernel_series_cache_hit_equals_miss():
+    # one x, calls with different z, lambda and tol, in two orders and each
+    # from an empty cache: the column's length must not change a result
+    k = kernel_for("expr:x^2+1", 0.5)
+    calls = [
+        (0.3, 0.2 + 0.1j, 1e-6),
+        (0.9, 0.9 * np.exp(2.0j), 1e-18),
+        (0.0, 0.5, 1e-10),
+        (0.97, 0.97, 1e-14),
+        (0.5j, 0.0, 1e-12),
+        (0.6, -0.6j, 1e-8),
+    ]
+    want = [series_outcome(lambda: reference_kernel_series(k, z, lam, 0.2, tol)) for z, lam, tol in calls]
+    for order in (calls, calls[::-1]):
+        model_module._phi_column.cache_clear()
+        for z, lam, tol in order:
+            got = series_outcome(lambda: kernel_series(k, z, lam, 0.2, tol))
+            assert same_result(got, want[calls.index((z, lam, tol))])
+    for (z, lam, tol), ref in zip(calls, want):
+        model_module._phi_column.cache_clear()
+        assert same_result(series_outcome(lambda: kernel_series(k, z, lam, 0.2, tol)), ref)
+
+
+def test_kernel_series_overflow_raises_the_loop_error_and_warning():
+    # e^(2x) overflows at x = 355 before the tail rule holds at |q| ~ 0.94 radius^2
+    k = make_kernel(E2X, 1.0)
+    model_module._phi_column.cache_clear()
+    seen = []
+    for fn in (reference_kernel_series, kernel_series):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            error = series_outcome(lambda: fn(k, 2.5552, 2.718281828, 0.0))
+        seen.append((error, [(w.category, str(w.message)) for w in caught]))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == (NonPositiveSymbolError, "symbol value inf at x=355.0 violates positivity")
+    assert seen[0][1] == [(RuntimeWarning, "overflow encountered in power")]
 
 
 def test_kernel_no_closed_form_for_expression():

@@ -34,6 +34,7 @@ from wtsemigroup import (
 from wtsemigroup.errors import NonPositiveSymbolError, NotLeftInvertibleError, TailBoundNotAchievedError
 from wtsemigroup.operators import ExtremumEstimate, _weight_extrema, phi_ratio
 from wtsemigroup.spectral import SUMMARY_FITS, _fit_radius
+import wtsemigroup.util as util_module
 from wtsemigroup.util import SAMPLES, TAIL_STREAK, golden_max, window
 
 E2X = exponential(np.exp(2.0))
@@ -282,8 +283,9 @@ def test_kernel_radius_consistency():
     bad = k.radius * (1.0 + 0.05)
     # a kernel that claims twice the radius lets the domain guard pass
     wide = DiagonalKernel(k.symbol, k.t, 2.0 * k.radius)
-    with pytest.raises(TailBoundNotAchievedError):
-        kernel_series(wide, bad, bad, 0.0, n_cap=2000)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(TailBoundNotAchievedError):
+        mp.setattr(util_module, "SERIES_CAP", 2000)
+        kernel_series(wide, bad, bad, 0.0)
 
 
 # ---------------------------------------------------------------------------

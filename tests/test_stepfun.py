@@ -19,6 +19,7 @@ from wtsemigroup import (
     restrict_to_E,
     zero,
 )
+from wtsemigroup.stepfun import sum_pieces
 
 
 def test_inner_unit_indicator():
@@ -248,6 +249,27 @@ def test_add_all_equals_pairwise_fold(pieces):
     for got in (add_all(pieces), functools.reduce(operator.add, pieces, zero())):
         assert np.array_equal(got.breakpoints, ref.breakpoints)
         assert np.array_equal(got.values, ref.values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bp=st.lists(st.floats(0.0, 4.0), min_size=2, max_size=12, unique=True).map(sorted),
+    count=st.integers(2, 5),
+    data=st.data(),
+)
+def test_add_all_on_one_mesh_equals_the_merge(bp, count, data):
+    # pieces on one mesh skip the merge of their breakpoints; the bytes,
+    # exact-zero edge cells (trimmed) and signed zeros must be the merge's
+    bp = np.array(bp)
+    cell = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5j, 2.5 - 1j, 1e-300, complex(0.0, -0.0)])
+    pieces = [
+        StepFunction(bp.copy(), np.array(data.draw(st.lists(cell, min_size=bp.size - 1, max_size=bp.size - 1)), dtype=complex))
+        for _ in range(count)
+    ]
+    got = add_all(pieces)
+    ref = sum_pieces([(p.breakpoints, p.values, np.array([p.values.size])) for p in pieces])
+    assert got.breakpoints.tobytes() == ref.breakpoints.tobytes()
+    assert got.values.tobytes() == ref.values.tobytes()
 
 
 def test_add_all_empty_and_single():

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -342,7 +343,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            # numpy's overflow notes name the installed file; the error that
+            # follows from them is reported below as one line
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return _COMMANDS[args.command](args)
     except BrokenPipeError:
         # the reader left early; as the CPython notes on SIGPIPE advise, point
         # stdout's descriptor at devnull so the flush at exit cannot raise again

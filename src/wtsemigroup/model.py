@@ -36,26 +36,62 @@ CLOSED_FORM_TOL = 1e-12  # tail bound of the residual series in the two_isometry
 TABLE_CELLS = 2**14  # cells in one table of the model passes; longer passes run in row chunks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EValuedPolynomial:
-    """Finitely many E-valued coefficients; coefficient n multiplies z**n."""
+    """Finitely many E-valued coefficients; coefficient n multiplies z**n.
+
+    The coefficients are rows of one table: coefficient n has cells[n]
+    cells, 0 for a zero coefficient, and the rows' breakpoints and values
+    are laid end to end, cells[n] + 1 breakpoints and cells[n] values for
+    each row with cells. A row with cells holds a nonzero value.
+    """
 
     t: float
-    coeffs: tuple[StepFunction, ...]
+    cells: np.ndarray
+    breakpoints: np.ndarray
+    values: np.ndarray
     truncated: bool = False
 
     def __post_init__(self):
-        for c in self.coeffs:
-            if c.values.size and (c.lo < 0 or c.hi > self.t):
-                raise ValueError("every coefficient must be supported in [0, t)")
+        for name in ("cells", "breakpoints", "values"):
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+        bp = self.breakpoints
+        if bp.size and (bp.min() < 0 or bp.max() > self.t):
+            raise ValueError("every coefficient must be supported in [0, t)")
+
+    @staticmethod
+    def from_coeffs(t: float, coeffs, truncated: bool = False) -> "EValuedPolynomial":
+        """The table of the given coefficient step functions."""
+        coeffs = [zero() if c.is_zero() else c for c in coeffs]
+        return EValuedPolynomial(
+            t,
+            np.array([c.values.size for c in coeffs], dtype=int),
+            np.concatenate([c.breakpoints for c in coeffs if c.values.size] or [np.empty(0)]),
+            np.concatenate([c.values for c in coeffs] or [np.empty(0, dtype=complex)]),
+            truncated,
+        )
+
+    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where each row starts in breakpoints and in values."""
+        voff = np.cumsum(self.cells) - self.cells
+        return voff + np.cumsum(self.cells > 0) - (self.cells > 0), voff
+
+    @functools.cached_property
+    def coeffs(self) -> tuple[StepFunction, ...]:
+        """The coefficients as step functions; zero() for a row without cells."""
+        boff, voff = self._offsets()
+        return tuple(
+            StepFunction(self.breakpoints[b : b + c + 1], self.values[v : v + c]) if c else zero()
+            for b, v, c in zip(boff.tolist(), voff.tolist(), self.cells.tolist())
+        )
 
     @property
     def degree(self) -> int:
         """Index of the last nonzero coefficient (-1 for the zero element)."""
-        for n in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[n].is_zero():
-                return n
-        return -1
+        rows = np.flatnonzero(self.cells)
+        return int(rows[-1]) if rows.size else -1
 
     def to_json_dict(self) -> dict:
         return {
@@ -66,9 +102,9 @@ class EValuedPolynomial:
 
     @staticmethod
     def from_json_dict(d: dict) -> "EValuedPolynomial":
-        return EValuedPolynomial(
+        return EValuedPolynomial.from_coeffs(
             d["t"],
-            tuple(StepFunction.from_json_dict(c) for c in d["coeffs"]),
+            (StepFunction.from_json_dict(c) for c in d["coeffs"]),
             d.get("truncated", False),
         )
 
@@ -96,11 +132,18 @@ def model_map(
     # exact arithmetic, so one extra cell takes the row to t after the shift
     first = np.maximum(np.searchsorted(bp, nt, side="right") - 1, 0)
     cells = np.minimum(np.searchsorted(bp, nt + op_l.t, side="left") + 1, f.values.size) - first
-    coeffs: list[StepFunction] = []
+    # the table, written chunk by chunk into arrays sized for the untrimmed rows
+    row_cells = np.empty(ns.size, dtype=int)
+    breakpoints, values = np.empty(cells.sum() + ns.size), np.empty(cells.sum(), dtype=complex)
+    nb = nv = 0
     for a, b in _chunks(cells):
-        coeffs += _map_rows(op_l, f, ns[a:b], first[a:b], cells[a:b])
+        chunk_cells, bps, vals = _map_rows(op_l, f, ns[a:b], first[a:b], cells[a:b])
+        row_cells[a:b] = chunk_cells
+        breakpoints[nb : nb + bps.size] = bps
+        values[nv : nv + vals.size] = vals
+        nb, nv = nb + bps.size, nv + vals.size
     beyond = f.restrict((n_terms + 1) * t, max(f.hi, (n_terms + 1) * t))
-    return EValuedPolynomial(t, tuple(coeffs), truncated=not beyond.is_zero())
+    return EValuedPolynomial(t, row_cells, breakpoints[:nb], values[:nv], truncated=not beyond.is_zero())
 
 
 def _chunks(cells: np.ndarray):
@@ -112,6 +155,12 @@ def _chunks(cells: np.ndarray):
         b = max(int(np.searchsorted(ends, base + TABLE_CELLS, side="right")), a + 1)
         yield a, b
         a = b
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices starts[i], ..., starts[i] + sizes[i] - 1 for each i, in order."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + sizes, sizes)
 
 
 def _unmoved(ns: np.ndarray, row: np.ndarray) -> int:
@@ -134,11 +183,12 @@ def _weigh(op: OperatorHandle, ns: np.ndarray, row: np.ndarray, left, right, val
     return refused
 
 
-def _map_rows(op_l: OperatorHandle, f: StepFunction, ns, first, cells) -> list[StepFunction]:
-    """restrict_to_E(apply_power(op_l, n, f), t) for the rows n = ns of a chunk."""
+def _map_rows(op_l: OperatorHandle, f: StepFunction, ns, first, cells):
+    """restrict_to_E(apply_power(op_l, n, f), t) for the rows n = ns of a
+    chunk, as the (cells, breakpoints, values) of EValuedPolynomial."""
     t, bp = op_l.t, f.breakpoints
     row = np.repeat(np.arange(ns.size), cells)
-    cell = first[row] + np.arange(row.size) - (np.cumsum(cells) - cells)[row]
+    cell = _ranges(first, cells)
     shift = ns[row] * t
     left = bp[cell] - shift
     right = bp[cell + 1] - shift
@@ -153,38 +203,36 @@ def _map_rows(op_l: OperatorHandle, f: StepFunction, ns, first, cells) -> list[S
         apply_power(op_l, int(ns[r]), StepFunction(bp[lo : hi + 1], f.values[lo:hi]))
     keep = left < t  # restrict to [0, t)
     row, left, right, vals = row[keep], left[keep], np.minimum(right[keep], t), vals[keep]
-    # one function per row, without its exactly-zero edge cells (as _trimmed)
+    # each row without its exactly-zero edge cells (as _trimmed); the right
+    # edge of a cell is the next cell's left edge
     nz = np.flatnonzero(vals != 0)
-    rows = np.arange(ns.size)
-    lo = np.searchsorted(row[nz], rows, side="left")
-    hi = np.searchsorted(row[nz], rows, side="right")
-    out = []
-    for a, b in zip(lo.tolist(), hi.tolist()):
-        if a == b:
-            out.append(zero())
-            continue
-        i, j = nz[a], nz[b - 1] + 1
-        out.append(StepFunction(np.append(left[i:j], right[j - 1]), vals[i:j]))
-    return out
+    lo = np.searchsorted(row[nz], np.arange(ns.size), side="left")
+    hi = np.searchsorted(row[nz], np.arange(ns.size), side="right")
+    live = hi > lo
+    i, j = nz[lo[live]], nz[hi[live] - 1] + 1
+    out_cells = np.zeros(ns.size, dtype=int)
+    out_cells[live] = j - i
+    idx = _ranges(i, j - i)
+    return out_cells, np.insert(left[idx], np.cumsum(j - i), right[j - 1]), vals[idx]
 
 
 def model_inverse(symbol: Symbol, t: float, p: EValuedPolynomial) -> StepFunction:
     """U^{-1}: reassemble f block by block, f|[nt,(n+1)t) = S_t^n c_n."""
     op_s = OperatorHandle(symbol, t, "S")
-    coeffs = [(n, c) for n, c in enumerate(p.coeffs) if not c.is_zero()]
-    ns = np.array([n for n, _ in coeffs], dtype=int)
-    cells = np.array([c.values.size for _, c in coeffs], dtype=int)
+    boff, voff = p._offsets()
+    ns = np.flatnonzero(p.cells)
     pieces = []
-    for a, b in _chunks(cells):
-        row = np.repeat(np.arange(b - a), cells[a:b])
-        bps = [c.breakpoints for _, c in coeffs[a:b]]
-        left = np.concatenate([x[:-1] for x in bps])
-        right = np.concatenate([x[1:] for x in bps])
-        vals = np.concatenate([c.values for _, c in coeffs[a:b]])
-        row, left, right, vals, refused = _shift_rows(op_s, ns[a:b], row, left, right, vals)
+    for a, b in _chunks(p.cells[ns]):
+        rows = ns[a:b]
+        cells = p.cells[rows]
+        row = np.repeat(np.arange(b - a), cells)
+        edge = _ranges(boff[rows], cells)  # each cell's left edge; its right edge is next
+        vals = p.values[_ranges(voff[rows], cells)]
+        left, right = p.breakpoints[edge], p.breakpoints[edge + 1]
+        row, left, right, vals, refused = _shift_rows(op_s, rows, row, left, right, vals)
         if refused.any():  # the first refused row raises what apply_power raises
-            n, c = coeffs[a + row[np.argmax(refused)]]
-            apply_power(op_s, n, c)
+            n = int(rows[row[np.argmax(refused)]])
+            apply_power(op_s, n, p.coeffs[n])
         pieces.append(_pieces(row, left, right, vals))
     return _sum_rows(pieces)
 
@@ -236,14 +284,13 @@ def parseval_defect(
     exposes the genuine O(h^2) midpoint discretization error of the
     coefficients and is the route to use for mesh-refinement studies.
     """
-    p = model_map(symbol, t, f)
     target = norm_sq(f)
     if quadrature == "pullback":
-        return abs(norm_sq(model_inverse(symbol, t, p)) - target)
+        return abs(norm_sq(model_inverse(symbol, t, model_map(symbol, t, f))) - target)
     if quadrature != "gauss":
         raise ValueError("quadrature must be 'pullback' or 'gauss'")
     total = 0.0
-    for n, c in enumerate(p.coeffs):
+    for n, c in enumerate(model_map(symbol, t, f).coeffs):
         if c.is_zero():
             continue
         cell_ints = gauss5_cells(
@@ -515,10 +562,64 @@ def reproducing_check(
     e: StepFunction,
 ) -> ReproducingCheck:
     """Both sides of the reproducing identity, computed independently."""
-    p = model_map(symbol, t, f)
-    lhs = sum(inner(c, e) * complex(lam) ** n for n, c in enumerate(p.coeffs))
+    pairs = _pairings(model_map(symbol, t, f), e)
+    lhs = sum(complex(c) * complex(lam) ** n for n, c in enumerate(pairs))
     rhs = inner(f, kernel_preimage(symbol, t, lam, e))
     return ReproducingCheck(complex(lhs), complex(rhs), abs(complex(lhs) - complex(rhs)))
+
+
+def _pairings(p: EValuedPolynomial, e: StepFunction) -> np.ndarray:
+    """inner(c_n, e) for every coefficient c_n of p, in row chunks.
+
+    Each row is merged with the mesh of e and cut to the overlap of the two
+    supports, as inner does; the rows of a chunk form one table of
+    products, and each row is reduced with its own np.sum, so the floats
+    are those of inner.
+    """
+    out = np.zeros(p.cells.size, dtype=complex)  # 0j for a zero coefficient, as inner
+    ns = np.flatnonzero(p.cells)
+    if e.values.size:
+        for a, b in _chunks(p.cells[ns]):
+            out[ns[a:b]] = _pair_rows(p, ns[a:b], e)
+    return out
+
+
+def _pair_rows(p: EValuedPolynomial, ns: np.ndarray, e: StepFunction) -> list[complex]:
+    """inner(c_n, e) for the rows n = ns of p that have cells, for e nonzero."""
+    boff, voff = p._offsets()
+    eb, k = e.breakpoints, ns.size
+    nb = p.cells[ns] + 1  # breakpoints of each row
+    start = np.cumsum(nb) - nb  # where each row starts in bps
+    bps = p.breakpoints[_ranges(boff[ns], nb)]
+    # the merge of each row with eb, a row's point before an equal point of eb
+    size = nb + eb.size
+    pos = _ranges(np.cumsum(size) - size, nb) + np.searchsorted(eb, bps)
+    from_row = np.zeros(int(size.sum()), dtype=bool)
+    from_row[pos] = True
+    merged = np.empty(from_row.size)
+    merged[pos] = bps
+    merged[~from_row] = np.tile(eb, k)
+    row = np.repeat(np.arange(k), size)
+    # points of the row (of eb) at or before each merged point
+    in_row = np.cumsum(from_row) - start[row]
+    in_e = np.cumsum(~from_row) - row * eb.size
+    # one point per value, the last of a tie, which counts both; then the
+    # points inside the overlap [lo, hi] of the supports
+    keep = np.ones(merged.size, dtype=bool)
+    keep[:-1] = (merged[1:] != merged[:-1]) | (row[1:] != row[:-1])
+    lo = np.maximum(bps[start], eb[0])
+    hi = np.minimum(bps[start + nb - 1], eb[-1])
+    keep &= (merged >= lo[row]) & (merged <= hi[row])
+    merged, row, in_row, in_e = merged[keep], row[keep], in_row[keep], in_e[keep]
+    cell = np.flatnonzero(row[1:] == row[:-1])  # left edge of each merged cell
+    vf = p.values[voff[ns][row[cell]] + in_row[cell] - 1]
+    vg = e.values[in_e[cell] - 1]
+    prod = vf * np.conj(vg) * (merged[cell + 1] - merged[cell])
+    bounds = np.searchsorted(row[cell], np.arange(k + 1))
+    out = [0j] * k
+    for r in np.flatnonzero(hi > lo).tolist():
+        out[r] = complex(np.sum(prod[bounds[r] : bounds[r + 1]]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -558,18 +659,14 @@ def haar_polynomial_basis(
     t: float,
     j_values,
     k_values,
-    support_limit: float | None = None,
 ) -> list[HaarModelVector]:
     """Images U psi_jk for the requested scales/shifts: each a finite-degree
     E-valued polynomial, and the family is orthonormal in the model space."""
     out = []
     for j in j_values:
         for k in k_values:
-            psi = haar(j, k)
-            if support_limit is not None and psi.hi > support_limit:
-                continue
             bound = haar_degree_bound(j, k, t)
-            poly = model_map(symbol, t, psi, n_terms=bound)
+            poly = model_map(symbol, t, haar(j, k), n_terms=bound)
             out.append(
                 HaarModelVector(
                     j, k, poly, poly.degree, bound, int(math.floor((k + 1) / 2.0**j))

@@ -117,13 +117,15 @@ def run_verify(symbol: Symbol, cfg: RunConfig) -> list[CheckResult]:
     results.append(_result("parseval_quadrature", r, quad_tol, f"h={h:g}"))
 
     # intertwining: U S_t shifts coefficients
-    p = model_map(symbol, t, f)
-    p_shift = model_map(symbol, t, apply(op_s, f))
-    r = norm(p_shift.coeffs[0])
-    for n in range(1, len(p_shift.coeffs)):
-        prev = p.coeffs[n - 1] if n - 1 < len(p.coeffs) else None
+    # only the coefficient views are kept: a table and its view would hold
+    # the coefficients twice
+    coeffs = model_map(symbol, t, f).coeffs
+    shifted = model_map(symbol, t, apply(op_s, f)).coeffs
+    r = norm(shifted[0])
+    for n in range(1, len(shifted)):
+        prev = coeffs[n - 1] if n - 1 < len(coeffs) else None
         if prev is not None:
-            r = max(r, norm(p_shift.coeffs[n] - prev))
+            r = max(r, norm(shifted[n] - prev))
     results.append(_result("intertwining", r, tol["intertwining"]))
 
     # reproducing property at a safe lambda; e lives on the same mesh as f

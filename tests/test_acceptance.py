@@ -238,7 +238,8 @@ def test_c09_bracket_oracle():
 
 def test_c10_haar_model_basis():
     sym, t = affine(), 1.0
-    vectors = haar_polynomial_basis(sym, t, [-1, 0, 1], range(8), support_limit=8.0)
+    # the Haar functions supported inside [0, 8): k <= 3 at j = -1, k <= 7 at j = 0, 1
+    vectors = haar_polynomial_basis(sym, t, [-1], range(4)) + haar_polynomial_basis(sym, t, [0, 1], range(8))
     assert len(vectors) == 20  # j=-1 keeps k <= 3 inside [0, 8)
     for vec in vectors:
         assert vec.degree <= vec.degree_bound

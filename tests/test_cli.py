@@ -410,3 +410,11 @@ def test_repeated_main_calls_print_what_a_fresh_process_prints(capsys):
     ]
     for argv in runs:
         assert run(capsys, *argv) == fresh_process(*argv), argv
+
+
+def test_overflow_reports_one_numeric_error_line():
+    # e^(2x) overflows at x = 355 before the tail bound holds: numpy's
+    # RuntimeWarning, which names the installed file, stays off stderr
+    code, _, err = fresh_process("kernel", "--phi", "exp2x", "--t", "1", "--z", "2.5552", "--lambda", "2.718281828")
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("numeric error: ")

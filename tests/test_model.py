@@ -148,7 +148,7 @@ def reference_model_map(symbol, t, f, n_terms=None):
         block = StepFunction(bp[lo : hi + 1], f.values[lo:hi])
         coeffs.append(restrict_to_E(apply_power(op_l, n, block), t))
     beyond = f.restrict((n_terms + 1) * t, max(f.hi, (n_terms + 1) * t))
-    return EValuedPolynomial(t, tuple(coeffs), truncated=not beyond.is_zero())
+    return EValuedPolynomial.from_coeffs(t, coeffs, truncated=not beyond.is_zero())
 
 
 def reference_model_inverse(symbol, t, p):
@@ -307,7 +307,7 @@ def check_model_passes(sym, t, data, n_terms):
             outcome(lambda: model_inverse(sym, t, got)), outcome(lambda: reference_model_inverse(sym, t, ref))
         )
     # coefficients whose cells collapse when shifted far right
-    p = EValuedPolynomial(t, (zero(),) * 40 + (f.restrict(0.0, t),) * 3)
+    p = EValuedPolynomial.from_coeffs(t, (zero(),) * 40 + (f.restrict(0.0, t),) * 3)
     assert_same_outcome(outcome(lambda: model_inverse(sym, t, p)), outcome(lambda: reference_model_inverse(sym, t, p)))
 
 
@@ -341,7 +341,7 @@ def test_kernel_preimage_equals_term_list(spec, t, frac, angle, cells, shape, ta
 def test_model_inverse_keeps_a_lone_piece_as_it_is():
     # one nonzero coefficient is returned untrimmed, as add_all returns one piece
     c = StepFunction(np.linspace(0.0, 0.3, 5), [0.0, 1j, 2.0, 0.0])
-    p = EValuedPolynomial(0.3, (zero(),) * 5 + (c,))
+    p = EValuedPolynomial.from_coeffs(0.3, (zero(),) * 5 + (c,))
     got = model_inverse(affine(), 0.3, p)
     assert got.values.size == 4
     assert_same_bytes(got, reference_model_inverse(affine(), 0.3, p))
@@ -352,7 +352,7 @@ def test_model_passes_raise_the_first_error_of_the_block_loop():
     # and turns negative at 3: each pass raises the first error of its loop
     sym, t = parse_symbol("3-x"), 0.04
     f = StepFunction(np.linspace(0.0, 4.0, 801), np.linspace(1.0, 2.0, 800))
-    p = EValuedPolynomial(t, (indicator(0.0, t).subdivide(3),) * 90)
+    p = EValuedPolynomial.from_coeffs(t, (indicator(0.0, t).subdivide(3),) * 90)
     e = indicator(0.0, t).subdivide(8)
     for got, ref in (
         (lambda: model_map(sym, t, f), lambda: reference_model_map(sym, t, f)),
@@ -415,7 +415,7 @@ def test_kernel_preimage_table_past_overflow():
 
 def test_inverse_single_coefficient():
     # coefficient 1 = chi_[0,1) pulls back to e * chi_[1,2) for phi = e^{2x}
-    p = EValuedPolynomial(1.0, (zero(), indicator(0.0, 1.0)))
+    p = EValuedPolynomial.from_coeffs(1.0, (zero(), indicator(0.0, 1.0)))
     f = model_inverse(E2X, 1.0, p)
     assert list(f.breakpoints) == [1.0, 2.0]
     assert f.values[0] == pytest.approx(np.e, rel=1e-14)
@@ -423,7 +423,7 @@ def test_inverse_single_coefficient():
 
 def test_coefficients_live_in_E():
     with pytest.raises(ValueError):
-        EValuedPolynomial(1.0, (indicator(0.5, 1.5),))
+        EValuedPolynomial.from_coeffs(1.0, (indicator(0.5, 1.5),))
 
 
 def test_polynomial_json_roundtrip():
@@ -432,6 +432,134 @@ def test_polynomial_json_roundtrip():
     assert q.t == p.t and q.truncated == p.truncated
     for a, b in zip(p.coeffs, q.coeffs):
         assert distance(a, b) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the coefficient table against the coefficients of the block loop
+# ---------------------------------------------------------------------------
+
+GOLDEN_SPECS = SPECS + ["expr:x+1"]
+
+
+def assert_same_table(got, ref):
+    """Equal tables, bit for bit: cell counts, breakpoints, values, flag."""
+    assert got.t == ref.t and got.truncated == ref.truncated
+    assert np.array_equal(got.cells, ref.cells)
+    assert got.breakpoints.tobytes() == ref.breakpoints.tobytes()
+    assert got.values.tobytes() == ref.values.tobytes()
+
+
+def complex_bytes(*zs):
+    return np.array(zs, dtype=complex).tobytes()
+
+
+@st.composite
+def gapped_step_data(draw, t):
+    """step_data, now and then with exact zeros over whole blocks between
+    live ones, so that zero coefficients sit between nonzero ones."""
+    f = draw(step_data(t))
+    if f.values.size and draw(st.booleans()):
+        lo = draw(st.sampled_from([0.5, 1.0, 2.0])) * t
+        mid = f.midpoints()
+        f = f.with_values(np.where((mid >= f.lo + lo) & (mid < f.lo + lo + 2 * t), 0.0, f.values))
+    return f
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec=st.sampled_from(GOLDEN_SPECS),
+    t=st.sampled_from([0.3, 1 / 3, 0.7, 1.0, 0.25]),
+    data=st.data(),
+    n_terms=st.sampled_from([None, None, 0, 1, 3]),
+    table_cells=st.sampled_from([2**16, 7, 40]),
+)
+def test_coefficient_table_equals_block_loop(spec, t, data, n_terms, table_cells):
+    sym = parse_phi_spec(spec)
+    f = zero() if data.draw(st.booleans()) else data.draw(gapped_step_data(t))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_module, "TABLE_CELLS", table_cells)
+        got = outcome(lambda: model_map(sym, t, f, n_terms))
+        ref = outcome(lambda: reference_model_map(sym, t, f, n_terms))
+        if isinstance(ref, tuple):
+            assert got == ref
+            return
+        assert_same_table(got, ref)
+        assert len(got.coeffs) == len(ref.coeffs)
+        for a, b in zip(got.coeffs, ref.coeffs):
+            assert_same_bytes(a, b)
+        assert got.degree == max((n for n, c in enumerate(ref.coeffs) if not c.is_zero()), default=-1)
+        assert_same_table(EValuedPolynomial.from_json_dict(got.to_json_dict()), ref)
+        assert_same_outcome(
+            outcome(lambda: model_inverse(sym, t, got)), outcome(lambda: reference_model_inverse(sym, t, ref))
+        )
+        if n_terms is not None:
+            return
+        # the left side of the reproducing identity, one inner per coefficient
+        radius = sym.model_disc_radius(t) or 1.0
+        lam = data.draw(st.sampled_from([0.0, 0.4, 0.8])) * radius * np.exp(1j * data.draw(st.floats(0, 6.3)))
+        cells = data.draw(st.integers(1, 20))
+        vals = 1.0 + np.arange(cells) * (0.5 - 1j)  # distinct, so a cell read from the wrong place shows
+        shared = np.unique(np.append(f.breakpoints[f.breakpoints <= t], t))  # the mesh of coefficient 0
+        e = data.draw(
+            st.sampled_from(
+                [
+                    StepFunction(np.linspace(0.0, t, cells + 1), vals),
+                    StepFunction(np.linspace(0.13 * t, 0.61 * t, cells + 1), vals[::-1]),
+                    StepFunction(np.linspace(0.4 * t, 1.9 * t, cells + 1), vals),
+                    StepFunction(shared, np.arange(1, shared.size) * (1 + 0.5j)) if shared.size > 1 else zero(),
+                    zero(),
+                ]
+            )
+        )
+        chk = outcome(lambda: reproducing_check(sym, t, f, lam, e))
+    lhs = complex(sum(inner(c, e) * complex(lam) ** n for n, c in enumerate(ref.coeffs)))
+    rhs = outcome(lambda: complex(inner(f, kernel_preimage(sym, t, lam, e))))
+    if isinstance(rhs, tuple):
+        assert chk == rhs
+        return
+    assert complex_bytes(chk.lhs, chk.rhs, chk.diff) == complex_bytes(lhs, rhs, abs(lhs - rhs))
+
+
+def test_coefficient_table_layout():
+    # row n of the table: cells[n] values and cells[n] + 1 breakpoints, none for a zero row
+    c1 = StepFunction([0.0, 0.125, 0.25, 0.375], [1.0, 0.0, 2j])
+    c3 = indicator(0.125, 0.25)
+    p = EValuedPolynomial.from_coeffs(0.5, (zero(), c1, zero(), c3, zero()))
+    assert p.cells.tolist() == [0, 3, 0, 1, 0]
+    assert p.breakpoints.tolist() == [0.0, 0.125, 0.25, 0.375, 0.125, 0.25]
+    assert p.values.tolist() == [1.0, 0.0, 2j, 1.0]
+    assert p.degree == 3
+    for a, b in zip(p.coeffs, (zero(), c1, zero(), c3, zero())):
+        assert_same_bytes(a, b)
+    with pytest.raises(ValueError):
+        p.values[0] = 3.0  # the table is read-only
+    # a coefficient whose values are all zero is a row without cells
+    q = EValuedPolynomial.from_coeffs(0.5, (c1, c1.with_values(np.zeros(3))))
+    assert q.cells.tolist() == [3, 0] and q.degree == 0
+    assert_same_bytes(model_inverse(affine(), 0.5, q), reference_model_inverse(affine(), 0.5, q))
+    # the support check runs over the whole table
+    with pytest.raises(ValueError):
+        EValuedPolynomial(0.3, np.array([1]), np.array([0.2, 0.31]), np.array([1.0 + 0j]))
+
+
+def test_refused_rows_raise_the_error_of_apply_power():
+    # phi = 3 - x turns negative at x = 3: the first block whose weights
+    # reach past 3 is refused, and apply_power on that block alone raises
+    sym, t = parse_symbol("3-x"), 0.04
+    f = StepFunction(np.linspace(0.0, 4.0, 801), np.linspace(1.0, 2.0, 800))
+    op_l, op_s = make_operator(sym, t, "L"), OperatorHandle(sym, t, "S")
+    blocks = [f.restrict(n * t, (n + 1) * t) for n in range(100)]
+    first = next(n for n, b in enumerate(blocks) if isinstance(outcome(lambda: apply_power(op_l, n, b)), tuple))
+    error = outcome(lambda: model_map(sym, t, f))
+    assert error[0] is NonPositiveSymbolError
+    assert error == outcome(lambda: apply_power(op_l, first, blocks[first]))
+    assert outcome(lambda: reproducing_check(sym, t, f, 0.1, indicator(0.0, t))) == error
+    c = indicator(0.0, t).subdivide(3)
+    p = EValuedPolynomial.from_coeffs(t, (zero(),) * 20 + (c,) * 70)
+    first = next(n for n in range(20, 90) if isinstance(outcome(lambda: apply_power(op_s, n, c)), tuple))
+    error = outcome(lambda: model_inverse(sym, t, p))
+    assert error[0] is NonPositiveSymbolError
+    assert error == outcome(lambda: apply_power(op_s, first, c))
 
 
 # ---------------------------------------------------------------------------

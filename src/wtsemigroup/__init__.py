@@ -47,9 +47,7 @@ from .operators import (
     apply_power,
     check_left_invertible,
     estimate_lower_bound,
-    estimate_lower_bounds,
     estimate_norm,
-    estimate_norms,
     make_operator,
 )
 from .spectral import (

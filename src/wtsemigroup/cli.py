@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import asdict
@@ -39,6 +40,7 @@ from .verify import MAX_CELLS, all_passed, run_verify
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
 BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose reader left
+MAX_Z_POINTS = 2**16  # largest N of --z-grid unit:N
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -176,10 +178,11 @@ def _z_points(args) -> list[complex]:
         return [args.z]
     if args.z_grid is None:
         raise SymbolSyntaxError("kernel needs --z or --z-grid")
-    kind, _, count = args.z_grid.partition(":")
-    if kind != "unit" or not count.isdigit() or int(count) < 1:
-        raise SymbolSyntaxError(f"unsupported z grid {args.z_grid!r}; use unit:N with N >= 1")
-    n = int(count)
+    # [0-9] is ASCII only (str.isdigit takes '²'), and int() reads at most 6 of them
+    m = re.fullmatch(r"unit:0*([0-9]{1,6})", args.z_grid)
+    n = int(m[1]) if m else 0
+    if not 1 <= n <= MAX_Z_POINTS:
+        raise SymbolSyntaxError(f"unsupported z grid {args.z_grid!r}; use unit:N with 1 <= N <= {MAX_Z_POINTS}")
     return [complex(np.cos(2 * np.pi * k / n), np.sin(2 * np.pi * k / n)) for k in range(n)]
 
 
@@ -189,6 +192,9 @@ def cmd_kernel(args) -> int:
         raise SymbolSyntaxError(f"--x must lie in E = [0, t) = [0, {cfg.t:g}), got {args.x!r}")
     if not (args.series_tol > 0 and math.isfinite(args.series_tol)):
         raise SymbolSyntaxError(f"--series-tol must be a positive finite number, got {args.series_tol!r}")
+    for flag, value in (("--z", args.z), ("--lambda", args.lam)):
+        if value is not None and not np.isfinite(value):
+            raise SymbolSyntaxError(f"{flag} must be a finite number, got {value}")
     points = _z_points(args)
     symbol = parse_phi_spec(cfg.phi)
     validate_positivity(symbol, cfg.resolved_x_max)

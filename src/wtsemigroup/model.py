@@ -26,7 +26,7 @@ import numpy as np
 
 from . import util
 from .errors import NoClosedFormError, OutsideConvergenceDomainError, TailBoundNotAchievedError
-from .operators import OperatorHandle, apply_power, make_operator, phi_ratio, weight_table
+from .operators import OperatorHandle, apply_power, apply_power_rows, make_operator, phi_ratio
 from .stepfun import StepFunction, haar, inner, norm_sq, sum_pieces, zero
 from .symbols import Symbol, eval_phi, phi_table
 from .util import TAIL_STREAK, gauss5_cells, sum_series
@@ -163,46 +163,20 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + sizes, sizes)
 
 
-def _unmoved(ns: np.ndarray, row: np.ndarray) -> int:
-    """Number of leading cells whose row has n = 0, which apply_power leaves
-    as they are; rows ascend in n, so every later cell moves."""
-    return int(np.searchsorted(row, 1)) if ns[0] == 0 else 0
-
-
-def _weigh(op: OperatorHandle, ns: np.ndarray, row: np.ndarray, left, right, vals):
-    """Multiply the cells of rows with n = ns[row] > 0 by the weight of
-    apply_power at their midpoints, in place. Returns the mask of cells
-    apply_power would refuse: a phi value eval_phi refuses, or a product
-    that is not finite."""
-    z = _unmoved(ns, row)
-    w, bad = weight_table(op, ns[row[z:]] * op.t, 0.5 * (left[z:] + right[z:]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals[z:] *= w
-    refused = np.zeros(row.size, dtype=bool)
-    refused[z:] = bad | ~np.isfinite(vals[z:])
-    return refused
-
-
 def _map_rows(op_l: OperatorHandle, f: StepFunction, ns, first, cells):
     """restrict_to_E(apply_power(op_l, n, f), t) for the rows n = ns of a
     chunk, as the (cells, breakpoints, values) of EValuedPolynomial."""
     t, bp = op_l.t, f.breakpoints
     row = np.repeat(np.arange(ns.size), cells)
     cell = _ranges(first, cells)
-    shift = ns[row] * t
-    left = bp[cell] - shift
-    right = bp[cell + 1] - shift
-    left = np.where(left > 0, left, 0.0)  # the clip at 0 of translate and restrict
-    keep = right > left  # drops cells left of 0 and cells that rounding collapses
-    row, cell, left, right = row[keep], cell[keep], left[keep], right[keep]
-    vals = f.values[cell]
-    refused = _weigh(op_l, ns, row, left, right, vals)
+    left, right, vals = bp[cell], bp[cell + 1], f.values[cell]
+    row, left, right, vals, refused = apply_power_rows(op_l, ns, row, left, right, vals)
     if refused.any():  # the first refused row raises what apply_power raises
         r = row[np.argmax(refused)]
         lo, hi = first[r], first[r] + cells[r]
         apply_power(op_l, int(ns[r]), StepFunction(bp[lo : hi + 1], f.values[lo:hi]))
-    keep = left < t  # restrict to [0, t)
-    row, left, right, vals = row[keep], left[keep], np.minimum(right[keep], t), vals[keep]
+    keep = left < t  # restrict to [0, t), which starts at 0.0 where f starts at -0.0
+    row, left, right, vals = row[keep], left[keep] + 0.0, np.minimum(right[keep], t), vals[keep]
     # each row without its exactly-zero edge cells (as _trimmed); the right
     # edge of a cell is the next cell's left edge
     nz = np.flatnonzero(vals != 0)
@@ -229,27 +203,12 @@ def model_inverse(symbol: Symbol, t: float, p: EValuedPolynomial) -> StepFunctio
         edge = _ranges(boff[rows], cells)  # each cell's left edge; its right edge is next
         vals = p.values[_ranges(voff[rows], cells)]
         left, right = p.breakpoints[edge], p.breakpoints[edge + 1]
-        row, left, right, vals, refused = _shift_rows(op_s, rows, row, left, right, vals)
+        row, left, right, vals, refused = apply_power_rows(op_s, rows, row, left, right, vals)
         if refused.any():  # the first refused row raises what apply_power raises
             n = int(rows[row[np.argmax(refused)]])
             apply_power(op_s, n, p.coeffs[n])
         pieces.append(_pieces(row, left, right, vals))
     return _sum_rows(pieces)
-
-
-def _shift_rows(op: OperatorHandle, ns, row, left, right, vals):
-    """apply_power(op, n, .) of a kind that moves right, on rows laid end to
-    end with n = ns[row]: the cells of rows with n > 0 move by n t, the ones
-    rounding collapses are dropped, and the rest are weighted. Returns the
-    kept (row, left, right, vals) and the mask of refused cells (_weigh)."""
-    z = _unmoved(ns, row)
-    shift = ns[row[z:]] * op.t
-    left[z:] += shift
-    right[z:] += shift
-    keep = right > left
-    if not keep.all():
-        row, left, right, vals = row[keep], left[keep], right[keep], vals[keep]
-    return row, left, right, vals, _weigh(op, ns, row, left, right, vals)
 
 
 def _pieces(row, left, right, vals):
@@ -525,7 +484,7 @@ def _preimage_rows(op: OperatorHandle, e: StepFunction, lam_bar: complex, ns: np
     k, m = ns.size, e.values.size
     row = np.repeat(np.arange(k), m)
     left, right = np.tile(e.breakpoints[:-1], k), np.tile(e.breakpoints[1:], k)
-    row, left, right, vals, refused = _shift_rows(op, ns, row, left, right, np.tile(e.values, k))
+    row, left, right, vals, refused = apply_power_rows(op, ns, row, left, right, np.tile(e.values, k))
     sq = np.empty(k)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.power(lam_bar, ns)  # lam_bar**n, numpy's power either way

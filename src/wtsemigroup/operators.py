@@ -116,7 +116,34 @@ def apply_power(op: OperatorHandle, n: int, f: StepFunction) -> StepFunction:
     return g.with_values(g.values * np.sqrt(phi_ratio(op.symbol, g.midpoints(), a * nt, b * nt)))
 
 
-def weight_table(op: OperatorHandle, nt, x) -> tuple[np.ndarray, np.ndarray]:
+def apply_power_rows(op: OperatorHandle, ns, row, left, right, vals):
+    """apply_power(op, n, .) on rows laid end to end, n = ns[row] and rows in
+    ascending n; the cells (left, right, vals) of a row are those of one
+    step function. The cells of rows with n > 0 move by n t, a left move
+    clips at 0, the cells rounding collapses are dropped, and the rest are
+    weighted at their midpoints, in place. Returns the kept (row, left,
+    right, vals) and the mask of cells apply_power would refuse: a phi value
+    eval_phi refuses, or a product that is not finite.
+    """
+    z = int(np.searchsorted(row, np.searchsorted(ns, 1)))  # rows with n = 0 stay as they are
+    nt = ns[row[z:]] * op.t
+    shift = nt if op.kind in _RIGHT else -nt  # x + (-s) is the float x - s
+    left[z:] += shift
+    right[z:] += shift
+    if op.kind not in _RIGHT:
+        left[z:] = np.where(left[z:] > 0, left[z:], 0.0)  # the clip at 0 of translate
+    keep = right > left
+    if not keep.all():
+        row, left, right, vals, nt = row[keep], left[keep], right[keep], vals[keep], nt[keep[z:]]
+    w, bad = _weight_table(op, nt, 0.5 * (left[z:] + right[z:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals[z:] *= w
+    refused = np.zeros(row.size, dtype=bool)
+    refused[z:] = bad | ~np.isfinite(vals[z:])
+    return row, left, right, vals, refused
+
+
+def _weight_table(op: OperatorHandle, nt, x) -> tuple[np.ndarray, np.ndarray]:
     """The weights of apply_power at many output points in one pass, one
     nt = n * op.t per point: sqrt(phi(x + a nt) / phi(x + b nt)).
 
@@ -205,11 +232,6 @@ def estimate_norm(op: OperatorHandle, n: int, x_max: float) -> ExtremumEstimate:
     return _weight_extrema(op.symbol, op.t, [n], x_max, [(op.kind, "max")])[0][0]
 
 
-def estimate_norms(op: OperatorHandle, n_max: int, x_max: float) -> list[ExtremumEstimate]:
-    """estimate_norm for n = 1..n_max, all refined in one lockstep search."""
-    return _weight_extrema(op.symbol, op.t, range(1, n_max + 1), x_max, [(op.kind, "max")])[0]
-
-
 def estimate_lower_bound(op: OperatorHandle, n: int, x_max: float) -> ExtremumEstimate:
     """Sampled essential inf of the n-step weight: m(op^n) = inf ||op^n f||/||f||.
 
@@ -219,8 +241,3 @@ def estimate_lower_bound(op: OperatorHandle, n: int, x_max: float) -> ExtremumEs
     sampled value is the modulus transverse to the kernel.
     """
     return _weight_extrema(op.symbol, op.t, [n], x_max, [(op.kind, "min")])[0][0]
-
-
-def estimate_lower_bounds(op: OperatorHandle, n_max: int, x_max: float) -> list[ExtremumEstimate]:
-    """estimate_lower_bound for n = 1..n_max, all refined in one lockstep search."""
-    return _weight_extrema(op.symbol, op.t, range(1, n_max + 1), x_max, [(op.kind, "min")])[0]

@@ -15,14 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .model import kernel_preimage
-from .operators import (
-    OperatorHandle,
-    _weight_extrema,
-    apply,
-    estimate_lower_bounds,
-    estimate_norms,
-    make_operator,
-)
+from .operators import OperatorHandle, _weight_extrema, apply, make_operator
 from .stepfun import StepFunction, add_all, indicator, inner, norm
 from .symbols import Symbol
 from .util import window
@@ -72,13 +65,13 @@ def _check_n_max(n_max: int):
 def spectral_radius(op: OperatorHandle, n_max: int, x_max: float) -> RadiusEstimate:
     """r(op) from the norm sequence; diagnostics flag slow or window-biased fits."""
     _check_n_max(n_max)
-    return _fit_radius(estimate_norms(op, n_max, x_max))
+    return _fit_radius(_weight_extrema(op.symbol, op.t, range(1, n_max + 1), x_max, [(op.kind, "max")])[0])
 
 
 def lower_spectral_bound(op: OperatorHandle, n_max: int, x_max: float) -> RadiusEstimate:
     """r_1(op) = lim m(op^n)^(1/n), same fitting scheme on the lower moduli."""
     _check_n_max(n_max)
-    return _fit_radius(estimate_lower_bounds(op, n_max, x_max))
+    return _fit_radius(_weight_extrema(op.symbol, op.t, range(1, n_max + 1), x_max, [(op.kind, "min")])[0])
 
 
 def model_disc_radius(symbol: Symbol, t: float, n_max: int, x_max: float) -> float:

@@ -24,6 +24,7 @@ from .errors import NonPositiveSymbolError, SymbolSyntaxError
 
 POSITIVITY_SAMPLES = 10_000  # uniform grid of validate_positivity
 POSITIVITY_FLOOR = 1e-6  # samples below this are refined on a finer local grid
+MAX_DEPTH = 50  # levels of an expression tree; evaluating and printing it recurse once per level
 
 # ---------------------------------------------------------------------------
 # Expression trees
@@ -100,6 +101,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # calls of unary in progress
 
     def peek(self):
         return self.tokens[self.i]
@@ -119,6 +121,13 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise SymbolSyntaxError(f"unexpected {val!r}", pos, self.text)
+        # a chain of + - * / is built by a loop; count its levels without recursion
+        height, level = 0, [node]
+        while level:
+            height += 1
+            level = [getattr(n, a) for n in level for a in ("arg", "left", "right") if hasattr(n, a)]
+        if height > MAX_DEPTH:
+            raise SymbolSyntaxError(f"expression is deeper than {MAX_DEPTH} levels", None, self.text)
         return node
 
     def expr(self):
@@ -142,11 +151,21 @@ class _Parser:
                 return node
 
     def unary(self):
-        kind, val, _ = self.peek()
+        # every recursion of the parser passes through here; the printed form
+        # of a tree of MAX_DEPTH levels nests at most twice as deep
+        kind, val, pos = self.peek()
+        self.depth += 1
+        if self.depth > 2 * MAX_DEPTH:
+            raise SymbolSyntaxError(
+                f"expression nests more than {2 * MAX_DEPTH} parentheses, signs and powers", pos, self.text
+            )
         if kind == "op" and val == "-":
             self.take()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         base = self.atom()

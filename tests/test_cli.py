@@ -225,8 +225,16 @@ def test_deterministic_json(capsys, argv):
         ("kernel", "--phi", "const:1", "--z", "0.1", "--lambda", "0.2", "--series-tol", "-1"),
         ("kernel", "--phi", "const:1", "--z", "0.1", "--lambda", "0.2", "--series-tol", "0"),
         ("kernel", "--phi", "const:1", "--z", "0.1", "--lambda", "0.2", "--series-tol", "nan"),
+        ("kernel", "--phi", "const:1", "--z-grid", "unit:\u00b2", "--lambda", "0.5"),
+        ("kernel", "--phi", "const:1", "--z-grid", "unit:" + "9" * 5000, "--lambda", "0.5"),
+        ("kernel", "--phi", "const:1", "--z-grid", "unit:65537", "--lambda", "0.5"),
+        ("kernel", "--phi", "const:1", "--z", "nan", "--lambda", "0.5"),
+        ("kernel", "--phi", "const:1", "--z", "inf", "--lambda", "0"),
+        ("kernel", "--phi", "const:1", "--z", "0.1", "--lambda=nan,0"),
+        ("spectrum", "--phi", "expr:" + "(" * 3000 + "x" + ")" * 3000),
+        ("spectrum", "--phi", "expr:" + "x+" * 3000 + "1"),
     ],
-    ids=" ".join,
+    ids=lambda argv: " ".join(a if len(a) <= 40 else f"{a[:12]}...({len(a)} chars)" for a in argv),
 )
 def test_bad_arguments_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)

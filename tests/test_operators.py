@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wtsemigroup import (
     NotLeftInvertibleError,
     OperatorHandle,
+    StepFunction,
     affine,
     apply,
     apply_power,
@@ -22,6 +25,7 @@ from wtsemigroup import (
     random_step,
     restrict_to_E,
 )
+from wtsemigroup.operators import KINDS, apply_power_rows
 
 E2X = exponential(np.exp(2.0))  # phi(x) = e^{2x}
 
@@ -215,3 +219,60 @@ def test_diagonal_identity_L_Ladjoint():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         make_operator(affine(), 1.0, "T")
+
+
+def _outcome(fn):
+    """The result of fn, or the type of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - compared as data
+        return type(exc)
+
+
+@st.composite
+def _row_data(draw, t, far):
+    """A step function for one row: scattered breakpoints starting at 0,
+    inside the first block or far out, and now and then cells an ulp wide,
+    which a shift collapses."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.sampled_from([0.0, 0.37 * t, far]))
+    hi = lo + draw(st.sampled_from([0.5, 1.0, 4.0])) * t
+    bp = np.unique(np.concatenate([[lo, hi], rng.uniform(lo, hi, draw(st.integers(1, 12)))]))
+    if draw(st.booleans()):
+        bp = np.unique(np.concatenate([bp, np.nextafter(bp[rng.integers(0, bp.size - 1, 3)], np.inf)]))
+    vals = rng.standard_normal(bp.size - 1) + 1j * rng.standard_normal(bp.size - 1)
+    return StepFunction(bp, vals)
+
+
+@pytest.mark.parametrize("spec", ["const:1", "affine", "reciprocal", "cap", "exp:a=2", "expr:3-x"])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(KINDS),
+    t=st.sampled_from([0.3, 1 / 3, 1.0, 2.5]),
+    ns=st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True).map(sorted),
+    data=st.data(),
+)
+def test_apply_power_rows_equals_apply_power_row_by_row(spec, kind, t, ns, data):
+    op = OperatorHandle(parse_phi_spec(spec), t, kind)
+    # far rows cross 3, where 3 - x turns non-positive, or 1024, where 2^x overflows
+    fs = [data.draw(_row_data(t, 1023.9 if spec == "exp:a=2" else 2.9)) for _ in ns]
+    row = np.repeat(np.arange(len(ns)), [f.values.size for f in fs])
+    left = np.concatenate([f.breakpoints[:-1] for f in fs])
+    right = np.concatenate([f.breakpoints[1:] for f in fs])
+    vals = np.concatenate([f.values for f in fs])
+    with np.errstate(all="ignore"):
+        row, left, right, vals, refused = apply_power_rows(op, np.array(ns), row, left, right, vals)
+        refs = [_outcome(lambda: apply_power(op, n, f)) for n, f in zip(ns, fs)]
+    for r, ref in enumerate(refs):
+        mine = row == r
+        # a row is refused exactly when apply_power raises on it
+        assert refused[mine].any() == isinstance(ref, type)
+        if isinstance(ref, type):
+            continue
+        if ref.values.size == 0:
+            assert not mine.any()
+            continue
+        assert np.array_equal(left[mine][1:], right[mine][:-1])
+        bp = np.append(left[mine], right[mine][-1])
+        assert bp.tobytes() == ref.breakpoints.tobytes()
+        assert vals[mine].tobytes() == ref.values.tobytes()

@@ -20,6 +20,7 @@ from wtsemigroup import (
     validate_positivity,
 )
 from wtsemigroup.operators import phi_ratio
+from wtsemigroup.symbols import MAX_DEPTH
 
 
 def test_parse_affine_tree():
@@ -67,6 +68,32 @@ def test_unknown_identifier():
 def test_unbalanced_paren():
     with pytest.raises(SymbolSyntaxError):
         parse_symbol("exp(x")
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda k: "x+" * (k - 1) + "1",
+        lambda k: "-" * (k - 1) + "x",
+        lambda k: "x^" * (k - 1) + "1",
+        lambda k: "exp(" * (k - 1) + "x" + ")" * (k - 1),
+    ],
+    ids=["sum", "negation", "power", "calls"],
+)
+def test_expression_depth_limit(nest):
+    # a tree at the limit parses, evaluates, and prints to text that parses to it again
+    tree = parse_symbol(nest(MAX_DEPTH))
+    assert tree.values(np.array([0.5])).shape == (1,)
+    assert parse_symbol(expression_to_string(tree.expr)).expr == tree.expr
+    with pytest.raises(SymbolSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse_symbol(nest(MAX_DEPTH + 1))
+
+
+def test_parser_nesting_limit():
+    at_limit = "(" * (2 * MAX_DEPTH - 1) + "x" + ")" * (2 * MAX_DEPTH - 1)
+    assert parse_symbol(at_limit).expr == parse_symbol("x").expr
+    with pytest.raises(SymbolSyntaxError, match=f"more than {2 * MAX_DEPTH} parentheses"):
+        parse_symbol("(" + at_limit + ")")
 
 
 def test_eval_phi_constant():

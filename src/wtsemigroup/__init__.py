@@ -20,6 +20,7 @@ from .errors import (
     NoClosedFormError,
     NonPositiveSymbolError,
     NotLeftInvertibleError,
+    NumericError,
     OutsideConvergenceDomainError,
     SymbolSyntaxError,
     TailBoundNotAchievedError,

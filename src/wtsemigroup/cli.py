@@ -24,13 +24,7 @@ import numpy as np
 
 from .classify import MAX_ORDER, classify
 from .config import RunConfig
-from .errors import (
-    NonPositiveSymbolError,
-    NotLeftInvertibleError,
-    OutsideConvergenceDomainError,
-    SymbolSyntaxError,
-    TailBoundNotAchievedError,
-)
+from .errors import NumericError, SymbolSyntaxError
 from .model import kernel_closed_form, kernel_series, make_kernel
 from .spectral import MAX_FIT_ORDER, model_disc_radius, spectral_summary
 from .symbols import parse_phi_spec, validate_positivity
@@ -43,16 +37,26 @@ BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose read
 MAX_Z_POINTS = 2**16  # largest N of --z-grid unit:N
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--phi", required=True, help="symbol spec, e.g. const:1, expr:x+1, exp:a=2")
-    p.add_argument("--t", type=float, default=RunConfig.t, help="translation step (default 1)")
-    p.add_argument("--xmax", type=float, default=None, help="sampling window end (default 64 t)")
-    p.add_argument("--h", type=float, default=None, help="cell width for generated test data (default t/256)")
-    p.add_argument("--nmax", type=int, default=RunConfig.n_max, help="order cap for norm sequences / classification")
-    p.add_argument("--tol", action="append", default=[], metavar="NAME=VAL", help="override a named tolerance")
-    p.add_argument("--seed", type=int, default=RunConfig.seed, help="seed for generated test data")
-    p.add_argument("--out", default=None, help="write machine output to this path")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=RunConfig.fmt)
+_FLAGS = {
+    "--phi": dict(required=True, help="symbol spec, e.g. const:1, expr:x+1, exp:a=2"),
+    "--t": dict(type=float, default=RunConfig.t, help="translation step (default 1)"),
+    "--xmax": dict(type=float, default=None, help="sampling window end (default 64 t)"),
+    "--nmax": dict(type=int, default=RunConfig.n_max, help="order cap for norm sequences / classification"),
+    "--out": dict(default=None, help="write machine output to this path"),
+    "--format": dict(dest="fmt", choices=("json", "csv"), default=RunConfig.fmt),
+    "--h": dict(type=float, default=None, help="cell width for generated test data (default t/256)"),
+    "--tol": dict(action="append", default=[], metavar="NAME=VAL", help="override a named tolerance"),
+    "--seed": dict(type=int, default=RunConfig.seed, help="seed for generated test data"),
+}
+
+
+def _add_command(sub, name: str, help: str, *extra: str) -> argparse.ArgumentParser:
+    """A subcommand taking the common flags and the extra ones it reads, each
+    under its full name only."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    for flag in ("--phi", "--t", "--xmax", "--nmax", "--out", *extra):
+        p.add_argument(flag, **_FLAGS[flag])
+    return p
 
 
 def _parse_complex(text: str) -> complex:
@@ -68,11 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wtsemigroup",
         description="Weighted translation semigroups: kernels, spectra, classification, verification",
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # what RunConfig gets from a flag its command does not take
+    ap.set_defaults(h=None, tol=[], seed=RunConfig.seed, fmt=RunConfig.fmt)
 
-    pk = sub.add_parser("kernel", help="evaluate the diagonal reproducing kernel")
-    _add_common(pk)
+    pk = _add_command(sub, "kernel", "evaluate the diagonal reproducing kernel", "--format")
     pk.add_argument(
         "--z", type=_parse_complex, default=None,
         help="single z value: re or re,im; write --z=re,im when re is negative",
@@ -85,15 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--x", type=float, default=0.0, help="point in [0, t) where the diagonal acts")
     pk.add_argument("--series-tol", type=float, default=1e-10)
 
-    pc = sub.add_parser("classify", help="classify the semigroup from the bracket signs")
-    _add_common(pc)
-    pc.set_defaults(nmax=16)
-
-    ps = sub.add_parser("spectrum", help="spectral radius, annulus and model disc")
-    _add_common(ps)
-
-    pv = sub.add_parser("verify", help="run every invariant suite")
-    _add_common(pv)
+    _add_command(sub, "classify", "classify the semigroup from the bracket signs").set_defaults(nmax=16)
+    _add_command(sub, "spectrum", "spectral radius, annulus and model disc", "--format")
+    _add_command(sub, "verify", "run every invariant suite", "--h", "--tol", "--seed")
 
     return ap
 
@@ -368,12 +368,7 @@ def main(argv=None) -> int:
     except SymbolSyntaxError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (
-        NonPositiveSymbolError,
-        NotLeftInvertibleError,
-        OutsideConvergenceDomainError,
-        TailBoundNotAchievedError,
-    ) as exc:
+    except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
 

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 
+class NumericError(Exception):
+    """A numeric or convergence error: the command line exits 3."""
+
+
 class SymbolSyntaxError(ValueError):
     """Malformed symbol expression or phi spec; carries the offending position."""
 
@@ -14,7 +18,7 @@ class SymbolSyntaxError(ValueError):
         super().__init__(message)
 
 
-class NonPositiveSymbolError(ArithmeticError):
+class NonPositiveSymbolError(NumericError, ArithmeticError):
     """A symbol evaluated to a non-positive or non-finite value somewhere."""
 
     def __init__(self, x: float, value: float):
@@ -23,15 +27,15 @@ class NonPositiveSymbolError(ArithmeticError):
         super().__init__(f"symbol value {value!r} at x={x!r} violates positivity")
 
 
-class NotLeftInvertibleError(RuntimeError):
+class NotLeftInvertibleError(NumericError, RuntimeError):
     """Dual operators need inf_x phi(x+t)/phi(x) bounded away from zero."""
 
 
-class OutsideConvergenceDomainError(ValueError):
+class OutsideConvergenceDomainError(NumericError, ValueError):
     """Kernel evaluation requested outside the guaranteed convergence disc."""
 
 
-class TailBoundNotAchievedError(RuntimeError):
+class TailBoundNotAchievedError(NumericError, RuntimeError):
     """Series truncation could not certify the requested tail bound."""
 
     def __init__(self, n_terms: int, tail_estimate: float, tol: float):

@@ -309,7 +309,10 @@ class Symbol:
         if self.name in ("const", "affine", "reciprocal", "cap"):
             return 1.0
         if self.name == "exp":
-            return float(self.param) ** (t / 2.0)
+            try:
+                return float(self.param) ** (t / 2.0)
+            except OverflowError:  # the radius is phi(t/2), past the largest float
+                raise NonPositiveSymbolError(t / 2.0, math.inf) from None
         return None
 
     def describe(self) -> str:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from wtsemigroup import (
     constant,
     exponential,
     indicator,
+    parse_symbol,
     piecewise_cap,
     random_step,
     reciprocal,
@@ -100,6 +103,21 @@ def test_classify_cap_two_hyperexpansive():
     assert rep16.max_hyperexpansive_order == 2
     assert "completely-hyperexpansive(16)" not in rep16.labels
     assert "completely-hyperexpansive(16)" in rep16.witnesses
+
+
+def test_classify_four_hyperexpansive():
+    # for n >= 2 the linear part cancels: delta_n(x) phi(x) =
+    # -e^{-x} (1 - e^{-1})^n / 2 + e^{-2x} (1 - e^{-2})^n / 8, negative at
+    # every x >= 0 for n <= 4 and positive at x = 0 for n >= 5
+    rep = classify(parse_symbol("x+1-exp(-x)/2+exp(-2*x)/8"), 1.0, max_order=16)
+    assert "4-hyperexpansive" in rep.labels
+    assert "completely-hyperexpansive(16)" not in rep.labels
+    assert rep.max_hyperexpansive_order == 4
+    witness = rep.witnesses["completely-hyperexpansive(16)"]
+    assert (witness.n, witness.x) == (5, 0.0)
+    phi0 = 1.0 - 1.0 / 2 + 1.0 / 8
+    exact = (-((1 - math.exp(-1)) ** 5) / 2 + (1 - math.exp(-2)) ** 5 / 8) / phi0
+    assert witness.value == pytest.approx(exact, abs=1e-12)
 
 
 def test_classify_exponential_alternating():

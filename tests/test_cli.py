@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -11,6 +12,13 @@ import pytest
 import wtsemigroup
 from wtsemigroup import RunConfig, classify, parse_phi_spec, run_verify, spectral_summary
 from wtsemigroup.cli import main
+from wtsemigroup.errors import (
+    NonPositiveSymbolError,
+    NotLeftInvertibleError,
+    NumericError,
+    OutsideConvergenceDomainError,
+    TailBoundNotAchievedError,
+)
 from wtsemigroup.spectral import MAX_FIT_ORDER
 
 
@@ -189,13 +197,14 @@ def test_missing_subcommand_usage(capsys):
         ("kernel", "--z-grid", "unit:8", "--lambda=0.3,0.2", "--x", "0.1"),
         ("classify",),
         ("spectrum",),
-        ("verify",),
+        ("verify", "--seed", "0"),
     ],
     ids=lambda argv: argv[0],
 )
 def test_deterministic_json(capsys, argv):
-    _, out1, _ = run(capsys, *argv, "--phi", "exp:a=2", "--t", "0.5", "--seed", "0")
-    _, out2, _ = run(capsys, *argv, "--phi", "exp:a=2", "--t", "0.5", "--seed", "0")
+    code1, out1, _ = run(capsys, *argv, "--phi", "exp:a=2", "--t", "0.5")
+    code2, out2, _ = run(capsys, *argv, "--phi", "exp:a=2", "--t", "0.5")
+    assert code1 == code2 == 0
     assert out1 == out2
 
 
@@ -233,6 +242,10 @@ def test_deterministic_json(capsys, argv):
         ("kernel", "--phi", "const:1", "--z", "0.1", "--lambda=nan,0"),
         ("spectrum", "--phi", "expr:" + "(" * 3000 + "x" + ")" * 3000),
         ("spectrum", "--phi", "expr:" + "x+" * 3000 + "1"),
+        ("classify", "--phi", "expr:x$1"),
+        ("verify", "--phi", "const:1", "--tol", "reproducing"),
+        ("verify", "--phi", "const:1", "--tol", "reproducing=-1"),
+        ("kernel", "--phi", "const:1", "--z", "0.1", "--z-grid", "unit:4", "--lambda", "0.5"),
     ],
     ids=lambda argv: " ".join(a if len(a) <= 40 else f"{a[:12]}...({len(a)} chars)" for a in argv),
 )
@@ -241,6 +254,78 @@ def test_bad_arguments_usage_error(capsys, argv):
     assert code == 2
     assert err.startswith("usage error:")
     assert err.count("\n") == 1
+
+
+COMMON_FLAGS = {"--help", "--phi", "--t", "--xmax", "--nmax", "--out"}
+COMMAND_FLAGS = {
+    "kernel": {"--format", "--z", "--z-grid", "--lambda", "--x", "--series-tol"},
+    "classify": set(),
+    "spectrum": {"--format"},
+    "verify": {"--h", "--tol", "--seed"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_exactly_the_flags_a_command_reads(capsys, command):
+    code, out, _ = run(capsys, command, "-h")
+    assert code == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == COMMON_FLAGS | COMMAND_FLAGS[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "--z", "0.1", "--lambda", "0.5", "--h", "0.01"),
+        ("kernel", "--z", "0.1", "--lambda", "0.5", "--tol", "reproducing=1e-3"),
+        ("kernel", "--z", "0.1", "--lambda", "0.5", "--seed", "0"),
+        ("classify", "--h", "0.01"),
+        ("classify", "--tol", "reproducing=1e-3"),
+        ("classify", "--seed", "0"),
+        ("classify", "--format", "csv"),
+        ("spectrum", "--h", "0.01"),
+        ("spectrum", "--tol", "reproducing=1e-3"),
+        ("spectrum", "--seed", "0"),
+        ("verify", "--format", "csv"),
+        # no prefix of a flag stands for it: not --lambda, and not --help
+        ("kernel", "--z", "0.1", "--lam", "0.5"),
+        ("spectrum", "--h", "0.1"),
+    ],
+    ids=" ".join,
+)
+def test_flag_a_command_does_not_read_is_refused(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--phi", "const:1", *argv[1:])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "--phi", "exp:a=2", "--t", "3000", "--xmax", "1", "--z", "0.1", "--lambda", "0.1"),
+        ("verify", "--phi", "exp:a=2", "--t", "3000"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_exp_disc_radius_overflow_is_a_numeric_error(capsys, argv):
+    # the radius a^(t/2) = phi(t/2) overflows a float at a = 2, t = 3000
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "numeric error: symbol value inf at x=1500.0 violates positivity\n"
+
+
+@pytest.mark.parametrize(
+    "error,builtin",
+    [
+        (NonPositiveSymbolError, ArithmeticError),
+        (NotLeftInvertibleError, RuntimeError),
+        (OutsideConvergenceDomainError, ValueError),
+        (TailBoundNotAchievedError, RuntimeError),
+    ],
+    ids=lambda v: v.__name__,
+)
+def test_numeric_errors_keep_their_builtin_base(error, builtin):
+    # main maps NumericError to exit 3; library callers may still catch the builtin
+    assert issubclass(error, NumericError) and issubclass(error, builtin)
 
 
 @pytest.mark.parametrize(

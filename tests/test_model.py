@@ -614,6 +614,11 @@ def test_kernel_scaled_szego_value():
     assert kernel_closed_form(k, 1.0, 1.0, 0.0) == pytest.approx(expect, rel=1e-15)
 
 
+def test_make_kernel_raises_when_the_exp_radius_overflows():
+    with pytest.raises(NonPositiveSymbolError, match=r"value inf at x=1500\.0"):
+        make_kernel(exponential(2.0), 3000.0)
+
+
 def test_kernel_at_origin_is_one():
     for sym, t in ((constant(1.0), 1.0), (affine(), 1.0), (reciprocal(), 2.0)):
         k = make_kernel(sym, t)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from wtsemigroup import (
     validate_positivity,
 )
 from wtsemigroup.operators import phi_ratio
-from wtsemigroup.symbols import MAX_DEPTH
+from wtsemigroup.symbols import MAX_DEPTH, POSITIVITY_FLOOR, POSITIVITY_SAMPLES
 
 
 def test_parse_affine_tree():
@@ -124,6 +126,28 @@ def test_validate_positivity_catches_pole():
 
 def test_validate_positivity_ok():
     assert validate_positivity(parse_symbol("x*x+0.5"), 64.0) == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("shift", [-1e-9, 1e-9])
+def test_validate_positivity_refines_a_dip_between_samples(shift):
+    # the dip at x = 32 falls between grid samples, each at least 1e-7: only
+    # the refinement of the samples below POSITIVITY_FLOOR reaches it
+    sym = parse_phi_spec(f"expr:(x-32)^2/100{shift:+g}")
+    grid = np.linspace(0.0, 64.0, POSITIVITY_SAMPLES)
+    lowest_sample = float(np.min(eval_phi(sym, grid)))
+    assert 1e-7 <= lowest_sample < POSITIVITY_FLOOR
+    if shift < 0:
+        with pytest.raises(NonPositiveSymbolError):
+            validate_positivity(sym, 64.0)
+    else:
+        assert 0.0 < validate_positivity(sym, 64.0) < lowest_sample / 10
+
+
+def test_exp_disc_radius_overflow_raises_at_half_step():
+    # the radius a^(t/2) is phi(t/2), which overflows a float at a = 2, t = 3000
+    with pytest.raises(NonPositiveSymbolError) as info:
+        exponential(2.0).model_disc_radius(3000.0)
+    assert (info.value.x, info.value.value) == (1500.0, math.inf)
 
 
 # the one-step weight of S_t at x >= t is sqrt(phi(x)/phi(x-t)) = sqrt(phi_ratio(phi, x, 0, -t))

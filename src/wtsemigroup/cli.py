@@ -56,6 +56,7 @@ def _add_command(sub, name: str, help: str, *extra: str) -> argparse.ArgumentPar
     p = sub.add_parser(name, help=help, allow_abbrev=False)
     for flag in ("--phi", "--t", "--xmax", "--nmax", "--out", *extra):
         p.add_argument(flag, **_FLAGS[flag])
+    p.set_defaults(command_parser=p)  # main reports the arguments it refuses
     return p
 
 
@@ -339,13 +340,15 @@ _COMMANDS = {
 
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The parser of main, built once per process; parse_args leaves it as it was."""
+    """The parser of main, built once per process; parsing leaves it as it was."""
     return build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args, extra = _parser().parse_known_args(argv)
+        if extra:  # with the command's own usage, not the top-level one
+            args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

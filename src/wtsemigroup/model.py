@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import util
-from .errors import NoClosedFormError, OutsideConvergenceDomainError, TailBoundNotAchievedError
+from .errors import NoClosedFormError, NumericError, OutsideConvergenceDomainError
 from .operators import OperatorHandle, apply_power, apply_power_rows, make_operator, phi_ratio
 from .stepfun import StepFunction, haar, inner, norm_sq, sum_pieces, zero
 from .symbols import Symbol, eval_phi, phi_table
-from .util import TAIL_STREAK, gauss5_cells, sum_series
+from .util import SERIES_CAP, TAIL_STREAK, gauss5_cells, sum_series
 
 DOMAIN_MARGIN = 0.05  # kernel series run only for |z conj(lambda)| < radius^2 (1 - margin)
 CLOSED_FORM_TOL = 1e-12  # tail bound of the residual series in the two_isometry closed form
@@ -329,7 +328,7 @@ def kernel_series(k: DiagonalKernel, z: complex, lam: complex, x: float, tol: fl
     def replay(n: int):
         eval_phi(k.symbol, xv + n * k.t)  # raises the error of a one-point evaluation
 
-    return _sum_or_replay(terms, tol, _table_size(q, tol), replay)
+    return sum_series(terms, tol, _table_size(q, tol), replay)
 
 
 @functools.lru_cache(maxsize=256)
@@ -368,20 +367,6 @@ def _table_size(q: complex, tol: float) -> int:
     return max(16, math.ceil(math.log(bound) / math.log(r)) + TAIL_STREAK)
 
 
-def _sum_or_replay(terms, tol: float, size: int, replay):
-    """sum_series(terms, tol, size) for terms whose table stops growing at a
-    term that cannot be formed: when the rule has not held before that term
-    n, replay(n) raises the term's own error."""
-    try:
-        return sum_series(terms, tol, size)
-    except TailBoundNotAchievedError as exc:
-        if exc.n_terms > util.SERIES_CAP:  # the table reached the cap, not a bad term
-            raise
-        failed = exc.n_terms
-    replay(failed)
-    raise AssertionError(f"term {failed} replayed without its error")
-
-
 def kernel_closed_form(k: DiagonalKernel, z: complex, lam: complex, x: float) -> complex:
     """Closed or semi-closed kernel value for the tagged special symbols.
 
@@ -390,7 +375,8 @@ def kernel_closed_form(k: DiagonalKernel, z: complex, lam: complex, x: float) ->
     bergman_like     1/(1-q) + (t/(x+1)) q/(1-q)^2
     two_isometry     1/(1-q) - sum_n  n t/(x+1+n t) q^n     (residual series)
     piecewise_cap    Szego branch for x >= 1; finite sum plus geometric
-                     tail scaled by (x+1)/2 below the cap
+                     tail scaled by (x+1)/2 below the cap, refused with a
+                     NumericError when (1-x)/t exceeds SERIES_CAP
     """
     if k.closed_form is None:
         raise NoClosedFormError(f"symbol {k.symbol.describe()!r} has no closed form tag")
@@ -414,6 +400,11 @@ def kernel_closed_form(k: DiagonalKernel, z: complex, lam: complex, x: float) ->
     if tag == "piecewise_cap":
         if x >= 1.0:
             return 1.0 / (1.0 - q)
+        span = (1.0 - x) / k.t  # the head has a term for each n <= span
+        if span > SERIES_CAP:
+            raise NumericError(
+                f"the cap closed form needs about {span:.6g} head terms at t={k.t:g}, more than {SERIES_CAP}"
+            )
         head = 0j
         n = 0
         while x + n * k.t <= 1.0:
@@ -466,7 +457,7 @@ def kernel_preimage(
     def replay(n: int):
         apply_power(op, n, e).scale(lam_bar**n)  # raises the error of term n
 
-    _, n_terms, _ = _sum_or_replay(terms, tol, _table_size(lam_bar, tol), replay)
+    _, n_terms, _ = sum_series(terms, tol, _table_size(lam_bar, tol), replay)
     summed = []
     for bps, vals, cells, ns in pieces:  # the first k pieces hold terms n < n_terms
         k = int(np.searchsorted(ns, n_terms))

@@ -4,7 +4,9 @@ A symbol is a positive continuous function on [0, inf). Built-ins cover the
 standard cases (constant, x+1, 1/(x+1), the capped affine profile, pure
 exponentials a**x); anything else is parsed from a one-variable arithmetic
 expression over +, -, *, /, power, exp and log. Evaluation is pure and
-vectorized, so a symbol is safe to share between threads.
+vectorized, so a symbol is safe to share between threads; an expression
+computes in numpy's float arithmetic throughout, so a constant 1/0 is inf
+and fails the positivity check like any other unusable value.
 
 The weights that phi generates, and the left-invertibility test, live in
 operators.py. All positivity checking is by dense sampling on a finite
@@ -59,7 +61,12 @@ class Call:
     arg: object
 
 
-_FUNCS = {"exp": np.exp, "log": np.log}
+# every node applies one numpy function, so a constant 1/0 is inf, as x/0 is
+_NUMPY = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power,
+    "neg": np.negative, "exp": np.exp, "log": np.log,
+}
+_FUNCS = ("exp", "log")
 
 _TOKEN = re.compile(
     r"\s*(?:"
@@ -201,20 +208,10 @@ def _eval_node(node, x):
     if isinstance(node, Var):
         return x
     if isinstance(node, Neg):
-        return -_eval_node(node.arg, x)
+        return _NUMPY["neg"](_eval_node(node.arg, x))
     if isinstance(node, Call):
-        return _FUNCS[node.func](_eval_node(node.arg, x))
-    left = _eval_node(node.left, x)
-    right = _eval_node(node.right, x)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        return left / right
-    return np.power(left, right)
+        return _NUMPY[node.func](_eval_node(node.arg, x))
+    return _NUMPY[node.op](_eval_node(node.left, x), _eval_node(node.right, x))
 
 
 _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}

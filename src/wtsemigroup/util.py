@@ -118,13 +118,15 @@ def gauss5_cells(fn, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     return half * (vals @ _GL5_WEIGHTS)
 
 
-def sum_series(terms, tol: float, size: int = 16):
+def sum_series(terms, tol: float, size: int = 16, replay=None):
     """Sum a series from a table of its terms, with an empirical geometric tail bound.
 
     terms(size) returns the first terms as an array, at most size of them:
     fewer when it builds its table a step at a time or cannot form the next
     term. sum_series asks again, for twice the size, until the rule holds,
-    SERIES_CAP + 1 terms have been seen or the table stops growing. The rule
+    SERIES_CAP + 1 terms have been seen or the table stops growing. When the
+    table stops at n terms, short of the cap, replay(n) is called, if given,
+    to raise the error of the term that could not be formed. The rule
     stops at the first N at which the ratios |a_n| / |a_(n-1)| have stayed
     below 1 for TAIL_STREAK steps and the tail estimate |a_N| rho / (1 - rho),
     rho the largest of those ratios, is below tol; a ratio over a zero term
@@ -143,6 +145,8 @@ def sum_series(terms, tol: float, size: int = 16):
             if stop is not None:
                 value = np.add.accumulate(table[: stop + 1])[-1]  # in order, as a loop adds
                 return value.item(), stop + 1, tail
+        if table.size == seen and replay is not None:
+            replay(seen)
         if table.size in (seen, cap):
             raise TailBoundNotAchievedError(table.size, tail, tol)
         seen, size = table.size, min(2 * size, cap)

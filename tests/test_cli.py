@@ -1,13 +1,17 @@
+import contextlib
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wtsemigroup
 from wtsemigroup import RunConfig, classify, parse_phi_spec, run_verify, spectral_summary
@@ -296,6 +300,8 @@ def test_flag_a_command_does_not_read_is_refused(capsys, argv):
     code, out, err = run(capsys, argv[0], "--phi", "const:1", *argv[1:])
     assert code == 2 and out == ""
     assert "Traceback" not in err
+    # the command's own usage, which lists the flags it does take
+    assert err.startswith(f"usage: wtsemigroup {argv[0]} [-h] --phi PHI")
 
 
 @pytest.mark.parametrize(
@@ -511,3 +517,87 @@ def test_overflow_reports_one_numeric_error_line():
     code, _, err = fresh_process("kernel", "--phi", "exp2x", "--t", "1", "--z", "2.5552", "--lambda", "2.718281828")
     assert code == 3
     assert len(err.splitlines()) == 1 and err.startswith("numeric error: ")
+
+
+COMMAND_ARGV = {
+    "classify": ("classify",),
+    "spectrum": ("spectrum",),
+    "verify": ("verify",),
+    "kernel": ("kernel", "--z", "0.1", "--lambda", "0.1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+@pytest.mark.parametrize(
+    "expr,value",
+    [
+        ("x+1/0", "inf"),
+        ("-(1/0)+x", "-inf"),
+        ("exp(1/0)", "inf"),
+        ("x^(1/0)", "0.0"),
+        ("x+(2-2)/(3-3)", "nan"),
+    ],
+)
+def test_constant_division_by_zero_is_a_numeric_error(capsys, command, expr, value):
+    # the constant 1/0 is numpy's inf, as x/0 is, and fails the positivity check
+    code, out, err = run(capsys, *COMMAND_ARGV[command], "--phi", f"expr:{expr}")
+    assert code == 3 and out == ""
+    assert err == f"numeric error: symbol value {value} at x=0.0 violates positivity\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "--phi", "cap", "--t", "1e-7", "--z", "0.3", "--lambda", "0.2"),
+        ("kernel", "--phi", "cap", "--t", "1e-9", "--z", "0.3", "--lambda", "0.2"),
+        ("kernel", "--phi", "cap", "--t", "1e-300", "--z", "0.3", "--lambda", "0.2"),
+        ("verify", "--phi", "cap", "--t", "1e-9"),
+    ],
+    ids=" ".join,
+)
+def test_cap_closed_form_head_past_the_series_cap_is_refused(capsys, argv):
+    # one head term per n with x + n t <= 1: 1/t of them at x = 0
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    t = float(argv[argv.index("--t") + 1])
+    head = f"about {1 / t:.6g} head terms at t={t:g}, more than 10000"
+    assert err == f"numeric error: the cap closed form needs {head}\n"
+
+
+def test_cap_closed_form_head_at_the_series_cap_runs(capsys):
+    code, out, _ = run(capsys, "kernel", "--phi", "cap", "--t", "1e-4", "--z", "0.3", "--lambda", "0.2")
+    assert code == 0
+    row = json.loads(machine_payload(out))["rows"][0]
+    assert row["closed_form_delta"] < 1e-9
+
+
+def _expressions(levels: int):
+    """Expression texts of at most levels levels over x, constants, + - * / ^, exp and log."""
+    leaf = st.sampled_from(["x", "0", "1", "2", "0.5", "1e308"])
+    if levels == 1:
+        return leaf
+    sub = _expressions(levels - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(sub, st.sampled_from("+-*/^"), sub).map(lambda p: f"({p[0]}){p[1]}({p[2]})"),
+        st.tuples(st.sampled_from(["exp", "log"]), sub).map(lambda p: f"{p[0]}({p[1]})"),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_expressions(4))
+@example("x+1/0")
+@example("(1e308)*(1e308)+x")
+@example("log(0)")
+def test_fuzzed_expressions_exit_with_a_documented_code(text):
+    # whatever the expression, main returns 0, 2 or 3 and raises nothing
+    for argv in (
+        ("classify", "--nmax", "2", "--xmax", "1"),
+        ("kernel", "--z", "0.1", "--lambda", "0.1", "--xmax", "1"),
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--phi", f"expr:{text}"])
+        assert code in (0, 2, 3), err.getvalue()

@@ -243,3 +243,9 @@ def test_evaluation_deterministic():
     s = parse_symbol("exp(x/3)*(x+1)^2")
     xs = np.linspace(0.0, 64.0, 1000)
     assert np.array_equal(s.values(xs), s.values(xs.copy()))
+
+
+def test_constant_subtrees_compute_in_numpy_arithmetic():
+    # 1/0 is inf and 1/inf is 0.0, so 0.0 + x + 1 is affine's x + 1.0 to the bit
+    grid = np.linspace(0.0, 64.0, 1001)
+    assert parse_symbol("1/(1/0)+x+1").values(grid).tobytes() == affine().values(grid).tobytes()

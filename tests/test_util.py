@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from wtsemigroup import check_left_invertible, parse_phi_spec
 from wtsemigroup.operators import phi_ratio
-from wtsemigroup.util import GOLDEN_ITERS, SAMPLES, golden_max, sample_then_refine
+from wtsemigroup.errors import TailBoundNotAchievedError
+from wtsemigroup.util import GOLDEN_ITERS, SAMPLES, SERIES_CAP, golden_max, sample_then_refine, sum_series
 
 # Python floats, so every point the reference search visits is a Python float
 _INVPHI = float((np.sqrt(5.0) - 1.0) / 2.0)
@@ -139,3 +140,25 @@ def test_left_invertibility_check_equals_scalar():
     chk = check_left_invertible(symbol, 2.0, 128.0)
     ref = _sample_then_refine_scalar(lambda x: phi_ratio(symbol, x, 2.0, 0), 128.0, "min")
     assert (chk.inf_estimate, chk.arg_inf) == ref[:2]
+
+
+def test_sum_series_replays_the_term_at_which_the_table_stops():
+    # the terms 1, 1, ... never pass the tail rule; the table stops at 20
+    replayed = []
+    with pytest.raises(ZeroDivisionError):
+        sum_series(lambda size: np.ones(min(size, 20)), 1e-10, 16, lambda n: replayed.append(n) or 1 / 0)
+    assert replayed == [20]
+
+
+def test_sum_series_raises_its_own_error_when_the_replay_returns():
+    replayed = []
+    with pytest.raises(TailBoundNotAchievedError) as exc:
+        sum_series(lambda size: np.ones(min(size, 20)), 1e-10, 16, replayed.append)
+    assert replayed == [20] and exc.value.n_terms == 20
+
+
+def test_sum_series_does_not_replay_at_the_cap():
+    replayed = []
+    with pytest.raises(TailBoundNotAchievedError) as exc:
+        sum_series(lambda size: np.ones(size), 1e-10, 16, replayed.append)
+    assert replayed == [] and exc.value.n_terms == SERIES_CAP + 1

@@ -238,10 +238,18 @@ def sum_pieces(chunks) -> StepFunction:
     """The merge of add_all, for two or more nonempty pieces given in chunks.
 
     A chunk (breakpoints, values, cells) lays its pieces end to end: piece i
-    has cells[i] values and cells[i] + 1 breakpoints. The pieces add in order
-    of chunk and place, each cell over its span of the merged breakpoints,
-    from exact zeros, so the bytes are those of add_all on the same pieces.
+    has cells[i] values and cells[i] + 1 strictly increasing breakpoints. The
+    pieces add in order of chunk and place, each cell over its span of the
+    merged breakpoints, from exact zeros, so the bytes are those of add_all
+    on the same pieces.
+
+    Pieces that lie left to right in that order, as the model's blocks
+    [nt, (n+1)t) do, are concatenated instead (_concatenated); pieces that
+    overlap or come out of order take the merge.
     """
+    joined = _concatenated(chunks)
+    if joined is not None:
+        return joined
     bp = np.unique(np.concatenate([c[0] for c in chunks]))
     vals = np.zeros(bp.size - 1, dtype=complex)
     for bps, values, cells in chunks:
@@ -258,6 +266,28 @@ def sum_pieces(chunks) -> StepFunction:
         target = np.repeat(start - np.cumsum(span) + span, span) + np.arange(int(span.sum()))
         np.add.at(vals, target, np.repeat(values, span))
     return _trimmed(bp, vals)
+
+
+def _concatenated(chunks) -> StepFunction | None:
+    """sum_pieces of pieces that each start at or past the previous one's
+    end, or None if two overlap or come out of order. Each merged cell is
+    then one cell of one piece added onto one exact zero: the pieces are
+    concatenated, with one breakpoint where two touch and one zero cell
+    where they leave a gap. A -0.0 can only be the first breakpoint, the
+    mesh's one zero, which the merge keeps too.
+    """
+    edges = np.concatenate([c[0] for c in chunks])
+    sizes = np.concatenate([c[2] for c in chunks])
+    first = np.cumsum(sizes + 1) - (sizes + 1)  # each piece's first breakpoint in edges
+    begin, end = edges[first[1:]], edges[first[:-1] + sizes[:-1]]  # at each join
+    if not (begin >= end).all():
+        return None
+    touch = begin == end
+    vals = np.concatenate([c[1] for c in chunks], dtype=complex)
+    vals += 0j  # the add onto an exact zero: -0.0 becomes 0.0
+    if not touch.all():  # np.insert would copy even with nothing to insert
+        vals = np.insert(vals, np.cumsum(sizes[:-1])[~touch], 0.0)
+    return _trimmed(np.delete(edges, first[1:][touch]), vals)
 
 
 def zero() -> StepFunction:

@@ -53,6 +53,7 @@ from wtsemigroup import (
 import wtsemigroup.util as util_module
 from wtsemigroup.symbols import eval_phi, phi_table
 from wtsemigroup.util import TAIL_STREAK, sum_series
+from test_stepfun import reference_merge
 
 E2X = exponential(np.exp(2.0))
 
@@ -345,6 +346,25 @@ def test_model_inverse_keeps_a_lone_piece_as_it_is():
     got = model_inverse(affine(), 0.3, p)
     assert got.values.size == 4
     assert_same_bytes(got, reference_model_inverse(affine(), 0.3, p))
+
+
+@pytest.mark.parametrize("t, overlaps", [(1.0, False), (0.25, False), (0.1, True), (1 / 3, True)])
+def test_model_sums_equal_the_global_merge(t, overlaps, monkeypatch):
+    # blocks [nt, (n+1)t) that meet exactly concatenate; at non-dyadic t
+    # rounding makes some overlap by an ulp and the sum takes the merge
+    rng = np.random.default_rng(3)
+    sym = affine()
+    f = random_step(rng, 0.0, 32 * t, 32 * 16)
+    e = random_step(rng, 0.0, t, 16)
+    p = model_map(sym, t, f)
+    op_s = OperatorHandle(sym, t, "S")
+    blocks = [apply_power(op_s, n, c) for n, c in enumerate(p.coeffs) if not c.is_zero()]
+    assert any(b.lo < a.hi for a, b in zip(blocks, blocks[1:])) == overlaps
+    got = (model_inverse(sym, t, p), kernel_preimage(sym, t, 0.5, e))
+    monkeypatch.setattr(model_module, "sum_pieces", reference_merge)
+    ref = (model_inverse(sym, t, p), kernel_preimage(sym, t, 0.5, e))
+    for a, b in zip(got, ref):
+        assert_same_bytes(a, b)
 
 
 def test_model_passes_raise_the_first_error_of_the_block_loop():

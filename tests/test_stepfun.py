@@ -3,7 +3,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wtsemigroup import (
@@ -218,6 +218,27 @@ def _pairwise_add(f, g):
     return StepFunction(bp[a : b + 1], vals[a:b])
 
 
+def reference_merge(chunks):
+    """sum_pieces as the one global merge: every piece adds onto exact zeros
+    over its span of all breakpoints, in order of chunk and place."""
+    bp = np.unique(np.concatenate([c[0] for c in chunks]))
+    vals = np.zeros(bp.size - 1, dtype=complex)
+    for bps, values, cells in chunks:
+        idx = np.searchsorted(bp, bps)
+        pos = np.arange(values.size) + np.repeat(np.arange(cells.size), cells)
+        for j, v in enumerate(values):
+            vals[idx[pos[j]] : idx[pos[j] + 1]] += v
+    nz = np.nonzero(vals != 0)[0]
+    if nz.size == 0:
+        return zero()
+    return StepFunction(bp[nz[0] : nz[-1] + 2], vals[nz[0] : nz[-1] + 1])
+
+
+def assert_same_bytes(got, ref):
+    assert got.breakpoints.tobytes() == ref.breakpoints.tobytes()
+    assert got.values.tobytes() == ref.values.tobytes()
+
+
 # grid edges, three of them not dyadic; each drawn edge moves by up to two ulps,
 # so pieces overlap, touch, miss each other or overlap by a sliver
 _EDGES = (0.0, 0.1, 0.25, 0.3, 0.5, 1.0, 1.2, 2.0)
@@ -267,12 +288,87 @@ def test_add_all_on_one_mesh_equals_the_merge(bp, count, data):
         for _ in range(count)
     ]
     got = add_all(pieces)
-    ref = sum_pieces([(p.breakpoints, p.values, np.array([p.values.size])) for p in pieces])
-    assert got.breakpoints.tobytes() == ref.breakpoints.tobytes()
-    assert got.values.tobytes() == ref.values.tobytes()
+    ref = reference_merge([(p.breakpoints, p.values, np.array([p.values.size])) for p in pieces])
+    assert_same_bytes(got, ref)
 
 
 def test_add_all_empty_and_single():
     f = StepFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, 3.0]))
     assert add_all([]).is_zero()
     assert add_all([zero(), f, zero()]) is f
+
+
+# -- sum_pieces against the global merge ---------------------------------------
+
+
+# exact zeros of every sign, at the edges and inside the pieces
+_CELLS = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1.0, -1.0, 0.5j, 2.5 - 1j, 1e-300)
+_NONZERO = tuple(c for c in _CELLS if c != 0)
+
+
+@st.composite
+def _laid_pieces(draw, joins=("touch", "gap", "overlap")):
+    """Pieces laid left to right, each joined to the one before by a touch,
+    a gap or an overlap of one or two ulps, from a first breakpoint that may
+    be -0.0; then, at times, in any order. Pieces drawn without overlaps
+    have nonzero edge cells."""
+    x = draw(st.sampled_from((0.0, -0.0, 0.1, 1.0)))
+    pieces = []
+    for _ in range(draw(st.integers(1, 6))):
+        join = draw(st.sampled_from(joins))
+        if pieces and join == "gap":
+            x += draw(st.sampled_from((1e-300, 0.1, 0.5)))
+        elif pieces and join == "overlap":
+            for _ in range(draw(st.integers(1, 2))):
+                x = float(np.nextafter(x, -np.inf))
+        widths = draw(st.lists(st.sampled_from((0.1, 0.25, 1 / 3, 1.0)), min_size=1, max_size=4))
+        bp = np.concatenate([[x], x + np.cumsum(widths)])
+        cells = draw(st.lists(st.sampled_from(_CELLS), min_size=len(widths), max_size=len(widths)))
+        if "overlap" not in joins:
+            cells[0] = draw(st.sampled_from(_NONZERO))
+            cells[-1] = draw(st.sampled_from(_NONZERO))
+        pieces.append(StepFunction(bp, np.array(cells, dtype=complex)))
+        x = float(bp[-1])
+    if draw(st.booleans()):
+        pieces = draw(st.permutations(pieces))
+    return pieces
+
+
+def _chunks(data, pieces):
+    """The pieces in runs of one to three, each run laid end to end as one chunk."""
+    chunks, i = [], 0
+    while i < len(pieces):
+        run = pieces[i : i + data.draw(st.integers(1, 3))]
+        chunks.append(
+            (
+                np.concatenate([p.breakpoints for p in run]),
+                np.concatenate([p.values for p in run]),
+                np.array([p.values.size for p in run]),
+            )
+        )
+        i += len(run)
+    return chunks
+
+
+@settings(max_examples=400, deadline=None)
+@given(_laid_pieces(), st.data())
+def test_sum_pieces_equals_the_global_merge(pieces, data):
+    # pieces in order concatenate, all others merge: the bytes, the zero
+    # cells of a gap and the sign of every zero must be the merge's
+    chunks = _chunks(data, pieces)
+    assert_same_bytes(sum_pieces(chunks), reference_merge(chunks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_laid_pieces(), st.data())
+def test_add_all_does_not_depend_on_the_chunks(pieces, data):
+    assume(len(pieces) > 1)  # add_all hands a lone piece back as it is
+    assert_same_bytes(sum_pieces(_chunks(data, pieces)), add_all(pieces))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_laid_pieces(joins=("touch", "gap")))
+def test_add_all_of_disjoint_pieces_equals_the_left_fold(pieces):
+    # no cell gets two summands and no partial sum an exactly zero edge
+    # cell, so the fold trims nothing the one sum keeps
+    assert_same_bytes(add_all(pieces), functools.reduce(operator.add, pieces, zero()))

@@ -40,7 +40,7 @@ TOL_CLASS = 1e-9  # zero band of delta_n, relative to max(1, max |delta_n|) on t
 def bracket(symbol: Symbol, t: float, n: int, x) -> float | np.ndarray:
     """delta_n(x): exact finite alternating sum; binomials in integer arithmetic."""
     total = bracket_table(symbol, t, n, np.atleast_1d(np.asarray(x, dtype=float)))[n]
-    if np.isscalar(x) or np.ndim(x) == 0:
+    if np.ndim(x) == 0:
         return float(total[0])
     return total
 

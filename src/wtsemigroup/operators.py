@@ -215,9 +215,15 @@ def _weight_extrema(symbol: Symbol, t: float, ns, x_max: float, fits) -> list[li
     # lane n * len(fits) + i is fit i at the n-th shift, the order sample yields
     lane_nt = np.repeat(nt, len(fits))
     lane_shifted = np.tile(shifted, nt.size)
-    num = np.where(lane_shifted, lane_nt, 0.0)
-    den = np.where(lane_shifted, 0.0, lane_nt)
-    refine = lambda y: np.sqrt(phi_ratio(symbol, y, num, den))
+    # rows (num, den) of every lane's phi_ratio shifts: one eval_phi per step
+    # meets a refused numerator before any denominator, as phi_ratio does; y
+    # lies in [0, x_max] and the shifts are >= 0, so x is never below 0
+    shifts = np.stack([np.where(lane_shifted, lane_nt, 0.0), np.where(lane_shifted, 0.0, lane_nt)])
+
+    def refine(y):
+        num, den = eval_phi(symbol, y + shifts)
+        return np.sqrt(num / den)
+
     found = sample_then_refine(sample, refine, [mode for _, mode in fits] * nt.size, x_max)
     return [[ExtremumEstimate(*est) for est in found[i :: len(fits)]] for i in range(len(fits))]
 

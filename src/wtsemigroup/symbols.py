@@ -283,7 +283,7 @@ class Symbol:
         return np.asarray(out, dtype=float) + np.zeros(x.shape)
 
     def __call__(self, x):
-        if np.isscalar(x) or np.ndim(x) == 0:
+        if np.ndim(x) == 0:
             return float(self.values(np.asarray([x]))[0])
         return self.values(x)
 
@@ -397,15 +397,18 @@ def parse_phi_spec(spec: str) -> Symbol:
 def eval_phi(symbol: Symbol, x):
     """phi(x) with the positivity hypothesis enforced at every point."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        bad = float(arr.flat[np.argmax(arr.ravel() < 0)])
-        raise ValueError(f"phi is defined on the half line; got x={bad}")
+    # each check is one reduction, and only a failed one looks for the first
+    # refused point; a NaN fails both reductions, but an x = NaN is not below 0
+    if arr.size and not arr.min() >= 0:
+        below = arr.ravel() < 0
+        if below.any():
+            raise ValueError(f"phi is defined on the half line; got x={float(arr.flat[np.argmax(below)])}")
     vals = symbol.values(arr)
-    good = np.isfinite(vals) & (vals > 0)
-    if not np.all(good):
+    if vals.size and not (vals.min() > 0 and vals.max() < np.inf):
+        good = np.isfinite(vals) & (vals > 0)
         i = int(np.argmin(good.ravel()))
         raise NonPositiveSymbolError(float(arr.ravel()[i]), float(vals.ravel()[i]))
-    if np.isscalar(x) or np.ndim(x) == 0:
+    if arr.ndim == 0:
         return float(vals.flat[0])
     return vals
 

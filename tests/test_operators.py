@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wtsemigroup import (
+    NonPositiveSymbolError,
     NotLeftInvertibleError,
     OperatorHandle,
     StepFunction,
@@ -25,7 +26,16 @@ from wtsemigroup import (
     random_step,
     restrict_to_E,
 )
-from wtsemigroup.operators import KINDS, apply_power_rows
+from wtsemigroup.operators import (
+    _NUM_SHIFTED,
+    KINDS,
+    ExtremumEstimate,
+    _weight_extrema,
+    apply_power_rows,
+    phi_ratio,
+)
+from wtsemigroup.spectral import SUMMARY_FITS
+from wtsemigroup.util import sample_then_refine, window
 
 E2X = exponential(np.exp(2.0))  # phi(x) = e^{2x}
 
@@ -276,3 +286,74 @@ def test_apply_power_rows_equals_apply_power_row_by_row(spec, kind, t, ns, data)
         bp = np.append(left[mine], right[mine][-1])
         assert bp.tobytes() == ref.breakpoints.tobytes()
         assert vals[mine].tobytes() == ref.values.tobytes()
+
+
+def _weight_extrema_two_calls(symbol, t, ns, x_max, fits, numerator_first=True):
+    """_weight_extrema as it refined before: two eval_phi calls per golden
+    step, the numerator's first as in phi_ratio, or else the denominator's."""
+    nt = np.asarray(ns) * t
+    shifted = np.array([kind in _NUM_SHIFTED for kind, _ in fits])
+
+    def sample(grid):
+        p0 = None
+        for shift in nt:
+            pn = eval_phi(symbol, grid + shift)
+            if p0 is None:
+                p0 = eval_phi(symbol, grid)
+            up = np.sqrt(pn / p0) if shifted.any() else None
+            down = None if shifted.all() else np.sqrt(p0 / pn)
+            for s in shifted:
+                yield up if s else down
+        for kind, _ in fits:
+            make_operator(symbol, t, kind, x_max=x_max)
+
+    lane_nt = np.repeat(nt, len(fits))
+    lane_shifted = np.tile(shifted, nt.size)
+    num = np.where(lane_shifted, lane_nt, 0.0)
+    den = np.where(lane_shifted, 0.0, lane_nt)
+
+    def refine(y):
+        if numerator_first:
+            return np.sqrt(phi_ratio(symbol, y, num, den))
+        below = eval_phi(symbol, y + den)
+        return np.sqrt(eval_phi(symbol, y + num) / below)
+
+    found = sample_then_refine(sample, refine, [mode for _, mode in fits] * nt.size, x_max)
+    return [[ExtremumEstimate(*est) for est in found[i :: len(fits)]] for i in range(len(fits))]
+
+
+def _extrema_outcome(fn):
+    """The repr of every estimate, its floats to the bit, or the class and
+    message of what fn raised."""
+    try:
+        return repr(fn())
+    except Exception as exc:  # noqa: BLE001 - compared as data
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("t", [0.25, 1 / 3, 1.0])
+@pytest.mark.parametrize(
+    "spec", ["const:1", "affine", "reciprocal", "cap", "exp:a=2", "exp2x", "expr:x+1", "expr:x^2+1"]
+)
+def test_weight_extrema_equals_two_phi_ratio_calls(spec, t):
+    # one eval_phi over the stacked (num, den) points per golden step: the
+    # floats of two phi_ratio calls, to the bit
+    sym = parse_phi_spec(spec)
+    args = (sym, t, range(1, 33), window(t, None), SUMMARY_FITS)
+    assert _extrema_outcome(lambda: _weight_extrema(*args)) == _extrema_outcome(lambda: _weight_extrema_two_calls(*args))
+
+
+def test_weight_extrema_refuses_a_dip_numerator_first():
+    # phi > 0 at every sampled point x + n, x on the grid of [0, 64], but < 0
+    # within 1.28e-4 of 20.0008, between grid points: only the refinement
+    # reaches the dip. Within one golden step the S max lanes meet it in
+    # their denominator and the S min lanes in their numerator, at different
+    # points, so the order of the rows decides the error. (A dual kind would
+    # meet it first in the left-invertibility check, which both forms share.)
+    sym = parse_phi_spec("expr:(x-20.0008)^2-1.6384e-8")
+    fits = (("S", "max"), ("S", "min"))
+    args = (sym, 1.0, range(1, 33), 64.0, fits)
+    got = _extrema_outcome(lambda: _weight_extrema(*args))
+    assert got[0] is NonPositiveSymbolError
+    assert got == _extrema_outcome(lambda: _weight_extrema_two_calls(*args))
+    assert got != _extrema_outcome(lambda: _weight_extrema_two_calls(*args, numerator_first=False))

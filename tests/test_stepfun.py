@@ -245,13 +245,17 @@ _EDGES = (0.0, 0.1, 0.25, 0.3, 0.5, 1.0, 1.2, 2.0)
 
 
 @st.composite
+def _nudged(draw):
+    """An edge of _EDGES moved by up to two ulps, and not below 0."""
+    e = draw(st.sampled_from(_EDGES))
+    for _ in range(draw(st.integers(0, 2))):
+        e = np.nextafter(e, draw(st.sampled_from((-np.inf, np.inf))))
+    return max(float(e), 0.0)
+
+
+@st.composite
 def _piece(draw):
-    edges = []
-    for e in draw(st.lists(st.sampled_from(_EDGES), min_size=2, max_size=6)):
-        for _ in range(draw(st.integers(0, 2))):
-            e = np.nextafter(e, draw(st.sampled_from((-np.inf, np.inf))))
-        edges.append(max(float(e), 0.0))
-    bp = np.unique(edges)
+    bp = np.unique(draw(st.lists(_nudged(), min_size=2, max_size=6)))
     if bp.size < 2:
         return zero()
     # positive real parts: no partial sum cancels to an exactly zero cell,
@@ -372,3 +376,60 @@ def test_add_all_of_disjoint_pieces_equals_the_left_fold(pieces):
     # no cell gets two summands and no partial sum an exactly zero edge
     # cell, so the fold trims nothing the one sum keeps
     assert_same_bytes(add_all(pieces), functools.reduce(operator.add, pieces, zero()))
+
+
+# -- inner, restrict and translate on drawn step functions ---------------------
+
+
+@st.composite
+def _step(draw):
+    """A step function on nudged edges, its cells exact zeros of every sign
+    or any complex number of modulus up to 10."""
+    bp = np.unique(draw(st.lists(_nudged(), min_size=2, max_size=6)))
+    if bp.size < 2:
+        return zero()
+    cell = st.one_of(st.sampled_from(_CELLS), st.complex_numbers(max_magnitude=10.0))
+    return StepFunction(bp, np.array(draw(st.lists(cell, min_size=bp.size - 1, max_size=bp.size - 1)), dtype=complex))
+
+
+def _same_function(f, g):
+    """f and g take equal values on every cell of their joint mesh (an extra
+    breakpoint, or an exactly zero cell at an edge, changes nothing)."""
+    left = np.union1d(f.breakpoints, g.breakpoints)[:-1]
+    return np.array_equal(f.values_at_left_edges(left), g.values_at_left_edges(left))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step(), _step())
+def test_inner_is_conjugate_symmetric(f, g):
+    # the real parts agree exactly. numpy may fuse the multiply and add of a
+    # complex product, so im(a conj(b)) need not be -im(b conj(a)) to the
+    # bit; the imaginary parts cancel to within a few roundings of each
+    # product, and sum |f g| over the joint mesh is at most norm(f) norm(g)
+    fg, gf = inner(f, g), inner(g, f)
+    assert fg.real == gf.real
+    assert abs(fg.imag + gf.imag) <= 8 * np.finfo(float).eps * norm(f) * norm(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step(), st.lists(st.one_of(_nudged(), st.floats(0.0, 3.0)), min_size=3, max_size=3).map(sorted))
+def test_restrict_to_adjacent_intervals_sums_to_their_union(f, cuts):
+    a, b, c = cuts
+    assert _same_function(f.restrict(a, b) + f.restrict(b, c), f.restrict(a, c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_piece(), st.one_of(_nudged(), st.floats(0.0, 3.0), st.floats(0.0, 1e300)))
+def test_translate_left_then_right_restricts_to_the_shift(f, s):
+    # every breakpoint x of f.restrict(s, f.hi) comes back as the float
+    # (x - s) + s, and a cell that rounding collapses on the way is dropped
+    # (the cells of _piece are nonzero, so restrict trims none)
+    back = f.translate(-s).translate(s)
+    ref = f.restrict(s, f.hi)
+    moved = (ref.breakpoints - s) + s
+    keep = np.diff(moved) > 0
+    if not keep.any():
+        assert back.values.size == 0
+        return
+    assert back.breakpoints.tobytes() == np.concatenate([moved[:1], moved[1:][keep]]).tobytes()
+    assert back.values.tobytes() == ref.values[keep].tobytes()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtsemigroup import (
     NonPositiveSymbolError,
@@ -116,6 +118,69 @@ def test_eval_phi_rejects_nonpositive():
     s = parse_symbol("x-2")
     with pytest.raises(NonPositiveSymbolError):
         eval_phi(s, 1.0)
+
+
+def _eval_phi_by_masks(symbol, x):
+    """eval_phi as it checked before the reductions: one mask over every
+    point per check, and numpy's scalar test."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0):
+        bad = float(arr.flat[np.argmax(arr.ravel() < 0)])
+        raise ValueError(f"phi is defined on the half line; got x={bad}")
+    vals = symbol.values(arr)
+    good = np.isfinite(vals) & (vals > 0)
+    if not np.all(good):
+        i = int(np.argmin(good.ravel()))
+        raise NonPositiveSymbolError(float(arr.ravel()[i]), float(vals.ravel()[i]))
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return float(vals.flat[0])
+    return vals
+
+
+def _phi_outcome(fn):
+    """The bytes, type and shape of what fn returns, or the class and message
+    of what it raises."""
+    try:
+        got = fn()
+    except Exception as exc:  # noqa: BLE001 - compared as data
+        return type(exc), str(exc)
+    return type(got), np.shape(got), np.asarray(got).tobytes()
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([-2.5, -1.0, -0.0, 0.0, math.nan, math.inf, -math.inf, 3.0, 69.0, 70.0, 355.0, 1024.0]),
+    st.floats(-5.0, 100.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _phi_inputs(draw):
+    """A Python float, a 0-d array, or an array of 0, 1 or 2 dimensions."""
+    form = draw(st.sampled_from(["float", "0-d", "1-d", "2-d"]))
+    if form == "float":
+        return draw(_ENTRIES)
+    if form == "0-d":
+        return np.array(draw(_ENTRIES))
+    n = draw(st.integers(0, 6))
+    size = n if form == "1-d" else 2 * n
+    entries = draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+    return np.array(entries, dtype=float).reshape(-1 if form == "1-d" else (2, n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    spec=st.sampled_from(
+        ["const:1", "const:2.5", "affine", "reciprocal", "cap", "exp:a=2", "exp2x",
+         "expr:3-x", "expr:log(x)", "expr:1/(x-70)+1", "expr:x+1/0"]
+    ),
+    x=_phi_inputs(),
+)
+def test_eval_phi_matches_the_mask_checks(spec, x):
+    # the same value bytes and return type, or the same error class and message
+    sym = parse_phi_spec(spec)
+    with np.errstate(all="ignore"):
+        assert _phi_outcome(lambda: eval_phi(sym, x)) == _phi_outcome(lambda: _eval_phi_by_masks(sym, x))
 
 
 def test_validate_positivity_catches_pole():

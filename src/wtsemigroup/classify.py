@@ -36,31 +36,55 @@ MAX_ORDER = 64  # highest bracket order that bracket_table computes
 CLASS_SAMPLES = 4096  # uniform grid points of the sign analysis, before kink clusters
 TOL_CLASS = 1e-9  # zero band of delta_n, relative to max(1, max |delta_n|) on the grid
 
+# (-1)^k C(n, k) as floats, row n for k = 0..n; the binomials are exact integers
+_SIGNED_BINOMIALS = tuple(
+    tuple(float((-1) ** k * math.comb(n, k)) for k in range(n + 1)) for n in range(MAX_ORDER + 1)
+)
+
+
+def _ratio_table(symbol: Symbol, t: float, n_max: int, grid: np.ndarray) -> np.ndarray:
+    """Row k holds phi(grid + k t) / phi(grid), k = 0..n_max."""
+    if n_max < 0:
+        raise ValueError("order must be nonnegative")
+    if n_max > MAX_ORDER:
+        raise OverflowError(f"bracket order capped at {MAX_ORDER}")
+    table = np.empty((n_max + 1, *grid.shape), dtype=float)
+    base = eval_phi(symbol, grid)
+    for k, row in enumerate(table):
+        np.divide(eval_phi(symbol, grid + k * t), base, out=row)
+    return table
+
+
+def _fold(ratios: np.ndarray, n: int, acc: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """delta_n into acc from ratio rows 0..n: each product (-1)^k C(n,k) ratio_k
+    added in the order of k, starting from 0.0."""
+    acc.fill(0.0)
+    for c, ratio in zip(_SIGNED_BINOMIALS[n], ratios):
+        np.multiply(c, ratio, out=term)
+        acc += term
+    return acc
+
 
 def bracket(symbol: Symbol, t: float, n: int, x) -> float | np.ndarray:
     """delta_n(x): exact finite alternating sum; binomials in integer arithmetic."""
-    total = bracket_table(symbol, t, n, np.atleast_1d(np.asarray(x, dtype=float)))[n]
+    grid = np.atleast_1d(np.asarray(x, dtype=float))
+    ratios = _ratio_table(symbol, t, n, grid)
+    total = _fold(ratios, n, np.empty(grid.shape), np.empty(grid.shape))
     if np.ndim(x) == 0:
         return float(total[0])
     return total
 
 
 def bracket_table(symbol: Symbol, t: float, n_max: int, grid: np.ndarray) -> np.ndarray:
-    """delta_n(grid) for n = 0..n_max, sharing the phi(x + k t) evaluations."""
-    if n_max < 0:
-        raise ValueError("order must be nonnegative")
-    if n_max > MAX_ORDER:
-        raise OverflowError(f"bracket order capped at {MAX_ORDER}")
-    ratios = np.empty((n_max + 1, *grid.shape), dtype=float)
-    base = eval_phi(symbol, grid)
-    for k in range(n_max + 1):
-        ratios[k] = eval_phi(symbol, grid + k * t) / base
-    table = np.empty_like(ratios)
-    for n in range(n_max + 1):
-        acc = np.zeros(grid.shape, dtype=float)
-        for k in range(n + 1):
-            acc += float((-1) ** k * math.comb(n, k)) * ratios[k]
-        table[n] = acc
+    """delta_n(grid) for n = 0..n_max, sharing the phi(x + k t) evaluations.
+
+    Row n is folded from ratio rows 0..n and then overwrites ratio row n,
+    which no lower row reads, so the rows are filled from the top down.
+    """
+    table = _ratio_table(symbol, t, n_max, grid)
+    acc, term = np.empty(grid.shape), np.empty(grid.shape)
+    for n in range(n_max, -1, -1):
+        table[n] = _fold(table, n, acc, term)
     return table
 
 
@@ -126,11 +150,6 @@ def _sample_grid(symbol: Symbol, t: float, n_max: int, x_max: float) -> np.ndarr
     return np.unique(np.concatenate(grid))
 
 
-def _first_violation(table_row: np.ndarray, grid: np.ndarray, bad: np.ndarray, n: int):
-    i = int(np.argmax(bad))
-    return Witness(n, float(grid[i]), float(table_row[i]))
-
-
 def classify(
     symbol: Symbol,
     t: float,
@@ -144,61 +163,64 @@ def classify(
     complete / alternating labels are order-limited by construction and say
     so in their names; subnormality is never claimed, only the Hausdorff
     moment necessary condition ("candidate").
+
+    Every sign test reads the extrema of a row: delta_n >= -tol holds on the
+    whole grid exactly when it holds at the row minimum, and a NaN in a row
+    makes both its extrema NaN, so the row fails every test. Only a row that
+    a witness reports is compared point by point.
     """
     x_max = window(t, x_max)
     grid = _sample_grid(symbol, t, max_order, x_max)
     table = bracket_table(symbol, t, max_order, grid)
-    tol = np.array(
-        [TOL_CLASS * max(1.0, float(np.max(np.abs(table[n])))) for n in range(max_order + 1)]
-    )
+    lo, hi = table.min(axis=1), table.max(axis=1)
+    # TOL_CLASS max(1, max |delta_n|), where a NaN maximum leaves the 1
+    tol = TOL_CLASS * np.fmax(1.0, np.fmax(hi, -lo))
+    nonneg = lo >= -tol  # delta_n >= -tol_n on the whole grid
+    nonpos = hi <= tol  # delta_n <= tol_n on the whole grid
 
     labels: list[str] = []
     witnesses: dict[str, Witness] = {}
 
-    def check(name: str, ok_mask_by_n: dict[int, np.ndarray]) -> bool:
-        for n, ok in ok_mask_by_n.items():
-            if not bool(np.all(ok)):
-                witnesses[name] = _first_violation(table[n], grid, ~ok, n)
-                return False
-        labels.append(name)
-        return True
+    def first_order(holds: np.ndarray) -> int | None:
+        """The first order n >= 1 with holds[n], if any."""
+        orders = np.flatnonzero(holds[1:])
+        return int(orders[0]) + 1 if orders.size else None
 
-    d1 = table[1]
-    check("contraction", {1: d1 >= -tol[1]})
-    check("expansion", {1: d1 <= tol[1]})
+    def check(name: str, ok: np.ndarray, bad) -> None:
+        """Label name if ok[n] for every order n >= 1 of ok; else witness the
+        first grid point of bad(n) at the first order n that fails."""
+        n = first_order(~ok)
+        if n is None:
+            labels.append(name)
+        else:
+            i = int(np.argmax(bad(n)))
+            witnesses[name] = Witness(n, float(grid[i]), float(table[n, i]))
 
-    m_isometry = None
-    for m in range(1, max_order + 1):
-        if bool(np.all(np.abs(table[m]) <= tol[m])):
-            m_isometry = m
-            break
+    check("contraction", nonneg[:2], lambda n: ~(table[n] >= -tol[n]))
+    check("expansion", nonpos[:2], lambda n: ~(table[n] <= tol[n]))
+
+    m_isometry = first_order(nonneg & nonpos)
     if m_isometry is not None:
         labels.append("isometry" if m_isometry == 1 else f"{m_isometry}-isometry")
 
-    max_hyper = 0
-    for n in range(1, max_order + 1):
-        if bool(np.all(table[n] <= tol[n])):
-            max_hyper = n
-        else:
-            if f"completely-hyperexpansive({max_order})" not in witnesses:
-                witnesses[f"completely-hyperexpansive({max_order})"] = _first_violation(
-                    table[n], grid, table[n] > tol[n], n
-                )
-            break
+    n_bad = first_order(~nonpos)
+    max_hyper = max_order if n_bad is None else n_bad - 1
     if max_hyper >= 2:
         labels.append("2-hyperexpansive")
         if max_hyper > 2 and max_hyper < max_order:
             labels.append(f"{max_hyper}-hyperexpansive")
-    if max_hyper == max_order:
-        labels.append(f"completely-hyperexpansive({max_order})")
-
+    # the witness skips NaN points, which fail the row but are not > tol
+    check(f"completely-hyperexpansive({max_order})", nonpos, lambda n: table[n] > tol[n])
+    # (-1)^n delta_n >= -tol_n: delta_n >= -tol_n at even n and <= tol_n at odd n
     check(
         f"alternatingly-hyperexpansive({max_order})",
-        {n: ((-1) ** n) * table[n] >= -tol[n] for n in range(1, max_order + 1)},
+        np.where(np.arange(max_order + 1) % 2 == 0, nonneg, nonpos),
+        lambda n: ~((-1) ** n * table[n] >= -tol[n]),
     )
     check(
         f"completely-monotone-moment-candidate({max_order})",
-        {n: table[n] >= -tol[n] for n in range(1, max_order + 1)},
+        nonneg,
+        lambda n: ~(table[n] >= -tol[n]),
     )
 
     return ClassificationReport(

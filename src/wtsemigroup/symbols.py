@@ -219,7 +219,8 @@ _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 
 def _to_string(node, parent_prec: int = 0, right_side: bool = False) -> str:
     if isinstance(node, Num):
-        return repr(node.value)
+        # a literal past the largest float parses to inf, which repr spells as a name
+        return repr(node.value) if math.isfinite(node.value) else "1e999"
     if isinstance(node, Var):
         return "x"
     if isinstance(node, Neg):
@@ -233,13 +234,14 @@ def _to_string(node, parent_prec: int = 0, right_side: bool = False) -> str:
     right = _to_string(node.right, prec, right_side=True)
     s = f"{left}{node.op}{right}"
     # parenthesize when binding would change: lower precedence, or equal
-    # precedence on the right of a non-associative operator
-    need = prec < parent_prec or (prec == parent_prec and right_side and node.op in "-/^")
+    # precedence on the side the parser does not group: + - * / group to
+    # the left, so x+(x+1) keeps its parentheses, and ^ to the right
+    need = prec < parent_prec or (prec == parent_prec and right_side != (node.op == "^"))
     return f"({s})" if need else s
 
 
 def expression_to_string(node) -> str:
-    """Print an expression tree; parse(print(tree)) evaluates identically."""
+    """Print an expression tree as text that parses back to the same tree."""
     return _to_string(node)
 
 

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -12,11 +13,25 @@ from wtsemigroup import (
     constant,
     exponential,
     indicator,
+    parse_phi_spec,
     parse_symbol,
     piecewise_cap,
     random_step,
     reciprocal,
 )
+from wtsemigroup.classify import (
+    TOL_CLASS,
+    ClassificationReport,
+    Witness,
+    _fold,
+    _sample_grid,
+    bracket_table,
+)
+from wtsemigroup.symbols import eval_phi
+from wtsemigroup.util import window
+
+# the package exports the function classify under the module's name
+classify_module = importlib.import_module("wtsemigroup.classify")
 
 
 def test_bracket_affine_second_order_telescopes():
@@ -195,3 +210,173 @@ def test_operator_symbol_agreement(sym, t):
             lhs = bracket_quadratic_form(sym, t, n, f)
             rhs = bracket_integral(sym, t, n, f)
             assert abs(lhs - rhs) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the in-place table and the labels from row extrema, against the loops they
+# replaced, to the bit
+# ---------------------------------------------------------------------------
+
+GOLDEN_SPECS = ("const:1", "affine", "reciprocal", "cap", "exp:a=2", "exp2x", "expr:x+1", "expr:x^2+1")
+# phi(x + k t) / phi(x) = e^(20 k) overflows from k = 36: one inf row, then NaN rows
+NAN_ROWS = ("expr:exp(20*x-690)", 1.0, 64, 2.0)
+
+
+def _reference_bracket_table(symbol, t, n_max, grid):
+    """bracket_table as it was: two full tables and a temporary per (n, k)."""
+    ratios = np.empty((n_max + 1, *grid.shape), dtype=float)
+    base = eval_phi(symbol, grid)
+    for k in range(n_max + 1):
+        ratios[k] = eval_phi(symbol, grid + k * t) / base
+    table = np.empty_like(ratios)
+    for n in range(n_max + 1):
+        acc = np.zeros(grid.shape, dtype=float)
+        for k in range(n + 1):
+            acc += float((-1) ** k * math.comb(n, k)) * ratios[k]
+        table[n] = acc
+    return table
+
+
+def _reference_report(symbol, t, max_order, grid, table):
+    """classify's labels as they were decided: one mask per order and test."""
+    tol = np.array(
+        [TOL_CLASS * max(1.0, float(np.max(np.abs(table[n])))) for n in range(max_order + 1)]
+    )
+    labels, witnesses = [], {}
+
+    def first_violation(table_row, bad, n):
+        i = int(np.argmax(bad))
+        return Witness(n, float(grid[i]), float(table_row[i]))
+
+    def check(name, ok_mask_by_n):
+        for n, ok in ok_mask_by_n.items():
+            if not bool(np.all(ok)):
+                witnesses[name] = first_violation(table[n], ~ok, n)
+                return
+        labels.append(name)
+
+    d1 = table[1]
+    check("contraction", {1: d1 >= -tol[1]})
+    check("expansion", {1: d1 <= tol[1]})
+    m_isometry = None
+    for m in range(1, max_order + 1):
+        if bool(np.all(np.abs(table[m]) <= tol[m])):
+            m_isometry = m
+            break
+    if m_isometry is not None:
+        labels.append("isometry" if m_isometry == 1 else f"{m_isometry}-isometry")
+    max_hyper = 0
+    for n in range(1, max_order + 1):
+        if bool(np.all(table[n] <= tol[n])):
+            max_hyper = n
+        else:
+            witnesses[f"completely-hyperexpansive({max_order})"] = first_violation(
+                table[n], table[n] > tol[n], n
+            )
+            break
+    if max_hyper >= 2:
+        labels.append("2-hyperexpansive")
+        if max_hyper > 2 and max_hyper < max_order:
+            labels.append(f"{max_hyper}-hyperexpansive")
+    if max_hyper == max_order:
+        labels.append(f"completely-hyperexpansive({max_order})")
+    check(
+        f"alternatingly-hyperexpansive({max_order})",
+        {n: ((-1) ** n) * table[n] >= -tol[n] for n in range(1, max_order + 1)},
+    )
+    check(
+        f"completely-monotone-moment-candidate({max_order})",
+        {n: table[n] >= -tol[n] for n in range(1, max_order + 1)},
+    )
+    return ClassificationReport(
+        phi=symbol.describe(),
+        t=t,
+        max_order=max_order,
+        tol_class=TOL_CLASS,
+        labels=tuple(labels),
+        witnesses=witnesses,
+        m_isometry=m_isometry,
+        max_hyperexpansive_order=max_hyper,
+        grid_points=int(grid.size),
+    )
+
+
+def _assert_as_reference(symbol, t, order, x_max=None):
+    grid = _sample_grid(symbol, t, order, window(t, x_max))
+    ref_table = _reference_bracket_table(symbol, t, order, grid)
+    assert bracket_table(symbol, t, order, grid).tobytes() == ref_table.tobytes()
+    # repr spells every float to the bit, a signed zero and a NaN included
+    got = classify(symbol, t, max_order=order, x_max=x_max)
+    assert repr(got) == repr(_reference_report(symbol, t, order, grid, ref_table))
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS)
+def test_table_and_report_keep_the_reference_bytes(spec):
+    symbol = parse_phi_spec(spec)
+    for t in (0.25, 1 / 3, 1.0):
+        for order in (1, 2, 3, 16, 64):
+            _assert_as_reference(symbol, t, order)
+
+
+def test_nan_rows_keep_the_reference_bytes():
+    spec, t, order, x_max = NAN_ROWS
+    symbol = parse_phi_spec(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = bracket_table(symbol, t, order, _sample_grid(symbol, t, order, x_max))
+        assert (np.isnan(table).any(axis=1).sum(), np.isinf(table).any(axis=1).sum()) == (28, 1)
+        _assert_as_reference(symbol, t, order, x_max)
+
+
+def test_labels_from_extrema_on_drawn_tables(monkeypatch):
+    """Tables drawn to sit on the edges of the sign tests: rows of one sign
+    with values at +-tol, NaN and inf at random points, so a failed row's
+    first NaN may come before or after its first violation."""
+    rng = np.random.default_rng(3)
+    drawn = {}
+
+    def drawn_table(symbol, t, n_max, grid):
+        rows = rng.choice([-1.0, 1.0], size=(n_max + 1, 1)) * rng.uniform(0.0, 1.0, (n_max + 1, grid.size))
+        rows *= 10.0 ** rng.integers(-12, 4, (n_max + 1, 1))
+        mixed = rng.uniform(size=n_max + 1) < 0.3
+        rows[mixed] *= rng.choice([-1.0, 1.0], size=(int(mixed.sum()), grid.size))
+        for value, share in ((np.nan, 0.3), (np.inf, 0.1), (-np.inf, 0.1), (TOL_CLASS, 0.2), (-TOL_CLASS, 0.2)):
+            for n in np.flatnonzero(rng.uniform(size=n_max + 1) < share):
+                rows[n, rng.integers(0, grid.size, rng.integers(1, 4))] = value
+        rows[rng.uniform(size=rows.shape) < 0.001] = 0.0
+        drawn["table"] = rows
+        return rows
+
+    monkeypatch.setattr(classify_module, "bracket_table", drawn_table)
+    symbol = constant(1.0)
+    for order in (1, 2, 3, 4, 6) * 40:
+        got = classify(symbol, 1.0, max_order=order)
+        grid = _sample_grid(symbol, 1.0, order, window(1.0, None))
+        assert repr(got) == repr(_reference_report(symbol, 1.0, order, grid, drawn["table"]))
+
+
+def test_fold_adds_from_zero_in_the_order_of_k():
+    # column 0 makes every product -0.0: a fold from 0.0 ends at 0.0, one
+    # that starts at its first product at -0.0. NaN, inf and huge values in
+    # the other columns give the order of the additions away
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 5, 16, 64):
+        ratios = rng.normal(size=(n + 1, 64)) * 10.0 ** rng.integers(-300, 300, (n + 1, 64))
+        ratios[:, 1:8] = [0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324]
+        ratios[:, 0] = np.where(np.arange(n + 1) % 2 == 0, -0.0, 0.0)
+        want = np.zeros(64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n + 1):
+                want += float((-1) ** k * math.comb(n, k)) * ratios[k]
+            got = _fold(ratios, n, np.empty(64), np.empty(64))
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS)
+def test_bracket_is_its_table_row(spec):
+    symbol = parse_phi_spec(spec)
+    for t in (0.25, 1.0):
+        grid = _sample_grid(symbol, t, 64, window(t, None))[::8]
+        table = bracket_table(symbol, t, 64, grid)
+        for n in range(65):
+            assert bracket(symbol, t, n, grid).tobytes() == table[n].tobytes()
+            assert bracket(symbol, t, n, float(grid[5])) == table[n, 5]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wtsemigroup import (
@@ -24,7 +24,7 @@ from wtsemigroup import (
     validate_positivity,
 )
 from wtsemigroup.operators import phi_ratio
-from wtsemigroup.symbols import MAX_DEPTH, POSITIVITY_FLOOR, POSITIVITY_SAMPLES
+from wtsemigroup.symbols import MAX_DEPTH, POSITIVITY_FLOOR, POSITIVITY_SAMPLES, BinOp, Call, Neg, Num, Var
 
 
 def test_parse_affine_tree():
@@ -81,16 +81,59 @@ def test_unbalanced_paren():
         lambda k: "-" * (k - 1) + "x",
         lambda k: "x^" * (k - 1) + "1",
         lambda k: "exp(" * (k - 1) + "x" + ")" * (k - 1),
+        lambda k: "x+(" * (k - 1) + "1" + ")" * (k - 1),
+        lambda k: "x*(" * (k - 1) + "2" + ")" * (k - 1),
+        lambda k: "(" * (k - 1) + "2" + "^x)" * (k - 1),
     ],
-    ids=["sum", "negation", "power", "calls"],
+    ids=["sum", "negation", "power", "calls", "right-sum", "right-product", "left-power"],
 )
 def test_expression_depth_limit(nest):
-    # a tree at the limit parses, evaluates, and prints to text that parses to it again
+    # a tree at the limit parses, evaluates, and prints to text that parses to
+    # it again: the printed form keeps each parenthesis of the right-nested
+    # sums and products and the left-nested powers, within 2 * MAX_DEPTH
     tree = parse_symbol(nest(MAX_DEPTH))
     assert tree.values(np.array([0.5])).shape == (1,)
     assert parse_symbol(expression_to_string(tree.expr)).expr == tree.expr
     with pytest.raises(SymbolSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
         parse_symbol(nest(MAX_DEPTH + 1))
+
+
+def _trees():
+    """Every tree the parser can build: a literal is a float >= 0 (inf from
+    1e999), and parentheses and signs reach any shape."""
+    literal = st.floats(min_value=0.0, allow_nan=False).filter(lambda v: math.copysign(1.0, v) > 0)
+    return st.recursive(
+        st.one_of(st.builds(Num, literal), st.just(Var())),
+        lambda sub: st.one_of(
+            st.builds(Neg, sub),
+            st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+            st.builds(Call, st.sampled_from(["exp", "log"]), sub),
+        ),
+        max_leaves=24,
+    )
+
+
+def _levels(node) -> int:
+    children = [getattr(node, a) for a in ("arg", "left", "right") if hasattr(node, a)]
+    return 1 + max(map(_levels, children), default=0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_trees())
+@example(parse_symbol("(2^x)^2").expr)
+@example(parse_symbol("x*(3*0.1)").expr)
+@example(parse_symbol("x+(x+1)").expr)
+@example(parse_symbol("x-(x+1)").expr)
+@example(parse_symbol("1e999*x").expr)
+def test_printed_tree_parses_to_itself(tree):
+    assume(_levels(tree) <= MAX_DEPTH)
+    assert parse_symbol(expression_to_string(tree)).expr == tree
+
+
+def test_printed_power_of_a_power_keeps_its_value():
+    # printed without parentheses, (2^x)^2 read back as 2^(x^2): 512, not 64, at x = 3
+    again = parse_symbol(expression_to_string(parse_symbol("(2^x)^2").expr))
+    assert again.values(np.array([3.0])).tolist() == [64.0]
 
 
 def test_parser_nesting_limit():

@@ -79,10 +79,11 @@ class EValuedPolynomial:
 
     @functools.cached_property
     def coeffs(self) -> tuple[StepFunction, ...]:
-        """The coefficients as step functions; zero() for a row without cells."""
+        """The coefficients as step functions, views of the table's rows;
+        zero() for a row without cells."""
         boff, voff = self._offsets()
         return tuple(
-            StepFunction(self.breakpoints[b : b + c + 1], self.values[v : v + c]) if c else zero()
+            StepFunction._owned(self.breakpoints[b : b + c + 1], self.values[v : v + c]) if c else zero()
             for b, v, c in zip(boff.tolist(), voff.tolist(), self.cells.tolist())
         )
 
@@ -223,7 +224,7 @@ def _sum_rows(pieces) -> StepFunction:
     if not chunks:
         return zero()
     if len(chunks) == 1 and chunks[0][2].size == 1:
-        return StepFunction(chunks[0][0], chunks[0][1])  # one piece: as it is, untrimmed
+        return StepFunction._owned(chunks[0][0], chunks[0][1])  # one piece: as it is, untrimmed
     return sum_pieces(chunks)
 
 
@@ -436,6 +437,12 @@ def kernel_preimage(
     raises its error. Raises TailBoundNotAchievedError when the tail bound is
     not reached by term SERIES_CAP.
     """
+    return _sum_rows(_preimage_terms(symbol, t, lam, e, tol))
+
+
+def _preimage_terms(symbol: Symbol, t: float, lam: complex, e: StepFunction, tol: float = 1e-12) -> list[tuple]:
+    """The summed terms of kernel_preimage, nonzero ones only, in order of
+    n: chunks (breakpoints, values, cells) of stepfun.sum_pieces."""
     op = make_operator(symbol, t, "L_adjoint")
     lam_bar = np.conj(complex(lam))
     per_chunk = max(1, TABLE_CELLS // max(e.values.size, 1))
@@ -463,7 +470,7 @@ def kernel_preimage(
         k = int(np.searchsorted(ns, n_terms))
         size = int(cells[:k].sum())
         summed.append((bps[: size + k], vals[:size], cells[:k]))
-    return _sum_rows(summed)
+    return summed
 
 
 def _preimage_rows(op: OperatorHandle, e: StepFunction, lam_bar: complex, ns: np.ndarray):
@@ -514,8 +521,26 @@ def reproducing_check(
     """Both sides of the reproducing identity, computed independently."""
     pairs = _pairings(model_map(symbol, t, f), e)
     lhs = sum(complex(c) * complex(lam) ** n for n, c in enumerate(pairs))
-    rhs = inner(f, kernel_preimage(symbol, t, lam, e))
+    rhs = inner(f, _preimage_on(f, _preimage_terms(symbol, t, lam, e)))
     return ReproducingCheck(complex(lhs), complex(rhs), abs(complex(lhs) - complex(rhs)))
+
+
+def _preimage_on(f: StepFunction, terms: list[tuple]) -> StepFunction:
+    """A step function that inner(f, .) pairs as it pairs the sum of the
+    kernel_preimage terms: the sum of the terms up to the first one that
+    starts at or past f.hi. The later terms start there too, so below f.hi
+    they add no breakpoint and no value; the whole sum is taken only when
+    the cut one ends before f.hi, where inner would cut it shorter."""
+    for i, (bps, vals, cells) in enumerate(terms):
+        first = np.cumsum(cells + 1) - (cells + 1)
+        k = int(np.searchsorted(bps[first], f.hi, side="left"))
+        if k < cells.size:
+            size = int(cells[: k + 1].sum())
+            cut = _sum_rows([*terms[:i], (bps[: size + k + 1], vals[:size], cells[: k + 1])])
+            if cut.hi >= f.hi:
+                return cut
+            break
+    return _sum_rows(terms)
 
 
 def _pairings(p: EValuedPolynomial, e: StepFunction) -> np.ndarray:

@@ -26,20 +26,19 @@ class StepFunction:
     values: np.ndarray  # complex, one per cell; implicit 0 outside
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=complex)
-        if bp.ndim != 1 or vals.ndim != 1:
-            raise ValueError("breakpoints and values must be 1-d")
-        if not (bp.size == vals.size + 1 or (bp.size == 1 and vals.size == 0)):
-            raise ValueError("need one more breakpoint than values")
-        if bp.size and bp[0] < 0:
-            raise ValueError("support must lie in the half line")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
-            raise ValueError("breakpoints and values must be finite")
-        bp = bp.copy()
-        vals = vals.copy()
+        bp, vals = _checked(self.breakpoints, self.values)
+        self._freeze(bp.copy(), vals.copy())
+
+    @classmethod
+    def _owned(cls, breakpoints, values) -> "StepFunction":
+        """A step function on arrays the package has just made and hands
+        over: the constructor's checks, with its errors, without its copies.
+        The arrays become read-only; no caller may hold them writable."""
+        f = object.__new__(cls)
+        f._freeze(*_checked(breakpoints, values))
+        return f
+
+    def _freeze(self, bp: np.ndarray, vals: np.ndarray):
         bp.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
@@ -88,7 +87,7 @@ class StepFunction:
     def scale(self, c: complex) -> "StepFunction":
         if self.values.size == 0 or c == 0:
             return zero()
-        return self.with_values(self.values * c)
+        return StepFunction._owned(self.breakpoints, self.values * c)
 
     def __mul__(self, c):
         return self.scale(c)
@@ -139,7 +138,7 @@ class StepFunction:
                 return zero()
             bp = np.concatenate([[0.0], bp[idx:]])
             vals = vals[idx - 1 :]
-        return StepFunction(bp, vals)
+        return StepFunction._owned(bp, vals)
 
     def subdivide(self, m: int) -> "StepFunction":
         """Split every cell into m equal parts; same function, finer mesh."""
@@ -194,13 +193,43 @@ class StepFunction:
         return StepFunction(np.asarray(bps), np.asarray(vals, dtype=complex))
 
 
+def _checked(breakpoints, values) -> tuple[np.ndarray, np.ndarray]:
+    """The step data as float and complex arrays, copied only to convert;
+    raises ValueError for data that is not a step function."""
+    bp = np.asarray(breakpoints, dtype=float)
+    vals = np.asarray(values, dtype=complex)
+    if bp.ndim != 1 or vals.ndim != 1:
+        raise ValueError("breakpoints and values must be 1-d")
+    if not (bp.size == vals.size + 1 or (bp.size == 1 and vals.size == 0)):
+        raise ValueError("need one more breakpoint than values")
+    if bp.size and bp[0] < 0:
+        raise ValueError("support must lie in the half line")
+    # np.diff(bp) <= 0 implies bp[1:] <= bp[:-1], whose test needs no
+    # float temporary; the second is false only for pairs of equal infinities
+    if np.any(bp[1:] <= bp[:-1]) and np.any(np.diff(bp) <= 0):
+        raise ValueError("breakpoints must be strictly increasing")
+    if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
+        raise ValueError("breakpoints and values must be finite")
+    return bp, vals
+
+
 def _trimmed(bp: np.ndarray, vals: np.ndarray) -> StepFunction:
     """Drop exactly-zero edge cells; collapse to the canonical zero function."""
-    nz = np.nonzero(vals != 0)[0]
-    if nz.size == 0:
+    span = _nonzero_span(vals)
+    if span is None:
         return zero()
-    a, b = nz[0], nz[-1] + 1
-    return StepFunction(bp[a : b + 1], vals[a:b])
+    a, b = span
+    return StepFunction._owned(bp[a : b + 1], vals[a:b])
+
+
+def _nonzero_span(vals: np.ndarray) -> tuple[int, int] | None:
+    """(a, b): vals[a] is the first nonzero value and vals[b - 1] the last;
+    None if every value is zero."""
+    nz = vals.astype(bool)  # vals != 0, without numpy's slower complex compare
+    a = int(nz.argmax())
+    if not nz[a]:
+        return None
+    return a, vals.size - int(nz[::-1].argmax())
 
 
 def add_all(pieces) -> StepFunction:
@@ -272,22 +301,69 @@ def _concatenated(chunks) -> StepFunction | None:
     """sum_pieces of pieces that each start at or past the previous one's
     end, or None if two overlap or come out of order. Each merged cell is
     then one cell of one piece added onto one exact zero: the pieces are
-    concatenated, with one breakpoint where two touch and one zero cell
-    where they leave a gap. A -0.0 can only be the first breakpoint, the
-    mesh's one zero, which the merge keeps too.
+    laid end to end, with one breakpoint where two touch and one zero cell
+    where they leave a gap. Only the cells from the first nonzero one to the
+    last, which _trimmed keeps of the merge, are written, once, into arrays
+    of their size. A -0.0 can only be the first breakpoint, the mesh's one
+    zero, which the merge keeps too.
     """
-    edges = np.concatenate([c[0] for c in chunks])
-    sizes = np.concatenate([c[2] for c in chunks])
-    first = np.cumsum(sizes + 1) - (sizes + 1)  # each piece's first breakpoint in edges
-    begin, end = edges[first[1:]], edges[first[:-1] + sizes[:-1]]  # at each join
-    if not (begin >= end).all():
+    if _joins(chunks) is None:
         return None
-    touch = begin == end
-    vals = np.concatenate([c[1] for c in chunks], dtype=complex)
-    vals += 0j  # the add onto an exact zero: -0.0 becomes 0.0
-    if not touch.all():  # np.insert would copy even with nothing to insert
-        vals = np.insert(vals, np.cumsum(sizes[:-1])[~touch], 0.0)
-    return _trimmed(np.delete(edges, first[1:][touch]), vals)
+    spans = [_nonzero_span(c[1]) for c in chunks]
+    live = [i for i, span in enumerate(spans) if span is not None]
+    if not live:
+        return zero()
+    c0, c1 = live[0], live[-1]
+    chunks = list(chunks[c0 : c1 + 1])
+    chunks[-1] = _cut(*chunks[-1], 0, spans[c1][1])
+    chunks[0] = _cut(*chunks[0], spans[c0][0], chunks[0][1].size)
+    joins = _joins(chunks)
+    size = sum(c[0].size - int(touch.sum()) for c, (_, touch) in zip(chunks, joins))
+    out_bp, out_vals = np.empty(size), np.empty(size - 1, dtype=complex)
+    ob = ov = 0  # breakpoints and values written
+    for i, ((bps, values, _), (first, touch)) in enumerate(zip(chunks, joins)):
+        keep = np.ones(bps.size, dtype=bool)
+        keep[first[touch]] = False  # equal to the last breakpoint of the piece before
+        kept = bps[keep]
+        out_bp[ob : ob + kept.size] = kept
+        ob += kept.size
+        gap = ~touch
+        gap[0] &= i > 0  # the first piece follows none
+        s = 0
+        for e in (first - np.arange(first.size))[gap].tolist() + [values.size]:
+            np.add(values[s:e], 0j, out=out_vals[ov : ov + e - s])  # -0.0 becomes 0.0
+            ov += e - s
+            if e < values.size:  # the zero cell of a gap
+                out_vals[ov] = 0.0
+                ov += 1
+            s = e
+    return StepFunction._owned(out_bp, out_vals)
+
+
+def _joins(chunks) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Per chunk, each piece's first breakpoint and whether the piece starts
+    where the one before it ends (False for the first piece); None if a
+    piece starts before the one before it ends."""
+    joins, end = [], -np.inf
+    for bps, _, cells in chunks:
+        first = np.cumsum(cells + 1) - (cells + 1)
+        begin = bps[first]
+        ends = np.concatenate(([end], bps[first[1:] - 1]))
+        if not (begin >= ends).all():
+            return None
+        joins.append((first, begin == ends))
+        end = bps[-1]
+    return joins
+
+
+def _cut(bps, values, cells, lo, hi):
+    """The chunk (bps, values, cells) cut to its values lo, ..., hi - 1."""
+    voff = np.cumsum(cells) - cells
+    p, q = voff.searchsorted([lo, hi - 1], side="right") - 1
+    cells = cells[p : q + 1].copy()
+    cells[-1] = hi - voff[q]
+    cells[0] -= lo - voff[p]
+    return bps[lo + p : hi + q + 1], values[lo:hi], cells
 
 
 def zero() -> StepFunction:
@@ -324,7 +400,16 @@ def norm_sq(f: StepFunction) -> float:
 
 
 def norm(f: StepFunction) -> float:
-    return float(np.sqrt(norm_sq(f)))
+    """sqrt(norm_sq(f)); where |v|^2 underflows to 0 or overflows to inf, the
+    values are divided by their largest modulus s before they are squared,
+    as hypot does, and the root is multiplied by s."""
+    sq = norm_sq(f)
+    if 0.0 < sq < np.inf or f.values.size == 0:
+        return float(np.sqrt(sq))
+    s = float(np.max(np.abs(f.values)))
+    if s == 0.0:
+        return 0.0
+    return s * float(np.sqrt(np.sum(np.abs(f.values / s) ** 2 * f.widths())))
 
 
 def distance(f: StepFunction, g: StepFunction) -> float:

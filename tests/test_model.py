@@ -948,6 +948,70 @@ def test_reproducing_random_function():
     assert chk.diff < 1e-9
 
 
+def spy_sum_rows(monkeypatch) -> list:
+    """The step functions that model._sum_rows returns from now on, in order."""
+    sums, sum_rows = [], model_module._sum_rows
+    monkeypatch.setattr(model_module, "_sum_rows", lambda chunks: sums.append(sum_rows(chunks)) or sums[-1])
+    return sums
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS)
+@pytest.mark.parametrize("t", [0.1, 0.25, 1 / 3, 1.0])
+def test_reproducing_rhs_pairs_the_whole_preimage(spec, t, monkeypatch):
+    # the right side pairs f only with the terms up to the first one that
+    # starts at or past f.hi; its bytes must be those of the whole preimage
+    sums = spy_sum_rows(monkeypatch)
+    sym = parse_phi_spec(spec)
+    radius = sym.model_disc_radius(t) or 1.0
+    rng = np.random.default_rng(11)
+    fs = (
+        random_step(rng, 0.0, 6 * t, 6 * 16),  # f.hi on a block edge
+        random_step(rng, 0.7 * t, 4.5 * t, 40),  # f.lo and f.hi off one
+    )
+    es = (
+        indicator(0.0, t).subdivide(8),
+        StepFunction(np.linspace(0.0, t, 7), [0.0, 1.0, 2j, 3.0, -1.0, 0.0]),  # zero edge cells
+    )
+    for f in fs:
+        for e in es:
+            for lam in (0.0, 0.9 * radius * np.exp(2.1j)):
+                sums.clear()
+                chk = reproducing_check(sym, t, f, lam, e)
+                (paired,) = sums  # one sum, cut short where the terms run past f.hi
+                whole = kernel_preimage(sym, t, lam, e)
+                assert (paired.hi < whole.hi) == (lam != 0.0)
+                assert complex_bytes(chk.rhs) == complex_bytes(inner(f, whole))
+
+
+def test_reproducing_rhs_falls_back_to_the_whole_preimage(monkeypatch):
+    # e = 1e-300 and lambda = 1e-25: every term past the first underflows to
+    # zero cells, so the terms up to f.hi = 2 sum to a function that ends at
+    # 1, before f.hi, and the whole preimage is summed and paired instead
+    sym, t, lam = constant(1.0), 1.0, 1e-25
+    e = indicator(0.0, t, 1e-300).subdivide(4)
+    f = random_step(np.random.default_rng(2), 0.0, 2.0, 8)
+    sums = spy_sum_rows(monkeypatch)
+    chk = reproducing_check(sym, t, f, lam, e)
+    assert [g.hi for g in sums] == [1.0, 1.0]  # the cut sum, then the whole one
+    whole = kernel_preimage(sym, t, lam, e)
+    assert whole.hi == 1.0
+    assert complex_bytes(chk.rhs) == complex_bytes(inner(f, whole))
+
+
+def test_model_results_are_read_only_and_the_coefficients_views():
+    f = random_step(np.random.default_rng(6), 0.0, 3.0, 48)
+    p = model_map(affine(), 1.0, f)
+    for c in p.coeffs:
+        assert not (c.breakpoints.flags.writeable or c.values.flags.writeable)
+        assert np.shares_memory(c.breakpoints, p.breakpoints) and np.shares_memory(c.values, p.values)
+    lone = EValuedPolynomial.from_coeffs(1.0, (zero(), p.coeffs[1]))  # one piece, kept as it is
+    e = indicator(0.0, 1.0).subdivide(4)
+    tables = (f.breakpoints, f.values, p.breakpoints, p.values, lone.breakpoints, lone.values, e.breakpoints, e.values)
+    for g in (model_inverse(affine(), 1.0, p), model_inverse(affine(), 1.0, lone), kernel_preimage(affine(), 1.0, 0.5, e)):
+        assert not (g.breakpoints.flags.writeable or g.values.flags.writeable)
+        assert not any(np.shares_memory(a, b) for a in (g.breakpoints, g.values) for b in tables)
+
+
 def test_reproducing_near_disc_boundary():
     # |lambda| = 0.99 of the disc radius: the preimage sums 2,831 blocks
     sym, t = affine(), 1.0

@@ -1,4 +1,5 @@
 import functools
+import math
 import operator
 
 import numpy as np
@@ -19,7 +20,7 @@ from wtsemigroup import (
     restrict_to_E,
     zero,
 )
-from wtsemigroup.stepfun import sum_pieces
+from wtsemigroup.stepfun import _concatenated, sum_pieces
 
 
 def test_inner_unit_indicator():
@@ -451,3 +452,126 @@ def test_translate_left_then_right_restricts_to_the_shift(f, s):
         return
     assert back.breakpoints.tobytes() == np.concatenate([moved[:1], moved[1:][keep]]).tobytes()
     assert back.values.tobytes() == ref.values[keep].tobytes()
+
+
+# -- one write per result, against the code it replaced ------------------------
+
+
+def _reference_trimmed(bp, vals):
+    """_trimmed as it was: a full index of the nonzero cells, and the
+    constructor's copies."""
+    nz = np.nonzero(vals != 0)[0]
+    if nz.size == 0:
+        return zero()
+    a, b = nz[0], nz[-1] + 1
+    return StepFunction(bp[a : b + 1], vals[a:b])
+
+
+def _reference_concatenated(chunks):
+    """_concatenated as it was: concatenate every chunk, insert the zero
+    cell of each gap, delete the doubled breakpoint of each touch, trim."""
+    edges = np.concatenate([c[0] for c in chunks])
+    sizes = np.concatenate([c[2] for c in chunks])
+    first = np.cumsum(sizes + 1) - (sizes + 1)
+    begin, end = edges[first[1:]], edges[first[:-1] + sizes[:-1]]
+    if not (begin >= end).all():
+        return None
+    touch = begin == end
+    vals = np.concatenate([c[1] for c in chunks], dtype=complex)
+    vals += 0j
+    if not touch.all():
+        vals = np.insert(vals, np.cumsum(sizes[:-1])[~touch], 0.0)
+    return _reference_trimmed(np.delete(edges, first[1:][touch]), vals)
+
+
+def assert_owned(f, *arrays):
+    """f's arrays are read-only and share no memory with the given arrays."""
+    for a in (f.breakpoints, f.values):
+        assert not a.flags.writeable
+        assert not any(np.shares_memory(a, b) for b in arrays)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_laid_pieces(), _laid_pieces(joins=("touch", "gap"))), st.data())
+def test_concatenated_keeps_the_reference_bytes(pieces, data):
+    # gaps, touches, overlaps, zero cells of every sign at the edges and a
+    # -0.0 first edge come with the pieces; now and then a whole piece is
+    # zero, so that the first or last nonzero cell lies in a later or an
+    # earlier chunk, or no cell is nonzero
+    zeros = st.sampled_from((None, None, None, 0.0, -0.0, complex(-0.0, -0.0)))
+    pieces = [p if (z := data.draw(zeros)) is None else p.with_values(np.full(p.values.size, z)) for p in pieces]
+    chunks = _chunks(data, pieces)
+    got, ref = _concatenated(chunks), _reference_concatenated(chunks)
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert_same_bytes(got, ref)
+        assert_owned(got, *(a for c in chunks for a in c))
+
+
+def test_owned_results_are_read_only_and_their_own():
+    bp, vals = np.array([0.0, 0.25, 0.5, 1.0]), np.array([1.0, -2j, 3.0])
+    f = StepFunction(bp, vals)
+    g = StepFunction(bp + 1.0, vals)  # touches f at 1
+    results = (
+        f,
+        f.with_values(vals),
+        f.translate(0.5),
+        f.translate(-0.3),
+        f.scale(2j),
+        -f,
+        f - g,
+        f.restrict(0.1, 0.7),
+        f + f,
+        f + g,
+        add_all([f, g, f.translate(3.0)]),
+        add_all([f, g.translate(0.1)]),
+    )
+    for r in results:
+        assert_owned(r, bp, vals)
+    chunks = [(bp, vals, np.array([3])), (bp + 1.0, vals, np.array([3])), (np.r_[bp, bp + 3.0], np.r_[vals, vals], np.array([3, 3]))]
+    assert_owned(sum_pieces(chunks), *(a for c in chunks for a in c))
+
+
+@pytest.mark.parametrize(
+    "bp, vals, message",
+    [
+        (np.zeros((2, 2)), [1.0], "breakpoints and values must be 1-d"),
+        ([0.0, 1.0], [[1.0]], "breakpoints and values must be 1-d"),
+        ([0.0, 1.0, 2.0], [1.0], "need one more breakpoint than values"),
+        ([], [], "need one more breakpoint than values"),
+        ([-1.0, 1.0], [1.0], "support must lie in the half line"),
+        ([0.0, 1.0, 1.0], [1.0, 2.0], "breakpoints must be strictly increasing"),
+        ([0.0, 2.0, 1.0], [1.0, 2.0], "breakpoints must be strictly increasing"),
+        ([0.0, np.inf, 1.0], [1.0, 2.0], "breakpoints must be strictly increasing"),
+        # inf - inf is NaN, which np.diff(bp) <= 0 does not flag
+        ([0.0, np.inf, np.inf], [1.0, 2.0], "breakpoints and values must be finite"),
+        ([0.0, np.nan, 1.0], [1.0, 2.0], "breakpoints and values must be finite"),
+        ([0.0, 1.0], [np.inf], "breakpoints and values must be finite"),
+        ([0.0, 1.0], [complex(0.0, np.nan)], "breakpoints and values must be finite"),
+    ],
+)
+def test_owned_constructor_raises_the_constructor_errors(bp, vals, message):
+    for make in (StepFunction, StepFunction._owned):
+        with pytest.raises(ValueError) as info:
+            make(np.array(bp, dtype=float), np.array(vals, dtype=complex))
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [5.9462166e-182 * (1 + 1j), 1e200, -3e170j, 1e-170])
+def test_norm_survives_squares_that_underflow_or_overflow(value):
+    f = StepFunction(np.array([0.0, 0.1]), np.array([value]))
+    assert norm_sq(f) in (0.0, np.inf)
+    assert norm(f) == pytest.approx(abs(value) * math.sqrt(0.1), rel=4 * np.finfo(float).eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step())
+def test_norm_keeps_its_bytes_where_the_squares_sum(f):
+    sq = norm_sq(f)
+    if 0.0 < sq < np.inf:
+        assert norm(f) == float(np.sqrt(sq))
+    # at least the largest cell's share |v| sqrt(width), never inf
+    if f.values.size:
+        i = int(np.argmax(np.abs(f.values)))
+        assert norm(f) >= 0.5 * abs(f.values[i]) * math.sqrt(f.widths()[i])
+    assert norm(f) < np.inf

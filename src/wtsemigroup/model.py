@@ -52,19 +52,30 @@ class EValuedPolynomial:
     truncated: bool = False
 
     def __post_init__(self):
-        for name in ("cells", "breakpoints", "values"):
-            view = getattr(self, name).view()
-            view.setflags(write=False)
-            object.__setattr__(self, name, view)
-        bp = self.breakpoints
-        if bp.size and (bp.min() < 0 or bp.max() > self.t):
+        self._freeze(np.array(self.cells), np.array(self.breakpoints), np.array(self.values))
+
+    @classmethod
+    def _owned(cls, t, cells, breakpoints, values, truncated=False) -> "EValuedPolynomial":
+        """A table on arrays the package has just made and hands over: the
+        constructor's check, without its copies. The arrays become read-only."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "t", t)
+        object.__setattr__(p, "truncated", truncated)
+        p._freeze(cells, breakpoints, values)
+        return p
+
+    def _freeze(self, cells: np.ndarray, breakpoints: np.ndarray, values: np.ndarray):
+        for name, table in (("cells", cells), ("breakpoints", breakpoints), ("values", values)):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
+        if breakpoints.size and (breakpoints.min() < 0 or breakpoints.max() > self.t):
             raise ValueError("every coefficient must be supported in [0, t)")
 
     @staticmethod
     def from_coeffs(t: float, coeffs, truncated: bool = False) -> "EValuedPolynomial":
         """The table of the given coefficient step functions."""
         coeffs = [zero() if c.is_zero() else c for c in coeffs]
-        return EValuedPolynomial(
+        return EValuedPolynomial._owned(
             t,
             np.array([c.values.size for c in coeffs], dtype=int),
             np.concatenate([c.breakpoints for c in coeffs if c.values.size] or [np.empty(0)]),
@@ -132,18 +143,10 @@ def model_map(
     # exact arithmetic, so one extra cell takes the row to t after the shift
     first = np.maximum(np.searchsorted(bp, nt, side="right") - 1, 0)
     cells = np.minimum(np.searchsorted(bp, nt + op_l.t, side="left") + 1, f.values.size) - first
-    # the table, written chunk by chunk into arrays sized for the untrimmed rows
-    row_cells = np.empty(ns.size, dtype=int)
-    breakpoints, values = np.empty(cells.sum() + ns.size), np.empty(cells.sum(), dtype=complex)
-    nb = nv = 0
-    for a, b in _chunks(cells):
-        chunk_cells, bps, vals = _map_rows(op_l, f, ns[a:b], first[a:b], cells[a:b])
-        row_cells[a:b] = chunk_cells
-        breakpoints[nb : nb + bps.size] = bps
-        values[nv : nv + vals.size] = vals
-        nb, nv = nb + bps.size, nv + vals.size
+    tables = [_map_rows(op_l, f, ns[a:b], first[a:b], cells[a:b]) for a, b in _chunks(cells)]
+    row_cells, breakpoints, values = (np.concatenate(field) for field in zip(*tables))
     beyond = f.restrict((n_terms + 1) * t, max(f.hi, (n_terms + 1) * t))
-    return EValuedPolynomial(t, row_cells, breakpoints[:nb], values[:nv], truncated=not beyond.is_zero())
+    return EValuedPolynomial._owned(t, row_cells, breakpoints, values, truncated=not beyond.is_zero())
 
 
 def _chunks(cells: np.ndarray):

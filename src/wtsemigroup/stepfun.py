@@ -215,21 +215,12 @@ def _checked(breakpoints, values) -> tuple[np.ndarray, np.ndarray]:
 
 def _trimmed(bp: np.ndarray, vals: np.ndarray) -> StepFunction:
     """Drop exactly-zero edge cells; collapse to the canonical zero function."""
-    span = _nonzero_span(vals)
-    if span is None:
-        return zero()
-    a, b = span
-    return StepFunction._owned(bp[a : b + 1], vals[a:b])
-
-
-def _nonzero_span(vals: np.ndarray) -> tuple[int, int] | None:
-    """(a, b): vals[a] is the first nonzero value and vals[b - 1] the last;
-    None if every value is zero."""
     nz = vals.astype(bool)  # vals != 0, without numpy's slower complex compare
     a = int(nz.argmax())
     if not nz[a]:
-        return None
-    return a, vals.size - int(nz[::-1].argmax())
+        return zero()
+    b = vals.size - int(nz[::-1].argmax())
+    return StepFunction._owned(bp[a : b + 1], vals[a:b])
 
 
 def add_all(pieces) -> StepFunction:
@@ -302,22 +293,13 @@ def _concatenated(chunks) -> StepFunction | None:
     end, or None if two overlap or come out of order. Each merged cell is
     then one cell of one piece added onto one exact zero: the pieces are
     laid end to end, with one breakpoint where two touch and one zero cell
-    where they leave a gap. Only the cells from the first nonzero one to the
-    last, which _trimmed keeps of the merge, are written, once, into arrays
-    of their size. A -0.0 can only be the first breakpoint, the mesh's one
-    zero, which the merge keeps too.
+    where they leave a gap, written once into arrays sized for the whole
+    concatenation and trimmed as the merge is (_trimmed). A -0.0 can only be
+    the first breakpoint, the mesh's one zero, which the merge keeps too.
     """
-    if _joins(chunks) is None:
-        return None
-    spans = [_nonzero_span(c[1]) for c in chunks]
-    live = [i for i, span in enumerate(spans) if span is not None]
-    if not live:
-        return zero()
-    c0, c1 = live[0], live[-1]
-    chunks = list(chunks[c0 : c1 + 1])
-    chunks[-1] = _cut(*chunks[-1], 0, spans[c1][1])
-    chunks[0] = _cut(*chunks[0], spans[c0][0], chunks[0][1].size)
     joins = _joins(chunks)
+    if joins is None:
+        return None
     size = sum(c[0].size - int(touch.sum()) for c, (_, touch) in zip(chunks, joins))
     out_bp, out_vals = np.empty(size), np.empty(size - 1, dtype=complex)
     ob = ov = 0  # breakpoints and values written
@@ -337,7 +319,7 @@ def _concatenated(chunks) -> StepFunction | None:
                 out_vals[ov] = 0.0
                 ov += 1
             s = e
-    return StepFunction._owned(out_bp, out_vals)
+    return _trimmed(out_bp, out_vals)
 
 
 def _joins(chunks) -> list[tuple[np.ndarray, np.ndarray]] | None:
@@ -354,16 +336,6 @@ def _joins(chunks) -> list[tuple[np.ndarray, np.ndarray]] | None:
         joins.append((first, begin == ends))
         end = bps[-1]
     return joins
-
-
-def _cut(bps, values, cells, lo, hi):
-    """The chunk (bps, values, cells) cut to its values lo, ..., hi - 1."""
-    voff = np.cumsum(cells) - cells
-    p, q = voff.searchsorted([lo, hi - 1], side="right") - 1
-    cells = cells[p : q + 1].copy()
-    cells[-1] = hi - voff[q]
-    cells[0] -= lo - voff[p]
-    return bps[lo + p : hi + q + 1], values[lo:hi], cells
 
 
 def zero() -> StepFunction:

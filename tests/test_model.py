@@ -1012,6 +1012,26 @@ def test_model_results_are_read_only_and_the_coefficients_views():
         assert not any(np.shares_memory(a, b) for a in (g.breakpoints, g.values) for b in tables)
 
 
+def test_polynomial_copies_the_arrays_it_is_given():
+    cells, bp, v = np.array([2]), np.array([0.0, 0.25, 0.5]), np.array([1.0, 2j])
+    p = EValuedPolynomial(1.0, cells, bp, v)
+    v[0], bp[1], cells[0] = 99.0, 0.375, 1
+    assert p.cells.tolist() == [2] and p.breakpoints.tolist() == [0.0, 0.25, 0.5]
+    assert p.values.tolist() == [1.0, 2j] and p.coeffs[0].values.tolist() == [1.0, 2j]
+    for table in (p.cells, p.breakpoints, p.values):
+        assert not table.flags.writeable and not any(np.shares_memory(table, a) for a in (cells, bp, v))
+
+
+def test_model_map_tables_are_exactly_sized():
+    # 256 blocks of 256 cells: the rows come in several chunks of TABLE_CELLS
+    f = random_step(np.random.default_rng(11), 0.0, 256.0, 256 * 256)
+    p = model_map(affine(), 1.0, f)
+    assert p.cells.size == 256 and p.cells.sum() > model_module.TABLE_CELLS
+    for table in (p.cells, p.breakpoints, p.values):
+        assert table.base is None or table.base.size <= table.size
+    assert p.values.size == p.cells.sum() and p.breakpoints.size == p.cells.sum() + np.count_nonzero(p.cells)
+
+
 def test_reproducing_near_disc_boundary():
     # |lambda| = 0.99 of the disc radius: the preimage sums 2,831 blocks
     sym, t = affine(), 1.0

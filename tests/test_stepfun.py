@@ -501,6 +501,14 @@ def test_concatenated_keeps_the_reference_bytes(pieces, data):
     zeros = st.sampled_from((None, None, None, 0.0, -0.0, complex(-0.0, -0.0)))
     pieces = [p if (z := data.draw(zeros)) is None else p.with_values(np.full(p.values.size, z)) for p in pieces]
     chunks = _chunks(data, pieces)
+    # and whole leading and trailing chunks of exact zeros, of both signs
+    lead = data.draw(st.integers(0, len(chunks)))
+    trail = data.draw(st.integers(0, len(chunks) - lead))
+    signed = st.sampled_from((0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)))
+    for i in [*range(lead), *range(len(chunks) - trail, len(chunks))]:
+        bps, vals, cells = chunks[i]
+        zero_vals = data.draw(st.lists(signed, min_size=vals.size, max_size=vals.size))
+        chunks[i] = (bps, np.array(zero_vals, dtype=complex), cells)
     got, ref = _concatenated(chunks), _reference_concatenated(chunks)
     assert (got is None) == (ref is None)
     if ref is not None:

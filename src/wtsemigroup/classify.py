@@ -40,6 +40,8 @@ TOL_CLASS = 1e-9  # zero band of delta_n, relative to max(1, max |delta_n|) on t
 _SIGNED_BINOMIALS = tuple(
     tuple(float((-1) ** k * math.comb(n, k)) for k in range(n + 1)) for n in range(MAX_ORDER + 1)
 )
+# the same floats as a lower-triangular table: column k holds (-1)^k C(n, k) at row n >= k
+_BINOMIAL_COLUMNS = np.array([row + (0.0,) * (MAX_ORDER - n) for n, row in enumerate(_SIGNED_BINOMIALS)])
 
 
 def _ratio_table(symbol: Symbol, t: float, n_max: int, grid: np.ndarray) -> np.ndarray:
@@ -65,6 +67,30 @@ def _fold(ratios: np.ndarray, n: int, acc: np.ndarray, term: np.ndarray) -> np.n
     return acc
 
 
+def _probe(ratios: np.ndarray) -> np.ndarray | None:
+    """delta_n for n = 0..n_max on 16 grid columns spread over the grid: the
+    products of _fold, added in its order of k from 0.0, with k as the outer
+    loop. None when some delta_n might be infinite, since |delta_n| <= 2^n
+    max ratio; a NaN maximum fails the comparison too."""
+    if not ratios.max() <= np.finfo(float).max / 2.0 ** (MAX_ORDER + 1):
+        return None
+    columns = ratios[:, np.linspace(0, ratios.shape[1] - 1, 16, dtype=int)]
+    probes = np.zeros(columns.shape)
+    for k, ratio in enumerate(columns):
+        probes[k:] += _BINOMIAL_COLUMNS[k : len(columns), k, None] * ratio
+    return probes
+
+
+def _bracket_rows(symbol: Symbol, t: float, n_max: int, grid: np.ndarray):
+    """delta_n(grid) for n = 0, 1, ..., n_max, each folded into one scratch row
+    that the next overwrites, and a callable that returns _probe's columns.
+    Every phi(x + k t) is evaluated before the first row is made."""
+    ratios = _ratio_table(symbol, t, n_max, grid)
+    acc, term = np.empty(grid.shape), np.empty(grid.shape)
+    rows = (_fold(ratios, n, acc, term) for n in range(n_max + 1))
+    return rows, lambda: _probe(ratios)
+
+
 def bracket(symbol: Symbol, t: float, n: int, x) -> float | np.ndarray:
     """delta_n(x): exact finite alternating sum; binomials in integer arithmetic."""
     grid = np.atleast_1d(np.asarray(x, dtype=float))
@@ -88,6 +114,19 @@ def bracket_table(symbol: Symbol, t: float, n_max: int, grid: np.ndarray) -> np.
     return table
 
 
+def _alternating_sum(n: int, norms) -> float:
+    """sum_k (-1)^k C(n,k) norms[k], added in the order of k."""
+    total = 0.0
+    for c, value in zip(_SIGNED_BINOMIALS[n], norms):
+        total += c * value
+    return total
+
+
+def _weighted_integral(delta: np.ndarray, f: StepFunction) -> float:
+    """integral of delta |f|^2 with delta given at the cell midpoints of f."""
+    return float(np.sum(delta * np.abs(f.values) ** 2 * f.widths()))
+
+
 def bracket_quadratic_form(symbol: Symbol, t: float, n: int, f: StepFunction) -> float:
     """<B_n(S_t) f, f> at the operator level: alternating sum of ||S_t^k f||^2.
 
@@ -95,18 +134,24 @@ def bracket_quadratic_form(symbol: Symbol, t: float, n: int, f: StepFunction) ->
     routes share no code path beyond the symbol itself.
     """
     op = OperatorHandle(symbol, t, "S")
-    total = 0.0
-    for k in range(n + 1):
-        total += float((-1) ** k * math.comb(n, k)) * norm_sq(apply_power(op, k, f))
-    return total
+    return _alternating_sum(n, [norm_sq(apply_power(op, k, f)) for k in range(n + 1)])
 
 
 def bracket_integral(symbol: Symbol, t: float, n: int, f: StepFunction) -> float:
     """Symbol-level integral of delta_n(x) |f(x)|^2 dx at cell midpoints."""
     if f.values.size == 0:
         return 0.0
-    mids = f.midpoints()
-    return float(np.sum(bracket(symbol, t, n, mids) * np.abs(f.values) ** 2 * f.widths()))
+    return _weighted_integral(bracket(symbol, t, n, f.midpoints()), f)
+
+
+def bracket_agreement(symbol: Symbol, t: float, n_max: int, f: StepFunction) -> float:
+    """max over n = 1..n_max of |bracket_quadratic_form - bracket_integral|,
+    with the same floats, from one ||S_t^k f||^2 per k and one bracket table
+    (row n of bracket_table is bracket at order n, to the bit)."""
+    op = OperatorHandle(symbol, t, "S")
+    norms = [norm_sq(apply_power(op, k, f)) for k in range(n_max + 1)]
+    integrals = [_weighted_integral(row, f) for row in bracket_table(symbol, t, n_max, f.midpoints())]
+    return max(abs(_alternating_sum(n, norms) - integrals[n]) for n in range(1, n_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +195,14 @@ def _sample_grid(symbol: Symbol, t: float, n_max: int, x_max: float) -> np.ndarr
     return np.unique(np.concatenate(grid))
 
 
+def _sign_tests(lo, hi):
+    """tol_n = TOL_CLASS max(1, max |delta_n|), where a NaN maximum leaves the
+    1, and whether delta_n >= -tol_n and delta_n <= tol_n on the whole grid,
+    from the extrema of the rows."""
+    tol = TOL_CLASS * np.fmax(1.0, np.fmax(hi, -lo))
+    return tol, lo >= -tol, hi <= tol
+
+
 def classify(
     symbol: Symbol,
     t: float,
@@ -168,15 +221,48 @@ def classify(
     whole grid exactly when it holds at the row minimum, and a NaN in a row
     makes both its extrema NaN, so the row fails every test. Only a row that
     a witness reports is compared point by point.
+
+    The rows are made bottom-up, and the fold stops at the first order N by
+    which each of the three sign tests (delta_n <= tol, the alternating one
+    and delta_n >= -tol) has failed, and an isometry order has been found
+    or every order above N ruled out: a probe value |delta_n| > TOL_CLASS
+    rules order n out, since max |delta_n| is finite whenever there are
+    probes. Rows past N keep NaN extrema and fail every test, which changes
+    no label, since each test's first failure is at or below N.
     """
     x_max = window(t, x_max)
     grid = _sample_grid(symbol, t, max_order, x_max)
-    table = bracket_table(symbol, t, max_order, grid)
-    lo, hi = table.min(axis=1), table.max(axis=1)
-    # TOL_CLASS max(1, max |delta_n|), where a NaN maximum leaves the 1
-    tol = TOL_CLASS * np.fmax(1.0, np.fmax(hi, -lo))
-    nonneg = lo >= -tol  # delta_n >= -tol_n on the whole grid
-    nonpos = hi <= tol  # delta_n <= tol_n on the whole grid
+    rows, probe = _bracket_rows(symbol, t, max_order, grid)
+    lo, hi = np.full(max_order + 1, np.nan), np.full(max_order + 1, np.nan)
+    # the first failed row of each sign test, which holds its witness; the
+    # contraction and expansion witnesses are in row 1 when they fail
+    kept: dict[int, np.ndarray] = {}
+    failed: set[int] = set()
+    isometry = False
+    last_open = None  # the highest order that the probes do not rule out
+    for n, row in enumerate(rows):
+        lo[n], hi[n] = row.min(), row.max()
+        if n == 0:
+            continue
+        _, nonneg_n, nonpos_n = _sign_tests(lo[n], hi[n])
+        isometry = isometry or bool(nonneg_n and nonpos_n)
+        alternating_n = nonneg_n if n % 2 == 0 else nonpos_n
+        fails = {i for i, ok in enumerate((nonpos_n, alternating_n, nonneg_n)) if not ok}
+        if fails - failed:
+            kept[n] = row.copy()
+        failed |= fails
+        if len(failed) < 3:
+            continue
+        if last_open is None:
+            probes = probe()
+            if probes is None:
+                last_open = max_order
+            else:
+                above = np.flatnonzero(~(np.abs(probes[n + 1 :]) > TOL_CLASS).any(axis=1))
+                last_open = n + 1 + int(above[-1]) if above.size else n
+        if isometry or n >= last_open:
+            break
+    tol, nonneg, nonpos = _sign_tests(lo, hi)
 
     labels: list[str] = []
     witnesses: dict[str, Witness] = {}
@@ -194,10 +280,10 @@ def classify(
             labels.append(name)
         else:
             i = int(np.argmax(bad(n)))
-            witnesses[name] = Witness(n, float(grid[i]), float(table[n, i]))
+            witnesses[name] = Witness(n, float(grid[i]), float(kept[n][i]))
 
-    check("contraction", nonneg[:2], lambda n: ~(table[n] >= -tol[n]))
-    check("expansion", nonpos[:2], lambda n: ~(table[n] <= tol[n]))
+    check("contraction", nonneg[:2], lambda n: ~(kept[n] >= -tol[n]))
+    check("expansion", nonpos[:2], lambda n: ~(kept[n] <= tol[n]))
 
     m_isometry = first_order(nonneg & nonpos)
     if m_isometry is not None:
@@ -210,17 +296,17 @@ def classify(
         if max_hyper > 2 and max_hyper < max_order:
             labels.append(f"{max_hyper}-hyperexpansive")
     # the witness skips NaN points, which fail the row but are not > tol
-    check(f"completely-hyperexpansive({max_order})", nonpos, lambda n: table[n] > tol[n])
+    check(f"completely-hyperexpansive({max_order})", nonpos, lambda n: kept[n] > tol[n])
     # (-1)^n delta_n >= -tol_n: delta_n >= -tol_n at even n and <= tol_n at odd n
     check(
         f"alternatingly-hyperexpansive({max_order})",
         np.where(np.arange(max_order + 1) % 2 == 0, nonneg, nonpos),
-        lambda n: ~((-1) ** n * table[n] >= -tol[n]),
+        lambda n: ~((-1) ** n * kept[n] >= -tol[n]),
     )
     check(
         f"completely-monotone-moment-candidate({max_order})",
         nonneg,
-        lambda n: ~(table[n] >= -tol[n]),
+        lambda n: ~(kept[n] >= -tol[n]),
     )
 
     return ClassificationReport(

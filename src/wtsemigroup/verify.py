@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import bracket_integral, bracket_quadratic_form
+from .classify import bracket_agreement
 from .config import RunConfig
 from .model import (
     DOMAIN_MARGIN,
@@ -147,10 +147,7 @@ def run_verify(symbol: Symbol, cfg: RunConfig) -> list[CheckResult]:
 
     # operator-level vs symbol-level bracket
     small = random_step(rng, 0.0, 4 * t, 4 * per_block, unit_norm=True)
-    r = max(
-        abs(bracket_quadratic_form(symbol, t, n, small) - bracket_integral(symbol, t, n, small))
-        for n in range(1, 7)
-    )
+    r = bracket_agreement(symbol, t, 6, small)
     results.append(_result("bracket_agreement", r, tol["bracket_agreement"], "n <= 6"))
 
     # kernel series against the closed form, when one is tagged

@@ -21,12 +21,15 @@ from wtsemigroup import (
 )
 from wtsemigroup.classify import (
     TOL_CLASS,
+    bracket_agreement,
     ClassificationReport,
     Witness,
     _fold,
     _sample_grid,
     bracket_table,
 )
+from wtsemigroup.operators import OperatorHandle, apply_power
+from wtsemigroup.stepfun import norm_sq
 from wtsemigroup.symbols import eval_phi
 from wtsemigroup.util import window
 
@@ -330,28 +333,124 @@ def test_nan_rows_keep_the_reference_bytes():
 def test_labels_from_extrema_on_drawn_tables(monkeypatch):
     """Tables drawn to sit on the edges of the sign tests: rows of one sign
     with values at +-tol, NaN and inf at random points, so a failed row's
-    first NaN may come before or after its first violation."""
+    first NaN may come before or after its first violation. classify reads
+    the rows bottom-up and may stop early; its probes are 16 columns of the
+    drawn table, and half the edge values fall on them. A table that holds
+    an infinity comes without probes, as _probe gives none when a delta_n
+    might be infinite."""
     rng = np.random.default_rng(3)
     drawn = {}
 
-    def drawn_table(symbol, t, n_max, grid):
+    def drawn_rows(symbol, t, n_max, grid):
         rows = rng.choice([-1.0, 1.0], size=(n_max + 1, 1)) * rng.uniform(0.0, 1.0, (n_max + 1, grid.size))
         rows *= 10.0 ** rng.integers(-12, 4, (n_max + 1, 1))
         mixed = rng.uniform(size=n_max + 1) < 0.3
         rows[mixed] *= rng.choice([-1.0, 1.0], size=(int(mixed.sum()), grid.size))
+        columns = rng.choice(grid.size, 16, replace=False)
+        spots = np.concatenate([columns, rng.integers(0, grid.size, 16)])
         for value, share in ((np.nan, 0.3), (np.inf, 0.1), (-np.inf, 0.1), (TOL_CLASS, 0.2), (-TOL_CLASS, 0.2)):
             for n in np.flatnonzero(rng.uniform(size=n_max + 1) < share):
-                rows[n, rng.integers(0, grid.size, rng.integers(1, 4))] = value
+                rows[n, rng.choice(spots, rng.integers(1, 4))] = value
         rows[rng.uniform(size=rows.shape) < 0.001] = 0.0
         drawn["table"] = rows
-        return rows
+        probes = None if np.isinf(rows).any() else rows[:, columns]
+        return iter(rows), lambda: probes
 
-    monkeypatch.setattr(classify_module, "bracket_table", drawn_table)
+    monkeypatch.setattr(classify_module, "_bracket_rows", drawn_rows)
     symbol = constant(1.0)
     for order in (1, 2, 3, 4, 6) * 40:
         got = classify(symbol, 1.0, max_order=order)
         grid = _sample_grid(symbol, 1.0, order, window(1.0, None))
         assert repr(got) == repr(_reference_report(symbol, 1.0, order, grid, drawn["table"]))
+
+
+def test_a_probe_on_the_band_edge_leaves_its_order_open(monkeypatch):
+    # order 1 fails all three sign tests, so the fold may stop there unless
+    # the probes leave an order above open. Row 3 is zero but for
+    # +-TOL_CLASS on the probe columns: max |delta_3| = TOL_CLASS sits on its
+    # band, so order 3 is the isometry order and no probe may rule it out
+    symbol = constant(1.0)
+    grid = _sample_grid(symbol, 1.0, 4, window(1.0, None))
+    columns = np.arange(0, grid.size, grid.size // 16)
+    table = np.zeros((5, grid.size))
+    table[0] = 1.0
+    table[1:3] = np.where(np.arange(grid.size) % 2 == 0, 1.0, -1.0)
+    table[3, columns] = np.where(np.arange(columns.size) % 2 == 0, TOL_CLASS, -TOL_CLASS)
+    table[4] = 2.0
+    monkeypatch.setattr(classify_module, "_bracket_rows", lambda *args: (iter(table), lambda: table[:, columns]))
+    got = classify(symbol, 1.0, max_order=4)
+    assert got.m_isometry == 3
+    assert repr(got) == repr(_reference_report(symbol, 1.0, 4, grid, table))
+
+
+@pytest.mark.parametrize("spec", ("affine", "cap", "reciprocal"))
+def test_every_stop_keeps_the_full_table_report(spec):
+    symbol = parse_phi_spec(spec)
+    for t in (0.25, 1 / 3, 1.0):
+        for order in range(1, 65):
+            grid = _sample_grid(symbol, t, order, window(t, None))
+            table = bracket_table(symbol, t, order, grid)
+            got = classify(symbol, t, max_order=order)
+            assert repr(got) == repr(_reference_report(symbol, t, order, grid, table))
+
+
+def test_rows_folded_before_the_labels_are_decided(monkeypatch):
+    folds = []
+
+    def counted(ratios, n, acc, term):
+        folds.append(n)
+        return _fold(ratios, n, acc, term)
+
+    monkeypatch.setattr(classify_module, "_fold", counted)
+    # affine's three sign tests have failed by order 22 and its isometry order is 2
+    classify(affine(), 1.0, max_order=64)
+    assert folds == list(range(len(folds))) and len(folds) <= 23
+    # every delta_n of const:1 is zero, so its moment test never fails
+    folds.clear()
+    classify(constant(1.0), 1.0, max_order=64)
+    assert folds == list(range(65))
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS)
+def test_probes_are_columns_of_the_table(spec):
+    symbol = parse_phi_spec(spec)
+    for t in (0.25, 1.0):
+        grid = _sample_grid(symbol, t, 64, window(t, None))
+        _, probe = classify_module._bracket_rows(symbol, t, 64, grid)
+        columns = np.linspace(0, grid.size - 1, 16, dtype=int)
+        assert probe().tobytes() == bracket_table(symbol, t, 64, grid)[:, columns].tobytes()
+
+
+def test_probes_add_in_the_order_of_the_fold():
+    # the magnitudes span 1e-300..1e280, so another order of the additions
+    # loses or keeps other bits; column 0 gives -0.0 products only
+    rng = np.random.default_rng(6)
+    ratios = rng.uniform(0.0, 1.0, (65, 64)) * 10.0 ** rng.integers(-300, 280, (65, 64))
+    ratios[:, 0] = 0.0
+    columns = np.linspace(0, 63, 16, dtype=int)
+    want = np.array([_fold(ratios[:, columns], n, np.empty(16), np.empty(16)) for n in range(65)])
+    assert classify_module._probe(ratios).tobytes() == want.tobytes()
+
+
+def test_no_probes_when_a_row_might_overflow():
+    bound = np.finfo(float).max / 2.0**65
+    ratios = np.ones((65, 64))
+    ratios[40, 7] = bound
+    assert classify_module._probe(ratios) is not None
+    for value in (np.nextafter(bound, np.inf), np.inf, np.nan):
+        ratios[40, 7] = value
+        assert classify_module._probe(ratios) is None
+
+
+def test_an_infinite_row_above_the_stop_keeps_the_reference_bytes():
+    # every sign test fails at order 1 and phi(x + k t) / phi(x) overflows
+    # near x = 3 from k = 40, while the probe column at x = 0 stays finite:
+    # probes would rule out every order above 1, but the inf row 40 reads as
+    # a zero row (the 40-isometry of ROADMAP item 1), so no probes are made
+    symbol = parse_symbol("exp(700-466*x)+exp(17.75*x-753.25)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_as_reference(symbol, 1.0, 64, 5.0)
+        assert classify(symbol, 1.0, max_order=64, x_max=5.0).m_isometry == 40
 
 
 def test_fold_adds_from_zero_in_the_order_of_k():
@@ -380,3 +479,26 @@ def test_bracket_is_its_table_row(spec):
         for n in range(65):
             assert bracket(symbol, t, n, grid).tobytes() == table[n].tobytes()
             assert bracket(symbol, t, n, float(grid[5])) == table[n, 5]
+
+
+def _reference_agreement(symbol, t, f):
+    """verify's bracket_agreement as it was: both routes once per order."""
+    op = OperatorHandle(symbol, t, "S")
+    worst = []
+    for n in range(1, 7):
+        form = 0.0
+        for k in range(n + 1):
+            form += float((-1) ** k * math.comb(n, k)) * norm_sq(apply_power(op, k, f))
+        integral = float(np.sum(bracket(symbol, t, n, f.midpoints()) * np.abs(f.values) ** 2 * f.widths()))
+        worst.append(abs(form - integral))
+    return max(worst)
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS)
+def test_bracket_agreement_keeps_the_per_order_bytes(spec):
+    symbol = parse_phi_spec(spec)
+    rng = np.random.default_rng(7)
+    for t in (0.1, 0.25, 1 / 3, 1.0):
+        f = random_step(rng, 0.0, 4 * t, 4 * 64, unit_norm=True)
+        got, want = bracket_agreement(symbol, t, 6, f), _reference_agreement(symbol, t, f)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()

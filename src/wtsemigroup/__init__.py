@@ -11,8 +11,7 @@ semigroup from the signs of its alternating brackets.
 from .classify import (
     ClassificationReport,
     bracket,
-    bracket_integral,
-    bracket_quadratic_form,
+    bracket_forms,
     classify,
 )
 from .config import DEFAULT_TOLERANCES, RunConfig
@@ -29,9 +28,6 @@ from .model import (
     DiagonalKernel,
     EValuedPolynomial,
     block_decompose,
-    gram_matrix,
-    haar_degree_bound,
-    haar_polynomial_basis,
     kernel_closed_form,
     kernel_preimage,
     kernel_series,
@@ -47,13 +43,10 @@ from .operators import (
     apply,
     apply_power,
     check_left_invertible,
-    estimate_lower_bound,
-    estimate_norm,
     make_operator,
 )
 from .spectral import (
     SpectralSummary,
-    lower_spectral_bound,
     model_disc_radius,
     nonsurjectivity_residual,
     point_spectrum_floor,
@@ -65,7 +58,6 @@ from .spectral import (
 from .stepfun import (
     StepFunction,
     add_all,
-    distance,
     haar,
     indicator,
     inner,

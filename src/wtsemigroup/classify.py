@@ -32,7 +32,7 @@ from .stepfun import StepFunction, norm_sq
 from .symbols import Symbol, eval_phi
 from .util import window
 
-MAX_ORDER = 64  # highest bracket order that bracket_table computes
+MAX_ORDER = 64  # highest bracket order that _ratio_table computes
 CLASS_SAMPLES = 4096  # uniform grid points of the sign analysis, before kink clusters
 TOL_CLASS = 1e-9  # zero band of delta_n, relative to max(1, max |delta_n|) on the grid
 
@@ -101,19 +101,6 @@ def bracket(symbol: Symbol, t: float, n: int, x) -> float | np.ndarray:
     return total
 
 
-def bracket_table(symbol: Symbol, t: float, n_max: int, grid: np.ndarray) -> np.ndarray:
-    """delta_n(grid) for n = 0..n_max, sharing the phi(x + k t) evaluations.
-
-    Row n is folded from ratio rows 0..n and then overwrites ratio row n,
-    which no lower row reads, so the rows are filled from the top down.
-    """
-    table = _ratio_table(symbol, t, n_max, grid)
-    acc, term = np.empty(grid.shape), np.empty(grid.shape)
-    for n in range(n_max, -1, -1):
-        table[n] = _fold(table, n, acc, term)
-    return table
-
-
 def _alternating_sum(n: int, norms) -> float:
     """sum_k (-1)^k C(n,k) norms[k], added in the order of k."""
     total = 0.0
@@ -122,36 +109,16 @@ def _alternating_sum(n: int, norms) -> float:
     return total
 
 
-def _weighted_integral(delta: np.ndarray, f: StepFunction) -> float:
-    """integral of delta |f|^2 with delta given at the cell midpoints of f."""
-    return float(np.sum(delta * np.abs(f.values) ** 2 * f.widths()))
-
-
-def bracket_quadratic_form(symbol: Symbol, t: float, n: int, f: StepFunction) -> float:
-    """<B_n(S_t) f, f> at the operator level: alternating sum of ||S_t^k f||^2.
-
-    Cross-validates the symbol-level integral of delta_n |f|^2; the two
-    routes share no code path beyond the symbol itself.
-    """
-    op = OperatorHandle(symbol, t, "S")
-    return _alternating_sum(n, [norm_sq(apply_power(op, k, f)) for k in range(n + 1)])
-
-
-def bracket_integral(symbol: Symbol, t: float, n: int, f: StepFunction) -> float:
-    """Symbol-level integral of delta_n(x) |f(x)|^2 dx at cell midpoints."""
-    if f.values.size == 0:
-        return 0.0
-    return _weighted_integral(bracket(symbol, t, n, f.midpoints()), f)
-
-
-def bracket_agreement(symbol: Symbol, t: float, n_max: int, f: StepFunction) -> float:
-    """max over n = 1..n_max of |bracket_quadratic_form - bracket_integral|,
-    with the same floats, from one ||S_t^k f||^2 per k and one bracket table
-    (row n of bracket_table is bracket at order n, to the bit)."""
+def bracket_forms(symbol: Symbol, t: float, n_max: int, f: StepFunction) -> tuple[list[float], list[float]]:
+    """<B_n(S_t) f, f> for n = 0..n_max along two routes that share no code
+    path beyond the symbol: the operator route, the alternating sum of
+    ||S_t^k f||^2, and the symbol route, the integral of delta_n |f|^2 with
+    delta_n at the cell midpoints of f. Returns (operator, symbol) values."""
     op = OperatorHandle(symbol, t, "S")
     norms = [norm_sq(apply_power(op, k, f)) for k in range(n_max + 1)]
-    integrals = [_weighted_integral(row, f) for row in bracket_table(symbol, t, n_max, f.midpoints())]
-    return max(abs(_alternating_sum(n, norms) - integrals[n]) for n in range(1, n_max + 1))
+    rows, _ = _bracket_rows(symbol, t, n_max, f.midpoints())
+    integrals = [float(np.sum(row * np.abs(f.values) ** 2 * f.widths())) for row in rows]
+    return [_alternating_sum(n, norms) for n in range(n_max + 1)], integrals
 
 
 # ---------------------------------------------------------------------------

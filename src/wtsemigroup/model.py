@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NoClosedFormError, NumericError, OutsideConvergenceDomainError
 from .operators import OperatorHandle, apply_power, apply_power_rows, make_operator, phi_ratio
-from .stepfun import StepFunction, haar, inner, norm_sq, sum_pieces, zero
+from .stepfun import StepFunction, inner, norm_sq, sum_pieces, zero
 from .symbols import Symbol, eval_phi, phi_table
 from .util import SERIES_CAP, TAIL_STREAK, gauss5_cells, sum_series
 
@@ -49,18 +49,16 @@ class EValuedPolynomial:
     cells: np.ndarray
     breakpoints: np.ndarray
     values: np.ndarray
-    truncated: bool = False
 
     def __post_init__(self):
         self._freeze(np.array(self.cells), np.array(self.breakpoints), np.array(self.values))
 
     @classmethod
-    def _owned(cls, t, cells, breakpoints, values, truncated=False) -> "EValuedPolynomial":
+    def _owned(cls, t, cells, breakpoints, values) -> "EValuedPolynomial":
         """A table on arrays the package has just made and hands over: the
         constructor's check, without its copies. The arrays become read-only."""
         p = object.__new__(cls)
         object.__setattr__(p, "t", t)
-        object.__setattr__(p, "truncated", truncated)
         p._freeze(cells, breakpoints, values)
         return p
 
@@ -72,7 +70,7 @@ class EValuedPolynomial:
             raise ValueError("every coefficient must be supported in [0, t)")
 
     @staticmethod
-    def from_coeffs(t: float, coeffs, truncated: bool = False) -> "EValuedPolynomial":
+    def from_coeffs(t: float, coeffs) -> "EValuedPolynomial":
         """The table of the given coefficient step functions."""
         coeffs = [zero() if c.is_zero() else c for c in coeffs]
         return EValuedPolynomial._owned(
@@ -80,7 +78,6 @@ class EValuedPolynomial:
             np.array([c.values.size for c in coeffs], dtype=int),
             np.concatenate([c.breakpoints for c in coeffs if c.values.size] or [np.empty(0)]),
             np.concatenate([c.values for c in coeffs] or [np.empty(0, dtype=complex)]),
-            truncated,
         )
 
     def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
@@ -105,36 +102,23 @@ class EValuedPolynomial:
         return int(rows[-1]) if rows.size else -1
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "coeffs": [c.to_json_dict() for c in self.coeffs],
-            "truncated": self.truncated,
-        }
+        return {"t": self.t, "coeffs": [c.to_json_dict() for c in self.coeffs]}
 
     @staticmethod
     def from_json_dict(d: dict) -> "EValuedPolynomial":
-        return EValuedPolynomial.from_coeffs(
-            d["t"],
-            (StepFunction.from_json_dict(c) for c in d["coeffs"]),
-            d.get("truncated", False),
-        )
+        return EValuedPolynomial.from_coeffs(d["t"], (StepFunction.from_json_dict(c) for c in d["coeffs"]))
 
 
-def model_map(
-    symbol: Symbol,
-    t: float,
-    f: StepFunction,
-    n_terms: int | None = None,
-) -> EValuedPolynomial:
+def model_map(symbol: Symbol, t: float, f: StepFunction) -> EValuedPolynomial:
     """U f: coefficient n is the restriction of L_t^n f to [0, t).
 
-    With n_terms omitted, enough coefficients are produced to cover the
-    support of f, and the result is exact in the sense that model_inverse
-    recovers f. An explicit smaller n_terms marks the result truncated.
+    Enough coefficients are produced to cover the support of f, so
+    model_inverse recovers f.
     """
     op_l = make_operator(symbol, t, "L")
-    if n_terms is None:
-        n_terms = max(0, math.ceil(f.hi / t) - 1) if f.values.size else 0
+    n_terms = max(0, math.ceil(f.hi / t) - 1)
+    while (n_terms + 1) * op_l.t < f.hi:  # f.hi / t rounded down onto a block edge
+        n_terms += 1
     bp, ns = f.breakpoints, np.arange(n_terms + 1)
     nt = ns * op_l.t  # the floats n * t
     # row n holds the cells of f that L_t^n carries into [0, t): fl(b - nt) <= 0
@@ -145,8 +129,7 @@ def model_map(
     cells = np.minimum(np.searchsorted(bp, nt + op_l.t, side="left") + 1, f.values.size) - first
     tables = [_map_rows(op_l, f, ns[a:b], first[a:b], cells[a:b]) for a, b in _chunks(cells)]
     row_cells, breakpoints, values = (np.concatenate(field) for field in zip(*tables))
-    beyond = f.restrict((n_terms + 1) * t, max(f.hi, (n_terms + 1) * t))
-    return EValuedPolynomial._owned(t, row_cells, breakpoints, values, truncated=not beyond.is_zero())
+    return EValuedPolynomial._owned(t, row_cells, breakpoints, values)
 
 
 def _chunks(cells: np.ndarray):
@@ -601,7 +584,7 @@ def _pair_rows(p: EValuedPolynomial, ns: np.ndarray, e: StepFunction) -> list[co
 
 
 # ---------------------------------------------------------------------------
-# Wandering subspace blocks and the Haar polynomial basis
+# Wandering subspace blocks
 # ---------------------------------------------------------------------------
 
 
@@ -610,55 +593,3 @@ def block_decompose(f: StepFunction, t: float, n_blocks: int) -> list[StepFuncti
     if not t > 0:
         raise ValueError("t must be positive")
     return [f.restrict(n * t, (n + 1) * t) for n in range(n_blocks + 1)]
-
-
-def haar_degree_bound(j: int, k: int, t: float) -> int:
-    """Largest possible model degree of the Haar function psi_jk.
-
-    L_t^n psi_jk vanishes once n t exceeds (k+1) 2**-j, which with step t
-    gives floor((k+1) / (2**j t)). The unscaled count floor((k+1)/2**j)
-    ignores the step length; both are reported by haar_polynomial_basis.
-    """
-    return int(math.floor((k + 1) / (2.0**j * t)))
-
-
-@dataclass(frozen=True)
-class HaarModelVector:
-    j: int
-    k: int
-    poly: EValuedPolynomial
-    degree: int
-    degree_bound: int
-    degree_bound_unscaled: int
-
-
-def haar_polynomial_basis(
-    symbol: Symbol,
-    t: float,
-    j_values,
-    k_values,
-) -> list[HaarModelVector]:
-    """Images U psi_jk for the requested scales/shifts: each a finite-degree
-    E-valued polynomial, and the family is orthonormal in the model space."""
-    out = []
-    for j in j_values:
-        for k in k_values:
-            bound = haar_degree_bound(j, k, t)
-            poly = model_map(symbol, t, haar(j, k), n_terms=bound)
-            out.append(
-                HaarModelVector(
-                    j, k, poly, poly.degree, bound, int(math.floor((k + 1) / 2.0**j))
-                )
-            )
-    return out
-
-
-def gram_matrix(symbol: Symbol, t: float, vectors: list[HaarModelVector]) -> np.ndarray:
-    """Model-space Gram matrix of the given basis vectors (via pullback)."""
-    pre = [model_inverse(symbol, t, v.poly) for v in vectors]
-    n = len(pre)
-    g = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            g[a, b] = inner(pre[a], pre[b])
-    return g

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveSymbolError, NotLeftInvertibleError
+from .errors import NotLeftInvertibleError
 from .stepfun import StepFunction
 from .symbols import Symbol, eval_phi, phi_table
 from .util import sample_then_refine, window
@@ -149,16 +149,10 @@ def _weight_table(op: OperatorHandle, nt, x) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (weights, refused), where refused marks the points at which
     apply_power's phi_ratio would raise; elsewhere each weight is the float
-    apply_power multiplies by. The table goes through phi_ratio; only when
-    that refuses a point is it evaluated again, unchecked, to mark them all.
+    apply_power multiplies by. A replay of a refused point through
+    apply_power warns as apply_power does.
     """
     a, b = _SHIFTS[op.kind]
-    try:
-        with np.errstate(over="ignore"):  # refused below; a replay warns as apply_power does
-            w = np.sqrt(phi_ratio(op.symbol, x, a * nt, b * nt))
-        return w, np.zeros(w.shape, dtype=bool)
-    except (ValueError, NonPositiveSymbolError):
-        pass
     num, bad_num = phi_table(op.symbol, x + a * nt)
     den, bad_den = phi_table(op.symbol, x + b * nt)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -227,23 +221,3 @@ def _weight_extrema(symbol: Symbol, t: float, ns, x_max: float, fits) -> list[li
     found = sample_then_refine(sample, refine, [mode for _, mode in fits] * nt.size, x_max)
     return [[ExtremumEstimate(*est) for est in found[i :: len(fits)]] for i in range(len(fits))]
 
-
-def estimate_norm(op: OperatorHandle, n: int, x_max: float) -> ExtremumEstimate:
-    """Sampled essential sup of the n-step weight, refined near the arg-sup.
-
-    Monotone under refinement: the returned value never drops below the grid
-    maximum. Continuity of phi makes the sampled sup converge to the true
-    essential sup as the grid densifies.
-    """
-    return _weight_extrema(op.symbol, op.t, [n], x_max, [(op.kind, "max")])[0][0]
-
-
-def estimate_lower_bound(op: OperatorHandle, n: int, x_max: float) -> ExtremumEstimate:
-    """Sampled essential inf of the n-step weight: m(op^n) = inf ||op^n f||/||f||.
-
-    Concentrating f near the arg-inf realizes the bound, so this is the
-    injectivity modulus of the n-th power on the window. For the left-shift
-    kinds (S_adjoint, L) the kernel makes the literal infimum zero; the
-    sampled value is the modulus transverse to the kernel.
-    """
-    return _weight_extrema(op.symbol, op.t, [n], x_max, [(op.kind, "min")])[0][0]

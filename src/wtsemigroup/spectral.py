@@ -68,12 +68,6 @@ def spectral_radius(op: OperatorHandle, n_max: int, x_max: float) -> RadiusEstim
     return _fit_radius(_weight_extrema(op.symbol, op.t, range(1, n_max + 1), x_max, [(op.kind, "max")])[0])
 
 
-def lower_spectral_bound(op: OperatorHandle, n_max: int, x_max: float) -> RadiusEstimate:
-    """r_1(op) = lim m(op^n)^(1/n), same fitting scheme on the lower moduli."""
-    _check_n_max(n_max)
-    return _fit_radius(_weight_extrema(op.symbol, op.t, range(1, n_max + 1), x_max, [(op.kind, "min")])[0])
-
-
 def model_disc_radius(symbol: Symbol, t: float, n_max: int, x_max: float) -> float:
     """The model disc radius 1/r(L_t): exact for the built-in symbols, else
     from the tail fit of ||L_t^n|| over n = 1..n_max on [0, x_max]."""
@@ -110,9 +104,10 @@ def spectral_summary(
 ) -> SpectralSummary:
     """Full spectral picture for S_t: radius, annulus, model disc, diagnostics.
 
-    r, r_1 and r(L_t) are the fits of spectral_radius(S_t),
-    lower_spectral_bound(S_t) and spectral_radius(L_t), found in one pass:
-    one phi table per shift and one refinement for all three.
+    r and r(L_t) are the fits of spectral_radius(S_t) and spectral_radius(L_t),
+    and r_1 = lim m(S_t^n)^(1/n) is the same fit on the lower moduli, all
+    found in one pass: one phi table per shift and one refinement for all
+    three.
     """
     x_max = window(t, x_max)
     make_operator(symbol, t, "S")  # refuses t <= 0 before any phi is evaluated

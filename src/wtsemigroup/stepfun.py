@@ -205,9 +205,12 @@ def _checked(breakpoints, values) -> tuple[np.ndarray, np.ndarray]:
     if bp.size and bp[0] < 0:
         raise ValueError("support must lie in the half line")
     # np.diff(bp) <= 0 implies bp[1:] <= bp[:-1], whose test needs no
-    # float temporary; the second is false only for pairs of equal infinities
-    if np.any(bp[1:] <= bp[:-1]) and np.any(np.diff(bp) <= 0):
-        raise ValueError("breakpoints must be strictly increasing")
+    # float temporary; the second is false only for pairs of equal
+    # infinities, whose inf - inf is the NaN refused as not finite below
+    if np.any(bp[1:] <= bp[:-1]):
+        with np.errstate(invalid="ignore"):
+            if np.any(np.diff(bp) <= 0):
+                raise ValueError("breakpoints must be strictly increasing")
     if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
         raise ValueError("breakpoints and values must be finite")
     return bp, vals
@@ -366,26 +369,26 @@ def inner(f: StepFunction, g: StepFunction) -> complex:
 
 
 def norm_sq(f: StepFunction) -> float:
+    """integral |f|^2; inf where the squares overflow, without a warning."""
     if f.values.size == 0:
         return 0.0
-    return float(np.sum(np.abs(f.values) ** 2 * f.widths()))
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(f.values) ** 2 * f.widths()))
 
 
 def norm(f: StepFunction) -> float:
     """sqrt(norm_sq(f)); where |v|^2 underflows to 0 or overflows to inf, the
-    values are divided by their largest modulus s before they are squared,
-    as hypot does, and the root is multiplied by s."""
+    moduli |v| are divided by the largest one, s, before they are squared,
+    as hypot does, and the root is multiplied by s. The moduli are real, so
+    a subnormal s divides them without the overflow of a complex division."""
     sq = norm_sq(f)
     if 0.0 < sq < np.inf or f.values.size == 0:
         return float(np.sqrt(sq))
-    s = float(np.max(np.abs(f.values)))
+    moduli = np.abs(f.values)
+    s = float(np.max(moduli))
     if s == 0.0:
         return 0.0
-    return s * float(np.sqrt(np.sum(np.abs(f.values / s) ** 2 * f.widths())))
-
-
-def distance(f: StepFunction, g: StepFunction) -> float:
-    return norm(f - g)
+    return s * float(np.sqrt(np.sum((moduli / s) ** 2 * f.widths())))
 
 
 def restrict_to_E(f: StepFunction, t: float) -> StepFunction:

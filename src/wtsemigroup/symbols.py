@@ -284,11 +284,6 @@ class Symbol:
             out = _eval_node(self.expr, x)
         return np.asarray(out, dtype=float) + np.zeros(x.shape)
 
-    def __call__(self, x):
-        if np.ndim(x) == 0:
-            return float(self.values(np.asarray([x]))[0])
-        return self.values(x)
-
     @property
     def closed_form(self) -> Optional[str]:
         return _CLOSED_FORMS.get(self.name)
@@ -416,12 +411,17 @@ def eval_phi(symbol: Symbol, x):
 
 
 def phi_table(symbol: Symbol, x) -> tuple[np.ndarray, np.ndarray]:
-    """phi at the points x without eval_phi's checks, for tables whose far
-    entries may never be used: returns (values, refused), where refused marks
-    the points at which eval_phi would raise. Overflow warns nothing."""
+    """phi at the points x, for tables whose far entries may never be used:
+    returns (values, refused), where refused marks the points at which
+    eval_phi would raise. The table is eval_phi's; only when eval_phi
+    refuses a point is it evaluated again, unchecked, to mark them all.
+    Overflow warns nothing."""
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        vals = symbol.values(x)
+        try:
+            return eval_phi(symbol, x), np.zeros(x.shape, dtype=bool)
+        except (ValueError, NonPositiveSymbolError):
+            vals = symbol.values(x)
     return vals, (x < 0) | ~(np.isfinite(vals) & (vals > 0))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import bracket_agreement
+from .classify import bracket_forms
 from .config import RunConfig
 from .model import (
     DOMAIN_MARGIN,
@@ -147,7 +147,8 @@ def run_verify(symbol: Symbol, cfg: RunConfig) -> list[CheckResult]:
 
     # operator-level vs symbol-level bracket
     small = random_step(rng, 0.0, 4 * t, 4 * per_block, unit_norm=True)
-    r = bracket_agreement(symbol, t, 6, small)
+    forms, integrals = bracket_forms(symbol, t, 6, small)
+    r = max(abs(forms[n] - integrals[n]) for n in range(1, 7))
     results.append(_result("bracket_agreement", r, tol["bracket_agreement"], "n <= 6"))
 
     # kernel series against the closed form, when one is tagged

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 ledger. Every tolerance is pinned here; nothing is deferred to calibration.
 """
 
+import math
 import time
 
 import numpy as np
@@ -17,17 +18,16 @@ from wtsemigroup import (
     block_decompose,
     constant,
     exponential,
-    gram_matrix,
-    bracket_integral,
-    bracket_quadratic_form,
+    bracket_forms,
     classify,
-    haar_polynomial_basis,
+    haar,
     indicator,
     inner,
     kernel_closed_form,
     kernel_series,
     make_kernel,
     make_operator,
+    model_inverse,
     model_map,
     norm,
     parseval_defect,
@@ -227,10 +227,9 @@ def test_c09_bracket_oracle():
         rng = np.random.default_rng(109)
         for _ in range(20):
             f = random_step(rng, 0.0, 4 * t, 4 * 64, unit_norm=True)
+            forms, integrals = bracket_forms(sym, t, 6, f)
             for n in range(1, 7):
-                gap = abs(
-                    bracket_quadratic_form(sym, t, n, f) - bracket_integral(sym, t, n, f)
-                )
+                gap = abs(forms[n] - integrals[n])
                 worst = max(worst, gap)
                 assert gap <= 1e-6
     report(9, f"operator vs symbol bracket, n <= 6, worst gap {worst:.2e} <= 1e-6")
@@ -239,15 +238,18 @@ def test_c09_bracket_oracle():
 def test_c10_haar_model_basis():
     sym, t = affine(), 1.0
     # the Haar functions supported inside [0, 8): k <= 3 at j = -1, k <= 7 at j = 0, 1
-    vectors = haar_polynomial_basis(sym, t, [-1], range(4)) + haar_polynomial_basis(sym, t, [0, 1], range(8))
-    assert len(vectors) == 20  # j=-1 keeps k <= 3 inside [0, 8)
-    for vec in vectors:
-        assert vec.degree <= vec.degree_bound
-    g = gram_matrix(sym, t, vectors)
-    gap = float(np.max(np.abs(g - np.eye(len(vectors)))))
+    index = [(-1, k) for k in range(4)] + [(j, k) for j in (0, 1) for k in range(8)]
+    assert len(index) == 20  # j=-1 keeps k <= 3 inside [0, 8)
+    pre = []
+    for j, k in index:
+        poly = model_map(sym, t, haar(j, k))
+        assert poly.degree <= math.floor((k + 1) / (2.0**j * t))
+        pre.append(model_inverse(sym, t, poly))  # model-space inner products by pullback
+    g = np.array([[inner(a, b) for b in pre] for a in pre])
+    gap = float(np.max(np.abs(g - np.eye(len(index)))))
     assert gap <= 1e-6
     report(
         10,
-        f"{len(vectors)} Haar vectors: Gram-identity gap {gap:.2e} <= 1e-6, "
+        f"{len(index)} Haar vectors: Gram-identity gap {gap:.2e} <= 1e-6, "
         "degrees within floor((k+1)/(2^j t))",
     )

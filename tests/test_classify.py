@@ -7,8 +7,7 @@ import pytest
 from wtsemigroup import (
     affine,
     bracket,
-    bracket_integral,
-    bracket_quadratic_form,
+    bracket_forms,
     classify,
     constant,
     exponential,
@@ -21,12 +20,10 @@ from wtsemigroup import (
 )
 from wtsemigroup.classify import (
     TOL_CLASS,
-    bracket_agreement,
     ClassificationReport,
     Witness,
     _fold,
     _sample_grid,
-    bracket_table,
 )
 from wtsemigroup.operators import OperatorHandle, apply_power
 from wtsemigroup.stepfun import norm_sq
@@ -180,18 +177,18 @@ def test_classify_report_json_roundtrip():
 
 
 def test_quadratic_form_affine_two_isometry():
-    v = bracket_quadratic_form(affine(), 1.0, 2, indicator(0.0, 1.0))
+    v = bracket_forms(affine(), 1.0, 2, indicator(0.0, 1.0))[0][2]
     assert abs(v) < 1e-9
 
 
 def test_quadratic_form_constant_isometry():
     rng = np.random.default_rng(1)
     f = random_step(rng, 0.0, 3.0, 48, unit_norm=True)
-    assert abs(bracket_quadratic_form(constant(1.0), 1.0, 1, f)) < 1e-12
+    assert abs(bracket_forms(constant(1.0), 1.0, 1, f)[0][1]) < 1e-12
 
 
 def test_quadratic_form_exponential_constant_bracket():
-    v = bracket_quadratic_form(exponential(np.exp(2.0)), 1.0, 1, indicator(0.0, 1.0))
+    v = bracket_forms(exponential(np.exp(2.0)), 1.0, 1, indicator(0.0, 1.0))[0][1]
     assert v == pytest.approx(1.0 - np.exp(2.0), rel=1e-12)
 
 
@@ -209,14 +206,13 @@ def test_operator_symbol_agreement(sym, t):
     rng = np.random.default_rng(2)
     for _ in range(4):
         f = random_step(rng, 0.0, 4 * t, 128, unit_norm=True)
+        forms, integrals = bracket_forms(sym, t, 6, f)
         for n in range(1, 7):
-            lhs = bracket_quadratic_form(sym, t, n, f)
-            rhs = bracket_integral(sym, t, n, f)
-            assert abs(lhs - rhs) < 1e-9
+            assert abs(forms[n] - integrals[n]) < 1e-9
 
 
 # ---------------------------------------------------------------------------
-# the in-place table and the labels from row extrema, against the loops they
+# the bracket rows and the labels from row extrema, against the loops they
 # replaced, to the bit
 # ---------------------------------------------------------------------------
 
@@ -225,8 +221,14 @@ GOLDEN_SPECS = ("const:1", "affine", "reciprocal", "cap", "exp:a=2", "exp2x", "e
 NAN_ROWS = ("expr:exp(20*x-690)", 1.0, 64, 2.0)
 
 
+def _table(symbol, t, n_max, grid):
+    """delta_n(grid) for n = 0..n_max: the rows classify folds, each copied
+    out of the scratch row before the next overwrites it."""
+    return np.array([row.copy() for row in classify_module._bracket_rows(symbol, t, n_max, grid)[0]])
+
+
 def _reference_bracket_table(symbol, t, n_max, grid):
-    """bracket_table as it was: two full tables and a temporary per (n, k)."""
+    """The table as it was first built: two full tables and a temporary per (n, k)."""
     ratios = np.empty((n_max + 1, *grid.shape), dtype=float)
     base = eval_phi(symbol, grid)
     for k in range(n_max + 1):
@@ -307,7 +309,7 @@ def _reference_report(symbol, t, max_order, grid, table):
 def _assert_as_reference(symbol, t, order, x_max=None):
     grid = _sample_grid(symbol, t, order, window(t, x_max))
     ref_table = _reference_bracket_table(symbol, t, order, grid)
-    assert bracket_table(symbol, t, order, grid).tobytes() == ref_table.tobytes()
+    assert _table(symbol, t, order, grid).tobytes() == ref_table.tobytes()
     # repr spells every float to the bit, a signed zero and a NaN included
     got = classify(symbol, t, max_order=order, x_max=x_max)
     assert repr(got) == repr(_reference_report(symbol, t, order, grid, ref_table))
@@ -325,7 +327,7 @@ def test_nan_rows_keep_the_reference_bytes():
     spec, t, order, x_max = NAN_ROWS
     symbol = parse_phi_spec(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        table = bracket_table(symbol, t, order, _sample_grid(symbol, t, order, x_max))
+        table = _table(symbol, t, order, _sample_grid(symbol, t, order, x_max))
         assert (np.isnan(table).any(axis=1).sum(), np.isinf(table).any(axis=1).sum()) == (28, 1)
         _assert_as_reference(symbol, t, order, x_max)
 
@@ -389,7 +391,7 @@ def test_every_stop_keeps_the_full_table_report(spec):
     for t in (0.25, 1 / 3, 1.0):
         for order in range(1, 65):
             grid = _sample_grid(symbol, t, order, window(t, None))
-            table = bracket_table(symbol, t, order, grid)
+            table = _table(symbol, t, order, grid)
             got = classify(symbol, t, max_order=order)
             assert repr(got) == repr(_reference_report(symbol, t, order, grid, table))
 
@@ -418,7 +420,7 @@ def test_probes_are_columns_of_the_table(spec):
         grid = _sample_grid(symbol, t, 64, window(t, None))
         _, probe = classify_module._bracket_rows(symbol, t, 64, grid)
         columns = np.linspace(0, grid.size - 1, 16, dtype=int)
-        assert probe().tobytes() == bracket_table(symbol, t, 64, grid)[:, columns].tobytes()
+        assert probe().tobytes() == _table(symbol, t, 64, grid)[:, columns].tobytes()
 
 
 def test_probes_add_in_the_order_of_the_fold():
@@ -475,7 +477,7 @@ def test_bracket_is_its_table_row(spec):
     symbol = parse_phi_spec(spec)
     for t in (0.25, 1.0):
         grid = _sample_grid(symbol, t, 64, window(t, None))[::8]
-        table = bracket_table(symbol, t, 64, grid)
+        table = _table(symbol, t, 64, grid)
         for n in range(65):
             assert bracket(symbol, t, n, grid).tobytes() == table[n].tobytes()
             assert bracket(symbol, t, n, float(grid[5])) == table[n, 5]
@@ -500,5 +502,7 @@ def test_bracket_agreement_keeps_the_per_order_bytes(spec):
     rng = np.random.default_rng(7)
     for t in (0.1, 0.25, 1 / 3, 1.0):
         f = random_step(rng, 0.0, 4 * t, 4 * 64, unit_norm=True)
-        got, want = bracket_agreement(symbol, t, 6, f), _reference_agreement(symbol, t, f)
+        forms, integrals = bracket_forms(symbol, t, 6, f)
+        got = max(abs(forms[n] - integrals[n]) for n in range(1, 7))
+        want = _reference_agreement(symbol, t, f)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -23,12 +23,8 @@ from wtsemigroup import (
     apply_power,
     block_decompose,
     constant,
-    distance,
     exponential,
-    gram_matrix,
     haar,
-    haar_degree_bound,
-    haar_polynomial_basis,
     indicator,
     inner,
     kernel_closed_form,
@@ -64,44 +60,48 @@ E2X = exponential(np.exp(2.0))
 
 
 def test_model_map_constant_in_E():
-    p = model_map(constant(1.0), 1.0, indicator(0.0, 1.0), n_terms=4)
+    p = model_map(constant(1.0), 1.0, indicator(0.0, 1.0))
     assert p.degree == 0
-    assert distance(p.coeffs[0], indicator(0.0, 1.0)) == 0.0
-    assert not p.truncated
+    assert norm(p.coeffs[0] - indicator(0.0, 1.0)) == 0.0
 
 
 def test_model_map_monomial():
-    p = model_map(constant(1.0), 1.0, indicator(1.0, 2.0), n_terms=4)
+    p = model_map(constant(1.0), 1.0, indicator(1.0, 2.0))
     assert p.degree == 1
     assert p.coeffs[0].is_zero()
-    assert distance(p.coeffs[1], indicator(0.0, 1.0)) == 0.0
+    assert norm(p.coeffs[1] - indicator(0.0, 1.0)) == 0.0
+    assert model_map(affine(), 1.0, indicator(0.0, 3.0)).degree == 2
 
 
 def test_model_map_haar_degree_zero():
     # supp psi_00 = [0,1) = [0,t): L^n reads past the support for n >= 1
     for sym in (constant(1.0), affine(), E2X):
-        p = model_map(sym, 1.0, haar(0, 0), n_terms=3)
+        p = model_map(sym, 1.0, haar(0, 0))
         assert p.degree == 0
 
 
-def test_model_map_truncation_flag():
-    p = model_map(affine(), 1.0, indicator(0.0, 3.0), n_terms=1)
-    assert p.truncated
-    p_full = model_map(affine(), 1.0, indicator(0.0, 3.0))
-    assert not p_full.truncated
-    assert p_full.degree == 2
+def test_model_map_covers_f_when_its_end_rounds_onto_a_block_edge():
+    # g.hi = 0.011000000000000001 lies one ulp past 11 t, but g.hi / t
+    # rounds to 11.0: the last block [11 t, g.hi) must still be mapped
+    t = 0.001
+    f = random_step(np.random.default_rng(0), 0.0, 2 * t, 128, unit_norm=True)
+    g = apply_power(make_operator(affine(), t, "S"), 9, f)
+    assert g.hi > 0.011 and g.hi / t == 11.0
+    back = model_inverse(affine(), t, model_map(affine(), t, g))
+    assert back.hi == g.hi
+    assert_same_outcome(model_map(affine(), t, g), reference_model_map(affine(), t, g))
 
 
 def test_roundtrip_exact_constant():
     f = indicator(0.0, 1.0)
     p = model_map(constant(1.0), 1.0, f)
-    assert distance(model_inverse(constant(1.0), 1.0, p), f) == 0.0
+    assert norm(model_inverse(constant(1.0), 1.0, p) - f) == 0.0
 
 
 def test_roundtrip_affine_offset_cell():
     f = indicator(1.25, 1.5)
     p = model_map(affine(), 1.0, f)
-    assert distance(model_inverse(affine(), 1.0, p), f) < 1e-15
+    assert norm(model_inverse(affine(), 1.0, p) - f) < 1e-15
 
 
 def test_roundtrip_random():
@@ -109,7 +109,7 @@ def test_roundtrip_random():
     f = random_step(rng, 0.0, 8.0, 8 * 64, unit_norm=True)
     for sym in (affine(), reciprocal(), piecewise_cap()):
         p = model_map(sym, 1.0, f)
-        assert distance(model_inverse(sym, 1.0, p), f) < 1e-14
+        assert norm(model_inverse(sym, 1.0, p) - f) < 1e-14
 
 
 @pytest.mark.parametrize("spec", ["affine", "reciprocal", "cap", "exp:a=2"])
@@ -136,11 +136,13 @@ def test_model_map_blockwise_equals_whole_f(spec):
 # ---------------------------------------------------------------------------
 
 
-def reference_model_map(symbol, t, f, n_terms=None):
-    """model_map as one apply_power per block, on the cells of f near it."""
+def reference_model_map(symbol, t, f):
+    """model_map as one apply_power per block, on the cells of f near it,
+    for as many blocks as cover f."""
     op_l = make_operator(symbol, t, "L")
-    if n_terms is None:
-        n_terms = max(0, math.ceil(f.hi / t) - 1) if f.values.size else 0
+    n_terms = max(0, math.ceil(f.hi / t) - 1) if f.values.size else 0
+    while (n_terms + 1) * op_l.t < f.hi:
+        n_terms += 1
     bp, coeffs = f.breakpoints, []
     for n in range(n_terms + 1):
         nt = n * op_l.t
@@ -148,8 +150,7 @@ def reference_model_map(symbol, t, f, n_terms=None):
         hi = min(int(np.searchsorted(bp, nt + op_l.t, side="left")) + 1, f.values.size)
         block = StepFunction(bp[lo : hi + 1], f.values[lo:hi])
         coeffs.append(restrict_to_E(apply_power(op_l, n, block), t))
-    beyond = f.restrict((n_terms + 1) * t, max(f.hi, (n_terms + 1) * t))
-    return EValuedPolynomial.from_coeffs(t, coeffs, truncated=not beyond.is_zero())
+    return EValuedPolynomial.from_coeffs(t, coeffs)
 
 
 def reference_model_inverse(symbol, t, p):
@@ -246,7 +247,7 @@ def assert_same_outcome(got, ref):
     if isinstance(ref, tuple):
         assert got == ref
     elif isinstance(ref, EValuedPolynomial):
-        assert got.truncated == ref.truncated and len(got.coeffs) == len(ref.coeffs)
+        assert len(got.coeffs) == len(ref.coeffs)
         for a, b in zip(got.coeffs, ref.coeffs):
             assert_same_bytes(a, b)
     else:
@@ -286,22 +287,21 @@ def step_data(draw, t):
     spec=st.sampled_from(SPECS),
     t=st.sampled_from([0.3, 1 / 3, 0.7, 1.0, 0.25]),
     data=st.data(),
-    n_terms=st.sampled_from([None, None, 0, 2]),
     table_cells=st.sampled_from([2**16, 7, 40]),
 )
-def test_model_passes_equal_row_by_row_reference(spec, t, data, n_terms, table_cells):
+def test_model_passes_equal_row_by_row_reference(spec, t, data, table_cells):
     # small table bounds put chunk boundaries inside the passes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model_module, "TABLE_CELLS", table_cells)
-        check_model_passes(parse_phi_spec(spec), t, data, n_terms)
+        check_model_passes(parse_phi_spec(spec), t, data)
 
 
-def check_model_passes(sym, t, data, n_terms):
+def check_model_passes(sym, t, data):
     f = data.draw(step_data(t))
     if data.draw(st.booleans()):
         f = zero()
-    got = outcome(lambda: model_map(sym, t, f, n_terms))
-    ref = outcome(lambda: reference_model_map(sym, t, f, n_terms))
+    got = outcome(lambda: model_map(sym, t, f))
+    ref = outcome(lambda: reference_model_map(sym, t, f))
     assert_same_outcome(got, ref)
     if isinstance(ref, EValuedPolynomial):
         assert_same_outcome(
@@ -449,9 +449,9 @@ def test_coefficients_live_in_E():
 def test_polynomial_json_roundtrip():
     p = model_map(affine(), 1.0, indicator(0.25, 2.75))
     q = EValuedPolynomial.from_json_dict(p.to_json_dict())
-    assert q.t == p.t and q.truncated == p.truncated
+    assert q.t == p.t
     for a, b in zip(p.coeffs, q.coeffs):
-        assert distance(a, b) == 0.0
+        assert norm(a - b) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +462,8 @@ GOLDEN_SPECS = SPECS + ["expr:x+1"]
 
 
 def assert_same_table(got, ref):
-    """Equal tables, bit for bit: cell counts, breakpoints, values, flag."""
-    assert got.t == ref.t and got.truncated == ref.truncated
+    """Equal tables, bit for bit: cell counts, breakpoints, values."""
+    assert got.t == ref.t
     assert np.array_equal(got.cells, ref.cells)
     assert got.breakpoints.tobytes() == ref.breakpoints.tobytes()
     assert got.values.tobytes() == ref.values.tobytes()
@@ -490,16 +490,15 @@ def gapped_step_data(draw, t):
     spec=st.sampled_from(GOLDEN_SPECS),
     t=st.sampled_from([0.3, 1 / 3, 0.7, 1.0, 0.25]),
     data=st.data(),
-    n_terms=st.sampled_from([None, None, 0, 1, 3]),
     table_cells=st.sampled_from([2**16, 7, 40]),
 )
-def test_coefficient_table_equals_block_loop(spec, t, data, n_terms, table_cells):
+def test_coefficient_table_equals_block_loop(spec, t, data, table_cells):
     sym = parse_phi_spec(spec)
     f = zero() if data.draw(st.booleans()) else data.draw(gapped_step_data(t))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model_module, "TABLE_CELLS", table_cells)
-        got = outcome(lambda: model_map(sym, t, f, n_terms))
-        ref = outcome(lambda: reference_model_map(sym, t, f, n_terms))
+        got = outcome(lambda: model_map(sym, t, f))
+        ref = outcome(lambda: reference_model_map(sym, t, f))
         if isinstance(ref, tuple):
             assert got == ref
             return
@@ -512,8 +511,6 @@ def test_coefficient_table_equals_block_loop(spec, t, data, n_terms, table_cells
         assert_same_outcome(
             outcome(lambda: model_inverse(sym, t, got)), outcome(lambda: reference_model_inverse(sym, t, ref))
         )
-        if n_terms is not None:
-            return
         # the left side of the reproducing identity, one inner per coefficient
         radius = sym.model_disc_radius(t) or 1.0
         lam = data.draw(st.sampled_from([0.0, 0.4, 0.8])) * radius * np.exp(1j * data.draw(st.floats(0, 6.3)))
@@ -610,7 +607,7 @@ def test_intertwining_shifts_coefficients():
     p_shift = model_map(sym, 1.0, apply(make_operator(sym, 1.0, "S"), f))
     assert norm(p_shift.coeffs[0]) == 0.0
     worst = max(
-        distance(p_shift.coeffs[n], p.coeffs[n - 1]) for n in range(1, len(p.coeffs) + 1)
+        norm(p_shift.coeffs[n] - p.coeffs[n - 1]) for n in range(1, len(p.coeffs) + 1)
     )
     assert worst < 1e-12
 
@@ -1060,8 +1057,8 @@ def test_adjoint_eigenvector_relation_through_model():
 
 def test_block_decompose_indicator():
     blocks = block_decompose(indicator(0.0, 2.0), 1.0, 1)
-    assert distance(blocks[0], indicator(0.0, 1.0)) == 0.0
-    assert distance(blocks[1], indicator(1.0, 2.0)) == 0.0
+    assert norm(blocks[0] - indicator(0.0, 1.0)) == 0.0
+    assert norm(blocks[1] - indicator(1.0, 2.0)) == 0.0
 
 
 def test_blocks_mutually_orthogonal_exact():
@@ -1096,28 +1093,39 @@ def test_shift_lands_in_next_block():
                 assert piece.is_zero()
 
 
+def haar_degree_bound(j, k, t):
+    """floor((k+1) / (2^j t)): L_t^n psi_jk vanishes once n t exceeds (k+1) 2^-j."""
+    return math.floor((k + 1) / (2.0**j * t))
+
+
+def haar_gram(sym, t, index):
+    """Model-space Gram matrix of U psi_jk, (j, k) in index, by pullback."""
+    pre = [model_inverse(sym, t, model_map(sym, t, haar(j, k))) for j, k in index]
+    return np.array([[inner(a, b) for b in pre] for a in pre])
+
+
 def test_haar_degree_bounds_step_quarter():
-    # t = 0.25: bound floor((k+1)/(2^j t)) = 4 at j = 0, k = 0, observed 3
-    vecs = haar_polynomial_basis(constant(1.0), 0.25, [0], [0])
-    assert vecs[0].degree_bound == 4
-    assert vecs[0].degree == 3
-    assert vecs[0].degree_bound_unscaled == 1
+    # t = 0.25: bound floor((k+1)/(2^j t)) = 4 at j = 0, k = 0, observed 3,
+    # above the unscaled count floor((k+1)/2^j) = 1, which ignores the step
+    p = model_map(constant(1.0), 0.25, haar(0, 0))
+    assert haar_degree_bound(0, 0, 0.25) == 4
+    assert p.degree == 3
+    assert math.floor((0 + 1) / 2.0**0) == 1 < p.degree
 
 
 def test_haar_degree_zero_when_support_in_E():
-    vecs = haar_polynomial_basis(constant(1.0), 1.0, [0], [0])
-    assert vecs[0].degree == 0
-    assert distance(vecs[0].poly.coeffs[0], haar(0, 0)) == 0.0
+    p = model_map(constant(1.0), 1.0, haar(0, 0))
+    assert p.degree == 0
+    assert norm(p.coeffs[0] - haar(0, 0)) == 0.0
 
 
 def test_haar_gram_small_identity():
-    vecs = haar_polynomial_basis(affine(), 1.0, [0], [0, 1, 2])
-    g = gram_matrix(affine(), 1.0, vecs)
+    g = haar_gram(affine(), 1.0, [(0, 0), (0, 1), (0, 2)])
     assert np.max(np.abs(g - np.eye(3))) < 1e-8
 
 
 def test_haar_degrees_respect_bound():
     for t in (0.25, 0.5, 1.0):
-        for vec in haar_polynomial_basis(affine(), t, [-1, 0, 1], range(4)):
-            assert vec.degree <= vec.degree_bound
-            assert haar_degree_bound(vec.j, vec.k, t) == vec.degree_bound
+        for j in (-1, 0, 1):
+            for k in range(4):
+                assert model_map(affine(), t, haar(j, k)).degree <= haar_degree_bound(j, k, t)

@@ -12,9 +12,6 @@ from wtsemigroup import (
     apply,
     apply_power,
     constant,
-    distance,
-    estimate_lower_bound,
-    estimate_norm,
     eval_phi,
     exponential,
     indicator,
@@ -38,6 +35,12 @@ from wtsemigroup.spectral import SUMMARY_FITS
 from wtsemigroup.util import sample_then_refine, window
 
 E2X = exponential(np.exp(2.0))  # phi(x) = e^{2x}
+
+
+def extremum(op, n, mode):
+    """Sup (mode "max") or inf ("min") on [0, 64] of the n-step weight of op:
+    the one-n row of the spectral fits."""
+    return _weight_extrema(op.symbol, op.t, [n], 64.0, [(op.kind, mode)])[0][0]
 
 
 def test_constant_symbol_pure_translation():
@@ -85,7 +88,7 @@ def test_power_matches_iterated_application_constant():
     rng = np.random.default_rng(1)
     f = random_step(rng, 0.0, 2.0, 16)
     op = make_operator(constant(2.0), 1.0, "S")
-    assert distance(apply_power(op, 2, f), apply(op, apply(op, f))) <= 1e-9
+    assert norm(apply_power(op, 2, f) - apply(op, apply(op, f))) <= 1e-9
 
 
 def test_power_matches_iterated_application_affine():
@@ -93,34 +96,34 @@ def test_power_matches_iterated_application_affine():
     rng = np.random.default_rng(2)
     f = random_step(rng, 0.0, 2.0, 64)
     op = make_operator(affine(), 0.5, "S")
-    assert distance(apply_power(op, 2, f), apply(op, apply(op, f))) < 1e-12
+    assert norm(apply_power(op, 2, f) - apply(op, apply(op, f))) < 1e-12
 
 
 def test_operator_norm_affine():
     op = make_operator(affine(), 1.0, "S")
     # sup over base points of sqrt(phi(x+1)/phi(x)) = sqrt(2) at x = 0
-    assert estimate_norm(op, 1, 64.0).value == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert extremum(op, 1, "max").value == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_operator_norm_exponential_exact():
     op = make_operator(E2X, 1.0, "S")
     for n in (1, 2, 5):
-        assert estimate_norm(op, n, 64.0).value == pytest.approx(np.exp(n), rel=1e-13)
+        assert extremum(op, n, "max").value == pytest.approx(np.exp(n), rel=1e-13)
 
 
 def test_operator_norm_constant():
     op = make_operator(constant(5.0), 1.0, "S")
-    assert estimate_norm(op, 3, 64.0).value == 1.0
+    assert extremum(op, 3, "max").value == 1.0
 
 
 def test_lower_bound_constant():
     op = make_operator(constant(5.0), 1.0, "S")
-    assert estimate_lower_bound(op, 1, 64.0).value == 1.0
+    assert extremum(op, 1, "min").value == 1.0
 
 
 def test_lower_bound_affine_window_edge():
     op = make_operator(affine(), 1.0, "S")
-    est = estimate_lower_bound(op, 1, 64.0)
+    est = extremum(op, 1, "min")
     assert est.value == pytest.approx(np.sqrt(66.0 / 65.0), abs=1e-12)
     assert est.window_limited
     assert est.arg == pytest.approx(64.0, abs=1e-9)
@@ -128,12 +131,12 @@ def test_lower_bound_affine_window_edge():
 
 def test_lower_bound_exponential():
     op = make_operator(E2X, 1.0, "S")
-    assert estimate_lower_bound(op, 2, 64.0).value == pytest.approx(np.exp(2.0), rel=1e-13)
+    assert extremum(op, 2, "min").value == pytest.approx(np.exp(2.0), rel=1e-13)
 
 
 def test_norm_not_window_limited_at_left_extremum():
     op = make_operator(affine(), 1.0, "S")
-    est = estimate_norm(op, 1, 64.0)
+    est = extremum(op, 1, "max")
     assert not est.window_limited
     assert est.arg == pytest.approx(0.0, abs=1e-9)
 
@@ -159,7 +162,7 @@ def test_L_adjoint_is_cauchy_dual(spec, t):
     mids = f.midpoints()
     inverse_gram = f.with_values(f.values * eval_phi(sym, mids) / eval_phi(sym, mids + t))
     dual = apply(make_operator(sym, t, "S"), inverse_gram)
-    assert distance(apply(make_operator(sym, t, "L_adjoint"), f), dual) < 1e-13
+    assert norm(apply(make_operator(sym, t, "L_adjoint"), f) - dual) < 1e-13
 
 
 def test_semigroup_law_random():
@@ -169,7 +172,7 @@ def test_semigroup_law_random():
         st = make_operator(sym, 1.0, "S")
         ss = make_operator(sym, 0.5, "S")
         sts = make_operator(sym, 1.5, "S")
-        res = distance(apply(st, apply(ss, f)), apply(sts, f))
+        res = norm(apply(st, apply(ss, f)) - apply(sts, f))
         if sym.name == "const":
             assert res == 0.0
         else:
@@ -192,7 +195,7 @@ def test_left_inverse_random():
         f = random_step(rng, 0.0, 4.0, 4 * 128, unit_norm=True)
         s = make_operator(sym, 1.0, "S")
         ell = make_operator(sym, 1.0, "L")
-        assert distance(apply(ell, apply(s, f)), f) < 1e-12
+        assert norm(apply(ell, apply(s, f)) - f) < 1e-12
 
 
 def test_analytic_support_marches_right():
@@ -223,7 +226,7 @@ def test_diagonal_identity_L_Ladjoint():
     out = apply(ell, apply(ladj, f))
     mids = f.midpoints()
     expect = f.with_values(f.values * eval_phi(sym, mids) / eval_phi(sym, mids + 1.0))
-    assert distance(out, expect) < 1e-13
+    assert norm(out - expect) < 1e-13
 
 
 def test_unknown_kind_rejected():

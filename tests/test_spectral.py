@@ -9,13 +9,10 @@ from wtsemigroup import (
     DiagonalKernel,
     affine,
     constant,
-    estimate_lower_bound,
-    estimate_norm,
     exponential,
     haar,
     indicator,
     kernel_series,
-    lower_spectral_bound,
     make_kernel,
     make_operator,
     model_disc_radius,
@@ -47,9 +44,9 @@ def test_fits_equal_per_n_estimates(spec, t, kind):
     # one-n estimate, bit for bit
     op = make_operator(parse_phi_spec(spec), t, kind)
     n_max, x_max = 5, 64.0 * t
-    for fit, estimate in ((spectral_radius, estimate_norm), (lower_spectral_bound, estimate_lower_bound)):
-        per_n = [estimate(op, n, x_max) for n in range(1, n_max + 1)]
-        got = fit(op, n_max, x_max)
+    lower = _fit_radius(_weight_extrema(op.symbol, t, range(1, n_max + 1), x_max, [(kind, "min")])[0])
+    for mode, got in (("max", spectral_radius(op, n_max, x_max)), ("min", lower)):
+        per_n = [_weight_extrema(op.symbol, t, [n], x_max, [(kind, mode)])[0][0] for n in range(1, n_max + 1)]
         assert got.values == tuple(e.value for e in per_n)
         assert got.args == tuple(e.arg for e in per_n)
         assert got.window_limited == any(e.window_limited for e in per_n)
@@ -87,8 +84,8 @@ def _reference_extrema(op, n_max, x_max, mode):
 
 
 def _reference_fits(sym, t, n_max, x_max):
-    """spectral_radius(S), lower_spectral_bound(S) and spectral_radius(L),
-    each through its own search, in the order spectral_summary ran them."""
+    """The fits of ||S_t^n||, m(S_t^n) and ||L_t^n||, each through its own
+    search, in the order spectral_summary ran them."""
     op_s = make_operator(sym, t, "S")
     fit_r = _fit_radius(_reference_extrema(op_s, n_max, x_max, "max"))
     fit_r1 = _fit_radius(_reference_extrema(op_s, n_max, x_max, "min"))
@@ -214,20 +211,18 @@ def test_radius_affine_slow_convergence():
 
 
 def test_lower_bound_constant():
-    op = make_operator(constant(1.0), 1.0, "S")
-    assert lower_spectral_bound(op, 16, 64.0).estimate == pytest.approx(1.0, abs=1e-12)
+    r1 = spectral_summary(constant(1.0), 1.0, n_max=16, x_max=64.0).r1
+    assert r1 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lower_bound_exponential():
-    op = make_operator(E2X, 1.0, "S")
-    assert lower_spectral_bound(op, 32, 64.0).estimate == pytest.approx(np.e, abs=1e-9)
+    assert spectral_summary(E2X, 1.0, n_max=32, x_max=64.0).r1 == pytest.approx(np.e, abs=1e-9)
 
 
 def test_lower_bound_power_symbol():
     # a = 4, t = 0.5: the weight is the constant a^{t/2}, so r1 = 4^{1/4}
-    op = make_operator(exponential(4.0), 0.5, "S")
-    fit = lower_spectral_bound(op, 32, 32.0)
-    assert fit.estimate == pytest.approx(np.sqrt(2.0), abs=1e-9)
+    r1 = spectral_summary(exponential(4.0), 0.5, n_max=32, x_max=32.0).r1
+    assert r1 == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
 
 def test_annulus_degenerates_to_circle():

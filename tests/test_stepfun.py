@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from wtsemigroup import (
     StepFunction,
     add_all,
-    distance,
     haar,
     indicator,
     inner,
@@ -113,7 +113,7 @@ def test_restrict_idempotent():
     f = random_step(rng, 0.0, 4.0, 37)
     once = f.restrict(0.7, 2.3)
     twice = once.restrict(0.7, 2.3)
-    assert distance(once, twice) == 0.0
+    assert norm(once - twice) == 0.0
 
 
 def test_restrict_is_contraction():
@@ -156,7 +156,7 @@ def test_add_sub_roundtrip():
     rng = np.random.default_rng(4)
     f = random_step(rng, 0.0, 4.0, 16)
     g = random_step(rng, 1.0, 3.0, 7)
-    assert distance((f + g) - g, f) < 1e-15
+    assert norm((f + g) - g - f) < 1e-15
 
 
 def test_subdivide_preserves_function():
@@ -164,7 +164,7 @@ def test_subdivide_preserves_function():
     f = random_step(rng, 0.0, 2.0, 9)
     g = f.subdivide(4)
     assert g.values.size == 36
-    assert distance(f, g) == 0.0
+    assert norm(f - g) == 0.0
     assert norm_sq(f) == pytest.approx(norm_sq(g), rel=1e-15)
 
 
@@ -572,8 +572,24 @@ def test_norm_survives_squares_that_underflow_or_overflow(value):
     assert norm(f) == pytest.approx(abs(value) * math.sqrt(0.1), rel=4 * np.finfo(float).eps)
 
 
+def test_refusals_and_rescaled_norms_warn_nothing():
+    # the squares of 1e200 overflow before norm rescales them, and the
+    # constructor's inf - inf comes before its own error: neither warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (1e200, -3e170j):
+            f = StepFunction(np.array([0.0, 0.1]), np.array([value]))
+            assert norm_sq(f) == np.inf
+            assert norm(f) == pytest.approx(abs(value) * math.sqrt(0.1), rel=4 * np.finfo(float).eps)
+        for make in (StepFunction, StepFunction._owned):
+            with pytest.raises(ValueError, match="^breakpoints and values must be finite$"):
+                make(np.array([0.0, np.inf, np.inf]), np.array([1.0, 2.0], dtype=complex))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_step())
+# a subnormal largest modulus: a complex division by it overflows to inf
+@example(StepFunction(np.array([0.0, 5e-324]), np.array([2.22507386e-309 + 0j])))
 def test_norm_keeps_its_bytes_where_the_squares_sum(f):
     sq = norm_sq(f)
     if 0.0 < sq < np.inf:

@@ -1,0 +1,74 @@
+"""Run a fixed set of command lines through `cli.main` in one process and
+write what each prints: its stdout, its stderr and its exit code.
+
+    PYTHONPATH=src python tools/cli_outputs.py OUT
+
+Two checkouts whose commands print the same bytes write files that `cmp`
+finds equal, so the file is the byte-identity check of a change that must
+not alter the output. An exception that escapes `cli.main` is not caught:
+the run ends with its traceback and a nonzero exit.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import shlex
+import sys
+
+from wtsemigroup import cli
+
+# (spec, t): the built-ins, the expression symbols, and the non-dyadic
+# steps at which the model's blocks merge instead of concatenating
+SYMBOLS = (
+    ("const:1", "1"),
+    ("affine", "1"),
+    ("reciprocal", "2"),
+    ("cap", "0.25"),
+    ("exp:a=2", "0.5"),
+    ("exp2x", "1"),
+    ("expr:x+1", "1"),
+    ("expr:x^2+1", "1"),
+    ("affine", "0.1"),
+    ("reciprocal", "0.3"),
+)
+COMMANDS = (
+    ("verify",),
+    ("classify", "--nmax", "16"),
+    ("classify", "--nmax", "64"),
+    ("spectrum",),
+    ("kernel", "--z-grid", "unit:8", "--lambda=0.3,0.2", "--x", "0.05"),
+)
+# refused inputs: e^(2x) overflows before the tail bound holds, phi turns
+# negative past x = 3, and phi(x + k t) / phi(x) overflows into NaN rows
+EDGES = (
+    ("kernel", "--phi", "exp2x", "--t", "1", "--z", "2.5552", "--lambda", "2.718281828"),
+    ("spectrum", "--phi", "expr:3-x"),
+    ("classify", "--phi", "expr:exp(20*x-690)", "--t", "1", "--nmax", "64", "--xmax", "2"),
+)
+
+
+def argvs() -> list[tuple[str, ...]]:
+    runs = [(cmd[0], "--phi", spec, "--t", t, *cmd[1:]) for spec, t in SYMBOLS for cmd in COMMANDS]
+    return runs + list(EDGES)
+
+
+def run(argv: tuple[str, ...]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return f"$ wtsemigroup {shlex.join(argv)}\nexit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def main(args: list[str]) -> int:
+    if len(args) != 1:
+        print("usage: python tools/cli_outputs.py OUT", file=sys.stderr)
+        return 2
+    with open(args[0], "w", encoding="utf-8", newline="\n") as fh:
+        for argv in argvs():
+            fh.write(run(argv))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -48,8 +48,6 @@ from .operators import (
 from .spectral import (
     SpectralSummary,
     model_disc_radius,
-    nonsurjectivity_residual,
-    point_spectrum_floor,
     spectral_radius,
     spectral_summary,
     verify_adjoint_eigenvector,

@@ -212,14 +212,14 @@ def cmd_kernel(args) -> int:
             "n_terms": n_terms,
             "tail_estimate": tail,
         }
-        if kern.closed_form is not None:
+        if symbol.closed_form is not None:
             cf = kernel_closed_form(kern, z, args.lam, args.x)
             row["closed_form"] = [cf.real, cf.imag]
             row["closed_form_delta"] = abs(value - cf)
         rows.append(row)
     print(
         f"# kernel phi={cfg.phi} t={cfg.t:g} x={args.x:g} lambda={args.lam} "
-        f"radius={radius:.9g} closed_form={kern.closed_form} points={len(rows)}"
+        f"radius={radius:.9g} closed_form={symbol.closed_form} points={len(rows)}"
     )
     first = rows[0]["k"]
     print(f"# first value {first[0]:.9g}{first[1]:+.9g}i")
@@ -240,7 +240,7 @@ def cmd_kernel(args) -> int:
                     "x": args.x,
                     "lambda": [args.lam.real, args.lam.imag],
                     "radius": radius,
-                    "closed_form": kern.closed_form,
+                    "closed_form": symbol.closed_form,
                     "rows": rows,
                 }
             ),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .util import window
+from .util import check_step, window
 
 DEFAULT_TOLERANCES = {
     # identities that cancel cell by cell under the midpoint rule; on dyadic
@@ -45,8 +45,7 @@ class RunConfig:
     tol: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("t must be positive")
+        check_step(self.t)
         for name, value in self.tol.items():
             if value < 0:
                 raise ValueError(f"tolerance {name} must be nonnegative")

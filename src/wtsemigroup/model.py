@@ -28,7 +28,7 @@ from .errors import NoClosedFormError, NumericError, OutsideConvergenceDomainErr
 from .operators import OperatorHandle, apply_power, apply_power_rows, make_operator, phi_ratio
 from .stepfun import StepFunction, inner, norm_sq, sum_pieces, zero
 from .symbols import Symbol, eval_phi, phi_table
-from .util import SERIES_CAP, TAIL_STREAK, gauss5_cells, sum_series
+from .util import SERIES_CAP, TAIL_STREAK, check_step, gauss5_cells, sum_series
 
 DOMAIN_MARGIN = 0.05  # kernel series run only for |z conj(lambda)| < radius^2 (1 - margin)
 CLOSED_FORM_TOL = 1e-12  # tail bound of the residual series in the two_isometry closed form
@@ -51,12 +51,22 @@ class EValuedPolynomial:
     values: np.ndarray
 
     def __post_init__(self):
-        self._freeze(np.array(self.cells), np.array(self.breakpoints), np.array(self.values))
+        cells = np.array(self.cells)
+        if cells.ndim != 1 or (cells.size and cells.dtype.kind not in "iu") or (cells < 0).any():
+            raise ValueError("cells must be a 1-d table of nonnegative integers")
+        breakpoints, values = np.array(self.breakpoints, dtype=float), np.array(self.values, dtype=complex)
+        if values.size != cells.sum() or breakpoints.size != (cells[cells > 0] + 1).sum():
+            raise ValueError("need cells[n] values and cells[n] + 1 breakpoints for each row with cells")
+        self._freeze(cells, breakpoints, values)
+        # each row goes through the checks of StepFunction
+        if any(n and c.is_zero() for n, c in zip(cells.tolist(), self.coeffs)):
+            raise ValueError("a row with cells must hold a nonzero value")
 
     @classmethod
     def _owned(cls, t, cells, breakpoints, values) -> "EValuedPolynomial":
-        """A table on arrays the package has just made and hands over: the
-        constructor's check, without its copies. The arrays become read-only."""
+        """A table on arrays the package has just made and hands over, in the
+        constructor's layout: its support check, without its copies or its
+        table checks. The arrays become read-only."""
         p = object.__new__(cls)
         object.__setattr__(p, "t", t)
         p._freeze(cells, breakpoints, values)
@@ -214,35 +224,29 @@ def _sum_rows(pieces) -> StepFunction:
     return sum_pieces(chunks)
 
 
-def parseval_defect(
-    symbol: Symbol,
-    t: float,
-    f: StepFunction,
-    quadrature: str = "pullback",
-) -> float:
-    """| sum_n integral (phi(x+nt)/phi(x)) |c_n|^2 dx  -  ||f||^2 |.
+def parseval_defect(symbol: Symbol, t: float, f: StepFunction) -> tuple[float, float]:
+    """| sum_n integral (phi(x+nt)/phi(x)) |c_n|^2 dx  -  ||f||^2 | by its two
+    routes, (pullback, gauss), both from one model_map.
 
-    quadrature="pullback" evaluates the weighted coefficient norms through
-    the model inverse; the weight cancels the one inside c_n cell by cell,
-    so the defect sits at rounding level for any mesh. quadrature="gauss"
+    The pullback route evaluates the weighted coefficient norms through the
+    model inverse; the weight cancels the one inside c_n cell by cell, so
+    the defect sits at rounding level for any mesh. The gauss route
     integrates the weight with an independent 5-point rule per cell, which
     exposes the genuine O(h^2) midpoint discretization error of the
     coefficients and is the route to use for mesh-refinement studies.
     """
     target = norm_sq(f)
-    if quadrature == "pullback":
-        return abs(norm_sq(model_inverse(symbol, t, model_map(symbol, t, f))) - target)
-    if quadrature != "gauss":
-        raise ValueError("quadrature must be 'pullback' or 'gauss'")
+    p = model_map(symbol, t, f)
+    pullback = abs(norm_sq(model_inverse(symbol, t, p)) - target)
     total = 0.0
-    for n, c in enumerate(model_map(symbol, t, f).coeffs):
+    for n, c in enumerate(p.coeffs):
         if c.is_zero():
             continue
         cell_ints = gauss5_cells(
             lambda x: phi_ratio(symbol, x, n * t, 0), c.breakpoints[:-1], c.breakpoints[1:]
         )
         total += float(np.sum(np.abs(c.values) ** 2 * cell_ints))
-    return abs(total - target)
+    return pullback, abs(total - target)
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +266,6 @@ class DiagonalKernel:
     t: float
     radius: float
 
-    @property
-    def closed_form(self) -> str | None:
-        """The symbol's tag of a shape with a known (semi-)closed formula."""
-        return self.symbol.closed_form
-
     def coefficient(self, n: int, x) -> np.ndarray:
         """Multiplier phi(x)/phi(x + n t) of q**n; positive and bounded."""
         return phi_ratio(self.symbol, x, 0, n * self.t)
@@ -279,12 +278,15 @@ def make_kernel(
 ) -> DiagonalKernel:
     """Kernel with the disc radius taken from the symbol when known exactly.
 
-    For expression symbols pass radius explicitly (1 / fitted r(L_t)).
+    For expression symbols pass radius explicitly (1 / fitted r(L_t)). A
+    radius that is not positive and finite gives no convergence disc.
     """
     if radius is None:
         radius = symbol.model_disc_radius(t)
         if radius is None:
             raise ValueError("no exact radius known; pass radius=1/r(L_t) explicitly")
+    if not (radius > 0 and np.isfinite(radius)):
+        raise OutsideConvergenceDomainError(f"the model disc radius must be positive and finite, got {radius!r}")
     return DiagonalKernel(symbol, t, float(radius))
 
 
@@ -365,10 +367,10 @@ def kernel_closed_form(k: DiagonalKernel, z: complex, lam: complex, x: float) ->
                      tail scaled by (x+1)/2 below the cap, refused with a
                      NumericError when (1-x)/t exceeds SERIES_CAP
     """
-    if k.closed_form is None:
+    tag = k.symbol.closed_form
+    if tag is None:
         raise NoClosedFormError(f"symbol {k.symbol.describe()!r} has no closed form tag")
     q = complex(z) * np.conj(complex(lam))
-    tag = k.closed_form
     if tag == "szego":
         return 1.0 / (1.0 - q)
     if tag == "scaled_szego":
@@ -590,6 +592,5 @@ def _pair_rows(p: EValuedPolynomial, ns: np.ndarray, e: StepFunction) -> list[co
 
 def block_decompose(f: StepFunction, t: float, n_blocks: int) -> list[StepFunction]:
     """Components f . chi_[nt, (n+1)t) realizing L2 = direct sum of S_t^n E."""
-    if not t > 0:
-        raise ValueError("t must be positive")
+    check_step(t)
     return [f.restrict(n * t, (n + 1) * t) for n in range(n_blocks + 1)]

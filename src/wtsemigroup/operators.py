@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NotLeftInvertibleError
 from .stepfun import StepFunction
 from .symbols import Symbol, eval_phi, phi_table
-from .util import sample_then_refine, window
+from .util import check_step, sample_then_refine, window
 
 KINDS = ("S", "S_adjoint", "L", "L_adjoint")
 _RIGHT = {"S", "L_adjoint"}  # support marches right by t per power
@@ -65,8 +65,7 @@ def check_left_invertible(symbol: Symbol, t: float, x_max: float) -> LeftInverti
     Memoized on (symbol, t, x_max): symbols are frozen and hashable, and the
     result is frozen, so every caller may share it.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    check_step(t)
     ratio = lambda x: phi_ratio(symbol, x, t, 0)
     inf_est, arg_inf, _ = sample_then_refine(lambda grid: [ratio(grid)], ratio, ["min"], x_max)[0]
     return LeftInvertibilityCheck(inf_est > EPS_INV, inf_est, arg_inf)
@@ -88,8 +87,7 @@ def make_operator(
     symbol: Symbol, t: float, kind: str = "S", x_max: float | None = None
 ) -> OperatorHandle:
     """Build a validated handle; dual kinds require the inf ratio check."""
-    if not t > 0:
-        raise ValueError("t must be positive")
+    check_step(t)
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}; expected one of {KINDS}")
     if kind in _DUAL:

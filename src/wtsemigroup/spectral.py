@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import kernel_preimage
 from .operators import OperatorHandle, _weight_extrema, apply, make_operator
-from .stepfun import StepFunction, add_all, indicator, inner, norm
+from .stepfun import StepFunction, norm
 from .symbols import Symbol
 from .util import window
 
@@ -152,7 +152,7 @@ def spectral_summary(
 
 
 # ---------------------------------------------------------------------------
-# Circular symmetry of the spectrum
+# Checks of the spectral picture: circular symmetry, adjoint eigenvectors
 # ---------------------------------------------------------------------------
 
 
@@ -197,68 +197,18 @@ def verify_circular_symmetry(
     return norm(lhs - rhs)
 
 
-# ---------------------------------------------------------------------------
-# Adjoint eigenvectors and point-spectrum falsification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdjointEigenResult:
-    residual: float  # ||S_t* v - conj(w) v|| / ||v||
-
-
 def verify_adjoint_eigenvector(
     symbol: Symbol,
     t: float,
     w: complex,
     e: StepFunction,
     tol: float = 1e-8,
-) -> AdjointEigenResult:
-    """Build v = sum conj(w)^n (L_t*)^n e and measure the eigen relation.
+) -> float:
+    """Build v = sum conj(w)^n (L_t*)^n e and return ||S_t* v - conj(w) v|| / ||v||.
 
     The geometric tail rule at `tol` fixes the number N of terms; the
     residual is then |w|^N ||(L*)^(N-1) e|| over ||v|| up to rounding.
     """
     op_sadj = OperatorHandle(symbol, t, "S_adjoint")
     v = kernel_preimage(symbol, t, w, e, tol=tol)
-    resid = norm(apply(op_sadj, v) - v.scale(np.conj(complex(w)))) / norm(v)
-    return AdjointEigenResult(resid)
-
-
-def point_spectrum_floor(
-    symbol: Symbol,
-    t: float,
-    lambdas,
-    test_functions,
-) -> float:
-    """min over tested (lambda, f) of ||(S_t - lambda) f|| for unit f.
-
-    A falsification harness for emptiness of the point spectrum: no tested
-    pair should push the residual toward zero.
-    """
-    op = OperatorHandle(symbol, t, "S")
-    best = np.inf
-    for f in test_functions:
-        u = f.scale(1.0 / norm(f))
-        su = apply(op, u)
-        for lam in lambdas:
-            best = min(best, norm(su - u.scale(complex(lam))))
-    return float(best)
-
-
-def nonsurjectivity_residual(symbol: Symbol, t: float, basis: list[StepFunction]) -> float:
-    """Distance from chi_[0,t) to the span of {S_t b : b in basis}.
-
-    The range of S_t sits in chi_[t,inf) L2, orthogonal to chi_[0,t), so the
-    projection is zero and the residual equals ||chi_[0,t)||: zero is in the
-    spectrum because S_t is not onto.
-    """
-    op = OperatorHandle(symbol, t, "S")
-    target = indicator(0.0, t)
-    images = [apply(op, b) for b in basis]
-    if not images:
-        return norm(target)  # an empty basis spans {0}; lstsq refuses an empty Gram matrix
-    gram = np.array([[inner(u, v) for v in images] for u in images])
-    rhs = np.array([inner(target, u) for u in images])
-    coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    return norm(target - add_all(u.scale(c) for c, u in zip(coeffs, images)))
+    return norm(apply(op_sadj, v) - v.scale(np.conj(complex(w)))) / norm(v)

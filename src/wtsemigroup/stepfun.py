@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import fmt17
+from .util import check_step, fmt17
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,8 +393,7 @@ def norm(f: StepFunction) -> float:
 
 def restrict_to_E(f: StepFunction, t: float) -> StepFunction:
     """Orthogonal projection onto E = chi_[0,t) L2: exact truncation."""
-    if not t > 0:
-        raise ValueError("t must be positive")
+    check_step(t)
     return f.restrict(0.0, t)
 
 

@@ -26,6 +26,7 @@ from .errors import NonPositiveSymbolError, SymbolSyntaxError
 
 POSITIVITY_SAMPLES = 10_000  # uniform grid of validate_positivity
 POSITIVITY_FLOOR = 1e-6  # samples below this are refined on a finer local grid
+POSITIVITY_BLOCK = 64  # refinement windows per eval_phi call; bounds the memory of a pass
 MAX_DEPTH = 50  # levels of an expression tree; evaluating and printing it recurse once per level
 
 # ---------------------------------------------------------------------------
@@ -429,15 +430,18 @@ def validate_positivity(symbol: Symbol, x_max: float) -> float:
     """Sample phi on [0, x_max]; raise on any non-positive or non-finite value.
 
     Values below POSITIVITY_FLOOR trigger a local refinement pass so that
-    narrow dips in user expressions are not missed by the uniform grid.
+    narrow dips in user expressions are not missed by the uniform grid: 200
+    points between the neighbours of each such sample, POSITIVITY_BLOCK
+    windows per eval_phi call, in order, so the first refusal stays first.
     """
     grid = np.linspace(0.0, x_max, POSITIVITY_SAMPLES)
     vals = eval_phi(symbol, grid)  # raises on violation
     lowest = float(np.min(vals))
     suspicious = np.nonzero(vals < POSITIVITY_FLOOR)[0]
-    for i in suspicious:
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, POSITIVITY_SAMPLES - 1)]
-        fine = np.linspace(lo, hi, 200)
+    for start in range(0, suspicious.size, POSITIVITY_BLOCK):
+        i = suspicious[start : start + POSITIVITY_BLOCK]
+        lo = grid[np.maximum(i - 1, 0)]
+        hi = grid[np.minimum(i + 1, POSITIVITY_SAMPLES - 1)]
+        fine = np.linspace(lo, hi, 200, axis=-1)
         lowest = min(lowest, float(np.min(eval_phi(symbol, fine))))
     return lowest

@@ -16,6 +16,12 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 
 
+def check_step(t: float):
+    """Refuse a translation step t that is not a positive finite number."""
+    if not (t > 0 and np.isfinite(t)):
+        raise ValueError(f"t must be positive and finite, got {t!r}")
+
+
 def window(t: float, x_max: float | None) -> float:
     """The sampling window end: x_max when given, else DEFAULT_WINDOW * t."""
     return x_max if x_max is not None else DEFAULT_WINDOW * t

@@ -587,14 +587,14 @@ def test_refused_rows_raise_the_error_of_apply_power():
 def test_parseval_pullback_exact():
     rng = np.random.default_rng(1)
     f = random_step(rng, 0.0, 16.0, 16 * 256, unit_norm=True)
-    assert parseval_defect(affine(), 1.0, f, quadrature="pullback") < 1e-12
+    assert parseval_defect(affine(), 1.0, f)[0] < 1e-12
 
 
 def test_parseval_gauss_second_order():
     rng = np.random.default_rng(2)
     f = random_step(rng, 0.0, 16.0, 16 * 128, unit_norm=True)
-    e1 = parseval_defect(affine(), 1.0, f, quadrature="gauss")
-    e2 = parseval_defect(affine(), 1.0, f.subdivide(2), quadrature="gauss")
+    _, e1 = parseval_defect(affine(), 1.0, f)
+    _, e2 = parseval_defect(affine(), 1.0, f.subdivide(2))
     assert e2 < 1e-6
     assert np.log2(e1 / e2) > 1.8
 
@@ -899,6 +899,14 @@ def test_kernel_series_overflow_raises_the_loop_error_and_warning():
     assert seen[0][1] == [(RuntimeWarning, "overflow encountered in power")]
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0, 0.0])
+def test_make_kernel_refuses_a_radius_that_is_not_positive_and_finite(radius):
+    # a NaN radius turned the domain guard off: kernel_series then formed
+    # 10,001 terms before it raised TailBoundNotAchievedError
+    with pytest.raises(OutsideConvergenceDomainError, match="radius must be positive and finite"):
+        make_kernel(parse_symbol("x+2"), 1.0, radius=radius)
+
+
 def test_kernel_no_closed_form_for_expression():
     sym = parse_symbol("x+2")
     k = make_kernel(sym, 1.0, radius=1.0)
@@ -1017,6 +1025,34 @@ def test_polynomial_copies_the_arrays_it_is_given():
     assert p.values.tolist() == [1.0, 2j] and p.coeffs[0].values.tolist() == [1.0, 2j]
     for table in (p.cells, p.breakpoints, p.values):
         assert not table.flags.writeable and not any(np.shares_memory(table, a) for a in (cells, bp, v))
+
+
+@pytest.mark.parametrize(
+    "cells,breakpoints,values",
+    [
+        ([2], [0.5, 0.2, 0.7], [1j, 2]),  # breakpoints out of order
+        ([1], [math.nan, math.nan], [1.0]),
+        ([5], [0.0, 0.5], [1.0]),  # fewer values than cells
+        ([-1, 2], [0.0, 0.25, 0.5], [1.0]),  # a negative cell count
+        ([[1]], [0.0, 0.5], [1.0]),  # cells in 2-d
+        ([1.0], [0.0, 0.5], [1.0]),  # cell counts that are not integers
+        ([1], [0.0, 0.5], [math.inf]),
+        ([0, 1], [0.0, 0.5], [0.0]),  # a row with cells and no nonzero value
+    ],
+    ids=["unordered", "nan", "short", "negative", "2-d", "float", "inf", "zero-row"],
+)
+def test_polynomial_refuses_malformed_tables(cells, breakpoints, values):
+    with pytest.raises(ValueError):
+        EValuedPolynomial(1.0, cells, breakpoints, values)
+
+
+def test_polynomial_holds_integer_tables_as_floats():
+    # model_inverse weights a copy of the values in place, which an integer
+    # table refuses with numpy's casting error
+    p = EValuedPolynomial(1.0, [0, 1], [0, 1], [2])
+    assert p.breakpoints.dtype == float and p.values.dtype == complex
+    ref = EValuedPolynomial(1.0, [0, 1], [0.0, 1.0], [2.0 + 0j])
+    assert_same_bytes(model_inverse(affine(), 1.0, p), model_inverse(affine(), 1.0, ref))
 
 
 def test_model_map_tables_are_exactly_sized():

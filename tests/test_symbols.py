@@ -251,6 +251,43 @@ def test_validate_positivity_refines_a_dip_between_samples(shift):
         assert 0.0 < validate_positivity(sym, 64.0) < lowest_sample / 10
 
 
+def _validate_positivity_by_windows(symbol, x_max):
+    """validate_positivity as it refined before: one linspace and one
+    eval_phi for each sample below POSITIVITY_FLOOR."""
+    grid = np.linspace(0.0, x_max, POSITIVITY_SAMPLES)
+    vals = eval_phi(symbol, grid)
+    lowest = float(np.min(vals))
+    for i in np.nonzero(vals < POSITIVITY_FLOOR)[0]:
+        lo = grid[max(i - 1, 0)]
+        hi = grid[min(i + 1, POSITIVITY_SAMPLES - 1)]
+        lowest = min(lowest, float(np.min(eval_phi(symbol, np.linspace(lo, hi, 200)))))
+    return lowest
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "const:1",
+        "const:1e-7",
+        "affine",
+        "reciprocal",
+        "exp2x",
+        "expr:exp(-x)",  # about 7,800 windows below the floor
+        "expr:1e-7+0*x",  # every sample below the floor
+        "expr:x",  # refused on the grid, at x = 0
+        "expr:x^2+1e-9",
+        "expr:(x-32)^2/100-1e-9",  # a dip between samples, refused by a window
+        "expr:(x-32)^2/100+1e-9",
+        "expr:exp(-x)*((x-60)^2-1e-8)",  # refused by a window thousands of windows in
+        "expr:(x-20.0008)^2-1.6384e-8",  # a dip that no sample is close enough to see
+    ],
+)
+def test_validate_positivity_in_blocks_equals_the_window_loop(spec):
+    sym = parse_phi_spec(spec)
+    got = _phi_outcome(lambda: validate_positivity(sym, 64.0))
+    assert got == _phi_outcome(lambda: _validate_positivity_by_windows(sym, 64.0))
+
+
 def test_exp_disc_radius_overflow_raises_at_half_step():
     # the radius a^(t/2) is phi(t/2), which overflows a float at a = 2, t = 3000
     with pytest.raises(NonPositiveSymbolError) as info:

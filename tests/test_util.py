@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtsemigroup import check_left_invertible, parse_phi_spec
+from wtsemigroup import (
+    RunConfig,
+    affine,
+    block_decompose,
+    check_left_invertible,
+    indicator,
+    make_operator,
+    parse_phi_spec,
+    restrict_to_E,
+)
 from wtsemigroup.operators import phi_ratio
 from wtsemigroup.errors import TailBoundNotAchievedError
 from wtsemigroup.util import GOLDEN_ITERS, SAMPLES, SERIES_CAP, golden_max, sample_then_refine, sum_series
@@ -162,3 +171,21 @@ def test_sum_series_does_not_replay_at_the_cap():
     with pytest.raises(TailBoundNotAchievedError) as exc:
         sum_series(lambda size: np.ones(size), 1e-10, 16, replayed.append)
     assert replayed == [] and exc.value.n_terms == SERIES_CAP + 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: make_operator(affine(), t),
+        lambda t: check_left_invertible(affine(), t, 64.0),
+        lambda t: block_decompose(indicator(0.0, 1.0), t, 3),
+        lambda t: restrict_to_E(indicator(0.0, 1.0), t),
+        lambda t: RunConfig(t=t),
+    ],
+    ids=["make_operator", "check_left_invertible", "block_decompose", "restrict_to_E", "RunConfig"],
+)
+def test_an_infinite_step_is_refused(call):
+    # each tested only t > 0: S_inf applied to f was the zero function, with
+    # a RuntimeWarning, and block_decompose gave four zero blocks
+    with pytest.raises(ValueError, match="t must be positive"):
+        call(math.inf)

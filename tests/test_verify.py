@@ -59,3 +59,30 @@ def test_coarse_mesh_rescales_quadrature_budget():
     results = {r.name: r for r in run_verify(parse_phi_spec("expr:x+1"), cfg)}
     assert results["parseval_quadrature"].passed
     assert results["parseval_quadrature"].tol > 1e-6  # anchored at h = t/256
+
+
+@pytest.mark.parametrize(
+    "spec,t",
+    [
+        ("const:1", 1.0),
+        ("affine", 1.0),
+        ("reciprocal", 2.0),
+        ("cap", 0.25),
+        ("exp:a=2", 0.5),
+        ("exp2x", 1.0),
+        ("expr:x+1", 1.0),
+        ("expr:x^2+1", 1.0),
+        ("affine", 0.1),
+        ("reciprocal", 0.3),
+    ],
+)
+def test_the_printed_spectral_claims_read_their_rows(spec, t):
+    # spectrum prints sigma_p(S_t) empty: supp S_t^k f lies in [k t, inf)
+    # (analyticity_support) and L_t S_t = I (left_inverse); 0 in sigma(S_t)
+    # because S_t is not onto: ker S_t* = chi_[0,t) L2 (adjoint_kernel); and
+    # sigma_p(S_t*) contains the model disc (adjoint_eigenvector)
+    results = {r.name: r for r in run_verify(parse_phi_spec(spec), RunConfig(phi=spec, t=t))}
+    assert results["analyticity_support"].residual == 0.0
+    assert results["adjoint_kernel"].residual == 0.0
+    assert results["left_inverse"].passed
+    assert results["adjoint_eigenvector"].passed

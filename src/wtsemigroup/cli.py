@@ -277,7 +277,7 @@ def cmd_spectrum(args) -> int:
         f"# n-step weight extrema attained at x={summary.diagnostics['arg_sup'][-1]:.6g} (sup) "
         f"and x={summary.diagnostics['arg_inf'][-1]:.6g} (inf) for n={summary.diagnostics['n_max']}"
     )
-    print(f"# sigma(S_t): closed disc radius {summary.disc_radius:.9g}; point spectrum empty;")
+    print(f"# sigma(S_t): closed disc radius {summary.r:.9g}; point spectrum empty;")
     print(
         f"# sigma_ap in annulus [{summary.annulus[0]:.9g}, {summary.annulus[1]:.9g}]; "
         f"sigma_p(S_t*) contains |w| < {summary.model_disc_radius:.9g}"

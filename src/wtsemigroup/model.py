@@ -259,12 +259,20 @@ class DiagonalKernel:
     """Evaluator of the diagonal kernel series with its convergence guard.
 
     radius is the model disc radius 1/r(L_t); the series in q = z conj(lambda)
-    converges for |q| < radius**2.
+    converges for |q| < radius**2. A radius that is not positive and finite
+    gives no convergence disc, and t must be a positive finite step.
     """
 
     symbol: Symbol
     t: float
     radius: float
+
+    def __post_init__(self):
+        if not (self.radius > 0 and np.isfinite(self.radius)):
+            raise OutsideConvergenceDomainError(
+                f"the model disc radius must be positive and finite, got {self.radius!r}"
+            )
+        check_step(self.t)
 
     def coefficient(self, n: int, x) -> np.ndarray:
         """Multiplier phi(x)/phi(x + n t) of q**n; positive and bounded."""
@@ -278,15 +286,12 @@ def make_kernel(
 ) -> DiagonalKernel:
     """Kernel with the disc radius taken from the symbol when known exactly.
 
-    For expression symbols pass radius explicitly (1 / fitted r(L_t)). A
-    radius that is not positive and finite gives no convergence disc.
+    For expression symbols pass radius explicitly (1 / fitted r(L_t)).
     """
     if radius is None:
         radius = symbol.model_disc_radius(t)
         if radius is None:
             raise ValueError("no exact radius known; pass radius=1/r(L_t) explicitly")
-    if not (radius > 0 and np.isfinite(radius)):
-        raise OutsideConvergenceDomainError(f"the model disc radius must be positive and finite, got {radius!r}")
     return DiagonalKernel(symbol, t, float(radius))
 
 

@@ -173,7 +173,7 @@ class ExtremumEstimate:
     window_limited: bool  # extremum sits at the far window edge x = x_max
 
 
-def _weight_extrema(symbol: Symbol, t: float, ns, x_max: float, fits) -> list[list[ExtremumEstimate]]:
+def _weight_extrema(symbol: Symbol, t: float, ns, x_max: float, fits, checked) -> list[list[ExtremumEstimate]]:
     """Sup or inf over the base point x (where f lives) of the n-step weight
     of each fit (kind, mode) in fits, for each n in ns: one list per fit.
 
@@ -183,8 +183,8 @@ def _weight_extrema(symbol: Symbol, t: float, ns, x_max: float, fits) -> list[li
     sqrt(phi(x)/phi(x + nt)) for the other kinds, so every fit reads one
     table: phi(grid + nt) per n, and phi(grid) once, right after the first
     of them (phi_ratio's order for S). Once the grid is sampled, each kind
-    is checked with make_operator (left invertibility for the dual kinds);
-    then one lockstep search refines every (n, fit) lane.
+    in checked is built with make_operator (left invertibility for the dual
+    kinds); then one lockstep search refines every (n, fit) lane.
     """
     if not ns or min(ns) < 1:
         raise ValueError("n must be >= 1")
@@ -201,16 +201,16 @@ def _weight_extrema(symbol: Symbol, t: float, ns, x_max: float, fits) -> list[li
             down = None if shifted.all() else np.sqrt(p0 / pn)
             for s in shifted:
                 yield up if s else down
-        for kind, _ in fits:
+        for kind in checked:
             make_operator(symbol, t, kind, x_max=x_max)
 
     # lane n * len(fits) + i is fit i at the n-th shift, the order sample yields
     lane_nt = np.repeat(nt, len(fits))
     lane_shifted = np.tile(shifted, nt.size)
-    # rows (num, den) of every lane's phi_ratio shifts: one eval_phi per step
-    # meets a refused numerator before any denominator, as phi_ratio does; y
-    # lies in [0, x_max] and the shifts are >= 0, so x is never below 0
-    shifts = np.stack([np.where(lane_shifted, lane_nt, 0.0), np.where(lane_shifted, 0.0, lane_nt)])
+    # rows (num, den) of every lane's phi_ratio shifts: one eval_phi per zoom
+    # level meets a refused numerator before any denominator, as phi_ratio
+    # does; y lies in [0, x_max] and the shifts are >= 0, so x is never below 0
+    shifts = np.stack([np.where(lane_shifted, lane_nt, 0.0), np.where(lane_shifted, 0.0, lane_nt)])[:, None]
 
     def refine(y):
         num, den = eval_phi(symbol, y + shifts)

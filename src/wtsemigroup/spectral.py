@@ -22,8 +22,8 @@ from .util import window
 
 FIT_RESIDUAL_MAX = 0.05  # a tail fit with a larger log residual is flagged non_convergent
 MAX_FIT_ORDER = 1024  # largest n_max the command line fits, 32 times the default
-# the fits of spectral_summary: ||S_t^n||, m(S_t^n) and ||L_t^n||
-SUMMARY_FITS = (("S", "max"), ("S", "min"), ("L", "max"))
+# the fits of spectral_summary: ||S_t^n|| and m(S_t^n) = 1 / ||L_t^n||
+SUMMARY_FITS = (("S", "max"), ("S", "min"))
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,19 @@ def _check_n_max(n_max: int):
 def spectral_radius(op: OperatorHandle, n_max: int, x_max: float) -> RadiusEstimate:
     """r(op) from the norm sequence; diagnostics flag slow or window-biased fits."""
     _check_n_max(n_max)
-    return _fit_radius(_weight_extrema(op.symbol, op.t, range(1, n_max + 1), x_max, [(op.kind, "max")])[0])
+    ests = _weight_extrema(op.symbol, op.t, range(1, n_max + 1), x_max, [(op.kind, "max")], [op.kind])
+    return _fit_radius(ests[0])
 
 
 def model_disc_radius(symbol: Symbol, t: float, n_max: int, x_max: float) -> float:
-    """The model disc radius 1/r(L_t): exact for the built-in symbols, else
-    from the tail fit of ||L_t^n|| over n = 1..n_max on [0, x_max]."""
+    """The model disc radius 1/r(L_t) = r_1(S_t): exact for the built-in
+    symbols, else the tail fit of m(S_t^n) = 1/||L_t^n|| over n = 1..n_max
+    on [0, x_max], the r_1 of spectral_summary to the bit."""
     exact = symbol.model_disc_radius(t)
     if exact is not None:
         return exact
-    op_l = make_operator(symbol, t, "L", x_max=x_max)
-    return 1.0 / spectral_radius(op_l, n_max, x_max).estimate
+    make_operator(symbol, t, "L", x_max=x_max)
+    return _fit_radius(_weight_extrema(symbol, t, range(1, n_max + 1), x_max, [("S", "min")], [])[0]).estimate
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,6 @@ class SpectralSummary:
     r: float
     r1: float
     r_L: float
-    disc_radius: float
     annulus: tuple[float, float]
     model_disc_radius: float
     window_limited: bool
@@ -104,16 +105,17 @@ def spectral_summary(
 ) -> SpectralSummary:
     """Full spectral picture for S_t: radius, annulus, model disc, diagnostics.
 
-    r and r(L_t) are the fits of spectral_radius(S_t) and spectral_radius(L_t),
-    and r_1 = lim m(S_t^n)^(1/n) is the same fit on the lower moduli, all
-    found in one pass: one phi table per shift and one refinement for all
-    three.
+    r is the fit of spectral_radius(S_t), and r_1 = lim m(S_t^n)^(1/n) is
+    the same fit on the lower moduli, both found in one pass: one phi table
+    per shift and one refinement for both. On one window m(S_t^n) is
+    1/||L_t^n||, so r(L_t) = 1/r_1 and the fitted model disc radius is r_1.
+    L_t is checked once the grid is sampled.
     """
     x_max = window(t, x_max)
     make_operator(symbol, t, "S")  # refuses t <= 0 before any phi is evaluated
     _check_n_max(n_max)
-    extrema = _weight_extrema(symbol, t, range(1, n_max + 1), x_max, SUMMARY_FITS)
-    fit_r, fit_r1, fit_l = (_fit_radius(ests) for ests in extrema)
+    extrema = _weight_extrema(symbol, t, range(1, n_max + 1), x_max, SUMMARY_FITS, ["L"])
+    fit_r, fit_r1 = (_fit_radius(ests) for ests in extrema)
     note = None
     if symbol.name == "exp":
         a = float(symbol.param)
@@ -127,10 +129,9 @@ def spectral_summary(
     return SpectralSummary(
         r=fit_r.estimate,
         r1=fit_r1.estimate,
-        r_L=fit_l.estimate,
-        disc_radius=fit_r.estimate,
+        r_L=1.0 / fit_r1.estimate,
         annulus=(fit_r1.estimate, fit_r.estimate),
-        model_disc_radius=exact_radius if exact_radius is not None else 1.0 / fit_l.estimate,
+        model_disc_radius=exact_radius if exact_radius is not None else fit_r1.estimate,
         window_limited=fit_r.window_limited or fit_r1.window_limited,
         radius_note=note,
         diagnostics={

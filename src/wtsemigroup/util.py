@@ -9,11 +9,11 @@ from .errors import TailBoundNotAchievedError
 DEFAULT_WINDOW = 64.0  # sampling window [0, 64 t] unless the caller sets x_max
 SAMPLES = 10_001  # grid points of a sampled extremum
 SERIES_CAP = 10_000  # last term index a tail-bounded series may reach
-GOLDEN_ITERS = 80  # golden-section steps after the grid search
+ZOOM_POINTS = 32  # intervals of each zoom level across a bracket
+ZOOM_LEVELS = 14  # zoom levels after the grid search: (2/32)**14 ~ 1.4e-17 of the bracket is left
 TAIL_STREAK = 5  # consecutive shrinking terms before the geometric tail is trusted
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
+_ZOOM_STEPS = np.linspace(0.0, 1.0, ZOOM_POINTS + 1)[:, None]  # k / ZOOM_POINTS, exactly
 
 
 def check_step(t: float):
@@ -27,33 +27,27 @@ def window(t: float, x_max: float | None) -> float:
     return x_max if x_max is not None else DEFAULT_WINDOW * t
 
 
-def golden_max(fn, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximization on the brackets [lo_i, hi_i], in lockstep.
+def _zoom(fn, lo, hi, value, arg) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep zoom for the maxima of fn on the brackets [lo_i, hi_i],
+    starting from the values value_i attained at arg_i.
 
-    fn maps the k points of one step (lane i at index i) to their k values.
-    Every lane makes the float operations of a one-bracket search: the same
-    comparison fc >= fd picks its side, and a lane whose bracket is empty
-    (not hi > lo) stays at lo. Returns (args, values) per lane.
+    fn maps a (ZOOM_POINTS + 1, lanes) array of points, lane i in column i,
+    to their values. Each of ZOOM_LEVELS levels evaluates ZOOM_POINTS + 1
+    evenly spaced points across every bracket, clipped to it, and keeps the
+    neighbours of the lane's best point (the first, on ties) as its next
+    bracket; a point replaces the running best only if its value is
+    strictly greater. Returns (args, values) per lane.
     """
-    a = np.array(lo, dtype=float, ndmin=1)
-    b = np.array(hi, dtype=float, ndmin=1)
-    b = np.where(b > a, b, a)
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc = fn(c)
-    fd = fn(d)
-    for _ in range(GOLDEN_ITERS):
-        left = fc >= fd  # the maximum lies in [a, d]: d becomes the new b
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        kept, fkept = np.where(left, c, d), np.where(left, fc, fd)
-        h = b - a
-        new = a + np.where(left, _INVPHI2, _INVPHI) * h
-        fnew = fn(new)
-        c, fc = np.where(left, new, kept), np.where(left, fnew, fkept)
-        d, fd = np.where(left, kept, new), np.where(left, fkept, fnew)
-    left = fc >= fd
-    return np.where(left, c, d), np.where(left, fc, fd)
+    lanes = np.arange(value.size)
+    for _ in range(ZOOM_LEVELS):
+        y = np.minimum(lo + _ZOOM_STEPS * (hi - lo), hi)
+        vals = fn(y)
+        k = np.argmax(vals, axis=0)
+        got = vals[k, lanes]
+        better = got > value
+        value, arg = np.where(better, got, value), np.where(better, y[k, lanes], arg)
+        lo, hi = y[np.maximum(k - 1, 0), lanes], y[np.minimum(k + 1, ZOOM_POINTS), lanes]
+    return arg, value
 
 
 def sample_then_refine(sample, refine, modes, x_max: float) -> list[tuple[float, float, bool]]:
@@ -64,11 +58,11 @@ def sample_then_refine(sample, refine, modes, x_max: float) -> list[tuple[float,
     order, and may yield one array for several rows; each row is reduced to
     its best sample before the next is drawn, so a sampler that computes its
     rows as it yields them keeps one table of values alive. refine(y)
-    evaluates row i at y[i] for every row at once. All rows are then refined
-    together by one lockstep golden section between the neighbours of their
-    best samples, a min row on its negated values; the grid value wins ties,
-    so no result falls behind its grid. Returns (value, arg, at_edge) per
-    row, where at_edge flags a best sample at the far edge x = x_max.
+    evaluates row i at the points y[:, i] for every row at once. All rows are
+    then refined together by one lockstep zoom between the neighbours of
+    their best samples, a min row on its negated values; the grid value wins
+    ties, so no result falls behind its grid. Returns (value, arg, at_edge)
+    per row, where at_edge flags a best sample at the far edge x = x_max.
     """
     grid = np.linspace(0.0, x_max, SAMPLES)
     is_max = np.array([mode == "max" for mode in modes], dtype=bool)
@@ -83,11 +77,8 @@ def sample_then_refine(sample, refine, modes, x_max: float) -> list[tuple[float,
     def signed(y):
         vals = refine(y)
         return np.where(is_max, vals, -vals)
-    args, got = golden_max(signed, lo, hi)
-    refined = np.where(is_max, got, -got)
-    better = np.where(is_max, refined > best_vals, refined < best_vals)
-    value = np.where(better, refined, best_vals)
-    arg = np.where(better, args, grid[best])
+    arg, got = _zoom(signed, lo, hi, np.where(is_max, best_vals, -best_vals), grid[best])
+    value = np.where(is_max, got, -got)
     return list(zip(value.tolist(), arg.tolist(), (best == SAMPLES - 1).tolist()))
 
 

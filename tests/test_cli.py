@@ -437,7 +437,6 @@ def _spectral_summary_dict(s) -> dict:
         "r": s.r,
         "r1": s.r1,
         "r_L": s.r_L,
-        "disc_radius": s.disc_radius,
         "annulus": list(s.annulus),
         "model_disc_radius": s.model_disc_radius,
         "window_limited": s.window_limited,

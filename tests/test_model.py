@@ -907,6 +907,25 @@ def test_make_kernel_refuses_a_radius_that_is_not_positive_and_finite(radius):
         make_kernel(parse_symbol("x+2"), 1.0, radius=radius)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0, 0.0])
+def test_diagonal_kernel_refuses_a_radius_that_is_not_positive_and_finite(radius):
+    # built directly, a NaN radius switched the domain guard off and
+    # kernel_series formed 10,001 terms before TailBoundNotAchievedError
+    with pytest.raises(OutsideConvergenceDomainError, match="radius must be positive and finite"):
+        DiagonalKernel(constant(1.0), 1.0, radius)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
+def test_diagonal_kernel_refuses_a_step_that_is_not_positive_and_finite(t):
+    # t = inf formed inf * 0 in the phi column: a RuntimeWarning, then a value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            DiagonalKernel(constant(1.0), t, 1.0)
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            make_kernel(constant(1.0), t, radius=1.0)
+
+
 def test_kernel_no_closed_form_for_expression():
     sym = parse_symbol("x+2")
     k = make_kernel(sym, 1.0, radius=1.0)

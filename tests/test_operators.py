@@ -32,7 +32,7 @@ from wtsemigroup.operators import (
     phi_ratio,
 )
 from wtsemigroup.spectral import SUMMARY_FITS
-from wtsemigroup.util import sample_then_refine, window
+from wtsemigroup.util import SAMPLES, sample_then_refine, window
 
 E2X = exponential(np.exp(2.0))  # phi(x) = e^{2x}
 
@@ -40,7 +40,7 @@ E2X = exponential(np.exp(2.0))  # phi(x) = e^{2x}
 def extremum(op, n, mode):
     """Sup (mode "max") or inf ("min") on [0, 64] of the n-step weight of op:
     the one-n row of the spectral fits."""
-    return _weight_extrema(op.symbol, op.t, [n], 64.0, [(op.kind, mode)])[0][0]
+    return _weight_extrema(op.symbol, op.t, [n], 64.0, [(op.kind, mode)], [op.kind])[0][0]
 
 
 def test_constant_symbol_pure_translation():
@@ -291,9 +291,9 @@ def test_apply_power_rows_equals_apply_power_row_by_row(spec, kind, t, ns, data)
         assert vals[mine].tobytes() == ref.values.tobytes()
 
 
-def _weight_extrema_two_calls(symbol, t, ns, x_max, fits, numerator_first=True):
-    """_weight_extrema as it refined before: two eval_phi calls per golden
-    step, the numerator's first as in phi_ratio, or else the denominator's."""
+def _weight_extrema_two_calls(symbol, t, ns, x_max, fits, checked, numerator_first=True):
+    """_weight_extrema with two eval_phi calls per zoom level, the
+    numerator's first as in phi_ratio, or else the denominator's."""
     nt = np.asarray(ns) * t
     shifted = np.array([kind in _NUM_SHIFTED for kind, _ in fits])
 
@@ -307,7 +307,7 @@ def _weight_extrema_two_calls(symbol, t, ns, x_max, fits, numerator_first=True):
             down = None if shifted.all() else np.sqrt(p0 / pn)
             for s in shifted:
                 yield up if s else down
-        for kind, _ in fits:
+        for kind in checked:
             make_operator(symbol, t, kind, x_max=x_max)
 
     lane_nt = np.repeat(nt, len(fits))
@@ -339,23 +339,57 @@ def _extrema_outcome(fn):
     "spec", ["const:1", "affine", "reciprocal", "cap", "exp:a=2", "exp2x", "expr:x+1", "expr:x^2+1"]
 )
 def test_weight_extrema_equals_two_phi_ratio_calls(spec, t):
-    # one eval_phi over the stacked (num, den) points per golden step: the
+    # one eval_phi over the stacked (num, den) points per zoom level: the
     # floats of two phi_ratio calls, to the bit
     sym = parse_phi_spec(spec)
-    args = (sym, t, range(1, 33), window(t, None), SUMMARY_FITS)
+    args = (sym, t, range(1, 33), window(t, None), SUMMARY_FITS + (("L", "max"),), ["L"])
     assert _extrema_outcome(lambda: _weight_extrema(*args)) == _extrema_outcome(lambda: _weight_extrema_two_calls(*args))
+
+
+@pytest.mark.parametrize("t", [0.25, 1 / 3, 1.0])
+@pytest.mark.parametrize(
+    "spec", ["const:1", "affine", "reciprocal", "cap", "exp:a=2", "exp2x", "expr:x+1", "expr:x^2+1"]
+)
+def test_weight_extrema_beat_their_grid_and_a_fine_scan_of_the_bracket(spec, t):
+    # oracle: no refined extremum falls behind its grid sample, and none is
+    # more than 4 ulps behind the best of 4,097 evenly spaced points between
+    # the grid neighbours of that sample, nor behind the best after two more
+    # such scans between the neighbours of the best point (one scan is no
+    # finer than 3 levels of the zoom)
+    sym = parse_phi_spec(spec)
+    x_max = window(t, None)
+    fits = SUMMARY_FITS + (("L", "max"),)
+    ns = range(1, 33)
+    grid = np.linspace(0.0, x_max, SAMPLES)
+    for (kind, mode), ests in zip(fits, _weight_extrema(sym, t, ns, x_max, fits, [])):
+        sign = 1.0 if mode == "max" else -1.0
+        for n, est in zip(ns, ests):
+            num, den = (n * t, 0.0) if kind in _NUM_SHIFTED else (0.0, n * t)
+            signed = lambda x: sign * np.sqrt(phi_ratio(sym, x, num, den))
+            vals = signed(grid)
+            i = int(np.argmax(vals))
+            got = sign * est.value
+            assert got >= vals[i]
+            assert 0.0 <= est.arg <= x_max
+            lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, SAMPLES - 1)]
+            for _ in range(3):
+                ys = np.linspace(lo, hi, 4097)
+                scan = signed(ys)
+                j = int(np.argmax(scan))
+                assert got >= scan[j] - 4 * np.spacing(abs(scan[j]))
+                lo, hi = ys[max(j - 1, 0)], ys[min(j + 1, 4096)]
 
 
 def test_weight_extrema_refuses_a_dip_numerator_first():
     # phi > 0 at every sampled point x + n, x on the grid of [0, 64], but < 0
     # within 1.28e-4 of 20.0008, between grid points: only the refinement
-    # reaches the dip. Within one golden step the S max lanes meet it in
+    # reaches the dip. Within one zoom level the S max lanes meet it in
     # their denominator and the S min lanes in their numerator, at different
     # points, so the order of the rows decides the error. (A dual kind would
     # meet it first in the left-invertibility check, which both forms share.)
     sym = parse_phi_spec("expr:(x-20.0008)^2-1.6384e-8")
     fits = (("S", "max"), ("S", "min"))
-    args = (sym, 1.0, range(1, 33), 64.0, fits)
+    args = (sym, 1.0, range(1, 33), 64.0, fits, ["S"])
     got = _extrema_outcome(lambda: _weight_extrema(*args))
     assert got[0] is NonPositiveSymbolError
     assert got == _extrema_outcome(lambda: _weight_extrema_two_calls(*args))

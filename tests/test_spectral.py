@@ -29,7 +29,7 @@ from wtsemigroup.errors import NonPositiveSymbolError, NotLeftInvertibleError, T
 from wtsemigroup.operators import ExtremumEstimate, _weight_extrema, phi_ratio
 from wtsemigroup.spectral import SUMMARY_FITS, _fit_radius
 import wtsemigroup.util as util_module
-from wtsemigroup.util import SAMPLES, TAIL_STREAK, golden_max, window
+from wtsemigroup.util import SAMPLES, TAIL_STREAK, _zoom, window
 
 E2X = exponential(np.exp(2.0))
 
@@ -41,18 +41,18 @@ def test_fits_equal_per_n_estimates(spec, t, kind):
     # one-n estimate, bit for bit
     op = make_operator(parse_phi_spec(spec), t, kind)
     n_max, x_max = 5, 64.0 * t
-    lower = _fit_radius(_weight_extrema(op.symbol, t, range(1, n_max + 1), x_max, [(kind, "min")])[0])
+    lower = _fit_radius(_weight_extrema(op.symbol, t, range(1, n_max + 1), x_max, [(kind, "min")], [kind])[0])
     for mode, got in (("max", spectral_radius(op, n_max, x_max)), ("min", lower)):
-        per_n = [_weight_extrema(op.symbol, t, [n], x_max, [(kind, mode)])[0][0] for n in range(1, n_max + 1)]
+        per_n = [_weight_extrema(op.symbol, t, [n], x_max, [(kind, mode)], [kind])[0][0] for n in range(1, n_max + 1)]
         assert got.values == tuple(e.value for e in per_n)
         assert got.args == tuple(e.arg for e in per_n)
         assert got.window_limited == any(e.window_limited for e in per_n)
 
 
 def _reference_extrema(op, n_max, x_max, mode):
-    """One fit searched on its own, as spectral_summary searched each of its
-    three fits: every row samples phi_ratio on the grid, then one lockstep
-    golden section refines that fit's rows, on negated values for an inf."""
+    """One fit searched on its own: every row samples phi_ratio on the grid,
+    then one lockstep zoom refines that fit's rows, on negated values for an
+    inf."""
     nt = np.arange(1, n_max + 1) * op.t
     zero = np.zeros_like(nt)
     num, den = (nt, zero) if op.kind in ("S", "S_adjoint") else (zero, nt)
@@ -69,25 +69,21 @@ def _reference_extrema(op, n_max, x_max, mode):
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, SAMPLES - 1)]
     if mode == "max":
-        args, refined = golden_max(lambda y: fn(y, lanes), lo, hi)
-        better = refined > best_vals
+        arg, value = _zoom(lambda y: fn(y, lanes), lo, hi, best_vals, grid[best])
     else:
-        args, neg = golden_max(lambda y: -fn(y, lanes), lo, hi)
-        refined = -neg
-        better = refined < best_vals
-    value = np.where(better, refined, best_vals)
-    arg = np.where(better, args, grid[best])
+        arg, neg = _zoom(lambda y: -fn(y, lanes), lo, hi, -best_vals, grid[best])
+        value = -neg
     return [ExtremumEstimate(*est) for est in zip(value.tolist(), arg.tolist(), (best == SAMPLES - 1).tolist())]
 
 
 def _reference_fits(sym, t, n_max, x_max):
-    """The fits of ||S_t^n||, m(S_t^n) and ||L_t^n||, each through its own
-    search, in the order spectral_summary ran them."""
+    """The fits of ||S_t^n|| and m(S_t^n), each through its own search, then
+    the check of L_t that the model disc radius needs."""
     op_s = make_operator(sym, t, "S")
     fit_r = _fit_radius(_reference_extrema(op_s, n_max, x_max, "max"))
     fit_r1 = _fit_radius(_reference_extrema(op_s, n_max, x_max, "min"))
-    op_l = make_operator(sym, t, "L", x_max=x_max)
-    return fit_r, fit_r1, _fit_radius(_reference_extrema(op_l, n_max, x_max, "max"))
+    make_operator(sym, t, "L", x_max=x_max)
+    return fit_r, fit_r1
 
 
 def _outcome(fn):
@@ -116,7 +112,9 @@ def test_summary_fits_bitwise_equal_per_fit_searches(spec, t, n_max, x_max):
     sym = parse_phi_spec(spec)
     x_max = window(t, x_max)
     ref = _outcome(lambda: _reference_fits(sym, t, n_max, x_max))
-    got = _outcome(lambda: [_fit_radius(e) for e in _weight_extrema(sym, t, range(1, n_max + 1), x_max, SUMMARY_FITS)])
+    got = _outcome(
+        lambda: [_fit_radius(e) for e in _weight_extrema(sym, t, range(1, n_max + 1), x_max, SUMMARY_FITS, ["L"])]
+    )
     if isinstance(ref, tuple) and isinstance(ref[0], type):
         assert got == ref
         assert _outcome(lambda: spectral_summary(sym, t, n_max=n_max, x_max=x_max)) == ref
@@ -127,8 +125,12 @@ def test_summary_fits_bitwise_equal_per_fit_searches(spec, t, n_max, x_max):
         assert fit.window_limited == want.window_limited
         assert fit.estimate == want.estimate
     summary = spectral_summary(sym, t, n_max=n_max, x_max=x_max)
-    assert (summary.r, summary.r1, summary.r_L) == tuple(fit.estimate for fit in ref)
+    assert (summary.r, summary.r1, summary.r_L) == (ref[0].estimate, ref[1].estimate, 1.0 / ref[1].estimate)
     assert summary.window_limited == (ref[0].window_limited or ref[1].window_limited)
+    # the fitted model disc radius is r1, through model_disc_radius's own search too
+    radius = sym.model_disc_radius(t)
+    assert summary.model_disc_radius == (ref[1].estimate if radius is None else radius)
+    assert model_disc_radius(sym, t, n_max, x_max) == summary.model_disc_radius
 
 
 @pytest.mark.parametrize(
@@ -181,7 +183,8 @@ def test_model_disc_radius_exact_for_builtins(sym, t):
 def test_model_disc_radius_fitted_matches_summary():
     sym = parse_phi_spec("expr:x+1")
     assert sym.model_disc_radius(1.0) is None
-    assert model_disc_radius(sym, 1.0, 32, 64.0) == 1.0 / spectral_summary(sym, 1.0).r_L
+    summary = spectral_summary(sym, 1.0)
+    assert model_disc_radius(sym, 1.0, 32, 64.0) == summary.model_disc_radius == summary.r1
 
 
 def test_radius_constant_symbol():

@@ -17,39 +17,24 @@ from wtsemigroup import (
 )
 from wtsemigroup.operators import phi_ratio
 from wtsemigroup.errors import TailBoundNotAchievedError
-from wtsemigroup.util import GOLDEN_ITERS, SAMPLES, SERIES_CAP, golden_max, sample_then_refine, sum_series
-
-# Python floats, so every point the reference search visits is a Python float
-_INVPHI = float((np.sqrt(5.0) - 1.0) / 2.0)
-_INVPHI2 = float((3.0 - np.sqrt(5.0)) / 2.0)
+from wtsemigroup.util import SAMPLES, SERIES_CAP, ZOOM_LEVELS, ZOOM_POINTS, _zoom, sample_then_refine, sum_series
 
 
-def _golden_scalar(fn, lo, hi):
-    """The one-bracket golden-section search that golden_max runs per lane."""
-    a, b = float(lo), float(hi)
-    if not b > a:
-        return a, float(fn(a))
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc = float(fn(c))
-    fd = float(fn(d))
-    for _ in range(GOLDEN_ITERS):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = float(fn(c))
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = float(fn(d))
-    return (c, fc) if fc >= fd else (d, fd)
+def _zoom_scalar(fn, lo, hi, value, arg):
+    """The one-lane zoom that util._zoom runs per lane, on Python floats."""
+    lo, hi, value, arg = float(lo), float(hi), float(value), float(arg)
+    for _ in range(ZOOM_LEVELS):
+        ys = [min(lo + (k / ZOOM_POINTS) * (hi - lo), hi) for k in range(ZOOM_POINTS + 1)]
+        vals = [float(fn(y)) for y in ys]
+        k = max(range(len(vals)), key=vals.__getitem__)  # the first of the best
+        if vals[k] > value:
+            value, arg = vals[k], ys[k]
+        lo, hi = ys[max(k - 1, 0)], ys[min(k + 1, ZOOM_POINTS)]
+    return arg, value
 
 
 def _sample_then_refine_scalar(fn, x_max, mode):
-    """The one-function grid-then-golden search that sample_then_refine runs per row."""
+    """The one-function grid-then-zoom search that sample_then_refine runs per row."""
     grid = np.linspace(0.0, x_max, SAMPLES)
     vals = fn(grid)
     i = int(np.argmax(vals) if mode == "max" else np.argmin(vals))
@@ -57,18 +42,14 @@ def _sample_then_refine_scalar(fn, x_max, mode):
     hi = grid[min(i + 1, SAMPLES - 1)]
     scalar = lambda y: float(fn(np.asarray([y]))[0])
     if mode == "max":
-        arg, refined = _golden_scalar(scalar, lo, hi)
-        better = refined > vals[i]
+        arg, value = _zoom_scalar(scalar, lo, hi, vals[i], grid[i])
     else:
-        arg, neg = _golden_scalar(lambda y: -scalar(y), lo, hi)
-        refined = -neg
-        better = refined < vals[i]
-    if better:
-        return refined, float(arg), i == SAMPLES - 1
-    return float(vals[i]), float(grid[i]), i == SAMPLES - 1
+        arg, neg = _zoom_scalar(lambda y: -scalar(y), lo, hi, -vals[i], grid[i])
+        value = -neg
+    return value, float(arg), i == SAMPLES - 1
 
 
-# objectives with one peak, several peaks, plateaus and exact ties (fc == fd)
+# objectives with one peak, several peaks, plateaus and exact ties
 _OBJECTIVES = {
     "quadratic": lambda m, s: lambda y: -s * (y - m) * (y - m),
     "plateau": lambda m, s: lambda y: float(math.floor((y - m) * s)),
@@ -92,21 +73,27 @@ def _lane(draw):
     kind = draw(st.sampled_from(sorted(_OBJECTIVES)))
     m = draw(st.floats(-60.0, 60.0))
     s = draw(st.floats(0.0, 10.0))
-    return lo, hi, _OBJECTIVES[kind](m, s)
+    obj = _OBJECTIVES[kind](m, s)
+    # the start: the objective's own value at lo (a tie), or any other value
+    value = draw(st.one_of(st.just(obj(lo)), st.floats(-1e3, 1e3)))
+    return lo, hi, value, obj
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_lane(), min_size=1, max_size=6))
-def test_golden_max_lockstep_equals_scalar(lanes):
-    objectives = [obj for _, _, obj in lanes]
+def test_zoom_lockstep_equals_scalar(lanes):
+    objectives = [obj for *_, obj in lanes]
     # obj sees a Python float on both sides: round() on an np.float64 rounds
     # differently (round(np.float64(-0.05), 1) is -0.0, round(-0.05, 1) is -0.1)
-    fn = lambda ys: np.array([obj(float(y)) for obj, y in zip(objectives, ys)])
-    args, values = golden_max(fn, [lo for lo, _, _ in lanes], [hi for _, hi, _ in lanes])
-    for i, (lo, hi, obj) in enumerate(lanes):
-        arg, value = _golden_scalar(obj, lo, hi)
+    fn = lambda ys: np.array([[obj(float(y)) for obj, y in zip(objectives, row)] for row in ys])
+    lo, hi, value = (np.array([lane[j] for lane in lanes]) for j in range(3))
+    args, values = _zoom(fn, lo, hi, value, lo)
+    for i, (lo_i, hi_i, value_i, obj) in enumerate(lanes):
+        arg, best = _zoom_scalar(obj, lo_i, hi_i, value_i, lo_i)
         assert args[i] == arg
-        assert values[i] == value
+        assert values[i] == best
+        if hi_i >= lo_i:  # every point it keeps lies in the bracket
+            assert lo_i <= args[i] <= hi_i
 
 
 @pytest.mark.parametrize("mode", ["max", "min"])

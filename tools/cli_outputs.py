@@ -40,12 +40,14 @@ COMMANDS = (
     ("kernel", "--z-grid", "unit:8", "--lambda=0.3,0.2", "--x", "0.05"),
 )
 # refused inputs: e^(2x) overflows before the tail bound holds, phi turns
-# negative past x = 3, and phi(x + k t) / phi(x) overflows into NaN rows;
+# negative past x = 3, inf phi(x + t) / phi(x) is not above the left
+# invertibility floor, and phi(x + k t) / phi(x) overflows into NaN rows;
 # then symbols whose samples fall below the positivity floor, most of them
 # and all of them, so the refinement of validate_positivity runs
 EDGES = (
     ("kernel", "--phi", "exp2x", "--t", "1", "--z", "2.5552", "--lambda", "2.718281828"),
     ("spectrum", "--phi", "expr:3-x"),
+    ("spectrum", "--phi", "expr:exp(0-16*x)", "--t", "1", "--xmax", "2"),
     ("classify", "--phi", "expr:exp(20*x-690)", "--t", "1", "--nmax", "64", "--xmax", "2"),
     ("classify", "--phi", "expr:exp(-x)"),
     ("classify", "--phi", "expr:1e-7+0*x"),

@@ -115,6 +115,8 @@ def _config_from_args(args) -> RunConfig:
         out=args.out,
         fmt=args.fmt,
     )
+    if not math.isfinite(cfg.resolved_x_max):  # 64 t overflows above t ~ 2.8e306
+        raise SymbolSyntaxError(f"--t {cfg.t!r} makes the sampling window 64 t infinite; give --xmax")
     for item in args.tol:
         name, _, value = item.partition("=")
         if not value:
@@ -298,6 +300,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
+    # the suites build S_{t/2}, cells of width h and test data on [0, 8 t)
+    for name, value in (("t/2", cfg.t / 2), ("h", cfg.resolved_h), ("8 t", 8 * cfg.t)):
+        if not (value > 0 and math.isfinite(value)):
+            raise SymbolSyntaxError(f"--t {cfg.t!r} gives {name} = {value!r}; verify needs it positive and finite")
     # t / h first: per_block cannot round an infinite ratio
     if not cfg.t / cfg.resolved_h <= MAX_CELLS or 8 * cfg.per_block > MAX_CELLS:
         raise SymbolSyntaxError(

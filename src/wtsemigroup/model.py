@@ -111,13 +111,6 @@ class EValuedPolynomial:
         rows = np.flatnonzero(self.cells)
         return int(rows[-1]) if rows.size else -1
 
-    def to_json_dict(self) -> dict:
-        return {"t": self.t, "coeffs": [c.to_json_dict() for c in self.coeffs]}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "EValuedPolynomial":
-        return EValuedPolynomial.from_coeffs(d["t"], (StepFunction.from_json_dict(c) for c in d["coeffs"]))
-
 
 def model_map(symbol: Symbol, t: float, f: StepFunction) -> EValuedPolynomial:
     """U f: coefficient n is the restriction of L_t^n f to [0, t).

@@ -12,12 +12,11 @@ Values are immutable after construction; everything here is pure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .util import check_step, fmt17
+from .util import check_step
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,19 +88,11 @@ class StepFunction:
             return zero()
         return StepFunction._owned(self.breakpoints, self.values * c)
 
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
     def __add__(self, other: "StepFunction") -> "StepFunction":
         return add_all((self, other))
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
         return self + other.scale(-1.0)
-
-    def __neg__(self):
-        return self.scale(-1.0)
 
     # -- geometry ----------------------------------------------------------
 
@@ -148,49 +139,6 @@ class StepFunction:
         pieces = [np.linspace(bp[i], bp[i + 1], m + 1)[:-1] for i in range(bp.size - 1)]
         pieces.append(bp[-1:])
         return StepFunction(np.concatenate(pieces), np.repeat(self.values, m))
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "breakpoints": [float(b) for b in self.breakpoints],
-            "values_re": [float(v.real) for v in self.values],
-            "values_im": [float(v.imag) for v in self.values],
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "StepFunction":
-        vals = np.asarray(d["values_re"], dtype=float) + 1j * np.asarray(
-            d["values_im"], dtype=float
-        )
-        return StepFunction(np.asarray(d["breakpoints"], dtype=float), vals)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "StepFunction":
-        return StepFunction.from_json_dict(json.loads(text))
-
-    def to_csv(self) -> str:
-        """One row per cell `breakpoint,re,im`; final row carries the last breakpoint."""
-        lines = ["breakpoint,re,im"]
-        for i, v in enumerate(self.values):
-            lines.append(f"{fmt17(self.breakpoints[i])},{fmt17(v.real)},{fmt17(v.imag)}")
-        lines.append(f"{fmt17(self.breakpoints[-1])},,")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_csv(text: str) -> "StepFunction":
-        rows = [r for r in text.strip().splitlines() if r and not r.startswith("breakpoint")]
-        bps = []
-        vals = []
-        for row in rows:
-            b, re_s, im_s = row.split(",")
-            bps.append(float(b))
-            if re_s != "":
-                vals.append(float(re_s) + 1j * float(im_s))
-        return StepFunction(np.asarray(bps), np.asarray(vals, dtype=complex))
 
 
 def _checked(breakpoints, values) -> tuple[np.ndarray, np.ndarray]:

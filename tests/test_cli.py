@@ -388,6 +388,39 @@ def test_unwritable_out_refused_before_work(tmp_path, capsys, command, where):
     assert err == f"usage error: cannot write --out {target}: {reason}\n"
 
 
+WINDOW_REFUSAL = "--t 1e+308 makes the sampling window 64 t infinite; give --xmax"
+VERIFY_REFUSAL = "; verify needs it positive and finite"
+REFUSED_STEPS = [
+    # 64 t overflows above t ~ 2.8e306, and a grid on [0, inf] starts at NaN
+    (("spectrum", "--phi", "affine", "--t", "1e308"), WINDOW_REFUSAL),
+    (("classify", "--phi", "const:1", "--t", "1e308"), WINDOW_REFUSAL),
+    (("kernel", "--phi", "const:1", "--t", "1e308", "--z", "0.1", "--lambda", "0.1"), WINDOW_REFUSAL),
+    (("verify", "--phi", "const:1", "--t", "1e308"), WINDOW_REFUSAL),
+    # verify's suites build S_{t/2}, cells of width t/256 and test data on [0, 8 t)
+    (("verify", "--phi", "affine", "--t", "5e-324"), "--t 5e-324 gives t/2 = 0.0" + VERIFY_REFUSAL),
+    (("verify", "--phi", "exp:a=2", "--t", "5e-324", "--h", "1e300"), "--t 5e-324 gives t/2 = 0.0" + VERIFY_REFUSAL),
+    (("verify", "--phi", "affine", "--t", "1e-322"), "--t 1e-322 gives h = 0.0" + VERIFY_REFUSAL),
+    (("verify", "--phi", "const:1", "--t", "1e308", "--xmax", "1"), "--t 1e+308 gives 8 t = inf" + VERIFY_REFUSAL),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSED_STEPS, ids=[" ".join(argv) for argv, _ in REFUSED_STEPS])
+def test_a_step_the_work_cannot_form_is_refused_before_work(capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the symbol was parsed")
+
+    monkeypatch.setattr("wtsemigroup.cli.parse_phi_spec", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"usage error: {message}\n"
+
+
+def test_a_finite_xmax_lets_a_huge_step_through(capsys):
+    code, out, err = run(capsys, "spectrum", "--phi", "const:1", "--t", "1e308", "--xmax", "1")
+    assert code == 0 and err == ""
+    assert "extrema attained at x=0 (sup) and x=0 (inf)" in out
+
+
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader has gone away; like StringIO it has no descriptor."""
 
@@ -600,3 +633,37 @@ def test_fuzzed_expressions_exit_with_a_documented_code(text):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([*argv, "--phi", f"expr:{text}"])
         assert code in (0, 2, 3), err.getvalue()
+
+
+EDGE_VALUES = ("5e-324", "1e-300", "0.3", "1", "3", "1e300", "1e308", "-1", "0", "inf", "nan")
+NUMERIC_FLAGS = {
+    "kernel": ("--t", "--xmax", "--nmax", "--x", "--series-tol", "--z", "--lambda"),
+    "classify": ("--t", "--xmax", "--nmax"),
+    "spectrum": ("--t", "--xmax", "--nmax"),
+    "verify": ("--t", "--xmax", "--nmax", "--h", "--seed"),
+}
+
+
+@st.composite
+def _numeric_argv(draw):
+    """A command on one of a few symbols, with some of its numeric flags at edge values."""
+    command = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    phi = draw(st.sampled_from(["const:1", "affine", "exp:a=2", "expr:x+1"]))
+    values = draw(st.dictionaries(st.sampled_from(NUMERIC_FLAGS[command]), st.sampled_from(EDGE_VALUES)))
+    if command == "kernel":
+        values = {"--z": "0.1", "--lambda": "0.1", **values}
+    # --flag=value, so that a value such as -1 is not read as a flag
+    return [command, "--phi", phi, *(f"{flag}={value}" for flag, value in values.items())]
+
+
+@settings(max_examples=800, deadline=None)
+@given(_numeric_argv())
+@example(["verify", "--phi", "affine", "--t=5e-324"])
+@example(["verify", "--phi", "exp:a=2", "--t=5e-324", "--h=1e300"])
+@example(["verify", "--phi", "const:1", "--t=1e308"])
+def test_fuzzed_numeric_flags_exit_with_a_documented_code(argv):
+    # whatever the numbers, main returns 0, 1, 2 or 3 and raises nothing
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()

@@ -446,14 +446,6 @@ def test_coefficients_live_in_E():
         EValuedPolynomial.from_coeffs(1.0, (indicator(0.5, 1.5),))
 
 
-def test_polynomial_json_roundtrip():
-    p = model_map(affine(), 1.0, indicator(0.25, 2.75))
-    q = EValuedPolynomial.from_json_dict(p.to_json_dict())
-    assert q.t == p.t
-    for a, b in zip(p.coeffs, q.coeffs):
-        assert norm(a - b) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # the coefficient table against the coefficients of the block loop
 # ---------------------------------------------------------------------------
@@ -507,7 +499,6 @@ def test_coefficient_table_equals_block_loop(spec, t, data, table_cells):
         for a, b in zip(got.coeffs, ref.coeffs):
             assert_same_bytes(a, b)
         assert got.degree == max((n for n, c in enumerate(ref.coeffs) if not c.is_zero()), default=-1)
-        assert_same_table(EValuedPolynomial.from_json_dict(got.to_json_dict()), ref)
         assert_same_outcome(
             outcome(lambda: model_inverse(sym, t, got)), outcome(lambda: reference_model_inverse(sym, t, ref))
         )

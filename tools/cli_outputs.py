@@ -43,7 +43,9 @@ COMMANDS = (
 # negative past x = 3, inf phi(x + t) / phi(x) is not above the left
 # invertibility floor, and phi(x + k t) / phi(x) overflows into NaN rows;
 # then symbols whose samples fall below the positivity floor, most of them
-# and all of them, so the refinement of validate_positivity runs
+# and all of them, so the refinement of validate_positivity runs; then steps
+# refused before any work: t/2 or t/256 underflows to 0, 8 t overflows, and
+# the default window 64 t overflows for every command
 EDGES = (
     ("kernel", "--phi", "exp2x", "--t", "1", "--z", "2.5552", "--lambda", "2.718281828"),
     ("spectrum", "--phi", "expr:3-x"),
@@ -51,6 +53,15 @@ EDGES = (
     ("classify", "--phi", "expr:exp(20*x-690)", "--t", "1", "--nmax", "64", "--xmax", "2"),
     ("classify", "--phi", "expr:exp(-x)"),
     ("classify", "--phi", "expr:1e-7+0*x"),
+    ("verify", "--phi", "affine", "--t", "5e-324"),
+    ("verify", "--phi", "exp:a=2", "--t", "5e-324", "--h", "1e300"),
+    ("verify", "--phi", "affine", "--t", "1e-322"),
+    ("verify", "--phi", "const:1", "--t", "1e308"),
+    ("verify", "--phi", "const:1", "--t", "1e308", "--xmax", "1"),
+    ("spectrum", "--phi", "const:1", "--t", "1e308"),
+    ("spectrum", "--phi", "affine", "--t", "1e308"),
+    ("classify", "--phi", "const:1", "--t", "1e308"),
+    ("kernel", "--phi", "const:1", "--t", "1e308", "--z", "0.1", "--lambda", "0.1"),
 )
 
 

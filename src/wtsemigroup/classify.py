@@ -101,24 +101,17 @@ def bracket(symbol: Symbol, t: float, n: int, x) -> float | np.ndarray:
     return total
 
 
-def _alternating_sum(n: int, norms) -> float:
-    """sum_k (-1)^k C(n,k) norms[k], added in the order of k."""
-    total = 0.0
-    for c, value in zip(_SIGNED_BINOMIALS[n], norms):
-        total += c * value
-    return total
-
-
 def bracket_forms(symbol: Symbol, t: float, n_max: int, f: StepFunction) -> tuple[list[float], list[float]]:
     """<B_n(S_t) f, f> for n = 0..n_max along two routes that share no code
     path beyond the symbol: the operator route, the alternating sum of
     ||S_t^k f||^2, and the symbol route, the integral of delta_n |f|^2 with
     delta_n at the cell midpoints of f. Returns (operator, symbol) values."""
     op = OperatorHandle(symbol, t, "S")
-    norms = [norm_sq(apply_power(op, k, f)) for k in range(n_max + 1)]
+    norms = np.array([[norm_sq(apply_power(op, k, f))] for k in range(n_max + 1)])  # one column
     rows, _ = _bracket_rows(symbol, t, n_max, f.midpoints())
     integrals = [float(np.sum(row * np.abs(f.values) ** 2 * f.widths())) for row in rows]
-    return [_alternating_sum(n, norms) for n in range(n_max + 1)], integrals
+    acc, term = np.empty(1), np.empty(1)
+    return [float(_fold(norms, n, acc, term)[0]) for n in range(n_max + 1)], integrals
 
 
 # ---------------------------------------------------------------------------

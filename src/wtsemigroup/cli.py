@@ -315,6 +315,9 @@ def cmd_verify(args) -> int:
         _require_nmax(cfg, 2, MAX_FIT_ORDER, "to fit the disc radius")
     validate_positivity(symbol, cfg.resolved_x_max)
     results = run_verify(symbol, cfg)
+    unmeasured = next((r for r in results if math.isnan(r.residual)), None)
+    if unmeasured is not None:  # a NaN residual measured nothing, and JSON has no NaN
+        raise NumericError(f"the {unmeasured.name} residual is NaN at --t {cfg.t!r}: the check measured nothing")
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -492,7 +492,7 @@ def _preimage_rows(op: OperatorHandle, e: StepFunction, lam_bar: complex, ns: np
 
 @dataclass(frozen=True)
 class ReproducingCheck:
-    lhs: complex  # sum_n <c_n, e> lambda^n  =  <(Uf)(lambda), e>_E
+    lhs: complex  # <(Uf)(lambda), e>_E, with (Uf)(lambda) = sum_n c_n lambda^n one step function
     rhs: complex  # <f, preimage of k(., lambda) e>
     diff: float
 
@@ -505,10 +505,20 @@ def reproducing_check(
     e: StepFunction,
 ) -> ReproducingCheck:
     """Both sides of the reproducing identity, computed independently."""
-    pairs = _pairings(model_map(symbol, t, f), e)
-    lhs = sum(complex(c) * complex(lam) ** n for n, c in enumerate(pairs))
+    lhs = inner(_evaluate(model_map(symbol, t, f), lam), e)
     rhs = inner(f, _preimage_on(f, _preimage_terms(symbol, t, lam, e)))
     return ReproducingCheck(complex(lhs), complex(rhs), abs(complex(lhs) - complex(rhs)))
+
+
+def _evaluate(p: EValuedPolynomial, z: complex) -> StepFunction:
+    """(Uf)(z) = sum_n c_n z^n as one step function on E: row n scaled by
+    z^n, numpy's power as in _preimage_rows, and the rows added in order of
+    n over their merged mesh by one sum_pieces."""
+    ns = np.flatnonzero(p.cells)
+    if not ns.size:
+        return zero()
+    scaled = p.values * np.repeat(np.power(complex(z), ns), p.cells[ns])
+    return sum_pieces([(p.breakpoints, scaled, p.cells[ns])])
 
 
 def _preimage_on(f: StepFunction, terms: list[tuple]) -> StepFunction:
@@ -527,60 +537,6 @@ def _preimage_on(f: StepFunction, terms: list[tuple]) -> StepFunction:
                 return cut
             break
     return _sum_rows(terms)
-
-
-def _pairings(p: EValuedPolynomial, e: StepFunction) -> np.ndarray:
-    """inner(c_n, e) for every coefficient c_n of p, in row chunks.
-
-    Each row is merged with the mesh of e and cut to the overlap of the two
-    supports, as inner does; the rows of a chunk form one table of
-    products, and each row is reduced with its own np.sum, so the floats
-    are those of inner.
-    """
-    out = np.zeros(p.cells.size, dtype=complex)  # 0j for a zero coefficient, as inner
-    ns = np.flatnonzero(p.cells)
-    if e.values.size:
-        for a, b in _chunks(p.cells[ns]):
-            out[ns[a:b]] = _pair_rows(p, ns[a:b], e)
-    return out
-
-
-def _pair_rows(p: EValuedPolynomial, ns: np.ndarray, e: StepFunction) -> list[complex]:
-    """inner(c_n, e) for the rows n = ns of p that have cells, for e nonzero."""
-    boff, voff = p._offsets()
-    eb, k = e.breakpoints, ns.size
-    nb = p.cells[ns] + 1  # breakpoints of each row
-    start = np.cumsum(nb) - nb  # where each row starts in bps
-    bps = p.breakpoints[_ranges(boff[ns], nb)]
-    # the merge of each row with eb, a row's point before an equal point of eb
-    size = nb + eb.size
-    pos = _ranges(np.cumsum(size) - size, nb) + np.searchsorted(eb, bps)
-    from_row = np.zeros(int(size.sum()), dtype=bool)
-    from_row[pos] = True
-    merged = np.empty(from_row.size)
-    merged[pos] = bps
-    merged[~from_row] = np.tile(eb, k)
-    row = np.repeat(np.arange(k), size)
-    # points of the row (of eb) at or before each merged point
-    in_row = np.cumsum(from_row) - start[row]
-    in_e = np.cumsum(~from_row) - row * eb.size
-    # one point per value, the last of a tie, which counts both; then the
-    # points inside the overlap [lo, hi] of the supports
-    keep = np.ones(merged.size, dtype=bool)
-    keep[:-1] = (merged[1:] != merged[:-1]) | (row[1:] != row[:-1])
-    lo = np.maximum(bps[start], eb[0])
-    hi = np.minimum(bps[start + nb - 1], eb[-1])
-    keep &= (merged >= lo[row]) & (merged <= hi[row])
-    merged, row, in_row, in_e = merged[keep], row[keep], in_row[keep], in_e[keep]
-    cell = np.flatnonzero(row[1:] == row[:-1])  # left edge of each merged cell
-    vf = p.values[voff[ns][row[cell]] + in_row[cell] - 1]
-    vg = e.values[in_e[cell] - 1]
-    prod = vf * np.conj(vg) * (merged[cell + 1] - merged[cell])
-    bounds = np.searchsorted(row[cell], np.arange(k + 1))
-    out = [0j] * k
-    for r in np.flatnonzero(hi > lo).tolist():
-        out[r] = complex(np.sum(prod[bounds[r] : bounds[r + 1]]))
-    return out
 
 
 # ---------------------------------------------------------------------------

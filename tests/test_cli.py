@@ -635,7 +635,7 @@ def test_fuzzed_expressions_exit_with_a_documented_code(text):
         assert code in (0, 2, 3), err.getvalue()
 
 
-EDGE_VALUES = ("5e-324", "1e-300", "0.3", "1", "3", "1e300", "1e308", "-1", "0", "inf", "nan")
+EDGE_VALUES = ("5e-324", "1e-321", "1e-300", "0.3", "1", "3", "1e300", "1e308", "-1", "0", "inf", "nan")
 NUMERIC_FLAGS = {
     "kernel": ("--t", "--xmax", "--nmax", "--x", "--series-tol", "--z", "--lambda"),
     "classify": ("--t", "--xmax", "--nmax"),
@@ -661,9 +661,35 @@ def _numeric_argv(draw):
 @example(["verify", "--phi", "affine", "--t=5e-324"])
 @example(["verify", "--phi", "exp:a=2", "--t=5e-324", "--h=1e300"])
 @example(["verify", "--phi", "const:1", "--t=1e308"])
+@example(["verify", "--phi", "affine", "--t=1e-321"])
 def test_fuzzed_numeric_flags_exit_with_a_documented_code(argv):
-    # whatever the numbers, main returns 0, 1, 2 or 3 and raises nothing
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    # whatever the numbers, main returns 0, 1, 2 or 3 and raises nothing, and
+    # a run that prints its payload prints JSON, without NaN or Infinity
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3), err.getvalue()
+    if code in (0, 1):
+        strict_json(machine_payload(out.getvalue()))
+
+
+def strict_json(text: str):
+    """The first JSON value of text, refusing the NaN and Infinity that RFC 8259 has not."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.JSONDecoder(parse_constant=refuse).raw_decode(text)[0]
+
+
+NAN_RESIDUAL_SPECS = ("affine", "const:1", "reciprocal", "exp:a=2", "expr:x^2+1")
+
+
+@pytest.mark.parametrize("xmax", [(), ("--xmax", "2")], ids=["default-window", "xmax"])
+@pytest.mark.parametrize("spec", NAN_RESIDUAL_SPECS)
+def test_a_nan_residual_is_a_numeric_error(capsys, spec, xmax):
+    # unit-norm test data of about 1e160 on cells 5e-324 wide overflow inner:
+    # five residuals are NaN, which measured nothing and is not JSON
+    code, out, err = run(capsys, "verify", "--phi", spec, "--t", "1e-321", *xmax)
+    assert code == 3 and out == ""
+    assert err == "numeric error: the adjoint_pairing residual is NaN at --t 1e-321: the check measured nothing\n"

@@ -465,6 +465,16 @@ def complex_bytes(*zs):
     return np.array(zs, dtype=complex).tobytes()
 
 
+EPS = np.finfo(float).eps
+EVAL_ULPS = 64  # rounding allowance of (Uf)(z), in units of EPS times evaluation_scale
+
+
+def evaluation_scale(coeffs, z) -> float:
+    """sum_n |z|^n ||c_n||, which bounds ||(Uf)(z)||; the rounding of the
+    merged sum, and of its pairing with e, is a few EPS of it (times ||e||)."""
+    return sum(abs(complex(z)) ** n * norm(c) for n, c in enumerate(coeffs))
+
+
 @st.composite
 def gapped_step_data(draw, t):
     """step_data, now and then with exact zeros over whole blocks between
@@ -525,7 +535,10 @@ def test_coefficient_table_equals_block_loop(spec, t, data, table_cells):
     if isinstance(rhs, tuple):
         assert chk == rhs
         return
-    assert complex_bytes(chk.lhs, chk.rhs, chk.diff) == complex_bytes(lhs, rhs, abs(lhs - rhs))
+    # the left side pairs (Uf)(lambda), one merged sum of the rows, with e:
+    # within rounding of the sum of the per-coefficient pairings
+    assert abs(chk.lhs - lhs) <= EVAL_ULPS * EPS * evaluation_scale(ref.coeffs, lam) * norm(e)
+    assert complex_bytes(chk.rhs, chk.diff) == complex_bytes(rhs, abs(chk.lhs - rhs))
 
 
 def test_coefficient_table_layout():
@@ -545,6 +558,65 @@ def test_coefficient_table_layout():
     q = EValuedPolynomial.from_coeffs(0.5, (c1, c1.with_values(np.zeros(3))))
     assert q.cells.tolist() == [3, 0] and q.degree == 0
     assert_same_bytes(model_inverse(affine(), 0.5, q), reference_model_inverse(affine(), 0.5, q))
+
+
+@st.composite
+def scattered_polynomials(draw, t):
+    """A polynomial whose coefficients lie on meshes of their own in [0, t),
+    some of them zero, or the model map of step_data on a symbol."""
+    if draw(st.booleans()):
+        return model_map(parse_phi_spec(draw(st.sampled_from(SPECS))), t, draw(step_data(t)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = []
+    for _ in range(draw(st.integers(0, 8))):
+        bp = np.unique(rng.uniform(0.0, t, rng.integers(2, 12)))
+        if rng.uniform() < 0.5:  # rows that reach the edges of E
+            bp = np.unique(np.concatenate([[0.0, t], bp]))
+        vals = rng.standard_normal(bp.size - 1) + 1j * rng.standard_normal(bp.size - 1)
+        vals[rng.uniform(size=vals.size) < 0.2] = 0.0
+        coeffs.append(zero() if rng.uniform() < 0.25 or bp.size < 2 else StepFunction(bp, vals))
+    return EValuedPolynomial.from_coeffs(t, coeffs)
+
+
+def merged_edges(p: EValuedPolynomial) -> np.ndarray:
+    return np.unique(np.concatenate([[0.0]] + [c.breakpoints for c in p.coeffs]))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    t=st.sampled_from([0.3, 1 / 3, 0.7, 1.0]),
+    data=st.data(),
+    modulus=st.sampled_from([0.3, 0.9, 1.0, 1.7]),
+    angle=st.floats(0.1, 6.2),
+)
+def test_evaluate_sums_the_coefficients_at_every_point(t, data, modulus, angle):
+    p = data.draw(scattered_polynomials(t))
+    z = modulus * np.exp(1j * angle)
+    g = model_module._evaluate(p, z)
+    edges = merged_edges(p)
+    terms = np.array([complex(z) ** n * c.values_at_left_edges(edges) for n, c in enumerate(p.coeffs)])
+    ref, scale = terms.sum(axis=0), np.abs(terms).sum(axis=0)
+    assert np.all(np.abs(g.values_at_left_edges(edges) - ref) <= EVAL_ULPS * EPS * scale)
+    assert np.isin(g.breakpoints, edges).all()  # no point of its own, none past the rows
+    assert not (g.breakpoints.flags.writeable or g.values.flags.writeable)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.sampled_from([0.3, 1.0]), data=st.data())
+def test_evaluate_at_zero_is_the_constant_coefficient(t, data):
+    p = data.draw(scattered_polynomials(t))
+    g = model_module._evaluate(p, 0.0)
+    edges = merged_edges(p)
+    c0 = p.coeffs[0] if p.coeffs else zero()
+    assert np.array_equal(g.values_at_left_edges(edges), c0.values_at_left_edges(edges))
+    if c0.is_zero():
+        assert_same_bytes(g, zero())
+
+
+@pytest.mark.parametrize("z", [0.0, 0.5 - 0.25j, 3.0])
+def test_evaluate_the_zero_polynomial_is_zero(z):
+    for coeffs in ((), (zero(), zero()), (indicator(0.0, 0.5, 0.0),)):
+        assert_same_bytes(model_module._evaluate(EValuedPolynomial.from_coeffs(0.5, coeffs), z), zero())
     # the support check runs over the whole table
     with pytest.raises(ValueError):
         EValuedPolynomial(0.3, np.array([1]), np.array([0.2, 0.31]), np.array([1.0 + 0j]))

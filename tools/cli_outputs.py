@@ -45,7 +45,8 @@ COMMANDS = (
 # then symbols whose samples fall below the positivity floor, most of them
 # and all of them, so the refinement of validate_positivity runs; then steps
 # refused before any work: t/2 or t/256 underflows to 0, 8 t overflows, and
-# the default window 64 t overflows for every command
+# the default window 64 t overflows for every command; last, a subnormal step
+# whose test data overflow inner, so verify's residuals read NaN
 EDGES = (
     ("kernel", "--phi", "exp2x", "--t", "1", "--z", "2.5552", "--lambda", "2.718281828"),
     ("spectrum", "--phi", "expr:3-x"),
@@ -62,6 +63,7 @@ EDGES = (
     ("spectrum", "--phi", "affine", "--t", "1e308"),
     ("classify", "--phi", "const:1", "--t", "1e308"),
     ("kernel", "--phi", "const:1", "--t", "1e308", "--z", "0.1", "--lambda", "0.1"),
+    ("verify", "--phi", "affine", "--t", "1e-321"),
 )
 
 

@@ -372,8 +372,7 @@ def kernel_closed_form(k: DiagonalKernel, z: complex, lam: complex, x: float) ->
     if tag == "szego":
         return 1.0 / (1.0 - q)
     if tag == "scaled_szego":
-        a = float(k.symbol.param)
-        return 1.0 / (1.0 - a**(-k.t) * q)
+        return 1.0 / (1.0 - k.symbol.growth**(-k.t) * q)
     if tag == "bergman_like":
         return 1.0 / (1.0 - q) + (k.t / (x + 1.0)) * q / (1.0 - q) ** 2
     if tag == "two_isometry":

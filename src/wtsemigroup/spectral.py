@@ -117,8 +117,8 @@ def spectral_summary(
     extrema = _weight_extrema(symbol, t, range(1, n_max + 1), x_max, SUMMARY_FITS, ["L"])
     fit_r, fit_r1 = (_fit_radius(ests) for ests in extrema)
     note = None
-    if symbol.name == "exp":
-        a = float(symbol.param)
+    if symbol.closed_form == "scaled_szego":
+        a = symbol.growth
         note = (
             "square-root-consistent radii in use: ||L_t^n|| = a**(-nt/2) gives "
             f"r(L_t) = a**(-t/2) = {a ** (-t / 2.0):.9g} and model disc radius "

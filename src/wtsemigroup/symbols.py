@@ -1,12 +1,13 @@
 """Symbols phi on the half line and the translation weights they generate.
 
-A symbol is a positive continuous function on [0, inf). Built-ins cover the
-standard cases (constant, x+1, 1/(x+1), the capped affine profile, pure
-exponentials a**x); anything else is parsed from a one-variable arithmetic
-expression over +, -, *, /, power, exp and log. Evaluation is pure and
-vectorized, so a symbol is safe to share between threads; an expression
-computes in numpy's float arithmetic throughout, so a constant 1/0 is inf
-and fails the positivity check like any other unusable value.
+A symbol is a positive continuous function on [0, inf), held as an
+expression tree in x over +, -, *, /, power, exp, log and min(a,b). The
+built-ins are trees with tags: const:c is c, affine x+1, reciprocal
+1/(x+1), cap min(x+1,2) and exp:a a^x. One tree walker evaluates every
+symbol, each node one numpy function under numpy's default error state,
+so a constant 1/0 is inf, with numpy's warning, and fails the positivity
+check like any other unusable value. Evaluation is pure and vectorized,
+so a symbol is safe to share between threads.
 
 The weights that phi generates, and the left-invertibility test, live in
 operators.py. All positivity checking is by dense sampling on a finite
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -51,7 +52,7 @@ class Neg:
 
 @dataclass(frozen=True)
 class BinOp:
-    op: str  # one of + - * / ^
+    op: str  # one of + - * / ^, or min, spelled min(left,right)
     left: object
     right: object
 
@@ -65,15 +66,15 @@ class Call:
 # every node applies one numpy function, so a constant 1/0 is inf, as x/0 is
 _NUMPY = {
     "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power,
-    "neg": np.negative, "exp": np.exp, "log": np.log,
+    "min": np.minimum, "neg": np.negative, "exp": np.exp, "log": np.log,
 }
-_FUNCS = ("exp", "log")
+_FUNCS = ("exp", "log", "min")
 
 _TOKEN = re.compile(
     r"\s*(?:"
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()])"
+    r"|(?P<op>\*\*|[-+*/^(),])"
     r")"
 )
 
@@ -103,7 +104,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     """Recursive descent for: expr := term (+|- term)*, term := unary (*|/ unary)*,
-    unary := - unary | power, power := atom (^ unary)?, atom := num | x | f(expr) | (expr)."""
+    unary := - unary | power, power := atom (^ unary)?,
+    atom := num | x | f(expr) | min(expr, expr) | (expr)."""
 
     def __init__(self, text: str):
         self.text = text
@@ -192,9 +194,14 @@ class _Parser:
                 return Var()
             if val in _FUNCS:
                 self.expect_op("(")
-                arg = self.expr()
+                node = self.expr()
+                if val == "min":  # the one function of two arguments
+                    self.expect_op(",")
+                    node = BinOp(val, node, self.expr())
+                else:
+                    node = Call(val, node)
                 self.expect_op(")")
-                return Call(val, arg)
+                return node
             raise SymbolSyntaxError(f"unknown identifier {val!r}", pos, self.text)
         if kind == "op" and val == "(":
             node = self.expr()
@@ -204,15 +211,17 @@ class _Parser:
 
 
 def _eval_node(node, x):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
+    # the commonest nodes first: every symbol is evaluated here, the built-ins too
+    kind = type(node)
+    if kind is BinOp:
+        return _NUMPY[node.op](_eval_node(node.left, x), _eval_node(node.right, x))
+    if kind is Var:
         return x
-    if isinstance(node, Neg):
+    if kind is Num:
+        return node.value
+    if kind is Neg:
         return _NUMPY["neg"](_eval_node(node.arg, x))
-    if isinstance(node, Call):
-        return _NUMPY[node.func](_eval_node(node.arg, x))
-    return _NUMPY[node.op](_eval_node(node.left, x), _eval_node(node.right, x))
+    return _NUMPY[node.func](_eval_node(node.arg, x))
 
 
 _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
@@ -230,6 +239,8 @@ def _to_string(node, parent_prec: int = 0, right_side: bool = False) -> str:
         return f"({s})" if parent_prec > 10 else s
     if isinstance(node, Call):
         return f"{node.func}({_to_string(node.arg)})"
+    if node.op == "min":
+        return f"min({_to_string(node.left)},{_to_string(node.right)})"
     prec = _PREC[node.op]
     left = _to_string(node.left, prec, right_side=False)
     right = _to_string(node.right, prec, right_side=True)
@@ -250,49 +261,27 @@ def expression_to_string(node) -> str:
 # Symbols
 # ---------------------------------------------------------------------------
 
-_CLOSED_FORMS = {
-    "const": "szego",
-    "affine": "two_isometry",
-    "reciprocal": "bergman_like",
-    "cap": "piecewise_cap",
-    "exp": "scaled_szego",
-}
-
-
 @dataclass(frozen=True)
 class Symbol:
-    """Positive function phi driving every weight of the semigroup."""
+    """Positive function phi driving every weight of the semigroup: a tree,
+    and tags set by the constructors (a parsed expression has none): the
+    closed_form of model.kernel_closed_form, the kinks of a piecewise phi,
+    where sampling is densified, and the growth base a = lim phi(x+1)/phi(x)."""
 
-    name: str  # const | affine | reciprocal | cap | exp | expr
-    param: Optional[float] = None
-    expr: Optional[object] = None
+    expr: object = field(hash=False)  # hashing a tree walks it, on every cache lookup
     spec: str = ""
+    closed_form: Optional[str] = None
+    growth: Optional[float] = None
+    kinks: tuple[float, ...] = ()
 
     def values(self, x):
-        """Evaluate phi elementwise; no positivity check."""
+        """Evaluate phi elementwise, under numpy's default error state; no positivity check."""
         x = np.asarray(x, dtype=float)
-        if self.name == "const":
-            return np.full(x.shape, self.param, dtype=float)
-        if self.name == "affine":
-            return x + 1.0
-        if self.name == "reciprocal":
-            return 1.0 / (x + 1.0)
-        if self.name == "cap":
-            return np.where(x <= 1.0, x + 1.0, 2.0)
-        if self.name == "exp":
-            return np.power(self.param, x)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = _eval_node(self.expr, x)
-        return np.asarray(out, dtype=float) + np.zeros(x.shape)
-
-    @property
-    def closed_form(self) -> Optional[str]:
-        return _CLOSED_FORMS.get(self.name)
-
-    @property
-    def kinks(self) -> list[float]:
-        """Breakpoints of piecewise-defined symbols (sampling is densified there)."""
-        return [1.0] if self.name == "cap" else []
+        out = _eval_node(self.expr, x)
+        # a walk through x made a new value; a bare x is copied and a tree without x broadcast
+        if out is x or getattr(out, "shape", None) != x.shape:
+            out = np.full(x.shape, out)
+        return out
 
     def model_disc_radius(self, t: float) -> Optional[float]:
         """Known model disc radius 1/r(L_t) for the built-in symbols.
@@ -300,15 +289,14 @@ class Symbol:
         For a**x the norm formula gives ||L_t^n|| = a**(-n t / 2), hence
         r(L_t) = a**(-t/2) and radius a**(t/2); the kernel coefficient
         a**(-n t) then converges exactly for |z lambda| < a**t = radius**2.
+        The other built-ins grow with a = 1, so their radius is 1.
         """
-        if self.name in ("const", "affine", "reciprocal", "cap"):
-            return 1.0
-        if self.name == "exp":
-            try:
-                return float(self.param) ** (t / 2.0)
-            except OverflowError:  # the radius is phi(t/2), past the largest float
-                raise NonPositiveSymbolError(t / 2.0, math.inf) from None
-        return None
+        if self.growth is None:
+            return None
+        try:
+            return self.growth ** (t / 2.0)
+        except OverflowError:  # the radius is phi(t/2), past the largest float
+            raise NonPositiveSymbolError(t / 2.0, math.inf) from None
 
     def describe(self) -> str:
         return self.spec
@@ -317,31 +305,30 @@ class Symbol:
 def constant(c: float = 1.0) -> Symbol:
     if not (c > 0 and math.isfinite(c)):
         raise NonPositiveSymbolError(0.0, c)
-    return Symbol("const", param=float(c), spec=f"const:{c:g}")
+    return Symbol(_Parser(repr(float(c))).parse(), f"const:{c:g}", closed_form="szego", growth=1.0)
 
 
 def affine() -> Symbol:
-    return Symbol("affine", spec="affine")
+    return Symbol(_Parser("x+1").parse(), "affine", closed_form="two_isometry", growth=1.0)
 
 
 def reciprocal() -> Symbol:
-    return Symbol("reciprocal", spec="reciprocal")
+    return Symbol(_Parser("1/(x+1)").parse(), "reciprocal", closed_form="bergman_like", growth=1.0)
 
 
 def piecewise_cap() -> Symbol:
-    return Symbol("cap", spec="cap")
+    return Symbol(_Parser("min(x+1,2)").parse(), "cap", closed_form="piecewise_cap", growth=1.0, kinks=(1.0,))
 
 
 def exponential(a: float) -> Symbol:
     if not (a > 0 and math.isfinite(a)):
         raise NonPositiveSymbolError(0.0, a)
-    return Symbol("exp", param=float(a), spec=f"exp:a={a:g}")
+    return Symbol(_Parser(f"{float(a)!r}^x").parse(), f"exp:a={a:g}", closed_form="scaled_szego", growth=float(a))
 
 
 def parse_symbol(text: str) -> Symbol:
     """Parse an expression in x into a symbol (no positivity check yet)."""
-    tree = _Parser(text).parse()
-    return Symbol("expr", expr=tree, spec=f"expr:{text}")
+    return Symbol(_Parser(text).parse(), f"expr:{text}")
 
 
 def _spec_number(text: str, spec: str) -> float:
@@ -395,17 +382,19 @@ def parse_phi_spec(spec: str) -> Symbol:
 def eval_phi(symbol: Symbol, x):
     """phi(x) with the positivity hypothesis enforced at every point."""
     arr = np.asarray(x, dtype=float)
-    # each check is one reduction, and only a failed one looks for the first
-    # refused point; a NaN fails both reductions, but an x = NaN is not below 0
-    if arr.size and not arr.min() >= 0:
+    # each check is one reduction (the ufunc's own, without ndarray.min's Python
+    # wrapper), and only a failed one looks for the first refused point; a NaN
+    # fails both reductions, but an x = NaN is not below 0
+    if arr.size and not np.minimum.reduce(arr, None) >= 0:
         below = arr.ravel() < 0
         if below.any():
             raise ValueError(f"phi is defined on the half line; got x={float(arr.flat[np.argmax(below)])}")
     vals = symbol.values(arr)
-    if vals.size and not (vals.min() > 0 and vals.max() < np.inf):
+    if vals.size and not (np.minimum.reduce(vals, None) > 0 and np.maximum.reduce(vals, None) < np.inf):
         good = np.isfinite(vals) & (vals > 0)
         i = int(np.argmin(good.ravel()))
-        raise NonPositiveSymbolError(float(arr.ravel()[i]), float(vals.ravel()[i]))
+        # + 0.0: a -0.0 of the walk, such as -x at 0, is reported as 0.0
+        raise NonPositiveSymbolError(float(arr.ravel()[i]), float(vals.ravel()[i]) + 0.0)
     if arr.ndim == 0:
         return float(vals.flat[0])
     return vals

@@ -577,6 +577,15 @@ def test_constant_division_by_zero_is_a_numeric_error(capsys, command, expr, val
     assert err == f"numeric error: symbol value {value} at x=0.0 violates positivity\n"
 
 
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+@pytest.mark.parametrize("expr", ["-x", "x*(-1)", "-x*2"])
+def test_a_negative_zero_is_refused_as_zero(capsys, command, expr):
+    # phi(0) is -0.0, which the refusal reports as 0.0
+    code, out, err = run(capsys, *COMMAND_ARGV[command], "--phi", f"expr:{expr}")
+    assert code == 3 and out == ""
+    assert err == "numeric error: symbol value 0.0 at x=0.0 violates positivity\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

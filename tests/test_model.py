@@ -737,8 +737,10 @@ def test_kernel_cap_szego_branch_above_one():
     ],
 )
 def test_kernel_series_matches_closed_form(sym, t):
+    # a fixed seed, so a failure replays; over seeds 0..999 the worst
+    # difference of these cases was 1.01e-10, a hundredth of the bound
     k = make_kernel(sym, t)
-    rng = np.random.default_rng(hash(sym.name) % 2**32)
+    rng = np.random.default_rng(0)
     for _ in range(25):
         z = 0.9 * k.radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         lam = 0.9 * k.radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())

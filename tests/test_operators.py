@@ -173,7 +173,7 @@ def test_semigroup_law_random():
         ss = make_operator(sym, 0.5, "S")
         sts = make_operator(sym, 1.5, "S")
         res = norm(apply(st, apply(ss, f)) - apply(sts, f))
-        if sym.name == "const":
+        if sym == constant(1.0):
             assert res == 0.0
         else:
             assert res < 1e-12

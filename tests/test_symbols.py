@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,8 +85,9 @@ def test_unbalanced_paren():
         lambda k: "x+(" * (k - 1) + "1" + ")" * (k - 1),
         lambda k: "x*(" * (k - 1) + "2" + ")" * (k - 1),
         lambda k: "(" * (k - 1) + "2" + "^x)" * (k - 1),
+        lambda k: "min(x," * (k - 1) + "1" + ")" * (k - 1),
     ],
-    ids=["sum", "negation", "power", "calls", "right-sum", "right-product", "left-power"],
+    ids=["sum", "negation", "power", "calls", "right-sum", "right-product", "left-power", "min"],
 )
 def test_expression_depth_limit(nest):
     # a tree at the limit parses, evaluates, and prints to text that parses to
@@ -106,7 +108,7 @@ def _trees():
         st.one_of(st.builds(Num, literal), st.just(Var())),
         lambda sub: st.one_of(
             st.builds(Neg, sub),
-            st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+            st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^", "min"]), sub, sub),
             st.builds(Call, st.sampled_from(["exp", "log"]), sub),
         ),
         max_leaves=24,
@@ -125,9 +127,34 @@ def _levels(node) -> int:
 @example(parse_symbol("x+(x+1)").expr)
 @example(parse_symbol("x-(x+1)").expr)
 @example(parse_symbol("1e999*x").expr)
+@example(parse_symbol("-min(x,1)^min(2,x)").expr)
 def test_printed_tree_parses_to_itself(tree):
     assume(_levels(tree) <= MAX_DEPTH)
     assert parse_symbol(expression_to_string(tree)).expr == tree
+
+
+# the golden specs of test_classify: every built-in and two expressions
+@pytest.mark.parametrize(
+    "spec", ["const:1", "affine", "reciprocal", "cap", "exp:a=2", "exp2x", "expr:x+1", "expr:x^2+1"]
+)
+def test_every_golden_symbol_prints_to_text_that_parses_to_its_tree(spec):
+    sym = parse_phi_spec(spec)
+    assert parse_symbol(expression_to_string(sym.expr)).expr == sym.expr
+
+
+def test_cap_prints_min_in_its_one_spelling():
+    assert expression_to_string(piecewise_cap().expr) == "min(x+1.0,2.0)"
+    assert parse_symbol(" min ( x + 1 , 2 ) ").expr == piecewise_cap().expr
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [("min(x)", 5), ("min(x,1,2)", 7), ("min(x 1)", 6), ("min", 3), ("min(x,)", 6), ("x,1", 1), ("exp(x,1)", 5)],
+)
+def test_min_takes_exactly_two_arguments(text, position):
+    with pytest.raises(SymbolSyntaxError) as info:
+        parse_symbol(text)
+    assert info.value.position == position
 
 
 def test_printed_power_of_a_power_keeps_its_value():
@@ -224,6 +251,115 @@ def test_eval_phi_matches_the_mask_checks(spec, x):
     sym = parse_phi_spec(spec)
     with np.errstate(all="ignore"):
         assert _phi_outcome(lambda: eval_phi(sym, x)) == _phi_outcome(lambda: _eval_phi_by_masks(sym, x))
+
+
+def _values_by_name(name, param, x):
+    """Symbol.values as it was when each built-in had its own branch."""
+    x = np.asarray(x, dtype=float)
+    if name == "const":
+        return np.full(x.shape, param, dtype=float)
+    if name == "affine":
+        return x + 1.0
+    if name == "reciprocal":
+        return 1.0 / (x + 1.0)
+    if name == "cap":
+        return np.where(x <= 1.0, x + 1.0, 2.0)
+    return np.power(param, x)  # exp
+
+
+def _outcome_and_warnings(fn):
+    """_phi_outcome of fn, with the category and message of each warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = _phi_outcome(fn)
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+# each built-in, the same tree typed as an expression, and its branch by name
+_SPELLINGS = [
+    ("const:2.5", "expr:2.5", ("const", 2.5)),
+    ("affine", "expr:x+1", ("affine", None)),
+    ("reciprocal", "expr:1/(x+1)", ("reciprocal", None)),
+    ("exp:a=2", "expr:2^x", ("exp", 2.0)),
+    ("exp2x", "expr:7.38905609893065^x", ("exp", math.exp(2.0))),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(spelling=st.sampled_from(_SPELLINGS), x=_phi_inputs())
+@example(spelling=_SPELLINGS[2], x=np.array([-math.inf, -1.0, -0.0]))  # -0.0, 1/0 and 0/0
+@example(spelling=_SPELLINGS[0], x=np.array(3.0))  # a 0-d x
+@example(spelling=_SPELLINGS[4], x=np.array([[355.0, math.nan], [-math.inf, 1.0]]))
+def test_builtin_and_its_expression_are_one_tree(spelling, x):
+    # the same bytes and type as the branch by name, and as each other; a new
+    # array, never x; and the same eval_phi outcome and warnings
+    builtin, typed = parse_phi_spec(spelling[0]), parse_phi_spec(spelling[1])
+    assert builtin.expr == typed.expr
+    ref = _outcome_and_warnings(lambda: _values_by_name(*spelling[2], x))
+    for sym in (builtin, typed):
+        assert _outcome_and_warnings(lambda: sym.values(x)) == ref
+        with np.errstate(all="ignore"):
+            got, want = sym.values(x), _values_by_name(*spelling[2], x)
+        assert type(got) is type(want) and not np.shares_memory(got, x)
+    assert _outcome_and_warnings(lambda: eval_phi(builtin, x)) == _outcome_and_warnings(lambda: eval_phi(typed, x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_phi_inputs())
+@example(x=np.array([math.nan, 1.0, 1.0 - 2**-53, 1.0 + 2**-52, math.inf, -math.inf]))
+def test_cap_is_min_of_x_plus_one_and_two(x):
+    # the branch by name's bytes wherever x is a number; at x = NaN the min is
+    # x+1's NaN, payload and all, where np.where gave 2.0
+    cap = piecewise_cap()
+    got = cap.values(x)
+    assert np.asarray(got).tobytes() == np.asarray(parse_symbol("min(x+1,2)").values(x)).tobytes()
+    want = np.where(np.isnan(x), np.add(x, 1.0), _values_by_name("cap", None, x))
+    assert np.asarray(got).tobytes() == want.tobytes()
+    assert not np.shares_memory(got, x)
+
+
+def test_cap_refuses_nan_as_affine_does():
+    # the branch by name returned 2.0 at x = NaN
+    assert _phi_outcome(lambda: eval_phi(piecewise_cap(), math.nan)) == _phi_outcome(
+        lambda: eval_phi(affine(), math.nan)
+    )
+    with pytest.raises(NonPositiveSymbolError) as info:
+        eval_phi(piecewise_cap(), np.array([0.5, math.nan]))
+    assert math.isnan(info.value.x) and math.isnan(info.value.value)
+
+
+@pytest.mark.parametrize("x", [np.array([-0.0, 2.0]), np.array([[1.0], [3.0]]), np.array(4.0), 5.0])
+def test_a_bare_x_is_copied_and_a_tree_without_x_broadcast(x):
+    for text, want in (("x", np.asarray(x)), ("1/(1+1)", np.full(np.shape(x), 0.5))):
+        got = parse_symbol(text).values(x)
+        assert np.shape(got) == np.shape(x) and np.asarray(got).tobytes() == want.tobytes()
+        assert not np.shares_memory(got, x)
+
+
+def test_expression_warns_as_numpy_does():
+    # one error-state policy for every tree: numpy's default, the built-ins' own
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        parse_symbol("x+1/0").values(np.array([1.0]))
+    with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
+        exponential(2.0).values(np.array([2000.0]))
+
+
+@pytest.mark.parametrize(
+    "spec,closed_form,growth,kinks,radius",
+    [
+        ("const:2", "szego", 1.0, (), 1.0),
+        ("affine", "two_isometry", 1.0, (), 1.0),
+        ("reciprocal", "bergman_like", 1.0, (), 1.0),
+        ("cap", "piecewise_cap", 1.0, (1.0,), 1.0),
+        ("exp:a=4", "scaled_szego", 4.0, (), 8.0),
+        ("expr:x+1", None, None, (), None),
+    ],
+)
+def test_tags_set_by_the_constructors(spec, closed_form, growth, kinks, radius):
+    # the model disc radius is growth ** (t/2), here at t = 3
+    sym = parse_phi_spec(spec)
+    assert (sym.closed_form, sym.growth, sym.kinks) == (closed_form, growth, kinks)
+    assert sym.model_disc_radius(3.0) == radius
 
 
 def test_validate_positivity_catches_pole():

@@ -16,6 +16,7 @@ from .classify import (
 )
 from .config import DEFAULT_TOLERANCES, RunConfig
 from .errors import (
+    LatticeError,
     NoClosedFormError,
     NonPositiveSymbolError,
     NotLeftInvertibleError,

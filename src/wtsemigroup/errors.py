@@ -35,6 +35,11 @@ class OutsideConvergenceDomainError(NumericError, ValueError):
     """Kernel evaluation requested outside the guaranteed convergence disc."""
 
 
+class LatticeError(NumericError, ValueError):
+    """Step data the model cannot hold on its lattice k h: off it, outside E,
+    or with more lattice cells than the model's bound."""
+
+
 class TailBoundNotAchievedError(NumericError, RuntimeError):
     """Series truncation could not certify the requested tail bound."""
 

@@ -9,11 +9,15 @@ whose kernel is diagonal:
 
     (k(z, lambda) e)(x) = sum_n  phi(x)/phi(x + n t) (z conj(lambda))^n e(x).
 
-The inverse of U is explicit: block n of f is recovered from coefficient n
-by f(x + n t) = sqrt(phi(x + n t)/phi(x)) c_n(x). All model-side inner
-products are computed by pulling back to L2 through that inverse, which
-keeps unitarity the single source of truth instead of introducing an
-independent quadrature on the model side.
+The model passes work on the lattice x_k = k h, h = t/m: f is a table of
+blocks x m cells, block n holding f on [n t, (n+1) t), and each of the m
+columns is a scalar weighted shift (the discrete form of Shimorin's
+Wold-type decomposition). Coefficient n is block n times the weight row
+W[n, i] = sqrt(phi(mu_i) / phi(mu_i + n t)) at the midpoints mu_i = (i + 1/2) h
+of E, and the inverse divides by it, which gives back block n of f to
+rounding. All model-side inner products are computed by pulling back
+to L2 through that inverse, which keeps unitarity the single source of
+truth instead of introducing an independent quadrature on the model side.
 """
 
 from __future__ import annotations
@@ -24,197 +28,175 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoClosedFormError, NumericError, OutsideConvergenceDomainError
-from .operators import OperatorHandle, apply_power, apply_power_rows, make_operator, phi_ratio
-from .stepfun import StepFunction, inner, norm_sq, sum_pieces, zero
+from .errors import LatticeError, NoClosedFormError, NumericError, OutsideConvergenceDomainError
+from .operators import make_operator, phi_ratio
+from .stepfun import StepFunction, _trimmed, norm_sq, zero
 from .symbols import Symbol, eval_phi, phi_table
 from .util import SERIES_CAP, TAIL_STREAK, check_step, gauss5_cells, sum_series
 
 DOMAIN_MARGIN = 0.05  # kernel series run only for |z conj(lambda)| < radius^2 (1 - margin)
 CLOSED_FORM_TOL = 1e-12  # tail bound of the residual series in the two_isometry closed form
-TABLE_CELLS = 2**14  # cells in one table of the model passes; longer passes run in row chunks
+LATTICE_ULPS = 4  # a breakpoint within this many roundings of k h lies on the lattice point k h
+EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).smallest_subnormal)
+MAX_LATTICE_CELLS = 2**24  # lattice cells a block, and lattice cells up to the end of f or e
 
 
 @dataclass(frozen=True, eq=False)
 class EValuedPolynomial:
     """Finitely many E-valued coefficients; coefficient n multiplies z**n.
 
-    The coefficients are rows of one table: coefficient n has cells[n]
-    cells, 0 for a zero coefficient, and the rows' breakpoints and values
-    are laid end to end, cells[n] + 1 breakpoints and cells[n] values for
-    each row with cells. A row with cells holds a nonzero value.
+    Row n of table holds coefficient n on the lattice cells [i h, (i+1) h)
+    of E = [0, t), h = t/m for a table of m columns; the last cell ends at
+    t itself. The table is copied, complex, finite and read-only.
     """
 
     t: float
-    cells: np.ndarray
-    breakpoints: np.ndarray
-    values: np.ndarray
+    table: np.ndarray
 
     def __post_init__(self):
-        cells = np.array(self.cells)
-        if cells.ndim != 1 or (cells.size and cells.dtype.kind not in "iu") or (cells < 0).any():
-            raise ValueError("cells must be a 1-d table of nonnegative integers")
-        breakpoints, values = np.array(self.breakpoints, dtype=float), np.array(self.values, dtype=complex)
-        if values.size != cells.sum() or breakpoints.size != (cells[cells > 0] + 1).sum():
-            raise ValueError("need cells[n] values and cells[n] + 1 breakpoints for each row with cells")
-        self._freeze(cells, breakpoints, values)
-        # each row goes through the checks of StepFunction
-        if any(n and c.is_zero() for n, c in zip(cells.tolist(), self.coeffs)):
-            raise ValueError("a row with cells must hold a nonzero value")
+        check_step(self.t)
+        self._freeze(np.array(self.table, dtype=complex))
 
     @classmethod
-    def _owned(cls, t, cells, breakpoints, values) -> "EValuedPolynomial":
-        """A table on arrays the package has just made and hands over, in the
-        constructor's layout: its support check, without its copies or its
-        table checks. The arrays become read-only."""
+    def _owned(cls, t: float, table: np.ndarray) -> "EValuedPolynomial":
+        """A table the package has just made and hands over: the checks,
+        without the copy. The table becomes read-only."""
         p = object.__new__(cls)
         object.__setattr__(p, "t", t)
-        p._freeze(cells, breakpoints, values)
+        p._freeze(table)
         return p
 
-    def _freeze(self, cells: np.ndarray, breakpoints: np.ndarray, values: np.ndarray):
-        for name, table in (("cells", cells), ("breakpoints", breakpoints), ("values", values)):
-            table.setflags(write=False)
-            object.__setattr__(self, name, table)
-        if breakpoints.size and (breakpoints.min() < 0 or breakpoints.max() > self.t):
-            raise ValueError("every coefficient must be supported in [0, t)")
-
-    @staticmethod
-    def from_coeffs(t: float, coeffs) -> "EValuedPolynomial":
-        """The table of the given coefficient step functions."""
-        coeffs = [zero() if c.is_zero() else c for c in coeffs]
-        return EValuedPolynomial._owned(
-            t,
-            np.array([c.values.size for c in coeffs], dtype=int),
-            np.concatenate([c.breakpoints for c in coeffs if c.values.size] or [np.empty(0)]),
-            np.concatenate([c.values for c in coeffs] or [np.empty(0, dtype=complex)]),
-        )
-
-    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Where each row starts in breakpoints and in values."""
-        voff = np.cumsum(self.cells) - self.cells
-        return voff + np.cumsum(self.cells > 0) - (self.cells > 0), voff
+    def _freeze(self, table: np.ndarray):
+        if table.ndim != 2 or not table.shape[1] or not np.isfinite(table).all():
+            raise ValueError("the table must be 2-d and finite, with a column for each cell of E")
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
 
     @functools.cached_property
     def coeffs(self) -> tuple[StepFunction, ...]:
-        """The coefficients as step functions, views of the table's rows;
-        zero() for a row without cells."""
-        boff, voff = self._offsets()
-        return tuple(
-            StepFunction._owned(self.breakpoints[b : b + c + 1], self.values[v : v + c]) if c else zero()
-            for b, v, c in zip(boff.tolist(), voff.tolist(), self.cells.tolist())
-        )
+        """The coefficients as step functions on E's lattice cells, views of
+        the table's rows without their exactly-zero edge cells; zero() for a
+        zero row."""
+        edges = _edges(self.t, self.table.shape[1])
+        return tuple(_trimmed(edges, row) for row in self.table)
 
     @property
     def degree(self) -> int:
         """Index of the last nonzero coefficient (-1 for the zero element)."""
-        rows = np.flatnonzero(self.cells)
+        rows = np.flatnonzero(self.table.any(axis=1))
         return int(rows[-1]) if rows.size else -1
+
+
+def _lattice(t: float, *fs: StepFunction) -> int:
+    """m of the lattice k h, h = t/m, for the step functions fs: t over
+    their narrowest cell, rounded, and at least 1."""
+    check_step(t)
+    narrowest = min((float(f.widths().min()) for f in fs if f.values.size), default=t)
+    m = t / narrowest
+    if not m < MAX_LATTICE_CELLS + 0.5:
+        raise LatticeError(f"a cell of width {narrowest!r} needs more than {MAX_LATTICE_CELLS} lattice cells a block")
+    return max(1, round(m))
+
+
+def _index(f: StepFunction, t: float, m: int) -> np.ndarray:
+    """The lattice index k of each breakpoint x of f, x within LATTICE_ULPS
+    roundings of k h: of the product (eps k h) and of the k steps h, each
+    off t/m by at most half the smallest subnormal where h is subnormal.
+    Raises ValueError for a breakpoint off the lattice, or past lattice
+    cell MAX_LATTICE_CELLS."""
+    k = f.breakpoints / (t / m)
+    k += 0.5
+    np.floor(k, out=k)
+    x = k * (t / m)
+    # lattice data are mostly exact: one comparison decides them
+    if not (np.array_equal(f.breakpoints, x) or (np.abs(f.breakpoints - x) <= LATTICE_ULPS * (EPS * x + TINY * k)).all()):
+        raise LatticeError(f"the breakpoints do not lie on the lattice k h, h = t/{m} with t = {t!r}")
+    if not k[-1] <= MAX_LATTICE_CELLS:
+        raise LatticeError(f"the step data reach lattice cell {k[-1]:.0f}, past {MAX_LATTICE_CELLS}")
+    return k.astype(np.int64)
+
+
+def _points(count: int, t: float, m: int) -> np.ndarray:
+    """The lattice points k h, k = 0, ..., count - 1, h = t/m."""
+    points = np.arange(count, dtype=float)
+    points *= t / m
+    return points
+
+
+def _edges(t: float, m: int) -> np.ndarray:
+    """The lattice edges i h of E, i = 0, ..., m, the last one t itself."""
+    edges = _points(m + 1, t, m)
+    edges[-1] = t
+    return edges
+
+
+def _midpoints(t: float, m: int) -> np.ndarray:
+    """The midpoints mu_i = (i + 1/2) h of E's lattice cells."""
+    return (np.arange(m) + 0.5) * (t / m)
+
+
+def _blocks(f: StepFunction, t: float, m: int) -> np.ndarray:
+    """f as a (blocks, m) table on the lattice, zero off f's cells; its blocks
+    cover f. Raises ValueError for f off the lattice."""
+    k = _index(f, t, m)
+    table = np.zeros((-(-int(k[-1]) // m), m), dtype=complex)
+    _spread(table.reshape(-1), f.values, k)
+    return table
+
+
+def _spread(cells: np.ndarray, values: np.ndarray, k: np.ndarray):
+    """Write values[j] into the lattice cells k[j], ..., k[j + 1] - 1."""
+    if k[-1] - k[0] == values.size:  # one lattice cell a cell
+        cells[k[0] : k[-1]] = values
+    else:
+        cells[k[0] : k[-1]] = np.repeat(values, np.diff(k))
+
+
+def _in_E(e: StepFunction, t: float, m: int) -> np.ndarray:
+    """e's values on E's m lattice cells; raises ValueError for an e off the
+    lattice or outside E."""
+    k = _index(e, t, m)
+    if k[-1] > m:
+        raise LatticeError(f"e must lie in E = [0, t), but it ends at {e.hi!r} > t = {t!r}")
+    row = np.zeros(m, dtype=complex)
+    _spread(row, e.values, k)
+    return row
+
+
+def _weights(symbol: Symbol, t: float, m: int, rows: int) -> np.ndarray:
+    """W[n, i] = sqrt(phi(mu_i) / phi(mu_i + n t)) for n < rows: the weight
+    of L_t^n from block n onto E, as apply_power forms it."""
+    ratio = phi_ratio(symbol, _midpoints(t, m), 0.0, np.arange(rows)[:, None] * t)
+    return np.sqrt(ratio, out=ratio)
 
 
 def model_map(symbol: Symbol, t: float, f: StepFunction) -> EValuedPolynomial:
     """U f: coefficient n is the restriction of L_t^n f to [0, t).
 
-    Enough coefficients are produced to cover the support of f, so
-    model_inverse recovers f.
+    f must lie on a lattice k h, h = t/m, m = t over f's narrowest cell,
+    rounded; coefficient n is block n of f times the weight row W[n], for
+    as many blocks as cover f. Raises ValueError for f off the lattice.
     """
-    op_l = make_operator(symbol, t, "L")
-    n_terms = max(0, math.ceil(f.hi / t) - 1)
-    while (n_terms + 1) * op_l.t < f.hi:  # f.hi / t rounded down onto a block edge
-        n_terms += 1
-    bp, ns = f.breakpoints, np.arange(n_terms + 1)
-    nt = ns * op_l.t  # the floats n * t
-    # row n holds the cells of f that L_t^n carries into [0, t): fl(b - nt) <= 0
-    # exactly when b <= nt, so the cell holding nt starts the row; every
-    # breakpoint after the first one at or past fl(nt + t) exceeds nt + t in
-    # exact arithmetic, so one extra cell takes the row to t after the shift
-    first = np.maximum(np.searchsorted(bp, nt, side="right") - 1, 0)
-    cells = np.minimum(np.searchsorted(bp, nt + op_l.t, side="left") + 1, f.values.size) - first
-    tables = [_map_rows(op_l, f, ns[a:b], first[a:b], cells[a:b]) for a, b in _chunks(cells)]
-    row_cells, breakpoints, values = (np.concatenate(field) for field in zip(*tables))
-    return EValuedPolynomial._owned(t, row_cells, breakpoints, values)
+    return _map(symbol, t, _blocks(f, t, _lattice(t, f)))
 
 
-def _chunks(cells: np.ndarray):
-    """Row ranges [a, b) of at most TABLE_CELLS cells each; a longer row is alone."""
-    ends = np.cumsum(cells)
-    a = 0
-    while a < cells.size:
-        base = ends[a - 1] if a else 0
-        b = max(int(np.searchsorted(ends, base + TABLE_CELLS, side="right")), a + 1)
-        yield a, b
-        a = b
-
-
-def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The indices starts[i], ..., starts[i] + sizes[i] - 1 for each i, in order."""
-    ends = np.cumsum(sizes)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + sizes, sizes)
-
-
-def _map_rows(op_l: OperatorHandle, f: StepFunction, ns, first, cells):
-    """restrict_to_E(apply_power(op_l, n, f), t) for the rows n = ns of a
-    chunk, as the (cells, breakpoints, values) of EValuedPolynomial."""
-    t, bp = op_l.t, f.breakpoints
-    row = np.repeat(np.arange(ns.size), cells)
-    cell = _ranges(first, cells)
-    left, right, vals = bp[cell], bp[cell + 1], f.values[cell]
-    row, left, right, vals, refused = apply_power_rows(op_l, ns, row, left, right, vals)
-    if refused.any():  # the first refused row raises what apply_power raises
-        r = row[np.argmax(refused)]
-        lo, hi = first[r], first[r] + cells[r]
-        apply_power(op_l, int(ns[r]), StepFunction(bp[lo : hi + 1], f.values[lo:hi]))
-    keep = left < t  # restrict to [0, t), which starts at 0.0 where f starts at -0.0
-    row, left, right, vals = row[keep], left[keep] + 0.0, np.minimum(right[keep], t), vals[keep]
-    # each row without its exactly-zero edge cells (as _trimmed); the right
-    # edge of a cell is the next cell's left edge
-    nz = np.flatnonzero(vals != 0)
-    lo = np.searchsorted(row[nz], np.arange(ns.size), side="left")
-    hi = np.searchsorted(row[nz], np.arange(ns.size), side="right")
-    live = hi > lo
-    i, j = nz[lo[live]], nz[hi[live] - 1] + 1
-    out_cells = np.zeros(ns.size, dtype=int)
-    out_cells[live] = j - i
-    idx = _ranges(i, j - i)
-    return out_cells, np.insert(left[idx], np.cumsum(j - i), right[j - 1]), vals[idx]
+def _map(symbol: Symbol, t: float, blocks: np.ndarray) -> EValuedPolynomial:
+    """U f from f's block table, which it weights in place."""
+    make_operator(symbol, t, "L")  # refuses a symbol whose L_t is unbounded
+    blocks *= _weights(symbol, t, blocks.shape[1], len(blocks))
+    return EValuedPolynomial._owned(t, blocks)
 
 
 def model_inverse(symbol: Symbol, t: float, p: EValuedPolynomial) -> StepFunction:
-    """U^{-1}: reassemble f block by block, f|[nt,(n+1)t) = S_t^n c_n."""
-    op_s = OperatorHandle(symbol, t, "S")
-    boff, voff = p._offsets()
-    ns = np.flatnonzero(p.cells)
-    pieces = []
-    for a, b in _chunks(p.cells[ns]):
-        rows = ns[a:b]
-        cells = p.cells[rows]
-        row = np.repeat(np.arange(b - a), cells)
-        edge = _ranges(boff[rows], cells)  # each cell's left edge; its right edge is next
-        vals = p.values[_ranges(voff[rows], cells)]
-        left, right = p.breakpoints[edge], p.breakpoints[edge + 1]
-        row, left, right, vals, refused = apply_power_rows(op_s, rows, row, left, right, vals)
-        if refused.any():  # the first refused row raises what apply_power raises
-            n = int(rows[row[np.argmax(refused)]])
-            apply_power(op_s, n, p.coeffs[n])
-        pieces.append(_pieces(row, left, right, vals))
-    return _sum_rows(pieces)
-
-
-def _pieces(row, left, right, vals):
-    """The rows of a chunk as pieces of stepfun.sum_pieces: each row's left
-    edges, then its last right edge. Returns (breakpoints, values, cells, rows)."""
-    last = np.flatnonzero(np.diff(row, append=-1))
-    return np.insert(left, last + 1, right[last]), vals, np.diff(last, prepend=-1), row[last]
-
-
-def _sum_rows(pieces) -> StepFunction:
-    """add_all of the rows of _pieces chunks (breakpoints, values, cells, ...), in order."""
-    chunks = [c[:3] for c in pieces if c[2].size]
-    if not chunks:
+    """U^{-1}: block n of f is c_n / W[n], the blocks laid end to end on the
+    lattice k h."""
+    check_step(t)
+    rows, m = p.degree + 1, p.table.shape[1]
+    if not rows:
         return zero()
-    if len(chunks) == 1 and chunks[0][2].size == 1:
-        return StepFunction._owned(chunks[0][0], chunks[0][1])  # one piece: as it is, untrimmed
-    return sum_pieces(chunks)
+    values = p.table[:rows] / _weights(symbol, t, m, rows)
+    return _trimmed(_points(rows * m + 1, t, m), values.reshape(-1))
 
 
 def parseval_defect(symbol: Symbol, t: float, f: StepFunction) -> tuple[float, float]:
@@ -414,84 +396,62 @@ def kernel_preimage(
 ) -> StepFunction:
     """U^{-1}(k(., lambda) e) = sum_n conj(lambda)^n (L_t*)^n e, tail-truncated.
 
-    The terms are rows of one table, grown by one chunk of at most
-    TABLE_CELLS cells each time sum_series asks for more, from the first
-    size |lambda| and tol give; their norms are the table that the tail
-    rule reads. Rows past the last summed term are never checked; a
-    summed row that apply_power would refuse is replayed through it and
-    raises its error. Raises TailBoundNotAchievedError when the tail bound is
-    not reached by term SERIES_CAP.
+    e must lie in E, on a lattice k h, h = t/m, m = t over e's narrowest
+    cell, rounded; term n is block n of the result. Raises ValueError for an
+    e off the lattice or outside E, and TailBoundNotAchievedError when the
+    tail bound is not reached by term SERIES_CAP.
     """
-    return _sum_rows(_preimage_terms(symbol, t, lam, e, tol))
+    m = _lattice(t, e)
+    terms = _preimage_terms(symbol, t, lam, _in_E(e, t, m), tol)
+    return _trimmed(_points(terms.size + 1, t, m), terms.reshape(-1))
 
 
-def _preimage_terms(symbol: Symbol, t: float, lam: complex, e: StepFunction, tol: float = 1e-12) -> list[tuple]:
-    """The summed terms of kernel_preimage, nonzero ones only, in order of
-    n: chunks (breakpoints, values, cells) of stepfun.sum_pieces."""
-    op = make_operator(symbol, t, "L_adjoint")
+def _preimage_terms(symbol: Symbol, t: float, lam: complex, e: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """The summed terms of kernel_preimage as the rows conj(lambda)^n W[n] e
+    of one table, for e given by its values on E's lattice cells.
+
+    The table grows by new rows only, as sum_series asks for more, from
+    the first size |lambda| and tol give; the rows' norms are the table that
+    the tail rule reads. Rows past the last summed term are never checked;
+    a summed row with a phi value eval_phi refuses raises that error, one
+    that is not finite a NumericError.
+    """
+    make_operator(symbol, t, "L_adjoint")  # refuses a symbol whose L_t* is unbounded
     lam_bar = np.conj(complex(lam))
-    per_chunk = max(1, TABLE_CELLS // max(e.values.size, 1))
-    pieces: list[tuple] = []  # _pieces of each chunk, with n for rows
-    norms, bad = np.empty(0), None  # bad: the first refused row, once built
+    mu = _midpoints(t, e.size)
+    phi_mu = eval_phi(symbol, mu)
+    widths = np.diff(_edges(t, e.size))
+    rows, norms, bad = [], np.empty(0), None  # bad: the first refused row, once built
 
     def terms(size: int) -> np.ndarray:
         nonlocal norms, bad
-        # one chunk a call: sum_series asks again while the table grows
         if norms.size < size and bad is None:
-            ns = np.arange(norms.size, min(size, norms.size + per_chunk))
-            chunk, chunk_norms, chunk_refused = _preimage_rows(op, e, lam_bar, ns)
-            pieces.append(chunk)
-            norms = np.concatenate([norms, chunk_norms])
-            if chunk_refused.any():
-                bad = int(ns[np.argmax(chunk_refused)])
+            ns = np.arange(norms.size, size)
+            weights, refused = phi_table(symbol, mu + ns[:, None] * t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.sqrt(np.divide(phi_mu, weights, out=weights), out=weights)
+                new = e * weights
+                new *= np.power(lam_bar, ns)[:, None]  # lam_bar**n, numpy's power
+                sq = np.square(np.abs(new), out=weights)
+                sq *= widths
+            refused = (refused | ~np.isfinite(new)).any(axis=1)
+            rows.append(new)
+            norms = np.concatenate([norms, np.sqrt(sq.sum(axis=1))])
+            if refused.any():
+                bad = int(ns[np.argmax(refused)])
         return norms[: size if bad is None else min(size, bad)]
 
     def replay(n: int):
-        apply_power(op, n, e).scale(lam_bar**n)  # raises the error of term n
+        eval_phi(symbol, mu + n * t)  # raises the error of term n's weights
+        raise NumericError(f"term {n} of the kernel preimage is not finite")
 
     _, n_terms, _ = sum_series(terms, tol, _table_size(lam_bar, tol), replay)
-    summed = []
-    for bps, vals, cells, ns in pieces:  # the first k pieces hold terms n < n_terms
-        k = int(np.searchsorted(ns, n_terms))
-        size = int(cells[:k].sum())
-        summed.append((bps[: size + k], vals[:size], cells[:k]))
-    return summed
-
-
-def _preimage_rows(op: OperatorHandle, e: StepFunction, lam_bar: complex, ns: np.ndarray):
-    """Terms apply_power(op, n, e).scale(lam_bar**n) for n in ns, unchecked.
-
-    Returns the _pieces of the nonzero terms (rows numbered by n), the norm
-    of each term and whether apply_power or scale would refuse it.
-    """
-    k, m = ns.size, e.values.size
-    row = np.repeat(np.arange(k), m)
-    left, right = np.tile(e.breakpoints[:-1], k), np.tile(e.breakpoints[1:], k)
-    row, left, right, vals, refused = apply_power_rows(op, ns, row, left, right, np.tile(e.values, k))
-    sq = np.empty(k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.power(lam_bar, ns)  # lam_bar**n, numpy's power either way
-        if row.size == k * m:  # no cell collapsed: a (k, m) table
-            vals = (vals.reshape(k, m) * scale[:, None]).ravel()
-            sq[:] = (np.abs(vals) ** 2 * (right - left)).reshape(k, m).sum(axis=1)
-        else:
-            bounds = np.searchsorted(row, np.arange(k + 1))
-            for r, (a, b) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-                vals[a:b] = vals[a:b] * scale[r]
-                sq[r] = np.sum(np.abs(vals[a:b]) ** 2 * (right[a:b] - left[a:b]))
-    refused |= ~np.isfinite(vals)
-    row_refused = np.zeros(k, dtype=bool)
-    row_refused[row[refused]] = True
-    if not scale.all():  # scale(0) is the zero function, left out of the sum
-        live = (scale != 0)[row]
-        row, left, right, vals = row[live], left[live], right[live], vals[live]
-    bps, vals, cells, rows = _pieces(row, left, right, vals)
-    return (bps, vals, cells, ns[rows]), np.sqrt(sq), row_refused
+    return (rows[0] if len(rows) == 1 else np.concatenate(rows))[:n_terms]
 
 
 @dataclass(frozen=True)
 class ReproducingCheck:
-    lhs: complex  # <(Uf)(lambda), e>_E, with (Uf)(lambda) = sum_n c_n lambda^n one step function
+    lhs: complex  # <(Uf)(lambda), e>_E, with (Uf)(lambda) = sum_n c_n lambda^n
     rhs: complex  # <f, preimage of k(., lambda) e>
     diff: float
 
@@ -503,39 +463,29 @@ def reproducing_check(
     lam: complex,
     e: StepFunction,
 ) -> ReproducingCheck:
-    """Both sides of the reproducing identity, computed independently."""
-    lhs = inner(_evaluate(model_map(symbol, t, f), lam), e)
-    rhs = inner(f, _preimage_on(f, _preimage_terms(symbol, t, lam, e)))
-    return ReproducingCheck(complex(lhs), complex(rhs), abs(complex(lhs) - complex(rhs)))
+    """Both sides of the reproducing identity, computed independently, on
+    the lattice of f and e: m = t over their narrowest cell, rounded.
+    Raises ValueError for f or e off that lattice, or e outside E."""
+    m = _lattice(t, f, e)
+    e_row, f_blocks = _in_E(e, t, m), _blocks(f, t, m)
+    widths = np.diff(_edges(t, m))
+    lhs = _pair(_evaluate(_map(symbol, t, f_blocks.copy()), lam), e_row, widths)
+    terms = _preimage_terms(symbol, t, lam, e_row)
+    n = min(len(f_blocks), len(terms))  # the blocks both have
+    rhs = _pair(f_blocks[:n], terms[:n], widths)
+    return ReproducingCheck(lhs, rhs, abs(lhs - rhs))
 
 
-def _evaluate(p: EValuedPolynomial, z: complex) -> StepFunction:
-    """(Uf)(z) = sum_n c_n z^n as one step function on E: row n scaled by
-    z^n, numpy's power as in _preimage_rows, and the rows added in order of
-    n over their merged mesh by one sum_pieces."""
-    ns = np.flatnonzero(p.cells)
-    if not ns.size:
-        return zero()
-    scaled = p.values * np.repeat(np.power(complex(z), ns), p.cells[ns])
-    return sum_pieces([(p.breakpoints, scaled, p.cells[ns])])
+def _evaluate(p: EValuedPolynomial, z: complex) -> np.ndarray:
+    """(Uf)(z) = sum_n c_n z^n on E's lattice cells: row n scaled by z^n,
+    numpy's power as in _preimage_terms, and the rows added in order of n."""
+    return (np.power(complex(z), np.arange(len(p.table)))[:, None] * p.table).sum(axis=0)
 
 
-def _preimage_on(f: StepFunction, terms: list[tuple]) -> StepFunction:
-    """A step function that inner(f, .) pairs as it pairs the sum of the
-    kernel_preimage terms: the sum of the terms up to the first one that
-    starts at or past f.hi. The later terms start there too, so below f.hi
-    they add no breakpoint and no value; the whole sum is taken only when
-    the cut one ends before f.hi, where inner would cut it shorter."""
-    for i, (bps, vals, cells) in enumerate(terms):
-        first = np.cumsum(cells + 1) - (cells + 1)
-        k = int(np.searchsorted(bps[first], f.hi, side="left"))
-        if k < cells.size:
-            size = int(cells[: k + 1].sum())
-            cut = _sum_rows([*terms[:i], (bps[: size + k + 1], vals[:size], cells[: k + 1])])
-            if cut.hi >= f.hi:
-                return cut
-            break
-    return _sum_rows(terms)
+def _pair(a: np.ndarray, b: np.ndarray, widths: np.ndarray) -> complex:
+    """The L2 pairing of two tables of cell values on the lattice, cells of
+    the given widths in each row."""
+    return complex(np.sum(a * np.conj(b) * widths))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NotLeftInvertibleError
 from .stepfun import StepFunction
-from .symbols import Symbol, eval_phi, phi_table
+from .symbols import Symbol, eval_phi
 from .util import check_step, sample_then_refine, window
 
 KINDS = ("S", "S_adjoint", "L", "L_adjoint")
@@ -112,49 +112,6 @@ def apply_power(op: OperatorHandle, n: int, f: StepFunction) -> StepFunction:
         return g
     a, b = _SHIFTS[op.kind]
     return g.with_values(g.values * np.sqrt(phi_ratio(op.symbol, g.midpoints(), a * nt, b * nt)))
-
-
-def apply_power_rows(op: OperatorHandle, ns, row, left, right, vals):
-    """apply_power(op, n, .) on rows laid end to end, n = ns[row] and rows in
-    ascending n; the cells (left, right, vals) of a row are those of one
-    step function. The cells of rows with n > 0 move by n t, a left move
-    clips at 0, the cells rounding collapses are dropped, and the rest are
-    weighted at their midpoints, in place. Returns the kept (row, left,
-    right, vals) and the mask of cells apply_power would refuse: a phi value
-    eval_phi refuses, or a product that is not finite.
-    """
-    z = int(np.searchsorted(row, np.searchsorted(ns, 1)))  # rows with n = 0 stay as they are
-    nt = ns[row[z:]] * op.t
-    shift = nt if op.kind in _RIGHT else -nt  # x + (-s) is the float x - s
-    left[z:] += shift
-    right[z:] += shift
-    if op.kind not in _RIGHT:
-        left[z:] = np.where(left[z:] > 0, left[z:], 0.0)  # the clip at 0 of translate
-    keep = right > left
-    if not keep.all():
-        row, left, right, vals, nt = row[keep], left[keep], right[keep], vals[keep], nt[keep[z:]]
-    w, bad = _weight_table(op, nt, 0.5 * (left[z:] + right[z:]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals[z:] *= w
-    refused = np.zeros(row.size, dtype=bool)
-    refused[z:] = bad | ~np.isfinite(vals[z:])
-    return row, left, right, vals, refused
-
-
-def _weight_table(op: OperatorHandle, nt, x) -> tuple[np.ndarray, np.ndarray]:
-    """The weights of apply_power at many output points in one pass, one
-    nt = n * op.t per point: sqrt(phi(x + a nt) / phi(x + b nt)).
-
-    Returns (weights, refused), where refused marks the points at which
-    apply_power's phi_ratio would raise; elsewhere each weight is the float
-    apply_power multiplies by. A replay of a refused point through
-    apply_power warns as apply_power does.
-    """
-    a, b = _SHIFTS[op.kind]
-    num, bad_num = phi_table(op.symbol, x + a * nt)
-    den, bad_den = phi_table(op.symbol, x + b * nt)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.sqrt(num / den), bad_num | bad_den
 
 
 def apply(op: OperatorHandle, f: StepFunction) -> StepFunction:

@@ -195,7 +195,7 @@ def add_all(pieces) -> StepFunction:
         for p in pieces:
             vals += p.values
         return _trimmed(mesh, vals)
-    return sum_pieces([(p.breakpoints, p.values, np.array([p.values.size])) for p in pieces])
+    return sum_pieces(pieces)
 
 
 def _same_mesh(a: np.ndarray, b: np.ndarray) -> bool:
@@ -205,88 +205,16 @@ def _same_mesh(a: np.ndarray, b: np.ndarray) -> bool:
     return a.size == b.size and np.array_equal(a, b) and np.signbit(a[0]) == np.signbit(b[0])
 
 
-def sum_pieces(chunks) -> StepFunction:
-    """The merge of add_all, for two or more nonempty pieces given in chunks.
-
-    A chunk (breakpoints, values, cells) lays its pieces end to end: piece i
-    has cells[i] values and cells[i] + 1 strictly increasing breakpoints. The
-    pieces add in order of chunk and place, each cell over its span of the
-    merged breakpoints, from exact zeros, so the bytes are those of add_all
-    on the same pieces.
-
-    Pieces that lie left to right in that order, as the model's blocks
-    [nt, (n+1)t) do, are concatenated instead (_concatenated); pieces that
-    overlap or come out of order take the merge.
-    """
-    joined = _concatenated(chunks)
-    if joined is not None:
-        return joined
-    bp = np.unique(np.concatenate([c[0] for c in chunks]))
+def sum_pieces(pieces) -> StepFunction:
+    """The merge of add_all, for nonempty step functions: each adds its
+    values over its span of the merged breakpoints, in order, from exact
+    zeros, so every cell sums in the order of the left fold of `+`."""
+    bp = np.unique(np.concatenate([p.breakpoints for p in pieces]))
     vals = np.zeros(bp.size - 1, dtype=complex)
-    for bps, values, cells in chunks:
-        idx = np.searchsorted(bp, bps)
-        if cells.size == 1:
-            vals[idx[0] : idx[-1]] += np.repeat(values, np.diff(idx))
-            continue
-        # breakpoint j + (piece of cell j) starts cell j of the chunk
-        pos = np.arange(values.size) + np.repeat(np.arange(cells.size), cells)
-        start = idx[pos]
-        span = idx[pos + 1] - start
-        # merged cells start[j], ..., start[j] + span[j] - 1 for each cell j;
-        # np.add.at adds them one by one in this order
-        target = np.repeat(start - np.cumsum(span) + span, span) + np.arange(int(span.sum()))
-        np.add.at(vals, target, np.repeat(values, span))
+    for p in pieces:
+        idx = np.searchsorted(bp, p.breakpoints)
+        vals[idx[0] : idx[-1]] += np.repeat(p.values, np.diff(idx))
     return _trimmed(bp, vals)
-
-
-def _concatenated(chunks) -> StepFunction | None:
-    """sum_pieces of pieces that each start at or past the previous one's
-    end, or None if two overlap or come out of order. Each merged cell is
-    then one cell of one piece added onto one exact zero: the pieces are
-    laid end to end, with one breakpoint where two touch and one zero cell
-    where they leave a gap, written once into arrays sized for the whole
-    concatenation and trimmed as the merge is (_trimmed). A -0.0 can only be
-    the first breakpoint, the mesh's one zero, which the merge keeps too.
-    """
-    joins = _joins(chunks)
-    if joins is None:
-        return None
-    size = sum(c[0].size - int(touch.sum()) for c, (_, touch) in zip(chunks, joins))
-    out_bp, out_vals = np.empty(size), np.empty(size - 1, dtype=complex)
-    ob = ov = 0  # breakpoints and values written
-    for i, ((bps, values, _), (first, touch)) in enumerate(zip(chunks, joins)):
-        keep = np.ones(bps.size, dtype=bool)
-        keep[first[touch]] = False  # equal to the last breakpoint of the piece before
-        kept = bps[keep]
-        out_bp[ob : ob + kept.size] = kept
-        ob += kept.size
-        gap = ~touch
-        gap[0] &= i > 0  # the first piece follows none
-        s = 0
-        for e in (first - np.arange(first.size))[gap].tolist() + [values.size]:
-            np.add(values[s:e], 0j, out=out_vals[ov : ov + e - s])  # -0.0 becomes 0.0
-            ov += e - s
-            if e < values.size:  # the zero cell of a gap
-                out_vals[ov] = 0.0
-                ov += 1
-            s = e
-    return _trimmed(out_bp, out_vals)
-
-
-def _joins(chunks) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """Per chunk, each piece's first breakpoint and whether the piece starts
-    where the one before it ends (False for the first piece); None if a
-    piece starts before the one before it ends."""
-    joins, end = [], -np.inf
-    for bps, _, cells in chunks:
-        first = np.cumsum(cells + 1) - (cells + 1)
-        begin = bps[first]
-        ends = np.concatenate(([end], bps[first[1:] - 1]))
-        if not (begin >= ends).all():
-            return None
-        joins.append((first, begin == ends))
-        end = bps[-1]
-    return joins
 
 
 def zero() -> StepFunction:

@@ -17,6 +17,7 @@ import wtsemigroup
 from wtsemigroup import RunConfig, classify, parse_phi_spec, run_verify, spectral_summary
 from wtsemigroup.cli import main
 from wtsemigroup.errors import (
+    LatticeError,
     NonPositiveSymbolError,
     NotLeftInvertibleError,
     NumericError,
@@ -326,6 +327,7 @@ def test_exp_disc_radius_overflow_is_a_numeric_error(capsys, argv):
         (NotLeftInvertibleError, RuntimeError),
         (OutsideConvergenceDomainError, ValueError),
         (TailBoundNotAchievedError, RuntimeError),
+        (LatticeError, ValueError),
     ],
     ids=lambda v: v.__name__,
 )
@@ -702,3 +704,23 @@ def test_a_nan_residual_is_a_numeric_error(capsys, spec, xmax):
     code, out, err = run(capsys, "verify", "--phi", spec, "--t", "1e-321", *xmax)
     assert code == 3 and out == ""
     assert err == "numeric error: the adjoint_pairing residual is NaN at --t 1e-321: the check measured nothing\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--phi", "affine", "--t", "1e-318"),
+        ("verify", "--phi", "reciprocal", "--t", "1e-318"),
+        ("verify", "--phi", "affine", "--t", "3e-319", "--h", "1e-323"),
+    ],
+    ids=" ".join,
+)
+def test_test_data_off_the_model_lattice_are_a_numeric_error(capsys, argv):
+    # at these subnormal steps a cell of t/m rounds to a whole number of the
+    # smallest subnormal (791 of them at t = 1e-318, where t/256 is 790.6),
+    # and linspace's last cell takes up the rest of 8 t (39 of them), so
+    # verify's test data lie on no lattice k t/m: one numeric error line and
+    # exit 3, as the NaN residuals gave before the model moved onto the lattice
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("numeric error: ") and err.count("\n") == 1

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wtsemigroup import (
@@ -20,7 +20,7 @@ from wtsemigroup import (
     restrict_to_E,
     zero,
 )
-from wtsemigroup.stepfun import _concatenated, sum_pieces
+from wtsemigroup.stepfun import sum_pieces
 
 
 def test_inner_unit_indicator():
@@ -203,16 +203,15 @@ def _pairwise_add(f, g):
     return StepFunction(bp[a : b + 1], vals[a:b])
 
 
-def reference_merge(chunks):
+def reference_merge(pieces):
     """sum_pieces as the one global merge: every piece adds onto exact zeros
-    over its span of all breakpoints, in order of chunk and place."""
-    bp = np.unique(np.concatenate([c[0] for c in chunks]))
+    over its span of all breakpoints, cell by cell, in order."""
+    bp = np.unique(np.concatenate([p.breakpoints for p in pieces]))
     vals = np.zeros(bp.size - 1, dtype=complex)
-    for bps, values, cells in chunks:
-        idx = np.searchsorted(bp, bps)
-        pos = np.arange(values.size) + np.repeat(np.arange(cells.size), cells)
-        for j, v in enumerate(values):
-            vals[idx[pos[j]] : idx[pos[j] + 1]] += v
+    for p in pieces:
+        idx = np.searchsorted(bp, p.breakpoints)
+        for j, v in enumerate(p.values):
+            vals[idx[j] : idx[j + 1]] += v
     nz = np.nonzero(vals != 0)[0]
     if nz.size == 0:
         return zero()
@@ -277,7 +276,7 @@ def test_add_all_on_one_mesh_equals_the_merge(bp, count, data):
         for _ in range(count)
     ]
     got = add_all(pieces)
-    ref = reference_merge([(p.breakpoints, p.values, np.array([p.values.size])) for p in pieces])
+    ref = reference_merge(pieces)
     assert_same_bytes(got, ref)
 
 
@@ -323,36 +322,12 @@ def _laid_pieces(draw, joins=("touch", "gap", "overlap")):
     return pieces
 
 
-def _chunks(data, pieces):
-    """The pieces in runs of one to three, each run laid end to end as one chunk."""
-    chunks, i = [], 0
-    while i < len(pieces):
-        run = pieces[i : i + data.draw(st.integers(1, 3))]
-        chunks.append(
-            (
-                np.concatenate([p.breakpoints for p in run]),
-                np.concatenate([p.values for p in run]),
-                np.array([p.values.size for p in run]),
-            )
-        )
-        i += len(run)
-    return chunks
-
-
 @settings(max_examples=400, deadline=None)
-@given(_laid_pieces(), st.data())
-def test_sum_pieces_equals_the_global_merge(pieces, data):
-    # pieces in order concatenate, all others merge: the bytes, the zero
-    # cells of a gap and the sign of every zero must be the merge's
-    chunks = _chunks(data, pieces)
-    assert_same_bytes(sum_pieces(chunks), reference_merge(chunks))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_laid_pieces(), st.data())
-def test_add_all_does_not_depend_on_the_chunks(pieces, data):
-    assume(len(pieces) > 1)  # add_all hands a lone piece back as it is
-    assert_same_bytes(sum_pieces(_chunks(data, pieces)), add_all(pieces))
+@given(_laid_pieces())
+def test_sum_pieces_equals_the_global_merge(pieces):
+    # pieces that touch, leave a gap or overlap by an ulp, in any order: the
+    # bytes, the zero cells of a gap and the sign of every zero are the merge's
+    assert_same_bytes(sum_pieces(pieces), reference_merge(pieces))
 
 
 @settings(max_examples=200, deadline=None)
@@ -438,34 +413,7 @@ def test_translate_left_then_right_restricts_to_the_shift(f, s):
     assert back.values.tobytes() == ref.values[keep].tobytes()
 
 
-# -- one write per result, against the code it replaced ------------------------
-
-
-def _reference_trimmed(bp, vals):
-    """_trimmed as it was: a full index of the nonzero cells, and the
-    constructor's copies."""
-    nz = np.nonzero(vals != 0)[0]
-    if nz.size == 0:
-        return zero()
-    a, b = nz[0], nz[-1] + 1
-    return StepFunction(bp[a : b + 1], vals[a:b])
-
-
-def _reference_concatenated(chunks):
-    """_concatenated as it was: concatenate every chunk, insert the zero
-    cell of each gap, delete the doubled breakpoint of each touch, trim."""
-    edges = np.concatenate([c[0] for c in chunks])
-    sizes = np.concatenate([c[2] for c in chunks])
-    first = np.cumsum(sizes + 1) - (sizes + 1)
-    begin, end = edges[first[1:]], edges[first[:-1] + sizes[:-1]]
-    if not (begin >= end).all():
-        return None
-    touch = begin == end
-    vals = np.concatenate([c[1] for c in chunks], dtype=complex)
-    vals += 0j
-    if not touch.all():
-        vals = np.insert(vals, np.cumsum(sizes[:-1])[~touch], 0.0)
-    return _reference_trimmed(np.delete(edges, first[1:][touch]), vals)
+# -- results that own their arrays ----------------------------------------------
 
 
 def assert_owned(f, *arrays):
@@ -473,31 +421,6 @@ def assert_owned(f, *arrays):
     for a in (f.breakpoints, f.values):
         assert not a.flags.writeable
         assert not any(np.shares_memory(a, b) for b in arrays)
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.one_of(_laid_pieces(), _laid_pieces(joins=("touch", "gap"))), st.data())
-def test_concatenated_keeps_the_reference_bytes(pieces, data):
-    # gaps, touches, overlaps, zero cells of every sign at the edges and a
-    # -0.0 first edge come with the pieces; now and then a whole piece is
-    # zero, so that the first or last nonzero cell lies in a later or an
-    # earlier chunk, or no cell is nonzero
-    zeros = st.sampled_from((None, None, None, 0.0, -0.0, complex(-0.0, -0.0)))
-    pieces = [p if (z := data.draw(zeros)) is None else p.with_values(np.full(p.values.size, z)) for p in pieces]
-    chunks = _chunks(data, pieces)
-    # and whole leading and trailing chunks of exact zeros, of both signs
-    lead = data.draw(st.integers(0, len(chunks)))
-    trail = data.draw(st.integers(0, len(chunks) - lead))
-    signed = st.sampled_from((0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)))
-    for i in [*range(lead), *range(len(chunks) - trail, len(chunks))]:
-        bps, vals, cells = chunks[i]
-        zero_vals = data.draw(st.lists(signed, min_size=vals.size, max_size=vals.size))
-        chunks[i] = (bps, np.array(zero_vals, dtype=complex), cells)
-    got, ref = _concatenated(chunks), _reference_concatenated(chunks)
-    assert (got is None) == (ref is None)
-    if ref is not None:
-        assert_same_bytes(got, ref)
-        assert_owned(got, *(a for c in chunks for a in c))
 
 
 def test_owned_results_are_read_only_and_their_own():
@@ -520,8 +443,8 @@ def test_owned_results_are_read_only_and_their_own():
     )
     for r in results:
         assert_owned(r, bp, vals)
-    chunks = [(bp, vals, np.array([3])), (bp + 1.0, vals, np.array([3])), (np.r_[bp, bp + 3.0], np.r_[vals, vals], np.array([3, 3]))]
-    assert_owned(sum_pieces(chunks), *(a for c in chunks for a in c))
+    pieces = (f, g, f.translate(3.0))
+    assert_owned(sum_pieces(pieces), *(a for p in pieces for a in (p.breakpoints, p.values)))
 
 
 @pytest.mark.parametrize(

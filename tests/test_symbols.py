@@ -261,7 +261,9 @@ def _values_by_name(name, param, x):
     if name == "affine":
         return x + 1.0
     if name == "reciprocal":
-        return 1.0 / (x + 1.0)
+        # np.divide, the tree's ufunc: at a float or 0-d x = -1, 1.0 / (x + 1.0)
+        # divides numpy scalars and warns "... in scalar divide" instead
+        return np.divide(1.0, x + 1.0)
     if name == "cap":
         return np.where(x <= 1.0, x + 1.0, 2.0)
     return np.power(param, x)  # exp
@@ -290,6 +292,8 @@ _SPELLINGS = [
 @example(spelling=_SPELLINGS[2], x=np.array([-math.inf, -1.0, -0.0]))  # -0.0, 1/0 and 0/0
 @example(spelling=_SPELLINGS[0], x=np.array(3.0))  # a 0-d x
 @example(spelling=_SPELLINGS[4], x=np.array([[355.0, math.nan], [-math.inf, 1.0]]))
+@example(spelling=_SPELLINGS[2], x=-1.0)  # 1/0 at a float x
+@example(spelling=_SPELLINGS[2], x=np.array(-1.0))  # and at a 0-d x
 def test_builtin_and_its_expression_are_one_tree(spelling, x):
     # the same bytes and type as the branch by name, and as each other; a new
     # array, never x; and the same eval_phi outcome and warnings

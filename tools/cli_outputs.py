@@ -18,8 +18,9 @@ import sys
 
 from wtsemigroup import cli
 
-# (spec, t): the built-ins, the expression symbols, and the non-dyadic
-# steps at which the model's blocks merge instead of concatenating
+# (spec, t): the built-ins, the expression symbols, and two non-dyadic
+# steps, at which the model's lattice points k t/256 are not dyadic and a
+# shift by the float n t can round off them
 SYMBOLS = (
     ("const:1", "1"),
     ("affine", "1"),
@@ -45,8 +46,9 @@ COMMANDS = (
 # then symbols whose samples fall below the positivity floor, most of them
 # and all of them, so the refinement of validate_positivity runs; then steps
 # refused before any work: t/2 or t/256 underflows to 0, 8 t overflows, and
-# the default window 64 t overflows for every command; last, a subnormal step
-# whose test data overflow inner, so verify's residuals read NaN
+# the default window 64 t overflows for every command; then a subnormal step
+# whose test data overflow inner, so verify's residuals read NaN; last, the
+# mesh t/100 at t = 0.3, on which verify's S_t f sits an ulp off the lattice
 EDGES = (
     ("kernel", "--phi", "exp2x", "--t", "1", "--z", "2.5552", "--lambda", "2.718281828"),
     ("spectrum", "--phi", "expr:3-x"),
@@ -64,6 +66,7 @@ EDGES = (
     ("classify", "--phi", "const:1", "--t", "1e308"),
     ("kernel", "--phi", "const:1", "--t", "1e308", "--z", "0.1", "--lambda", "0.1"),
     ("verify", "--phi", "affine", "--t", "1e-321"),
+    ("verify", "--phi", "affine", "--t", "0.3", "--h", "0.003"),
 )
 
 

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LatticeError, NoClosedFormError, NumericError, OutsideConvergenceDomainError
+from .errors import LatticeError, NoClosedFormError, NonPositiveSymbolError, NumericError, OutsideConvergenceDomainError
 from .operators import make_operator, phi_ratio
 from .stepfun import StepFunction, _trimmed, norm_sq, zero
-from .symbols import Symbol, eval_phi, phi_table
+from .symbols import Symbol, eval_phi
 from .util import SERIES_CAP, TAIL_STREAK, check_step, gauss5_cells, sum_series
 
 DOMAIN_MARGIN = 0.05  # kernel series run only for |z conj(lambda)| < radius^2 (1 - margin)
@@ -164,11 +164,51 @@ def _in_E(e: StepFunction, t: float, m: int) -> np.ndarray:
     return row
 
 
-def _weights(symbol: Symbol, t: float, m: int, rows: int) -> np.ndarray:
-    """W[n, i] = sqrt(phi(mu_i) / phi(mu_i + n t)) for n < rows: the weight
-    of L_t^n from block n onto E, as apply_power forms it."""
-    ratio = phi_ratio(symbol, _midpoints(t, m), 0.0, np.arange(rows)[:, None] * t)
-    return np.sqrt(ratio, out=ratio)
+class _Ratios:
+    """The rows phi(x)/phi(x + n t) at the points x, phi(x) checked first: the
+    kernel's coefficients and the model's squared weights. They grow by new
+    rows only, as callers ask, and stop, silently, before the first row with
+    a phi value eval_phi refuses, whose error raise_at raises. Row n is the
+    same floats at any length; rows and stop are stored at once, so threads
+    may share a table. Callers never write into the rows."""
+
+    def __init__(self, symbol: Symbol, t: float, x):
+        self.symbol, self.t, self.x = symbol, t, np.asarray(x, dtype=float)
+        self.phi_x = eval_phi(symbol, self.x)
+        self._table = (np.empty((0, self.x.size)), None)  # the rows, and the first refused row once met
+
+    def rows(self, size: int) -> np.ndarray:
+        """Rows n < size, fewer when the table stops before size."""
+        rows, stop = self._table
+        if len(rows) < size and stop is None:
+            points = self.x + np.arange(len(rows), size)[:, None] * self.t
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                try:
+                    vals = eval_phi(self.symbol, points)
+                except NonPositiveSymbolError:  # evaluated again, unchecked, to find the first refused row
+                    vals = self.symbol.values(points)
+                    stop = len(rows) + int(np.argmin((np.isfinite(vals) & (vals > 0)).all(axis=-1)))
+                    vals = vals[: stop - len(rows)]
+                np.divide(self.phi_x, vals, out=vals)
+            rows = np.concatenate([rows, vals]) if len(rows) else vals
+            self._table = (rows, stop)
+        return rows[:size]
+
+    def raise_at(self, n: int):
+        """Evaluate row n again with eval_phi, which raises its error if it refuses the row."""
+        eval_phi(self.symbol, self.x + n * self.t)
+
+
+_kernel_ratios = functools.lru_cache(maxsize=256)(_Ratios)  # one column per (symbol, t, x)
+
+
+def _weights(ratios: _Ratios, rows: int) -> np.ndarray:
+    """W[n, i] = sqrt(phi(mu_i) / phi(mu_i + n t)), n < rows, from ratios at E's
+    midpoints mu: the weight of L_t^n from block n onto E. A refused row raises."""
+    ratio = ratios.rows(rows)
+    if len(ratio) < rows:
+        ratios.raise_at(len(ratio))
+    return np.sqrt(ratio)
 
 
 def model_map(symbol: Symbol, t: float, f: StepFunction) -> EValuedPolynomial:
@@ -178,13 +218,9 @@ def model_map(symbol: Symbol, t: float, f: StepFunction) -> EValuedPolynomial:
     rounded; coefficient n is block n of f times the weight row W[n], for
     as many blocks as cover f. Raises ValueError for f off the lattice.
     """
-    return _map(symbol, t, _blocks(f, t, _lattice(t, f)))
-
-
-def _map(symbol: Symbol, t: float, blocks: np.ndarray) -> EValuedPolynomial:
-    """U f from f's block table, which it weights in place."""
+    blocks = _blocks(f, t, _lattice(t, f))
     make_operator(symbol, t, "L")  # refuses a symbol whose L_t is unbounded
-    blocks *= _weights(symbol, t, blocks.shape[1], len(blocks))
+    blocks *= _weights(_Ratios(symbol, t, _midpoints(t, blocks.shape[1])), len(blocks))
     return EValuedPolynomial._owned(t, blocks)
 
 
@@ -195,7 +231,7 @@ def model_inverse(symbol: Symbol, t: float, p: EValuedPolynomial) -> StepFunctio
     rows, m = p.degree + 1, p.table.shape[1]
     if not rows:
         return zero()
-    values = p.table[:rows] / _weights(symbol, t, m, rows)
+    values = p.table[:rows] / _weights(_Ratios(symbol, t, _midpoints(t, m)), rows)
     return _trimmed(_points(rows * m + 1, t, m), values.reshape(-1))
 
 
@@ -274,10 +310,10 @@ def kernel_series(k: DiagonalKernel, z: complex, lam: complex, x: float, tol: fl
     """Truncated kernel series with an empirical geometric tail bound.
 
     Returns (value, n_terms, tail_estimate). The domain guard enforces
-    |z conj(lambda)| < radius**2 (1 - DOMAIN_MARGIN). The coefficients come
-    from one phi column per (symbol, t, x), shared by every z, lambda and
-    tol; a phi value that eval_phi refuses raises its error only if the sum
-    reaches it.
+    |z conj(lambda)| < radius**2 (1 - DOMAIN_MARGIN). The coefficients are
+    one cached column of rows per (symbol, t, x), shared by every z, lambda
+    and tol; a phi value that eval_phi refuses raises its error only if the
+    sum reaches it.
     """
     # a numpy complex: q**n is numpy's power, the floats np.power(q, n) gives
     q = complex(z) * np.conj(complex(lam))
@@ -286,43 +322,14 @@ def kernel_series(k: DiagonalKernel, z: complex, lam: complex, x: float, tol: fl
             f"|z conj(lambda)| = {abs(q):.6g} is not below "
             f"{k.radius**2 * (1.0 - DOMAIN_MARGIN):.6g} = radius^2 (1 - margin)"
         )
-    xv = float(x) + 0.0  # maps -0.0 to 0.0, as the x + 0 of phi_ratio does
-    phi_x, column = _phi_column(k.symbol, k.t, xv)
+    ratios = _kernel_ratios(k.symbol, k.t, float(x) + 0.0)  # + 0.0 maps -0.0 to 0.0, as phi_ratio's x + 0 does
 
     def terms(size: int) -> np.ndarray:
-        den = column(size)
+        ratio = ratios.rows(size)[:, 0]
         with np.errstate(all="ignore"):  # terms past the stop may overflow
-            return (phi_x / den) * np.power(q, np.arange(den.size))
+            return ratio * np.power(q, np.arange(ratio.size))
 
-    def replay(n: int):
-        eval_phi(k.symbol, xv + n * k.t)  # raises the error of a one-point evaluation
-
-    return sum_series(terms, tol, _table_size(q, tol), replay)
-
-
-@functools.lru_cache(maxsize=256)
-def _phi_column(symbol: Symbol, t: float, x: float):
-    """phi(x), checked, and column(size): phi(x + n t) for n < size, cut
-    before the first value eval_phi refuses, for one (symbol, t, x).
-
-    The column keeps the longest table read so far and is evaluated again,
-    unchecked and at the new length, only when a longer one is asked for: a
-    tail that is never summed may overflow (e^(2x) past x = 355) or turn
-    non-positive. Entry n is the same float at any length.
-    """
-    phi_x = eval_phi(symbol, x)
-    table = (np.empty(0), 0)  # values and the index of the first refused one
-
-    def column(size: int) -> np.ndarray:
-        nonlocal table
-        vals, bad = table
-        if vals.size < size:
-            vals, refused = phi_table(symbol, x + np.arange(size) * t)
-            bad = int(np.argmax(refused)) if refused.any() else size
-            table = (vals, bad)  # one store: a reader sees a matching pair
-        return vals[: min(size, bad)]
-
-    return phi_x, column
+    return sum_series(terms, tol, _table_size(q, tol), ratios.raise_at)
 
 
 def _table_size(q: complex, tol: float) -> int:
@@ -402,51 +409,47 @@ def kernel_preimage(
     tail bound is not reached by term SERIES_CAP.
     """
     m = _lattice(t, e)
-    terms = _preimage_terms(symbol, t, lam, _in_E(e, t, m), tol)
+    e_row = _in_E(e, t, m)
+    make_operator(symbol, t, "L_adjoint")  # refuses a symbol whose L_t* is unbounded
+    terms = _preimage_terms(_Ratios(symbol, t, _midpoints(t, m)), lam, e_row, tol)
     return _trimmed(_points(terms.size + 1, t, m), terms.reshape(-1))
 
 
-def _preimage_terms(symbol: Symbol, t: float, lam: complex, e: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """The summed terms of kernel_preimage as the rows conj(lambda)^n W[n] e
-    of one table, for e given by its values on E's lattice cells.
-
-    The table grows by new rows only, as sum_series asks for more, from
-    the first size |lambda| and tol give; the rows' norms are the table that
-    the tail rule reads. Rows past the last summed term are never checked;
-    a summed row with a phi value eval_phi refuses raises that error, one
-    that is not finite a NumericError.
-    """
-    make_operator(symbol, t, "L_adjoint")  # refuses a symbol whose L_t* is unbounded
+def _preimage_terms(ratios: _Ratios, lam: complex, e: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """The summed terms of kernel_preimage as the rows conj(lambda)^n W[n] e,
+    for e given by its values on E's lattice cells. The tail rule reads the
+    rows' norms; rows and norms grow by new rows only, as sum_series asks
+    for more, from the first size |lambda| and tol give. Rows past the last
+    summed term are never checked; a summed row with a phi value eval_phi
+    refuses raises that error, one that is not finite a NumericError."""
     lam_bar = np.conj(complex(lam))
-    mu = _midpoints(t, e.size)
-    phi_mu = eval_phi(symbol, mu)
-    widths = np.diff(_edges(t, e.size))
-    rows, norms, bad = [], np.empty(0), None  # bad: the first refused row, once built
+    widths = np.diff(_edges(ratios.t, e.size))
+    rows, norms = [], np.empty(0)  # rows: the chunks of rows, in order
 
     def terms(size: int) -> np.ndarray:
-        nonlocal norms, bad
-        if norms.size < size and bad is None:
-            ns = np.arange(norms.size, size)
-            weights, refused = phi_table(symbol, mu + ns[:, None] * t)
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.sqrt(np.divide(phi_mu, weights, out=weights), out=weights)
-                new = e * weights
-                new *= np.power(lam_bar, ns)[:, None]  # lam_bar**n, numpy's power
-                sq = np.square(np.abs(new), out=weights)
-                sq *= widths
-            refused = (refused | ~np.isfinite(new)).any(axis=1)
-            rows.append(new)
-            norms = np.concatenate([norms, np.sqrt(sq.sum(axis=1))])
-            if refused.any():
-                bad = int(ns[np.argmax(refused)])
-        return norms[: size if bad is None else min(size, bad)]
+        nonlocal norms
+        ratio = ratios.rows(size)[norms.size :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = e * np.sqrt(ratio)
+            new *= np.power(lam_bar, np.arange(norms.size, norms.size + len(ratio)))[:, None]  # lam_bar**n, numpy's power
+            row_norms = np.sqrt((np.square(np.abs(new)) * widths).sum(axis=1))
+            # as in stepfun.norm, a row whose squares sum to 0 or inf is divided by its
+            # largest modulus first, so a norm is finite exactly where its row is
+            for i in np.flatnonzero((row_norms == 0.0) | (row_norms == np.inf)):
+                s = np.abs(new[i]).max() or 1.0  # 1 for a zero row
+                row_norms[i] = s * np.sqrt(np.sum((np.abs(new[i]) / s) ** 2 * widths))
+        rows.append(new)
+        norms = np.concatenate([norms, row_norms])
+        finite = np.isfinite(norms)
+        return norms if finite.all() else norms[: np.argmin(finite)]
 
     def replay(n: int):
-        eval_phi(symbol, mu + n * t)  # raises the error of term n's weights
+        ratios.raise_at(n)  # raises the error of term n's weights
         raise NumericError(f"term {n} of the kernel preimage is not finite")
 
     _, n_terms, _ = sum_series(terms, tol, _table_size(lam_bar, tol), replay)
-    return (rows[0] if len(rows) == 1 else np.concatenate(rows))[:n_terms]
+    head = norms.size - len(rows[-1])  # the sum stops inside the last chunk, which starts here
+    return np.concatenate([*rows[:-1], rows[-1][: n_terms - head]]) if head else rows[0][:n_terms]
 
 
 @dataclass(frozen=True)
@@ -469,8 +472,10 @@ def reproducing_check(
     m = _lattice(t, f, e)
     e_row, f_blocks = _in_E(e, t, m), _blocks(f, t, m)
     widths = np.diff(_edges(t, m))
-    lhs = _pair(_evaluate(_map(symbol, t, f_blocks.copy()), lam), e_row, widths)
-    terms = _preimage_terms(symbol, t, lam, e_row)
+    make_operator(symbol, t, "L")  # refuses a symbol whose L_t, and so L_t*, is unbounded
+    ratios = _Ratios(symbol, t, _midpoints(t, m))
+    lhs = _pair(_evaluate(EValuedPolynomial._owned(t, f_blocks * _weights(ratios, len(f_blocks))), lam), e_row, widths)
+    terms = _preimage_terms(ratios, lam, e_row)
     n = min(len(f_blocks), len(terms))  # the blocks both have
     rhs = _pair(f_blocks[:n], terms[:n], widths)
     return ReproducingCheck(lhs, rhs, abs(lhs - rhs))

@@ -40,8 +40,8 @@ EPS_INV = 1e-6  # inf phi(x+t)/phi(x) must exceed this for left invertibility
 
 
 def phi_ratio(symbol: Symbol, x, num: float, den: float):
-    """phi(x + num) / phi(x + den): the quantity behind every weight, the
-    inverse of the model map, the kernel coefficients and left invertibility."""
+    """phi(x + num) / phi(x + den): the quantity behind the operators'
+    weights and left invertibility; the model's rows are model._Ratios'."""
     x = np.asarray(x, dtype=float)
     return eval_phi(symbol, x + num) / eval_phi(symbol, x + den)
 

@@ -400,21 +400,6 @@ def eval_phi(symbol: Symbol, x):
     return vals
 
 
-def phi_table(symbol: Symbol, x) -> tuple[np.ndarray, np.ndarray]:
-    """phi at the points x, for tables whose far entries may never be used:
-    returns (values, refused), where refused marks the points at which
-    eval_phi would raise. The table is eval_phi's; only when eval_phi
-    refuses a point is it evaluated again, unchecked, to mark them all.
-    Overflow warns nothing."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        try:
-            return eval_phi(symbol, x), np.zeros(x.shape, dtype=bool)
-        except (ValueError, NonPositiveSymbolError):
-            vals = symbol.values(x)
-    return vals, (x < 0) | ~(np.isfinite(vals) & (vals > 0))
-
-
 def validate_positivity(symbol: Symbol, x_max: float) -> float:
     """Sample phi on [0, x_max]; raise on any non-positive or non-finite value.
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from wtsemigroup import (
     LatticeError,
     NoClosedFormError,
     NonPositiveSymbolError,
+    NumericError,
     OperatorHandle,
     OutsideConvergenceDomainError,
     StepFunction,
@@ -48,7 +51,7 @@ from wtsemigroup import (
     zero,
 )
 import wtsemigroup.util as util_module
-from wtsemigroup.symbols import eval_phi, phi_table
+from wtsemigroup.symbols import Symbol, eval_phi
 from wtsemigroup.util import TAIL_STREAK, sum_series
 
 E2X = exponential(np.exp(2.0))
@@ -271,7 +274,9 @@ def reference_kernel_series(k, z, lam, x, tol=1e-10):
         nonlocal points, den, bad
         if n == len(den):
             points = xv + np.arange(min(max(16, 2 * n), n_cap + 1)) * k.t
-            vals, refused = phi_table(k.symbol, points)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                vals = k.symbol.values(points)
+            refused = (points < 0) | ~(np.isfinite(vals) & (vals > 0))
             bad = int(np.argmax(refused)) if refused.any() else refused.size
             den = vals.tolist()
         if n >= bad:
@@ -473,12 +478,14 @@ def test_kernel_preimage_builds_one_chunk_past_its_last_term(monkeypatch):
     # the term table grows by new rows only: the rows past the stopping
     # term are what is left of the first table, whose size |lambda| and tol
     # give, and no row is evaluated twice
+    sym = affine()
+    make_operator(sym, 1.0, "L_adjoint")  # warms the left-invertibility cache: phi is then read by the table alone
     built = []
-    table = model_module.phi_table
+    values = Symbol.values
 
-    def counted_table(symbol, x):
-        built.append(np.shape(x)[0])
-        return table(symbol, x)
+    def counted_values(symbol, x):
+        built.append(np.shape(x))
+        return values(symbol, x)
 
     summed = []
     series = model_module.sum_series
@@ -488,11 +495,14 @@ def test_kernel_preimage_builds_one_chunk_past_its_last_term(monkeypatch):
         summed.append(result[1])
         return result
 
-    monkeypatch.setattr(model_module, "phi_table", counted_table)
+    monkeypatch.setattr(Symbol, "values", counted_values)
     monkeypatch.setattr(model_module, "sum_series", counted_series)
-    kernel_preimage(affine(), 1.0, 0.9 * np.exp(0.4j), indicator(0.0, 1.0).subdivide(256))
+    kernel_preimage(sym, 1.0, 0.9 * np.exp(0.4j), indicator(0.0, 1.0).subdivide(256))
     assert summed == [260]
-    assert built == [model_module._table_size(0.9, 1e-12)] and sum(built) < 260 + 64
+    assert built[0] == (256,)  # phi at the midpoints of E
+    rows = [shape[0] for shape in built[1:]]
+    assert built[1:] == [(n, 256) for n in rows]
+    assert rows == [model_module._table_size(0.9, 1e-12)] and sum(rows) < 260 + 64
 
 
 def test_kernel_preimage_table_past_overflow():
@@ -513,6 +523,56 @@ def test_kernel_preimage_table_past_overflow():
     with pytest.raises(NonPositiveSymbolError) as info, pytest.warns(RuntimeWarning, match="overflow"):
         kernel_preimage(sym, t, lam, e)
     assert str(info.value) == "symbol value inf at x=1024.034375 violates positivity"
+
+
+def test_kernel_preimage_refuses_a_term_that_is_not_finite():
+    # phi = e^(-x) is accepted up to x = 745, where it underflows to 0, but
+    # phi(x)/phi(x + n t) = e^n overflows from n = 710: the sum at 0.99 of
+    # the radius e^(-t/2) reaches term 710 and raises a NumericError there
+    sym, t = parse_phi_spec("expr:exp(0-x)"), 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        error = outcome(lambda: kernel_preimage(sym, t, 0.99 * np.exp(-t / 2), indicator(0.0, t).subdivide(4)))
+    assert error == (NumericError, "term 710 of the kernel preimage is not finite")
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+def test_kernel_preimage_scales_with_e_and_tol(scale):
+    # the preimage is linear in e, and tol bounds the norm of its tail: c e
+    # at tol c tol0 sums the terms of e at tol0. Each term's norm is taken
+    # as stepfun.norm takes it, so squares that underflow to 0 (c = 1e-170:
+    # the sum stopped after 6 terms) or overflow (c = 1e170: 328 terms) do
+    # not move the stop
+    e = indicator(0.0, 1.0).subdivide(4)
+    ref = kernel_preimage(affine(), 1.0, 0.9, e)
+    got = kernel_preimage(affine(), 1.0, 0.9, e.scale(scale), tol=1e-12 * scale)
+    assert ref.hi == got.hi == 260.0
+    assert got.breakpoints.tobytes() == ref.breakpoints.tobytes()
+    assert np.allclose(got.values / scale, ref.values, rtol=4 * EPS, atol=0.0)
+
+
+def test_reproducing_check_evaluates_phi_once_per_point(monkeypatch):
+    # both sides read one table of weights: once the left-invertibility
+    # check is cached, phi is evaluated once at the midpoints mu_i of E, and
+    # once at each mu_i + n t of the rows the table builds, row 0 included
+    sym, t, m = affine(), 1.0, 16
+    f = random_step(np.random.default_rng(3), 0.0, 8.0 * t, 8 * m, unit_norm=True)
+    e = indicator(0.0, t).subdivide(m)
+    make_operator(sym, t, "L")
+    seen = []
+    values = Symbol.values
+
+    def counted_values(symbol, x):
+        seen.append(np.asarray(x, dtype=float).ravel())
+        return values(symbol, x)
+
+    monkeypatch.setattr(Symbol, "values", counted_values)
+    reproducing_check(sym, t, f, 0.5, e)
+    points = np.concatenate(seen)
+    rows = points.size // m - 1
+    assert rows > 8  # the preimage's rows reach past f's blocks
+    mu = (np.arange(m) + 0.5) * (t / m)
+    assert np.array_equal(np.sort(points), np.sort(np.concatenate([mu, (mu + np.arange(rows)[:, None] * t).ravel()])))
 
 
 def test_inverse_single_coefficient():
@@ -955,7 +1015,7 @@ def test_kernel_series_equals_the_loop(spec, t, x_frac, q_frac, where, angles, t
     if where in ("lambda = 0", "both"):
         lam = 0.0
     if clear:
-        model_module._phi_column.cache_clear()
+        model_module._kernel_ratios.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         ref = series_outcome(lambda: reference_kernel_series(k, z, lam, x, tol))
@@ -980,19 +1040,19 @@ def test_kernel_series_cache_hit_equals_miss():
     ]
     want = [series_outcome(lambda: reference_kernel_series(k, z, lam, 0.2, tol)) for z, lam, tol in calls]
     for order in (calls, calls[::-1]):
-        model_module._phi_column.cache_clear()
+        model_module._kernel_ratios.cache_clear()
         for z, lam, tol in order:
             got = series_outcome(lambda: kernel_series(k, z, lam, 0.2, tol))
             assert same_result(got, want[calls.index((z, lam, tol))])
     for (z, lam, tol), ref in zip(calls, want):
-        model_module._phi_column.cache_clear()
+        model_module._kernel_ratios.cache_clear()
         assert same_result(series_outcome(lambda: kernel_series(k, z, lam, 0.2, tol)), ref)
 
 
 def test_kernel_series_overflow_raises_the_loop_error_and_warning():
     # e^(2x) overflows at x = 355 before the tail rule holds at |q| ~ 0.94 radius^2
     k = make_kernel(E2X, 1.0)
-    model_module._phi_column.cache_clear()
+    model_module._kernel_ratios.cache_clear()
     seen = []
     for fn in (reference_kernel_series, kernel_series):
         with warnings.catch_warnings(record=True) as caught:
@@ -1002,6 +1062,44 @@ def test_kernel_series_overflow_raises_the_loop_error_and_warning():
     assert seen[0] == seen[1]
     assert seen[0][0] == (NonPositiveSymbolError, "symbol value inf at x=355.0 violates positivity")
     assert seen[0][1] == [(RuntimeWarning, "overflow encountered in power")]
+
+
+def test_kernel_series_threads_share_one_column():
+    # eight threads grow one fresh cached column to different lengths at
+    # once, up to and past its stop before x = 355, where e^(2x) overflows:
+    # every result and error is the one of a call on its own
+    k = make_kernel(E2X, 1.0)
+    calls = [(z, 1.0, 0.1, tol) for z in (0.5, 3.0, 6.0, 6.84, 6.95) for tol in (1e-6, 1e-10, 1e-14)]
+    want = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for args in calls:
+            model_module._kernel_ratios.cache_clear()
+            want.append(series_outcome(lambda: kernel_series(k, *args)))
+        assert any(isinstance(w[0], type) for w in want) and not all(isinstance(w[0], type) for w in want)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rnd in range(10):
+                model_module._kernel_ratios.cache_clear()
+                got, start = {}, threading.Barrier(8, timeout=60)
+
+                def run(seed):
+                    order = np.random.default_rng([rnd, seed]).permutation(len(calls))
+                    start.wait()  # every thread meets the fresh column at once
+                    got[seed] = {int(i): series_outcome(lambda: kernel_series(k, *calls[i])) for i in order}
+
+                threads = [threading.Thread(target=run, args=(seed,)) for seed in range(8)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                    assert not th.is_alive()
+                assert len(got) == 8
+                for results in got.values():
+                    assert all(same_result(results[i], want[i]) for i in range(len(calls)))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0, 0.0])

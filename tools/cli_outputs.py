@@ -47,8 +47,11 @@ COMMANDS = (
 # and all of them, so the refinement of validate_positivity runs; then steps
 # refused before any work: t/2 or t/256 underflows to 0, 8 t overflows, and
 # the default window 64 t overflows for every command; then a subnormal step
-# whose test data overflow inner, so verify's residuals read NaN; last, the
-# mesh t/100 at t = 0.3, on which verify's S_t f sits an ulp off the lattice
+# whose test data overflow inner, so verify's residuals read NaN; the mesh
+# t/100 at t = 0.3, on which verify's S_t f sits an ulp off the lattice;
+# last, eight z points that share one kernel column: their sums ask for 512
+# rows and stop after 332, and the column stops before the rows past
+# x = 355, where e^(2x) overflows
 EDGES = (
     ("kernel", "--phi", "exp2x", "--t", "1", "--z", "2.5552", "--lambda", "2.718281828"),
     ("spectrum", "--phi", "expr:3-x"),
@@ -67,6 +70,7 @@ EDGES = (
     ("kernel", "--phi", "const:1", "--t", "1e308", "--z", "0.1", "--lambda", "0.1"),
     ("verify", "--phi", "affine", "--t", "1e-321"),
     ("verify", "--phi", "affine", "--t", "0.3", "--h", "0.003"),
+    ("kernel", "--phi", "exp2x", "--t", "1", "--z-grid", "unit:8", "--lambda", "6.84", "--x", "0.1"),
 )
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,14 +167,15 @@ def _in_E(e: StepFunction, t: float, m: int) -> np.ndarray:
 
 class _Ratios:
     """The rows phi(x)/phi(x + n t) at the points x, phi(x) checked first: the
-    kernel's coefficients and the model's squared weights. They grow by new
-    rows only, as callers ask, and stop, silently, before the first row with
-    a phi value eval_phi refuses, whose error raise_at raises. Row n is the
-    same floats at any length; rows and stop are stored at once, so threads
-    may share a table. Callers never write into the rows."""
+    kernel's coefficients; with weights, their square roots, a weight table
+    of the model's cache. They grow by new rows only, as callers ask, and
+    stop, silently, before the first row with a phi value eval_phi refuses,
+    whose error raise_at raises. Row n is the same floats at any length;
+    rows and stop are stored at once, so threads may share a table. The rows
+    are read-only."""
 
-    def __init__(self, symbol: Symbol, t: float, x):
-        self.symbol, self.t, self.x = symbol, t, np.asarray(x, dtype=float)
+    def __init__(self, symbol: Symbol, t: float, x, *, weights: bool = False):
+        self.symbol, self.t, self.x, self._is_weights = symbol, t, np.asarray(x, dtype=float), weights
         self.phi_x = eval_phi(symbol, self.x)
         self._table = (np.empty((0, self.x.size)), None)  # the rows, and the first refused row once met
 
@@ -190,8 +192,13 @@ class _Ratios:
                     stop = len(rows) + int(np.argmin((np.isfinite(vals) & (vals > 0)).all(axis=-1)))
                     vals = vals[: stop - len(rows)]
                 np.divide(self.phi_x, vals, out=vals)
+                if self._is_weights:  # correctly rounded: the floats np.sqrt gives the whole table
+                    np.sqrt(vals, out=vals)
             rows = np.concatenate([rows, vals]) if len(rows) else vals
+            rows.setflags(write=False)
             self._table = (rows, stop)
+            if self._is_weights and rows.nbytes + 2 * self.x.nbytes > _WEIGHT_TABLE_BYTES:  # rows, x and phi(x)
+                _drop_weights(self)  # the pass that grew it keeps it to its end
         return rows[:size]
 
     def raise_at(self, n: int):
@@ -202,13 +209,40 @@ class _Ratios:
 _kernel_ratios = functools.lru_cache(maxsize=256)(_Ratios)  # one column per (symbol, t, x)
 
 
-def _weights(ratios: _Ratios, rows: int) -> np.ndarray:
-    """W[n, i] = sqrt(phi(mu_i) / phi(mu_i + n t)), n < rows, from ratios at E's
-    midpoints mu: the weight of L_t^n from block n onto E. A refused row raises."""
-    ratio = ratios.rows(rows)
-    if len(ratio) < rows:
-        ratios.raise_at(len(ratio))
-    return np.sqrt(ratio)
+_WEIGHT_TABLES = 8  # weight tables kept, the least recently used dropped first
+_WEIGHT_TABLE_BYTES = 2**21  # a table that grows past this leaves the cache
+_weight_tables: dict = {}  # (symbol, t, m) -> _Ratios, least recently used first
+_weight_lock = threading.Lock()
+
+
+def _model_weights(symbol: Symbol, t: float, m: int) -> _Ratios:
+    """The model's weight table W[n, i] = sqrt(phi(mu_i) / phi(mu_i + n t)) at
+    E's midpoints mu_i, one per (symbol, t, m), shared by every pass on that
+    lattice while it is cached: the weight of L_t^n from block n onto E. A
+    refused phi(mu) raises, and nothing is cached."""
+    key = (symbol, t, m)
+    with _weight_lock:
+        table = _weight_tables.pop(key, None) or _Ratios(symbol, t, _midpoints(t, m), weights=True)
+        _weight_tables[key] = table  # the most recently used last
+        if len(_weight_tables) > _WEIGHT_TABLES:
+            del _weight_tables[next(iter(_weight_tables))]
+    return table
+
+
+def _drop_weights(table: _Ratios):
+    """Take table out of the cache, if it is still the one cached for its lattice."""
+    key = (table.symbol, table.t, table.x.size)
+    with _weight_lock:
+        if _weight_tables.get(key) is table:
+            del _weight_tables[key]
+
+
+def _weights(weights: _Ratios, rows: int) -> np.ndarray:
+    """Rows n < rows of the weight table; a refused row raises."""
+    w = weights.rows(rows)
+    if len(w) < rows:
+        weights.raise_at(len(w))
+    return w
 
 
 def model_map(symbol: Symbol, t: float, f: StepFunction) -> EValuedPolynomial:
@@ -220,7 +254,7 @@ def model_map(symbol: Symbol, t: float, f: StepFunction) -> EValuedPolynomial:
     """
     blocks = _blocks(f, t, _lattice(t, f))
     make_operator(symbol, t, "L")  # refuses a symbol whose L_t is unbounded
-    blocks *= _weights(_Ratios(symbol, t, _midpoints(t, blocks.shape[1])), len(blocks))
+    blocks *= _weights(_model_weights(symbol, t, blocks.shape[1]), len(blocks))
     return EValuedPolynomial._owned(t, blocks)
 
 
@@ -231,7 +265,7 @@ def model_inverse(symbol: Symbol, t: float, p: EValuedPolynomial) -> StepFunctio
     rows, m = p.degree + 1, p.table.shape[1]
     if not rows:
         return zero()
-    values = p.table[:rows] / _weights(_Ratios(symbol, t, _midpoints(t, m)), rows)
+    values = p.table[:rows] / _weights(_model_weights(symbol, t, m), rows)
     return _trimmed(_points(rows * m + 1, t, m), values.reshape(-1))
 
 
@@ -404,18 +438,22 @@ def kernel_preimage(
     """U^{-1}(k(., lambda) e) = sum_n conj(lambda)^n (L_t*)^n e, tail-truncated.
 
     e must lie in E, on a lattice k h, h = t/m, m = t over e's narrowest
-    cell, rounded; term n is block n of the result. Raises ValueError for an
-    e off the lattice or outside E, and TailBoundNotAchievedError when the
-    tail bound is not reached by term SERIES_CAP.
+    cell, rounded; term n is block n of the result. tol bounds the norm of
+    the tail absolutely, so an e of small norm needs a tol scaled with it:
+    at the default, e = 1e-14 chi_[0,1) on 4 cells (affine, t = 1, lambda =
+    0.9) stops after 6 terms, 4.6% short of 1e-14 times the preimage of
+    chi_[0,1), which tol = 1e-26 gives. Raises ValueError for an e off the
+    lattice or outside E, and TailBoundNotAchievedError when the tail bound
+    is not reached by term SERIES_CAP.
     """
     m = _lattice(t, e)
     e_row = _in_E(e, t, m)
     make_operator(symbol, t, "L_adjoint")  # refuses a symbol whose L_t* is unbounded
-    terms = _preimage_terms(_Ratios(symbol, t, _midpoints(t, m)), lam, e_row, tol)
+    terms = _preimage_terms(_model_weights(symbol, t, m), lam, e_row, tol)
     return _trimmed(_points(terms.size + 1, t, m), terms.reshape(-1))
 
 
-def _preimage_terms(ratios: _Ratios, lam: complex, e: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _preimage_terms(weights: _Ratios, lam: complex, e: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """The summed terms of kernel_preimage as the rows conj(lambda)^n W[n] e,
     for e given by its values on E's lattice cells. The tail rule reads the
     rows' norms; rows and norms grow by new rows only, as sum_series asks
@@ -423,15 +461,15 @@ def _preimage_terms(ratios: _Ratios, lam: complex, e: np.ndarray, tol: float = 1
     summed term are never checked; a summed row with a phi value eval_phi
     refuses raises that error, one that is not finite a NumericError."""
     lam_bar = np.conj(complex(lam))
-    widths = np.diff(_edges(ratios.t, e.size))
+    widths = np.diff(_edges(weights.t, e.size))
     rows, norms = [], np.empty(0)  # rows: the chunks of rows, in order
 
     def terms(size: int) -> np.ndarray:
         nonlocal norms
-        ratio = ratios.rows(size)[norms.size :]
+        w = weights.rows(size)[norms.size :]
         with np.errstate(over="ignore", invalid="ignore"):
-            new = e * np.sqrt(ratio)
-            new *= np.power(lam_bar, np.arange(norms.size, norms.size + len(ratio)))[:, None]  # lam_bar**n, numpy's power
+            new = e * w
+            new *= np.power(lam_bar, np.arange(norms.size, norms.size + len(w)))[:, None]  # lam_bar**n, numpy's power
             row_norms = np.sqrt((np.square(np.abs(new)) * widths).sum(axis=1))
             # as in stepfun.norm, a row whose squares sum to 0 or inf is divided by its
             # largest modulus first, so a norm is finite exactly where its row is
@@ -444,7 +482,7 @@ def _preimage_terms(ratios: _Ratios, lam: complex, e: np.ndarray, tol: float = 1
         return norms if finite.all() else norms[: np.argmin(finite)]
 
     def replay(n: int):
-        ratios.raise_at(n)  # raises the error of term n's weights
+        weights.raise_at(n)  # raises the error of term n's weights
         raise NumericError(f"term {n} of the kernel preimage is not finite")
 
     _, n_terms, _ = sum_series(terms, tol, _table_size(lam_bar, tol), replay)
@@ -473,9 +511,9 @@ def reproducing_check(
     e_row, f_blocks = _in_E(e, t, m), _blocks(f, t, m)
     widths = np.diff(_edges(t, m))
     make_operator(symbol, t, "L")  # refuses a symbol whose L_t, and so L_t*, is unbounded
-    ratios = _Ratios(symbol, t, _midpoints(t, m))
-    lhs = _pair(_evaluate(EValuedPolynomial._owned(t, f_blocks * _weights(ratios, len(f_blocks))), lam), e_row, widths)
-    terms = _preimage_terms(ratios, lam, e_row)
+    weights = _model_weights(symbol, t, m)
+    lhs = _pair(_evaluate(EValuedPolynomial._owned(t, f_blocks * _weights(weights, len(f_blocks))), lam), e_row, widths)
+    terms = _preimage_terms(weights, lam, e_row)
     n = min(len(f_blocks), len(terms))  # the blocks both have
     rhs = _pair(f_blocks[:n], terms[:n], widths)
     return ReproducingCheck(lhs, rhs, abs(lhs - rhs))

@@ -480,6 +480,7 @@ def test_kernel_preimage_builds_one_chunk_past_its_last_term(monkeypatch):
     # give, and no row is evaluated twice
     sym = affine()
     make_operator(sym, 1.0, "L_adjoint")  # warms the left-invertibility cache: phi is then read by the table alone
+    model_module._weight_tables.clear()
     built = []
     values = Symbol.values
 
@@ -559,6 +560,7 @@ def test_reproducing_check_evaluates_phi_once_per_point(monkeypatch):
     f = random_step(np.random.default_rng(3), 0.0, 8.0 * t, 8 * m, unit_norm=True)
     e = indicator(0.0, t).subdivide(m)
     make_operator(sym, t, "L")
+    model_module._weight_tables.clear()
     seen = []
     values = Symbol.values
 
@@ -573,6 +575,197 @@ def test_reproducing_check_evaluates_phi_once_per_point(monkeypatch):
     assert rows > 8  # the preimage's rows reach past f's blocks
     mu = (np.arange(m) + 0.5) * (t / m)
     assert np.array_equal(np.sort(points), np.sort(np.concatenate([mu, (mu + np.arange(rows)[:, None] * t).ravel()])))
+
+
+# ---------------------------------------------------------------------------
+# the model's cached weight tables
+# ---------------------------------------------------------------------------
+
+
+def model_outcome(fn):
+    """outcome(fn) of a model pass, its result as bytes."""
+    result = outcome(fn)
+    if isinstance(result, EValuedPolynomial):
+        return result.table.tobytes()
+    if isinstance(result, StepFunction):
+        return result.breakpoints.tobytes(), result.values.tobytes()
+    return result if isinstance(result, tuple) else repr(result)
+
+
+def model_passes(spec, t, m=16):
+    """The four model passes on the lattice t/m, each a call with no argument:
+    round trips of f on 6 and 40 blocks, preimages and reproducing checks at
+    0.5 and 0.9 of the disc radius."""
+    sym = parse_phi_spec(spec)
+    radius = sym.model_disc_radius(t) or 1.0
+    rng = np.random.default_rng(5)
+    fs = [random_step(rng, 0.0, n * t, n * m) for n in (6, 40)]
+    ps = [model_map(sym, t, f) for f in fs]
+    e = indicator(0.0, t).subdivide(m)
+    lams = [frac * radius * np.exp(2.1j) for frac in (0.5, 0.9)]
+    calls = [lambda f=f: model_map(sym, t, f) for f in fs]
+    calls += [lambda p=p: model_inverse(sym, t, p) for p in ps]
+    calls += [lambda lam=lam: kernel_preimage(sym, t, lam, e) for lam in lams]
+    calls += [lambda lam=lam: reproducing_check(sym, t, fs[0], lam, e) for lam in lams]
+    return calls
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("t", [0.25, 0.3])
+def test_model_passes_warm_equal_cold(spec, t):
+    # each pass from an empty cache, then every pass again on the warm table
+    # grown by the others, in two orders: the bytes must not change
+    calls = model_passes(spec, t)
+    cold = []
+    for fn in calls:
+        model_module._weight_tables.clear()
+        cold.append(model_outcome(fn))
+    model_module._weight_tables.clear()
+    assert [model_outcome(fn) for fn in calls[::-1]] == cold[::-1]
+    assert [model_outcome(fn) for fn in calls] == cold
+
+
+def test_model_passes_evaluate_phi_once_per_lattice(monkeypatch):
+    # a second pass on the same lattice reads the cached table: phi is
+    # evaluated at no point, whichever pass built the table
+    calls = model_passes("reciprocal", 0.3)
+    model_module._weight_tables.clear()
+    first = [model_outcome(fn) for fn in calls]
+    seen = []
+    values = Symbol.values
+
+    def counted_values(symbol, x):
+        seen.append(np.size(x))
+        return values(symbol, x)
+
+    monkeypatch.setattr(Symbol, "values", counted_values)
+    assert [model_outcome(fn) for fn in calls[::-1]] == first[::-1]
+    assert seen == []
+
+
+def refused_pass_outcome(fn):
+    """outcome(fn) with the warnings it raised, as (category, message) pairs."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = outcome(fn)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def test_refused_rows_raise_the_same_error_from_a_warm_table():
+    # the table stops before a refused row and keeps no error: every pass
+    # that needs the row evaluates it again and raises its error and warning,
+    # cold, warm, and after a pass that read the table up to its stop
+    sym, t = parse_symbol("3-x"), 0.04
+    f = StepFunction(np.linspace(0.0, 4.0, 801), np.linspace(1.0, 2.0, 800))
+    e = indicator(0.0, t).subdivide(8)
+    passes = [lambda: model_map(sym, t, f), lambda: kernel_preimage(sym, t, 0.99, e)]
+    # phi(mu) itself refused: the table is never made, and never cached
+    passes.append(lambda: model_inverse(parse_symbol("x-0.01"), t, EValuedPolynomial(t, np.ones((2, 8)))))
+    sym2, t2 = parse_phi_spec("exp:a=2"), 0.5
+    g = StepFunction(np.linspace(0.0, 1100.0, 2201), np.ones(2200))
+    passes.append(lambda: model_map(sym2, t2, g))  # 2^x overflows at x = 1024
+    passes.append(lambda: reproducing_check(sym2, t2, g, 0.5, indicator(0.0, t2).subdivide(2)))
+    for fn in passes:
+        model_module._weight_tables.clear()
+        cold = refused_pass_outcome(fn)
+        assert isinstance(cold[0][0], type) and issubclass(cold[0][0], NonPositiveSymbolError)
+        assert refused_pass_outcome(fn) == cold
+        for other in passes:
+            refused_pass_outcome(other)
+        assert refused_pass_outcome(fn) == cold
+    assert refused_pass_outcome(passes[3]) == (
+        (NonPositiveSymbolError, "symbol value inf at x=1024.25 violates positivity"),
+        [(RuntimeWarning, "overflow encountered in power")],
+    )
+
+
+def test_weight_rows_are_read_only():
+    weights = model_module._model_weights(affine(), 1.0, 4)
+    w = model_module._weights(weights, 6)
+    with pytest.raises(ValueError, match="read-only"):
+        w[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        weights.rows(3)[1] *= 2.0
+    column = model_module._kernel_ratios(affine(), 1.0, 0.25)
+    with pytest.raises(ValueError, match="read-only"):
+        column.rows(4)[0, 0] = 2.0
+
+
+def test_model_passes_threads_share_one_table():
+    # eight threads read one fresh cached table at once, growing it to
+    # different lengths, up to and past its stop before x = 1024, where 2^x
+    # overflows: every result and error is the one of a call on its own
+    sym, t, m = parse_phi_spec("exp:a=2"), 0.5, 4
+    radius = sym.model_disc_radius(t)
+    rng = np.random.default_rng(8)
+    e = indicator(0.0, t).subdivide(m)
+    fs = [random_step(rng, 0.0, n * t, n * m) for n in (2, 64, 2048, 2100)]
+    ps = [EValuedPolynomial(t, rng.standard_normal((n, m))) for n in (3, 500, 2049)]
+    calls = [lambda f=f: model_map(sym, t, f) for f in fs]
+    calls += [lambda p=p: model_inverse(sym, t, p) for p in ps]
+    calls += [lambda frac=frac: kernel_preimage(sym, t, frac * radius * np.exp(0.7j), e) for frac in (0.3, 0.9, 0.99)]
+    calls += [lambda: reproducing_check(sym, t, fs[1], 0.8 * radius, e)]
+    want = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for fn in calls:
+            model_module._weight_tables.clear()
+            want.append(model_outcome(fn))
+        assert any(isinstance(w[0], type) for w in want) and not all(isinstance(w[0], type) for w in want)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rnd in range(10):
+                model_module._weight_tables.clear()
+                got, start = {}, threading.Barrier(8, timeout=60)
+
+                def run(seed):
+                    order = np.random.default_rng([rnd, seed]).permutation(len(calls))
+                    start.wait()  # every thread meets the fresh table at once
+                    got[seed] = {int(i): model_outcome(calls[i]) for i in order}
+
+                threads = [threading.Thread(target=run, args=(seed,)) for seed in range(8)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                    assert not th.is_alive()
+                assert len(got) == 8
+                for results in got.values():
+                    assert all(results[i] == want[i] for i in range(len(calls)))
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def test_weight_table_past_the_byte_limit_leaves_the_cache():
+    # a table whose rows and points hold more than _WEIGHT_TABLE_BYTES is
+    # dropped as it grows: after the pass, nothing of it stays cached, and the
+    # next pass on the lattice builds it again, to the same bytes; one at the
+    # limit stays
+    sym, t, m = reciprocal(), 0.5, 2**15
+    limit = model_module._WEIGHT_TABLE_BYTES
+    assert 8 * m * (6 + 2) == limit  # 6 rows of m cells, with x and phi(x), fill it
+    model_module._weight_tables.clear()
+    rng = np.random.default_rng(6)
+    f = random_step(rng, 0.0, 7 * t, 7 * m)
+    first = model_outcome(lambda: model_map(sym, t, f))
+    assert (sym, t, m) not in model_module._weight_tables
+    assert model_outcome(lambda: model_map(sym, t, f)) == first
+    assert not model_module._weight_tables
+    model_map(sym, t, random_step(rng, 0.0, 6 * t, 6 * m))
+    assert model_module._weight_tables[sym, t, m].rows(6).shape == (6, m)
+    model_outcome(lambda: model_map(sym, t, f))  # the cached table grows past the limit
+    assert not model_module._weight_tables
+
+
+def test_weight_cache_drops_the_least_recently_used_table():
+    sym = affine()
+    model_module._weight_tables.clear()
+    for m in range(1, 9):
+        model_map(sym, 1.0, indicator(0.0, 1.0).subdivide(m))
+    model_inverse(sym, 1.0, EValuedPolynomial(1.0, np.ones((1, 1))))  # m = 1 is used again
+    model_map(sym, 1.0, indicator(0.0, 1.0).subdivide(9))
+    assert [key[2] for key in model_module._weight_tables] == [3, 4, 5, 6, 7, 8, 1, 9]
 
 
 def test_inverse_single_coefficient():

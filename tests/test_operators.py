@@ -29,7 +29,7 @@ from wtsemigroup.operators import (
     _weight_extrema,
     phi_ratio,
 )
-from wtsemigroup.model import _edges, _midpoints, _Ratios, _weights
+from wtsemigroup.model import _edges, _model_weights, _weights
 from wtsemigroup.spectral import SUMMARY_FITS
 from wtsemigroup.util import SAMPLES, sample_then_refine, window
 
@@ -271,7 +271,7 @@ def test_apply_power_rows_equals_apply_power_row_by_row(spec, kind, t, m, ns, fa
         block = np.arange(n * m, n * m + m + 1) * h
         with np.errstate(all="ignore"):
             ref = _outcome(lambda: apply_power(op, n, StepFunction(block if kind == "L" else _edges(t, m), vals)))
-            w = _outcome(lambda: _weights(_Ratios(sym, t, _midpoints(t, m)), n + 1)[n])
+            w = _outcome(lambda: _weights(_model_weights(sym, t, m), n + 1)[n])
         if isinstance(ref, type):
             assert w is ref
             continue

@@ -6,7 +6,9 @@ write what each prints: its stdout, its stderr and its exit code.
 Two checkouts whose commands print the same bytes write files that `cmp`
 finds equal, so the file is the byte-identity check of a change that must
 not alter the output. An exception that escapes `cli.main` is not caught:
-the run ends with its traceback and a nonzero exit.
+the run ends with its traceback and a nonzero exit. The last command line
+runs twice in a row, the second time on the model's cached weight tables;
+the run exits 1 when the two print different bytes.
 """
 
 from __future__ import annotations
@@ -72,11 +74,13 @@ EDGES = (
     ("verify", "--phi", "affine", "--t", "0.3", "--h", "0.003"),
     ("kernel", "--phi", "exp2x", "--t", "1", "--z-grid", "unit:8", "--lambda", "6.84", "--x", "0.1"),
 )
+# run twice in a row: the second run reads every weight table the first built
+REPEATED = ("verify", "--phi", "reciprocal", "--t", "0.3")
 
 
 def argvs() -> list[tuple[str, ...]]:
     runs = [(cmd[0], "--phi", spec, "--t", t, *cmd[1:]) for spec, t in SYMBOLS for cmd in COMMANDS]
-    return runs + list(EDGES)
+    return runs + list(EDGES) + [REPEATED, REPEATED]
 
 
 def run(argv: tuple[str, ...]) -> str:
@@ -90,9 +94,14 @@ def main(args: list[str]) -> int:
     if len(args) != 1:
         print("usage: python tools/cli_outputs.py OUT", file=sys.stderr)
         return 2
+    outputs = []
     with open(args[0], "w", encoding="utf-8", newline="\n") as fh:
         for argv in argvs():
-            fh.write(run(argv))
+            outputs.append(run(argv))
+            fh.write(outputs[-1])
+    if outputs[-1] != outputs[-2]:
+        print(f"a second run of {shlex.join(REPEATED)} printed other bytes", file=sys.stderr)
+        return 1
     return 0
 
 

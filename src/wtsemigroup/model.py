@@ -142,16 +142,13 @@ def _blocks(f: StepFunction, t: float, m: int) -> np.ndarray:
     cover f. Raises ValueError for f off the lattice."""
     k = _index(f, t, m)
     table = np.zeros((-(-int(k[-1]) // m), m), dtype=complex)
-    _spread(table.reshape(-1), f.values, k)
+    table.reshape(-1)[k[0] : k[-1]] = _spread(f.values, k)
     return table
 
 
-def _spread(cells: np.ndarray, values: np.ndarray, k: np.ndarray):
-    """Write values[j] into the lattice cells k[j], ..., k[j + 1] - 1."""
-    if k[-1] - k[0] == values.size:  # one lattice cell a cell
-        cells[k[0] : k[-1]] = values
-    else:
-        cells[k[0] : k[-1]] = np.repeat(values, np.diff(k))
+def _spread(values: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """values[j] on each of the lattice cells k[j], ..., k[j + 1] - 1."""
+    return values if k[-1] - k[0] == values.size else np.repeat(values, np.diff(k))  # values: a lattice cell a cell
 
 
 def _in_E(e: StepFunction, t: float, m: int) -> np.ndarray:
@@ -161,7 +158,7 @@ def _in_E(e: StepFunction, t: float, m: int) -> np.ndarray:
     if k[-1] > m:
         raise LatticeError(f"e must lie in E = [0, t), but it ends at {e.hi!r} > t = {t!r}")
     row = np.zeros(m, dtype=complex)
-    _spread(row, e.values, k)
+    row[k[0] : k[-1]] = _spread(e.values, k)
     return row
 
 
@@ -252,10 +249,15 @@ def model_map(symbol: Symbol, t: float, f: StepFunction) -> EValuedPolynomial:
     rounded; coefficient n is block n of f times the weight row W[n], for
     as many blocks as cover f. Raises ValueError for f off the lattice.
     """
-    blocks = _blocks(f, t, _lattice(t, f))
+    m = _lattice(t, f)
+    k = _index(f, t, m)
     make_operator(symbol, t, "L")  # refuses a symbol whose L_t is unbounded
-    blocks *= _weights(_model_weights(symbol, t, blocks.shape[1]), len(blocks))
-    return EValuedPolynomial._owned(t, blocks)
+    table = np.empty((-(-int(k[-1]) // m), m), dtype=complex)
+    cells = table.reshape(-1)
+    cells[: k[0]] = cells[k[-1] :] = 0.0  # the cells f leaves empty
+    w = _weights(_model_weights(symbol, t, m), len(table)).reshape(-1)[k[0] : k[-1]]
+    np.multiply(_spread(f.values, k), w, out=cells[k[0] : k[-1]])  # f's cells, weighted in one product
+    return EValuedPolynomial._owned(t, table)
 
 
 def model_inverse(symbol: Symbol, t: float, p: EValuedPolynomial) -> StepFunction:
@@ -453,30 +455,28 @@ def kernel_preimage(
     return _trimmed(_points(terms.size + 1, t, m), terms.reshape(-1))
 
 
-def _preimage_terms(weights: _Ratios, lam: complex, e: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """The summed terms of kernel_preimage as the rows conj(lambda)^n W[n] e,
-    for e given by its values on E's lattice cells. The tail rule reads the
-    rows' norms; rows and norms grow by new rows only, as sum_series asks
-    for more, from the first size |lambda| and tol give. Rows past the last
-    summed term are never checked; a summed row with a phi value eval_phi
-    refuses raises that error, one that is not finite a NumericError."""
+def _preimage_terms(weights: _Ratios, lam: complex, e: np.ndarray, tol: float = 1e-12, rows: int = SERIES_CAP + 1) -> np.ndarray:
+    """The first rows of the N summed terms conj(lambda)^n W[n] e of
+    kernel_preimage, e given on E's lattice cells, formed once the sum
+    stops. W is real, so the tail rule reads term n's norm as |lambda^n| s
+    sqrt(sum_i W[n, i]^2 |e_i/s|^2 h_i), s = max|e|, off one product grown
+    by new rows as sum_series asks; as in stepfun.norm, a row whose norm so
+    read is 0 or inf is divided by its largest cell first. A summed row with a phi
+    value eval_phi refuses raises that error, one not finite a NumericError."""
     lam_bar = np.conj(complex(lam))
     widths = np.diff(_edges(weights.t, e.size))
-    rows, norms = [], np.empty(0)  # rows: the chunks of rows, in order
+    s = float(np.abs(e).max()) or 1.0  # 1 for a zero e
+    u, norms = np.abs(e) / s, np.empty(0)
 
     def terms(size: int) -> np.ndarray:
         nonlocal norms
         w = weights.rows(size)[norms.size :]
         with np.errstate(over="ignore", invalid="ignore"):
-            new = e * w
-            new *= np.power(lam_bar, np.arange(norms.size, norms.size + len(w)))[:, None]  # lam_bar**n, numpy's power
-            row_norms = np.sqrt((np.square(np.abs(new)) * widths).sum(axis=1))
-            # as in stepfun.norm, a row whose squares sum to 0 or inf is divided by its
-            # largest modulus first, so a norm is finite exactly where its row is
+            row_norms = s * np.sqrt(np.square(w) @ (np.square(u) * widths))
             for i in np.flatnonzero((row_norms == 0.0) | (row_norms == np.inf)):
-                s = np.abs(new[i]).max() or 1.0  # 1 for a zero row
-                row_norms[i] = s * np.sqrt(np.sum((np.abs(new[i]) / s) ** 2 * widths))
-        rows.append(new)
+                r = (u * w[i]).max() or 1.0  # 1 for a zero row
+                row_norms[i] = s * r * np.sqrt(np.sum((u * w[i] / r) ** 2 * widths))
+            row_norms *= np.abs(np.power(lam_bar, np.arange(norms.size, norms.size + len(w))))  # the rows' powers
         norms = np.concatenate([norms, row_norms])
         finite = np.isfinite(norms)
         return norms if finite.all() else norms[: np.argmin(finite)]
@@ -485,9 +485,10 @@ def _preimage_terms(weights: _Ratios, lam: complex, e: np.ndarray, tol: float = 
         weights.raise_at(n)  # raises the error of term n's weights
         raise NumericError(f"term {n} of the kernel preimage is not finite")
 
-    _, n_terms, _ = sum_series(terms, tol, _table_size(lam_bar, tol), replay)
-    head = norms.size - len(rows[-1])  # the sum stops inside the last chunk, which starts here
-    return np.concatenate([*rows[:-1], rows[-1][: n_terms - head]]) if head else rows[0][:n_terms]
+    n = min(rows, sum_series(terms, tol, _table_size(lam_bar, tol), replay)[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        formed = e * weights.rows(n)
+        return np.multiply(formed, np.power(lam_bar, np.arange(n))[:, None], out=formed)  # lam_bar**n, numpy's power
 
 
 @dataclass(frozen=True)
@@ -513,9 +514,8 @@ def reproducing_check(
     make_operator(symbol, t, "L")  # refuses a symbol whose L_t, and so L_t*, is unbounded
     weights = _model_weights(symbol, t, m)
     lhs = _pair(_evaluate(EValuedPolynomial._owned(t, f_blocks * _weights(weights, len(f_blocks))), lam), e_row, widths)
-    terms = _preimage_terms(weights, lam, e_row)
-    n = min(len(f_blocks), len(terms))  # the blocks both have
-    rhs = _pair(f_blocks[:n], terms[:n], widths)
+    terms = _preimage_terms(weights, lam, e_row, rows=len(f_blocks))  # the blocks both have
+    rhs = _pair(f_blocks[: len(terms)], terms, widths)
     return ReproducingCheck(lhs, rhs, abs(lhs - rhs))
 
 

@@ -552,6 +552,232 @@ def test_kernel_preimage_scales_with_e_and_tol(scale):
     assert np.allclose(got.values / scale, ref.values, rtol=4 * EPS, atol=0.0)
 
 
+def reference_preimage_terms(weights, lam, e, tol=1e-12):
+    """model._preimage_terms as it was before the norms were read off the
+    weight table: every term formed as a complex row and normed cell by
+    cell, a row whose squares sum to 0 or inf rescaled by its largest
+    modulus; returns the summed rows."""
+    lam_bar = np.conj(complex(lam))
+    widths = np.diff(model_module._edges(weights.t, e.size))
+    rows, norms = [], np.empty(0)  # rows: the chunks of rows, in order
+
+    def terms(size):
+        nonlocal norms
+        w = weights.rows(size)[norms.size :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = e * w
+            new *= np.power(lam_bar, np.arange(norms.size, norms.size + len(w)))[:, None]
+            row_norms = np.sqrt((np.square(np.abs(new)) * widths).sum(axis=1))
+            for i in np.flatnonzero((row_norms == 0.0) | (row_norms == np.inf)):
+                s = np.abs(new[i]).max() or 1.0
+                row_norms[i] = s * np.sqrt(np.sum((np.abs(new[i]) / s) ** 2 * widths))
+        rows.append(new)
+        norms = np.concatenate([norms, row_norms])
+        finite = np.isfinite(norms)
+        return norms if finite.all() else norms[: np.argmin(finite)]
+
+    def replay(n):
+        weights.raise_at(n)
+        raise NumericError(f"term {n} of the kernel preimage is not finite")
+
+    _, n_terms, _ = sum_series(terms, tol, model_module._table_size(lam_bar, tol), replay)
+    head = norms.size - len(rows[-1])
+    return np.concatenate([*rows[:-1], rows[-1][: n_terms - head]]) if head else rows[0][:n_terms]
+
+
+def reference_preimage(sym, t, lam, e, tol):
+    """outcome() of kernel_preimage, as bytes, and of its number of terms,
+    from the row-norm reference."""
+    m = model_module._lattice(t, e)
+    e_row = model_module._in_E(e, t, m)
+    terms = outcome(lambda: reference_preimage_terms(model_module._model_weights(sym, t, m), lam, e_row, tol))
+    if isinstance(terms, tuple):
+        return terms, terms
+    pre = model_module._trimmed(model_module._points(terms.size + 1, t, m), terms.reshape(-1))
+    return model_outcome(lambda: pre), len(terms)
+
+
+def reference_sides(sym, t, f, lam, e):
+    """outcome() of both sides of reproducing_check, from the row-norm reference."""
+    m = model_module._lattice(t, f, e)
+    e_row, f_blocks = model_module._in_E(e, t, m), model_module._blocks(f, t, m)
+    widths = np.diff(model_module._edges(t, m))
+    weights = model_module._model_weights(sym, t, m)
+
+    def sides():
+        coeffs = EValuedPolynomial(t, f_blocks * model_module._weights(weights, len(f_blocks)))
+        lhs = model_module._pair(model_module._evaluate(coeffs, lam), e_row, widths)
+        whole = reference_preimage_terms(weights, lam, e_row)
+        n = min(len(f_blocks), len(whole))
+        return lhs, model_module._pair(f_blocks[:n], whole[:n], widths)
+
+    return outcome(sides)
+
+
+@pytest.mark.parametrize("spec", SPECS + ["expr:x+1"])
+@pytest.mark.parametrize("m", [1, 4, 64, 256])
+def test_preimage_equals_the_row_norm_reference(spec, m):
+    # the norms read off the weight table stop every sum at the term at
+    # which the complex rows' norms stop it, or raise the same error, and the
+    # rows formed after the stop are the reference's, bit for bit: for
+    # kernel_preimage at tol scaled with e, and at 1e-12 for e of modulus
+    # 1e-170, and both sides of reproducing_check (at 1e-12), with e of
+    # modulus 1, 1e-170 (squares that underflow) and 1e170 (that overflow)
+    sym = parse_phi_spec(spec)
+    rng = np.random.default_rng(m)
+    # one step a wide lattice, for time; below t = 1/2 the first table, sized
+    # from |lambda| alone, far outgrows the sum for 2^x
+    for t in {1: (0.7, 1.0), 4: (0.7, 1.0), 64: (0.7,), 256: (1.0,)}[m]:
+        radius = sym.model_disc_radius(t) or 1.0
+        vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        vals[rng.uniform(size=m) < 0.25] = 0.0
+        e = StepFunction(model_module._edges(t, m), vals)
+        f = random_step(rng, 0.0, 16 * t, 16 * m)
+        make_operator(sym, t, "L")  # both passes check L_t first; the reference reads the weights alone
+        for frac in (0.0, 0.3, 0.9, 0.93):
+            lam = frac * radius * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+            for scale in (1.0, 1e-170, 1e170):
+                es = e.scale(scale)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    weights, e_row = model_module._model_weights(sym, t, m), model_module._in_E(es, t, m)
+                    for tol in {1e-12 * scale, min(1e-12, 1e-12 * scale)}:  # at 1e170 reproducing_check sums at 1e-12
+                        pre = model_outcome(lambda: kernel_preimage(sym, t, lam, es, tol))
+                        n = outcome(lambda: len(model_module._preimage_terms(weights, lam, e_row, tol)))
+                        assert (pre, n) == reference_preimage(sym, t, lam, es, tol), (t, frac, scale, tol)
+                    chk = outcome(lambda: reproducing_check(sym, t, f, lam, es))
+                    ref = reference_sides(sym, t, f, lam, es)
+                assert repr(chk if isinstance(chk, tuple) else (chk.lhs, chk.rhs)) == repr(ref), (t, frac, scale)
+
+
+@pytest.mark.parametrize(
+    "spec, t, lam, summed, edge, want",
+    [
+        # W[n]^2 = e^(-n): its products with |e|^2 h underflow to 0 from
+        # n = 744, where W is still positive, and the ratios phi(mu)/phi(mu + n)
+        # themselves from n = 746, before the tail bound holds at 0.97 of the
+        # radius e^(1/2)
+        ("expr:exp(x-700)", 1.0, 0.97 * np.exp(0.5 + 0.7j), 751, 0.0, 751),
+        # W[n]^2 = e^(6 n): the product of row 118, e^708 times t = 6,
+        # overflows, and row 119's weights are inf
+        ("expr:exp(0-x)", 6.0, 0.99 * np.exp(-3.0 + 0.7j), 120, np.inf, (NumericError, "term 119 of the kernel preimage is not finite")),
+    ],
+)
+def test_preimage_rescales_the_rows_whose_products_leave_the_floats(spec, t, lam, summed, edge, want):
+    # a row of finite positive weights whose product with |e|^2 h is 0 or
+    # inf is divided by its largest cell first, and the sum stops where the
+    # reference's stops
+    sym, m = parse_phi_spec(spec), 4
+    e = indicator(0.0, t).subdivide(m)
+    weights, e_row = model_module._model_weights(sym, t, m), model_module._in_E(e, t, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = outcome(lambda: len(model_module._preimage_terms(weights, lam, e_row)))
+        ref = outcome(lambda: len(reference_preimage_terms(weights, lam, e_row)))
+        w = weights.rows(summed)
+        products = np.square(w) @ (np.abs(e_row) ** 2 * np.diff(model_module._edges(t, m)))
+    assert got == ref == want
+    assert ((products == edge) & np.isfinite(w).all(axis=1) & (w.min(axis=1) > 0)).any()
+    if isinstance(want, int):
+        assert model_outcome(lambda: kernel_preimage(sym, t, lam, e)) == reference_preimage(sym, t, lam, e, 1e-12)[0]
+
+
+def test_reproducing_check_forms_only_the_rows_it_pairs(monkeypatch):
+    # the norms are read off the weight table, so of the terms the sum runs
+    # through, reproducing_check forms as complex rows only those that meet
+    # f's 16 blocks, and kernel_preimage all of them
+    formed, summed = [], []
+    terms, series = model_module._preimage_terms, model_module.sum_series
+
+    def counted_terms(*args, **kwargs):
+        rows = terms(*args, **kwargs)
+        formed.append(len(rows))
+        return rows
+
+    def counted_series(*args):
+        result = series(*args)
+        summed.append(result[1])
+        return result
+
+    monkeypatch.setattr(model_module, "_preimage_terms", counted_terms)
+    monkeypatch.setattr(model_module, "sum_series", counted_series)
+    rng = np.random.default_rng(9)
+    for spec, t, count in (("affine", 1.0, 260), ("reciprocal", 2.0, 316)):
+        sym, m = parse_phi_spec(spec), 256
+        lam = 0.9 * sym.model_disc_radius(t) * np.exp(0.4j)
+        f, e = random_step(rng, 0.0, 16 * t, 16 * m), indicator(0.0, t).subdivide(m)
+        formed.clear(), summed.clear()
+        reproducing_check(sym, t, f, lam, e)
+        assert (formed, summed) == ([16], [count])
+        assert kernel_preimage(sym, t, lam, e).hi == pytest.approx(count * t)
+        assert (formed, summed) == ([16, count], [count, count])
+
+
+def reference_model_map_table(sym, t, f):
+    """model_map's table as it was built: a zero table, f's values spread
+    over their lattice cells, then multiplied by the weight rows."""
+    m = model_module._lattice(t, f)
+    k = model_module._index(f, t, m)
+    make_operator(sym, t, "L")
+    table = np.zeros((-(-int(k[-1]) // m), m), dtype=complex)
+    table.reshape(-1)[k[0] : k[-1]] = np.repeat(f.values, np.diff(k))
+    table *= model_module._weights(model_module._model_weights(sym, t, m), len(table))
+    return table.tobytes()
+
+
+SIGNED_ZEROS = np.array([0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 1.5), complex(2.0, -0.0)])
+
+
+@st.composite
+def multi_cell_data(draw, t, m):
+    """Step data on the lattice k h, h = t/m, whose cells span one or more
+    lattice cells, at least one of them a single one: from 0, an h, a block
+    and a half or a whole block in, to a block edge or short of one, with
+    exact zeros of either sign."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.sampled_from([0, 1, m + m // 2, m]))
+    widths = rng.choice([1, 1, 2, 3, 7], size=draw(st.integers(1, 40)))
+    widths[rng.integers(widths.size)] = 1
+    k = lo + np.concatenate([[0], np.cumsum(widths)])
+    vals = rng.standard_normal(widths.size) + 1j * rng.standard_normal(widths.size)
+    signed = rng.uniform(size=widths.size) < 0.3
+    vals[signed] = rng.choice(SIGNED_ZEROS, size=signed.sum())
+    return StepFunction(k * (t / m), vals)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec=st.sampled_from(SPECS),
+    t=st.sampled_from([0.3, 1 / 3, 0.7, 1.0, 0.25]),
+    m=st.sampled_from([1, 3, 4, 16, 256]),
+    data=st.data(),
+)
+def test_model_map_equals_the_zeroed_table_times_the_weights(spec, t, m, data):
+    # the one product into the table writes the floats, signed zeros
+    # included, of a zero table with f spread into it times the weights
+    sym = parse_phi_spec(spec)
+    f = data.draw(multi_cell_data(t, m))
+    got = model_outcome(lambda: model_map(sym, t, f))
+    assert got == outcome(lambda: reference_model_map_table(sym, t, f))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_model_inverse_divides_by_the_weights(spec):
+    # block n of U^-1 p is row n divided by W[n], bit for bit, signed zeros
+    # included (a product with the rounded reciprocal 1/W gives other zeros)
+    sym, t, m = parse_phi_spec(spec), 0.7, 6
+    rng = np.random.default_rng(12)
+    table = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
+    table[rng.uniform(size=table.shape) < 0.3] = 0.0
+    table.reshape(-1)[: SIGNED_ZEROS.size] = SIGNED_ZEROS
+    table[-1, -1] = complex(-0.0, 1.0)  # the last row nonzero
+    p = EValuedPolynomial(t, table)
+    got = model_inverse(sym, t, p)
+    values = p.table / model_module._weights(model_module._model_weights(sym, t, m), len(table))
+    ref = model_module._trimmed(model_module._points(values.size + 1, t, m), values.reshape(-1))
+    assert (got.breakpoints.tobytes(), got.values.tobytes()) == (ref.breakpoints.tobytes(), ref.values.tobytes())
+
+
 def test_reproducing_check_evaluates_phi_once_per_point(monkeypatch):
     # both sides read one table of weights: once the left-invertibility
     # check is cached, phi is evaluated once at the midpoints mu_i of E, and

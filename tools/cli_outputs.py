@@ -51,9 +51,11 @@ COMMANDS = (
 # the default window 64 t overflows for every command; then a subnormal step
 # whose test data overflow inner, so verify's residuals read NaN; the mesh
 # t/100 at t = 0.3, on which verify's S_t f sits an ulp off the lattice;
-# last, eight z points that share one kernel column: their sums ask for 512
+# eight z points that share one kernel column: their sums ask for 512
 # rows and stop after 332, and the column stops before the rows past
-# x = 355, where e^(2x) overflows
+# x = 355, where e^(2x) overflows; last, verify at verify.MAX_CELLS, whose
+# model passes build the largest tables of any command line here, rows of
+# 65,536 cells past the weight cache's 2 MiB limit
 EDGES = (
     ("kernel", "--phi", "exp2x", "--t", "1", "--z", "2.5552", "--lambda", "2.718281828"),
     ("spectrum", "--phi", "expr:3-x"),
@@ -73,6 +75,7 @@ EDGES = (
     ("verify", "--phi", "affine", "--t", "1e-321"),
     ("verify", "--phi", "affine", "--t", "0.3", "--h", "0.003"),
     ("kernel", "--phi", "exp2x", "--t", "1", "--z-grid", "unit:8", "--lambda", "6.84", "--x", "0.1"),
+    ("verify", "--phi", "affine", "--t", "1", "--h", "1.52587890625e-05"),
 )
 # run twice in a row: the second run reads every weight table the first built
 REPEATED = ("verify", "--phi", "reciprocal", "--t", "0.3")

@@ -127,8 +127,8 @@ def _config_from_args(args) -> RunConfig:
             cfg.tol[name] = float(value)
         except ValueError:
             raise SymbolSyntaxError(f"tolerance {name}: {value!r} is not a number") from None
-        if not cfg.tol[name] >= 0:
-            raise SymbolSyntaxError(f"tolerance {name} must be nonnegative")
+        if not (cfg.tol[name] >= 0 and math.isfinite(cfg.tol[name])):  # inf has no JSON form
+            raise SymbolSyntaxError(f"tolerance {name} must be a nonnegative finite number")
     _check_out(cfg.out)
     return cfg
 

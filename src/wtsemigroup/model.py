@@ -23,8 +23,6 @@ truth instead of introducing an independent quadrature on the model side.
 from __future__ import annotations
 
 import functools
-import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +31,7 @@ from .errors import LatticeError, NoClosedFormError, NonPositiveSymbolError, Num
 from .operators import make_operator, phi_ratio
 from .stepfun import StepFunction, _trimmed, norm_sq, zero
 from .symbols import Symbol, eval_phi
-from .util import SERIES_CAP, TAIL_STREAK, check_step, gauss5_cells, sum_series
+from .util import SERIES_CAP, check_step, gauss5_cells, sum_series
 
 DOMAIN_MARGIN = 0.05  # kernel series run only for |z conj(lambda)| < radius^2 (1 - margin)
 CLOSED_FORM_TOL = 1e-12  # tail bound of the residual series in the two_isometry closed form
@@ -164,12 +162,13 @@ def _in_E(e: StepFunction, t: float, m: int) -> np.ndarray:
 
 class _Ratios:
     """The rows phi(x)/phi(x + n t) at the points x, phi(x) checked first: the
-    kernel's coefficients; with weights, their square roots, a weight table
-    of the model's cache. They grow by new rows only, as callers ask, and
-    stop, silently, before the first row with a phi value eval_phi refuses,
-    whose error raise_at raises. Row n is the same floats at any length;
-    rows and stop are stored at once, so threads may share a table. The rows
-    are read-only."""
+    kernel's coefficients; with weights, their square roots, the model's
+    weight table. They grow by new rows only, as callers ask, and stop,
+    silently, before the first row with a phi value eval_phi refuses, whose
+    error raise_at raises. Row n is the same floats at any length; rows and
+    stop are stored at once, so threads may share a table. Rows that would
+    take the rows, x and phi(x) past _TABLE_BYTES go to the caller and are
+    not stored. The rows are read-only."""
 
     def __init__(self, symbol: Symbol, t: float, x, *, weights: bool = False):
         self.symbol, self.t, self.x, self._is_weights = symbol, t, np.asarray(x, dtype=float), weights
@@ -193,9 +192,8 @@ class _Ratios:
                     np.sqrt(vals, out=vals)
             rows = np.concatenate([rows, vals]) if len(rows) else vals
             rows.setflags(write=False)
-            self._table = (rows, stop)
-            if self._is_weights and rows.nbytes + 2 * self.x.nbytes > _WEIGHT_TABLE_BYTES:  # rows, x and phi(x)
-                _drop_weights(self)  # the pass that grew it keeps it to its end
+            if rows.nbytes + 2 * self.x.nbytes <= _TABLE_BYTES:  # rows, x and phi(x)
+                self._table = (rows, stop)
         return rows[:size]
 
     def raise_at(self, n: int):
@@ -203,35 +201,19 @@ class _Ratios:
         eval_phi(self.symbol, self.x + n * self.t)
 
 
-_kernel_ratios = functools.lru_cache(maxsize=256)(_Ratios)  # one column per (symbol, t, x)
+_TABLE_BYTES = 2**21  # the most bytes of rows, x and phi(x) a table stores
+# one column per (symbol, t, x): a session's kernel commands and verify's
+# kernel checks read some 70 columns again and again
+_kernel_ratios = functools.lru_cache(maxsize=256)(_Ratios)
 
 
-_WEIGHT_TABLES = 8  # weight tables kept, the least recently used dropped first
-_WEIGHT_TABLE_BYTES = 2**21  # a table that grows past this leaves the cache
-_weight_tables: dict = {}  # (symbol, t, m) -> _Ratios, least recently used first
-_weight_lock = threading.Lock()
-
-
+@functools.lru_cache(maxsize=8)  # few lattices recur: verify's passes share one, model-roundtrip's jobs use five
 def _model_weights(symbol: Symbol, t: float, m: int) -> _Ratios:
     """The model's weight table W[n, i] = sqrt(phi(mu_i) / phi(mu_i + n t)) at
     E's midpoints mu_i, one per (symbol, t, m), shared by every pass on that
     lattice while it is cached: the weight of L_t^n from block n onto E. A
     refused phi(mu) raises, and nothing is cached."""
-    key = (symbol, t, m)
-    with _weight_lock:
-        table = _weight_tables.pop(key, None) or _Ratios(symbol, t, _midpoints(t, m), weights=True)
-        _weight_tables[key] = table  # the most recently used last
-        if len(_weight_tables) > _WEIGHT_TABLES:
-            del _weight_tables[next(iter(_weight_tables))]
-    return table
-
-
-def _drop_weights(table: _Ratios):
-    """Take table out of the cache, if it is still the one cached for its lattice."""
-    key = (table.symbol, table.t, table.x.size)
-    with _weight_lock:
-        if _weight_tables.get(key) is table:
-            del _weight_tables[key]
+    return _Ratios(symbol, t, _midpoints(t, m), weights=True)
 
 
 def _weights(weights: _Ratios, rows: int) -> np.ndarray:
@@ -365,18 +347,7 @@ def kernel_series(k: DiagonalKernel, z: complex, lam: complex, x: float, tol: fl
         with np.errstate(all="ignore"):  # terms past the stop may overflow
             return ratio * np.power(q, np.arange(ratio.size))
 
-    return sum_series(terms, tol, _table_size(q, tol), ratios.raise_at)
-
-
-def _table_size(q: complex, tol: float) -> int:
-    """First table size of a series in q: the n at which the geometric tail
-    |q|**n |q| / (1 - |q|) falls below tol, plus TAIL_STREAK, and at least
-    16; the doubling of sum_series covers coefficients that grow."""
-    r = float(abs(q))
-    bound = tol * (1.0 - r) / r if 0.0 < r < 1.0 else 1.0  # inf for a subnormal r
-    if not 0.0 < bound < 1.0:
-        return 16
-    return max(16, math.ceil(math.log(bound) / math.log(r)) + TAIL_STREAK)
+    return sum_series(terms, tol, q, ratios.raise_at)
 
 
 def kernel_closed_form(k: DiagonalKernel, z: complex, lam: complex, x: float) -> complex:
@@ -406,7 +377,7 @@ def kernel_closed_form(k: DiagonalKernel, z: complex, lam: complex, x: float) ->
             nt = np.arange(size) * k.t
             return (nt / (x + 1.0 + nt)) * np.power(q, np.arange(size))
 
-        residual, _, _ = sum_series(terms, CLOSED_FORM_TOL, _table_size(q, CLOSED_FORM_TOL))
+        residual, _, _ = sum_series(terms, CLOSED_FORM_TOL, q)
         return 1.0 / (1.0 - q) - residual
     if tag == "piecewise_cap":
         if x >= 1.0:
@@ -485,7 +456,7 @@ def _preimage_terms(weights: _Ratios, lam: complex, e: np.ndarray, tol: float = 
         weights.raise_at(n)  # raises the error of term n's weights
         raise NumericError(f"term {n} of the kernel preimage is not finite")
 
-    n = min(rows, sum_series(terms, tol, _table_size(lam_bar, tol), replay)[1])
+    n = min(rows, sum_series(terms, tol, lam_bar, replay)[1])
     with np.errstate(over="ignore", invalid="ignore"):
         formed = e * weights.rows(n)
         return np.multiply(formed, np.power(lam_bar, np.arange(n))[:, None], out=formed)  # lam_bar**n, numpy's power

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import TailBoundNotAchievedError
@@ -115,25 +117,26 @@ def gauss5_cells(fn, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     return half * (vals @ _GL5_WEIGHTS)
 
 
-def sum_series(terms, tol: float, size: int = 16, replay=None):
-    """Sum a series from a table of its terms, with an empirical geometric tail bound.
+def sum_series(terms, tol: float, q: complex, replay=None):
+    """Sum a series in q from a table of its terms, with an empirical geometric tail bound.
 
     terms(size) returns the first terms as an array, at most size of them:
     fewer when it builds its table a step at a time or cannot form the next
-    term. sum_series asks again, for twice the size, until the rule holds,
-    SERIES_CAP + 1 terms have been seen or the table stops growing. When the
-    table stops at n terms, short of the cap, replay(n) is called, if given,
-    to raise the error of the term that could not be formed. The rule
-    stops at the first N at which the ratios |a_n| / |a_(n-1)| have stayed
-    below 1 for TAIL_STREAK steps and the tail estimate |a_N| rho / (1 - rho),
-    rho the largest of those ratios, is below tol; a ratio over a zero term
-    is 0 if the term is 0 too and inf otherwise. The value is the running sum
-    of the terms in order. Returns (value, n_terms, tail_estimate) as Python
-    numbers; raises TailBoundNotAchievedError with the number of terms seen
-    and the last tail estimate when the table ends first.
+    term. The first size is _table_size(q, tol); sum_series asks again, for
+    twice the size, until the rule holds, SERIES_CAP + 1 terms have been
+    seen or the table stops growing. When the table stops at n terms, short
+    of the cap, replay(n) is called, if given, to raise the error of the
+    term that could not be formed. The rule stops at the first N at which
+    the ratios |a_n| / |a_(n-1)| have stayed below 1 for TAIL_STREAK steps
+    and the tail estimate |a_N| rho / (1 - rho), rho the largest of those
+    ratios, is below tol; a ratio over a zero term is 0 if the term is 0
+    too and inf otherwise. The value is the running sum of the terms in
+    order. Returns (value, n_terms, tail_estimate) as Python numbers; raises
+    TailBoundNotAchievedError with the number of terms seen and the last
+    tail estimate when the table ends first.
     """
     cap = SERIES_CAP + 1
-    size, seen = min(size, cap), -1
+    size, seen = min(_table_size(q, tol), cap), -1
     while True:
         table = np.asarray(terms(size))
         with np.errstate(all="ignore"):  # as the Python floats of a loop, silently
@@ -147,6 +150,17 @@ def sum_series(terms, tol: float, size: int = 16, replay=None):
         if table.size in (seen, cap):
             raise TailBoundNotAchievedError(table.size, tail, tol)
         seen, size = table.size, min(2 * size, cap)
+
+
+def _table_size(q: complex, tol: float) -> int:
+    """First table size of a series in q: the n at which the geometric tail
+    |q|**n |q| / (1 - |q|) falls below tol, plus TAIL_STREAK, and at least
+    16; the doubling of sum_series covers coefficients that grow."""
+    r = float(abs(q))
+    bound = tol * (1.0 - r) / r if 0.0 < r < 1.0 else 1.0  # inf for a subnormal r
+    if not 0.0 < bound < 1.0:
+        return 16
+    return max(16, math.ceil(math.log(bound) / math.log(r)) + TAIL_STREAK)
 
 
 def _tail_rule(mags: np.ndarray, tol: float) -> tuple[int | None, float]:

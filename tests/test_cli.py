@@ -250,13 +250,15 @@ def test_deterministic_json(capsys, argv):
         ("classify", "--phi", "expr:x$1"),
         ("verify", "--phi", "const:1", "--tol", "reproducing"),
         ("verify", "--phi", "const:1", "--tol", "reproducing=-1"),
+        ("verify", "--phi", "const:1", "--tol", "reproducing=inf"),
+        ("verify", "--phi", "const:1", "--tol", "reproducing=1e999"),
         ("kernel", "--phi", "const:1", "--z", "0.1", "--z-grid", "unit:4", "--lambda", "0.5"),
     ],
     ids=lambda argv: " ".join(a if len(a) <= 40 else f"{a[:12]}...({len(a)} chars)" for a in argv),
 )
 def test_bad_arguments_usage_error(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 2
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
     assert err.startswith("usage error:")
     assert err.count("\n") == 1
 

@@ -480,7 +480,7 @@ def test_kernel_preimage_builds_one_chunk_past_its_last_term(monkeypatch):
     # give, and no row is evaluated twice
     sym = affine()
     make_operator(sym, 1.0, "L_adjoint")  # warms the left-invertibility cache: phi is then read by the table alone
-    model_module._weight_tables.clear()
+    model_module._model_weights.cache_clear()
     built = []
     values = Symbol.values
 
@@ -503,7 +503,7 @@ def test_kernel_preimage_builds_one_chunk_past_its_last_term(monkeypatch):
     assert built[0] == (256,)  # phi at the midpoints of E
     rows = [shape[0] for shape in built[1:]]
     assert built[1:] == [(n, 256) for n in rows]
-    assert rows == [model_module._table_size(0.9, 1e-12)] and sum(rows) < 260 + 64
+    assert rows == [util_module._table_size(0.9, 1e-12)] and sum(rows) < 260 + 64
 
 
 def test_kernel_preimage_table_past_overflow():
@@ -580,7 +580,7 @@ def reference_preimage_terms(weights, lam, e, tol=1e-12):
         weights.raise_at(n)
         raise NumericError(f"term {n} of the kernel preimage is not finite")
 
-    _, n_terms, _ = sum_series(terms, tol, model_module._table_size(lam_bar, tol), replay)
+    _, n_terms, _ = sum_series(terms, tol, lam_bar, replay)
     head = norms.size - len(rows[-1])
     return np.concatenate([*rows[:-1], rows[-1][: n_terms - head]]) if head else rows[0][:n_terms]
 
@@ -786,7 +786,7 @@ def test_reproducing_check_evaluates_phi_once_per_point(monkeypatch):
     f = random_step(np.random.default_rng(3), 0.0, 8.0 * t, 8 * m, unit_norm=True)
     e = indicator(0.0, t).subdivide(m)
     make_operator(sym, t, "L")
-    model_module._weight_tables.clear()
+    model_module._model_weights.cache_clear()
     seen = []
     values = Symbol.values
 
@@ -844,9 +844,9 @@ def test_model_passes_warm_equal_cold(spec, t):
     calls = model_passes(spec, t)
     cold = []
     for fn in calls:
-        model_module._weight_tables.clear()
+        model_module._model_weights.cache_clear()
         cold.append(model_outcome(fn))
-    model_module._weight_tables.clear()
+    model_module._model_weights.cache_clear()
     assert [model_outcome(fn) for fn in calls[::-1]] == cold[::-1]
     assert [model_outcome(fn) for fn in calls] == cold
 
@@ -855,7 +855,7 @@ def test_model_passes_evaluate_phi_once_per_lattice(monkeypatch):
     # a second pass on the same lattice reads the cached table: phi is
     # evaluated at no point, whichever pass built the table
     calls = model_passes("reciprocal", 0.3)
-    model_module._weight_tables.clear()
+    model_module._model_weights.cache_clear()
     first = [model_outcome(fn) for fn in calls]
     seen = []
     values = Symbol.values
@@ -892,7 +892,7 @@ def test_refused_rows_raise_the_same_error_from_a_warm_table():
     passes.append(lambda: model_map(sym2, t2, g))  # 2^x overflows at x = 1024
     passes.append(lambda: reproducing_check(sym2, t2, g, 0.5, indicator(0.0, t2).subdivide(2)))
     for fn in passes:
-        model_module._weight_tables.clear()
+        model_module._model_weights.cache_clear()
         cold = refused_pass_outcome(fn)
         assert isinstance(cold[0][0], type) and issubclass(cold[0][0], NonPositiveSymbolError)
         assert refused_pass_outcome(fn) == cold
@@ -935,14 +935,14 @@ def test_model_passes_threads_share_one_table():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for fn in calls:
-            model_module._weight_tables.clear()
+            model_module._model_weights.cache_clear()
             want.append(model_outcome(fn))
         assert any(isinstance(w[0], type) for w in want) and not all(isinstance(w[0], type) for w in want)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for rnd in range(10):
-                model_module._weight_tables.clear()
+                model_module._model_weights.cache_clear()
                 got, start = {}, threading.Barrier(8, timeout=60)
 
                 def run(seed):
@@ -963,35 +963,58 @@ def test_model_passes_threads_share_one_table():
             sys.setswitchinterval(interval)
 
 
-def test_weight_table_past_the_byte_limit_leaves_the_cache():
-    # a table whose rows and points hold more than _WEIGHT_TABLE_BYTES is
-    # dropped as it grows: after the pass, nothing of it stays cached, and the
-    # next pass on the lattice builds it again, to the same bytes; one at the
-    # limit stays
+def test_weight_rows_past_the_byte_limit_are_not_stored():
+    # rows that would take a table's rows, x and phi(x) past _TABLE_BYTES
+    # go to the pass that asked for them, unstored: a pass on 7 blocks gives
+    # the bytes of a cold call, and leaves at most the 6 rows that fit
     sym, t, m = reciprocal(), 0.5, 2**15
-    limit = model_module._WEIGHT_TABLE_BYTES
-    assert 8 * m * (6 + 2) == limit  # 6 rows of m cells, with x and phi(x), fill it
-    model_module._weight_tables.clear()
+    assert 8 * m * (6 + 2) == model_module._TABLE_BYTES  # 6 rows of m cells, with x and phi(x), fill it
     rng = np.random.default_rng(6)
     f = random_step(rng, 0.0, 7 * t, 7 * m)
-    first = model_outcome(lambda: model_map(sym, t, f))
-    assert (sym, t, m) not in model_module._weight_tables
-    assert model_outcome(lambda: model_map(sym, t, f)) == first
-    assert not model_module._weight_tables
-    model_map(sym, t, random_step(rng, 0.0, 6 * t, 6 * m))
-    assert model_module._weight_tables[sym, t, m].rows(6).shape == (6, m)
-    model_outcome(lambda: model_map(sym, t, f))  # the cached table grows past the limit
-    assert not model_module._weight_tables
+    model_module._model_weights.cache_clear()
+    cold = model_outcome(lambda: model_map(sym, t, f))
+    weights = model_module._model_weights(sym, t, m)
+    assert len(weights._table[0]) == 0
+    model_map(sym, t, random_step(rng, 0.0, 6 * t, 6 * m))  # 6 rows fit: stored
+    assert len(weights._table[0]) == 6
+    assert model_outcome(lambda: model_map(sym, t, f)) == cold
+    assert len(weights._table[0]) == 6
+    assert model_outcome(lambda: model_map(sym, t, f)) == cold
 
 
-def test_weight_cache_drops_the_least_recently_used_table():
+def test_kernel_column_past_the_byte_limit_keeps_no_rows(monkeypatch):
+    # a limit below a column's own x and phi(x): the column stores no rows,
+    # and every sum forms them afresh, to the same value, terms and tail
+    k = kernel_for("expr:x^2+1", 0.5)
+    model_module._kernel_ratios.cache_clear()
+    want = kernel_series(k, 0.9, 0.9 * np.exp(2.0j), 0.2, 1e-14)
+    model_module._kernel_ratios.cache_clear()
+    monkeypatch.setattr(model_module, "_TABLE_BYTES", 8)  # x and phi(x) alone take 16
+    for _ in range(2):
+        assert kernel_series(k, 0.9, 0.9 * np.exp(2.0j), 0.2, 1e-14) == want
+        assert len(model_module._kernel_ratios(k.symbol, k.t, 0.2)._table[0]) == 0
+
+
+def test_weight_cache_rebuilds_the_least_recently_used_table(monkeypatch):
+    # 9 lattices through a cache of 8 tables: the least recently used one is
+    # built again, one read since is not
     sym = affine()
-    model_module._weight_tables.clear()
+    model_module._model_weights.cache_clear()
     for m in range(1, 9):
         model_map(sym, 1.0, indicator(0.0, 1.0).subdivide(m))
     model_inverse(sym, 1.0, EValuedPolynomial(1.0, np.ones((1, 1))))  # m = 1 is used again
-    model_map(sym, 1.0, indicator(0.0, 1.0).subdivide(9))
-    assert [key[2] for key in model_module._weight_tables] == [3, 4, 5, 6, 7, 8, 1, 9]
+    model_map(sym, 1.0, indicator(0.0, 1.0).subdivide(9))  # drops m = 2
+    built = []
+    init = model_module._Ratios.__init__
+
+    def counted_init(self, symbol, t, x, **kwargs):
+        built.append(np.size(x))
+        init(self, symbol, t, x, **kwargs)
+
+    monkeypatch.setattr(model_module._Ratios, "__init__", counted_init)
+    for m in (1, 9, 2):
+        model_map(sym, 1.0, indicator(0.0, 1.0).subdivide(m))
+    assert built == [2]
 
 
 def test_inverse_single_coefficient():
@@ -1356,19 +1379,32 @@ def term_sequences(draw):
     return lambda n: head[n] if n < h else base * ratio ** (n - h + 1)
 
 
+def q_of_first_size(size, tol):
+    """A |q| in [0, 1] at which sum_series' first table holds size terms, if
+    any does: bisection on |q|, along which the first size grows."""
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if util_module._table_size(mid, tol) < size else (lo, mid)
+    return hi
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     term=term_sequences(),
     tol=st.sampled_from([0.0, 1e-18, 1e-12, 1e-6, 0.5, np.inf]),
     cap=st.sampled_from([None, 5, 6, 40, 300]),
     end=st.one_of(st.none(), st.integers(0, 80)),
-    size=st.sampled_from([1, 16, 23, 200]),
+    size=st.sampled_from([16, 23, 200]),
     step=st.sampled_from([None, 1, 7]),
 )
 def test_sum_series_equals_the_loop(term, tol, cap, end, size, step):
     # end: a table ends before term `end`, which cannot be formed; the loop
     # raises there, and sum_series reports the terms it saw instead.
+    # size: the first table's, from q; tol 0 and inf give 16 at every q.
     # step: the table grows by at most step terms a call
+    q = q_of_first_size(size, tol)
+    assume(util_module._table_size(q, tol) == size)
     def term_fn(n):
         if end is not None and n >= end:
             raise ArithmeticError(f"term {n}")
@@ -1386,7 +1422,7 @@ def test_sum_series_equals_the_loop(term, tol, cap, end, size, step):
         if cap is not None:
             mp.setattr(util_module, "SERIES_CAP", cap)
         ref = series_outcome(lambda: reference_sum_series(term_fn, tol))
-        got = series_outcome(lambda: sum_series(terms, tol, size))
+        got = series_outcome(lambda: sum_series(terms, tol, q))
     if ref[0] is ArithmeticError:
         assert got[0] is TailBoundNotAchievedError and got[2] == end
     else:

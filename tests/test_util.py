@@ -142,21 +142,21 @@ def test_sum_series_replays_the_term_at_which_the_table_stops():
     # the terms 1, 1, ... never pass the tail rule; the table stops at 20
     replayed = []
     with pytest.raises(ZeroDivisionError):
-        sum_series(lambda size: np.ones(min(size, 20)), 1e-10, 16, lambda n: replayed.append(n) or 1 / 0)
+        sum_series(lambda size: np.ones(min(size, 20)), 1e-10, 0.0, lambda n: replayed.append(n) or 1 / 0)
     assert replayed == [20]
 
 
 def test_sum_series_raises_its_own_error_when_the_replay_returns():
     replayed = []
     with pytest.raises(TailBoundNotAchievedError) as exc:
-        sum_series(lambda size: np.ones(min(size, 20)), 1e-10, 16, replayed.append)
+        sum_series(lambda size: np.ones(min(size, 20)), 1e-10, 0.0, replayed.append)
     assert replayed == [20] and exc.value.n_terms == 20
 
 
 def test_sum_series_does_not_replay_at_the_cap():
     replayed = []
     with pytest.raises(TailBoundNotAchievedError) as exc:
-        sum_series(lambda size: np.ones(size), 1e-10, 16, replayed.append)
+        sum_series(lambda size: np.ones(size), 1e-10, 0.0, replayed.append)
     assert replayed == [] and exc.value.n_terms == SERIES_CAP + 1
 
 

@@ -6,9 +6,10 @@ write what each prints: its stdout, its stderr and its exit code.
 Two checkouts whose commands print the same bytes write files that `cmp`
 finds equal, so the file is the byte-identity check of a change that must
 not alter the output. An exception that escapes `cli.main` is not caught:
-the run ends with its traceback and a nonzero exit. The last command line
-runs twice in a row, the second time on the model's cached weight tables;
-the run exits 1 when the two print different bytes.
+the run ends with its traceback and a nonzero exit. The REPEATED command
+lines close the set, each run twice in a row, the second time on the
+model's cached tables; the run exits 1 when any two runs print different
+bytes.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ COMMANDS = (
 # rows and stop after 332, and the column stops before the rows past
 # x = 355, where e^(2x) overflows; last, verify at verify.MAX_CELLS, whose
 # model passes build the largest tables of any command line here, rows of
-# 65,536 cells past the weight cache's 2 MiB limit
+# 65,536 cells, of which a table stores the 2 that fit in 2 MiB
 EDGES = (
     ("kernel", "--phi", "exp2x", "--t", "1", "--z", "2.5552", "--lambda", "2.718281828"),
     ("spectrum", "--phi", "expr:3-x"),
@@ -77,13 +78,19 @@ EDGES = (
     ("kernel", "--phi", "exp2x", "--t", "1", "--z-grid", "unit:8", "--lambda", "6.84", "--x", "0.1"),
     ("verify", "--phi", "affine", "--t", "1", "--h", "1.52587890625e-05"),
 )
-# run twice in a row: the second run reads every weight table the first built
-REPEATED = ("verify", "--phi", "reciprocal", "--t", "0.3")
+# each run twice in a row, the second run on the tables the first left
+# cached: every weight table; the kernel column that stops before x = 355;
+# and at verify.MAX_CELLS, tables that store only the rows the byte limit fits
+REPEATED = (
+    ("verify", "--phi", "reciprocal", "--t", "0.3"),
+    ("kernel", "--phi", "exp2x", "--t", "1", "--z-grid", "unit:8", "--lambda", "6.84", "--x", "0.1"),
+    ("verify", "--phi", "affine", "--t", "1", "--h", "1.52587890625e-05"),
+)
 
 
 def argvs() -> list[tuple[str, ...]]:
     runs = [(cmd[0], "--phi", spec, "--t", t, *cmd[1:]) for spec, t in SYMBOLS for cmd in COMMANDS]
-    return runs + list(EDGES) + [REPEATED, REPEATED]
+    return runs + list(EDGES) + [argv for argv in REPEATED for _ in range(2)]
 
 
 def run(argv: tuple[str, ...]) -> str:
@@ -102,10 +109,13 @@ def main(args: list[str]) -> int:
         for argv in argvs():
             outputs.append(run(argv))
             fh.write(outputs[-1])
-    if outputs[-1] != outputs[-2]:
-        print(f"a second run of {shlex.join(REPEATED)} printed other bytes", file=sys.stderr)
-        return 1
-    return 0
+    code = 0
+    pairs = outputs[-2 * len(REPEATED) :]
+    for argv, first, second in zip(REPEATED, pairs[::2], pairs[1::2]):
+        if first != second:
+            print(f"a second run of {shlex.join(argv)} printed other bytes", file=sys.stderr)
+            code = 1
+    return code
 
 
 if __name__ == "__main__":

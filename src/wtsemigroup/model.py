@@ -344,8 +344,7 @@ def kernel_series(k: DiagonalKernel, z: complex, lam: complex, x: float, tol: fl
 
     def terms(size: int) -> np.ndarray:
         ratio = ratios.rows(size)[:, 0]
-        with np.errstate(all="ignore"):  # terms past the stop may overflow
-            return ratio * np.power(q, np.arange(ratio.size))
+        return ratio * np.power(q, np.arange(ratio.size))  # under sum_series' errstate
 
     return sum_series(terms, tol, q, ratios.raise_at)
 

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NotLeftInvertibleError
 from .stepfun import StepFunction
 from .symbols import Symbol, eval_phi
-from .util import check_step, sample_then_refine, window
+from .util import check_step, root_extreme, sample_then_refine, window
 
 KINDS = ("S", "S_adjoint", "L", "L_adjoint")
 _RIGHT = {"S", "L_adjoint"}  # support marches right by t per power
@@ -67,7 +67,13 @@ def check_left_invertible(symbol: Symbol, t: float, x_max: float) -> LeftInverti
     """
     check_step(t)
     ratio = lambda x: phi_ratio(symbol, x, t, 0)
-    inf_est, arg_inf, _ = sample_then_refine(lambda grid: [ratio(grid)], ratio, ["min"], x_max)[0]
+
+    def sample(grid):
+        r = ratio(grid)
+        i = r.argmin()
+        return [i], [r[i]]
+
+    inf_est, arg_inf, _ = sample_then_refine(sample, ratio, 0, x_max)[0]
     return LeftInvertibilityCheck(inf_est > EPS_INV, inf_est, arg_inf)
 
 
@@ -136,43 +142,75 @@ def _weight_extrema(symbol: Symbol, t: float, ns, x_max: float, fits, checked) -
 
     ||op^n f||^2 = integral of the squared weight against |f|^2, so its
     essential sup / inf over the window bound the operator norm from both
-    sides. The weight is sqrt(phi(x + nt)/phi(x)) for S and S_adjoint and
-    sqrt(phi(x)/phi(x + nt)) for the other kinds, so every fit reads one
-    table: phi(grid + nt) per n, and phi(grid) once, right after the first
-    of them (phi_ratio's order for S). Once the grid is sampled, each kind
-    in checked is built with make_operator (left invertibility for the dual
-    kinds); then one lockstep search refines every (n, fit) lane.
+    sides. The weight is sqrt(r) with r = phi(x + nt)/phi(x) for S and
+    S_adjoint and r = phi(x)/phi(x + nt) for the other kinds, so every fit
+    reads one table: phi(grid + nt) per n, and phi(grid) once, right after
+    the first of them (phi_ratio's order for S), both through eval_phi. A
+    later row is one walk of Symbol.values, certified by its ratio's own
+    extremes: with phi(grid) positive and finite, 0 < min r and max r < inf
+    hold only where phi(grid + nt) is too; a row that fails goes through
+    eval_phi, which raises its error, or passes a ratio that only left the
+    floats. Each row is reduced on r, the root taken at the chosen sample
+    only (util.root_extreme). Once the grid is sampled, each kind in
+    checked is built with make_operator (left invertibility for the dual
+    kinds); then one lockstep search refines every (fit, n) lane.
     """
     if not ns or min(ns) < 1:
         raise ValueError("n must be >= 1")
     nt = np.asarray(ns) * t  # the floats n * t, one per n
-    shifted = np.array([kind in _NUM_SHIFTED for kind, _ in fits])
+    # lanes: the fits' rows, a block of len(ns) per fit, the max fits first
+    order = sorted(range(len(fits)), key=lambda i: fits[i][1] != "max")
+    lane_fits = [fits[i] for i in order]
+    maxima = sum(mode == "max" for _, mode in fits) * nt.size
+    shifted = np.array([kind in _NUM_SHIFTED for kind, _ in lane_fits])
+    reads = set(shifted.tolist())  # the ratios r the fits read: up (True), down (False)
 
     def sample(grid):
+        best = np.empty((len(fits), nt.size), dtype=np.intp)
+        best_vals = np.empty(best.shape)
         p0 = None
-        for shift in nt:
-            pn = eval_phi(symbol, grid + shift)
+        for n, shift in enumerate(nt):
             if p0 is None:
+                pn = eval_phi(symbol, grid + shift)
                 p0 = eval_phi(symbol, grid)
-            up = np.sqrt(pn / p0) if shifted.any() else None
-            down = None if shifted.all() else np.sqrt(p0 / pn)
-            for s in shifted:
-                yield up if s else down
+            else:
+                pn = symbol.values(grid + shift)
+            rows = {}
+            for up in reads:
+                with np.errstate(divide="ignore"):  # a zero pn is refused just below
+                    r = pn / p0 if up else p0 / pn
+                top, bottom = r.argmax(), r.argmin()  # the first NaN, if any, for both
+                if not (r[bottom] > 0 and r[top] < np.inf):
+                    eval_phi(symbol, grid + shift)  # raises, unless only the ratio left the floats
+                rows[up] = r, top, bottom
+            for lane, ((_, mode), up) in enumerate(zip(lane_fits, shifted)):
+                r, top, bottom = rows[up]
+                is_max = mode == "max"
+                best[lane, n], best_vals[lane, n] = root_extreme(r, top if is_max else bottom, is_max)
         for kind in checked:
             make_operator(symbol, t, kind, x_max=x_max)
+        return best.ravel(), best_vals.ravel()
 
-    # lane n * len(fits) + i is fit i at the n-th shift, the order sample yields
-    lane_nt = np.repeat(nt, len(fits))
-    lane_shifted = np.tile(shifted, nt.size)
-    # rows (num, den) of every lane's phi_ratio shifts: one eval_phi per zoom
-    # level meets a refused numerator before any denominator, as phi_ratio
-    # does; y lies in [0, x_max] and the shifts are >= 0, so x is never below 0
-    shifts = np.stack([np.where(lane_shifted, lane_nt, 0.0), np.where(lane_shifted, 0.0, lane_nt)])[:, None]
+    # rows (num, den) of every lane's shifts, (2, lanes, 1); y lies in
+    # [0, x_max] and the shifts are >= 0, so x is never below 0
+    lane_nt = np.tile(nt, len(fits))
+    lane_shifted = np.repeat(shifted, nt.size)
+    shifts = np.stack([np.where(lane_shifted, lane_nt, 0.0), np.where(lane_shifted, 0.0, lane_nt)])[:, :, None]
+    # first_order[n * len(fits) + i] is the lane of fit i at the n-th shift:
+    # a refusal is raised from the table (2, points, lanes in that order),
+    # so the first refused point is the one that one eval_phi per zoom level
+    # on that table meets first, a numerator's before any denominator's, as
+    # phi_ratio does
+    place = np.argsort(order)
+    first_order = (np.arange(nt.size)[:, None] + nt.size * place[None, :]).ravel()
 
     def refine(y):
-        num, den = eval_phi(symbol, y + shifts)
+        pts = y + shifts
+        vals = symbol.values(pts)
+        if not (np.minimum.reduce(vals, None) > 0 and np.maximum.reduce(vals, None) < np.inf):
+            eval_phi(symbol, pts[:, first_order].transpose(0, 2, 1))
+        num, den = vals
         return np.sqrt(num / den)
 
-    found = sample_then_refine(sample, refine, [mode for _, mode in fits] * nt.size, x_max)
-    return [[ExtremumEstimate(*est) for est in found[i :: len(fits)]] for i in range(len(fits))]
-
+    found = [ExtremumEstimate(*est) for est in sample_then_refine(sample, refine, maxima, x_max)]
+    return [found[p * nt.size : (p + 1) * nt.size] for p in place]

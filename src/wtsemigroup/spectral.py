@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .errors import NumericError
 from .model import kernel_preimage
 from .operators import OperatorHandle, _weight_extrema, apply, make_operator
 from .stepfun import StepFunction, norm
@@ -35,6 +36,18 @@ class RadiusEstimate:
     args: tuple[float, ...]  # where each extremum was attained (base point)
     window_limited: bool
     non_convergent: bool
+
+
+def _measured(ests, name: str):
+    """ests, name's extrema for n = 1, 2, ..., once each is a positive finite
+    float: one that is 0 or inf left the floats, and a fit to it measured
+    nothing."""
+    for n, est in enumerate(ests, 1):
+        if not 0.0 < est.value < np.inf:
+            raise NumericError(
+                f"{name} = {est.value!r} at n={n}: the n-step weight left the floats, so the radius fit measured nothing"
+            )
+    return ests
 
 
 def _fit_radius(ests) -> RadiusEstimate:
@@ -66,7 +79,7 @@ def spectral_radius(op: OperatorHandle, n_max: int, x_max: float) -> RadiusEstim
     """r(op) from the norm sequence; diagnostics flag slow or window-biased fits."""
     _check_n_max(n_max)
     ests = _weight_extrema(op.symbol, op.t, range(1, n_max + 1), x_max, [(op.kind, "max")], [op.kind])
-    return _fit_radius(ests[0])
+    return _fit_radius(_measured(ests[0], f"||{op.kind}_t^n||"))
 
 
 def model_disc_radius(symbol: Symbol, t: float, n_max: int, x_max: float) -> float:
@@ -77,7 +90,8 @@ def model_disc_radius(symbol: Symbol, t: float, n_max: int, x_max: float) -> flo
     if exact is not None:
         return exact
     make_operator(symbol, t, "L", x_max=x_max)
-    return _fit_radius(_weight_extrema(symbol, t, range(1, n_max + 1), x_max, [("S", "min")], [])[0]).estimate
+    ests = _weight_extrema(symbol, t, range(1, n_max + 1), x_max, [("S", "min")], [])[0]
+    return _fit_radius(_measured(ests, "m(S_t^n)")).estimate
 
 
 @dataclass(frozen=True)
@@ -115,7 +129,7 @@ def spectral_summary(
     make_operator(symbol, t, "S")  # refuses t <= 0 before any phi is evaluated
     _check_n_max(n_max)
     extrema = _weight_extrema(symbol, t, range(1, n_max + 1), x_max, SUMMARY_FITS, ["L"])
-    fit_r, fit_r1 = (_fit_radius(ests) for ests in extrema)
+    fit_r, fit_r1 = (_fit_radius(_measured(ests, name)) for ests, name in zip(extrema, ("||S_t^n||", "m(S_t^n)")))
     note = None
     if symbol.closed_form == "scaled_szego":
         a = symbol.growth

@@ -15,7 +15,7 @@ ZOOM_POINTS = 32  # intervals of each zoom level across a bracket
 ZOOM_LEVELS = 14  # zoom levels after the grid search: (2/32)**14 ~ 1.4e-17 of the bracket is left
 TAIL_STREAK = 5  # consecutive shrinking terms before the geometric tail is trusted
 
-_ZOOM_STEPS = np.linspace(0.0, 1.0, ZOOM_POINTS + 1)[:, None]  # k / ZOOM_POINTS, exactly
+_ZOOM_STEPS = np.linspace(0.0, 1.0, ZOOM_POINTS + 1)  # k / ZOOM_POINTS, exactly
 
 
 def check_step(t: float):
@@ -29,58 +29,79 @@ def window(t: float, x_max: float | None) -> float:
     return x_max if x_max is not None else DEFAULT_WINDOW * t
 
 
-def _zoom(fn, lo, hi, value, arg) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep zoom for the maxima of fn on the brackets [lo_i, hi_i],
-    starting from the values value_i attained at arg_i.
+def root_extreme(r: np.ndarray, i: int, is_max: bool) -> tuple[int, float]:
+    """The first index of the largest (is_max) or smallest root np.sqrt(r),
+    and that root, given i, the first index of r's own extreme; r holds no
+    NaN. Bit for bit argmax / argmin of np.sqrt(r) and the root there, with
+    one root formed. sqrt is correctly rounded, so monotone: the entries
+    whose roots tie with r[i]'s lie between r[i] and edge, the farthest
+    float from r[i], towards the other extreme, with r[i]'s root. Only
+    when edge is not r[i] itself can an entry before i tie."""
+    v = float(r[i])
+    root = math.sqrt(v)
+    edge = v
+    if 0.0 < v < math.inf:  # 0 and inf are the only floats with their roots
+        toward = -math.inf if is_max else math.inf
+        while math.sqrt(step := math.nextafter(edge, toward)) == root:
+            edge = step
+    if edge != v and i:
+        ties = r[:i] >= edge if is_max else r[:i] <= edge
+        j = int(ties.argmax())
+        if ties[j]:
+            i = j
+    return i, root
 
-    fn maps a (ZOOM_POINTS + 1, lanes) array of points, lane i in column i,
-    to their values. Each of ZOOM_LEVELS levels evaluates ZOOM_POINTS + 1
+
+def _zoom(fn, lo, hi, value, arg, maxima: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep zoom for the maxima of fn on the brackets [lo_i, hi_i] of the
+    first maxima lanes and the minima on the others, starting from the
+    values value_i attained at arg_i.
+
+    fn maps a (lanes, ZOOM_POINTS + 1) array of points, lane i in row i, to
+    their values. Each of ZOOM_LEVELS levels evaluates ZOOM_POINTS + 1
     evenly spaced points across every bracket, clipped to it, and keeps the
     neighbours of the lane's best point (the first, on ties) as its next
     bracket; a point replaces the running best only if its value is
-    strictly greater. Returns (args, values) per lane.
+    strictly better. Returns (args, values) per lane.
     """
-    lanes = np.arange(value.size)
+    at = np.arange(value.size) * (ZOOM_POINTS + 1)  # flat index of each lane's first point
+    k = np.empty(value.size, dtype=np.intp)
+    better = np.empty(value.size, dtype=bool)
+    lo, hi = lo[:, None], hi[:, None]
     for _ in range(ZOOM_LEVELS):
         y = np.minimum(lo + _ZOOM_STEPS * (hi - lo), hi)
         vals = fn(y)
-        k = np.argmax(vals, axis=0)
-        got = vals[k, lanes]
-        better = got > value
-        value, arg = np.where(better, got, value), np.where(better, y[k, lanes], arg)
-        lo, hi = y[np.maximum(k - 1, 0), lanes], y[np.minimum(k + 1, ZOOM_POINTS), lanes]
+        vals[:maxima].argmax(axis=1, out=k[:maxima])
+        vals[maxima:].argmin(axis=1, out=k[maxima:])
+        best = at + k
+        got = vals.take(best)
+        np.greater(got[:maxima], value[:maxima], out=better[:maxima])
+        np.less(got[maxima:], value[maxima:], out=better[maxima:])
+        value, arg = np.where(better, got, value), np.where(better, y.take(best), arg)
+        lo = y.take(at + np.maximum(k - 1, 0))[:, None]
+        hi = y.take(at + np.minimum(k + 1, ZOOM_POINTS))[:, None]
     return arg, value
 
 
-def sample_then_refine(sample, refine, modes, x_max: float) -> list[tuple[float, float, bool]]:
-    """Sup (mode "max") or inf (mode "min") on [0, x_max] of several functions,
-    one per entry of modes.
+def sample_then_refine(sample, refine, maxima: int, x_max: float) -> list[tuple[float, float, bool]]:
+    """Sup on [0, x_max] of the first maxima of several functions (rows), and
+    inf of the others.
 
-    sample(grid) yields the values of the functions on a uniform grid, in row
-    order, and may yield one array for several rows; each row is reduced to
-    its best sample before the next is drawn, so a sampler that computes its
-    rows as it yields them keeps one table of values alive. refine(y)
-    evaluates row i at the points y[:, i] for every row at once. All rows are
-    then refined together by one lockstep zoom between the neighbours of
-    their best samples, a min row on its negated values; the grid value wins
-    ties, so no result falls behind its grid. Returns (value, arg, at_edge)
-    per row, where at_edge flags a best sample at the far edge x = x_max.
+    sample(grid) returns, for every row, the index of its best sample on a
+    uniform grid (the first, on ties) and the value there, as two sequences;
+    it reduces each row as it draws it. refine(y) evaluates row i at the
+    points y[i] for every row at once. All rows are then refined together
+    by one lockstep zoom between the neighbours of their best samples; the
+    grid value wins ties, so no result falls behind its grid. Returns
+    (value, arg, at_edge) per row, where at_edge flags a best sample at the
+    far edge x = x_max.
     """
     grid = np.linspace(0.0, x_max, SAMPLES)
-    is_max = np.array([mode == "max" for mode in modes], dtype=bool)
-    best = np.empty(is_max.size, dtype=int)
-    best_vals = np.empty(is_max.size)
-    for row, vals in enumerate(sample(grid)):
-        best[row] = np.argmax(vals) if is_max[row] else np.argmin(vals)
-        best_vals[row] = vals[best[row]]
+    best, best_vals = sample(grid)
+    best = np.asarray(best, dtype=np.intp)
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, SAMPLES - 1)]
-
-    def signed(y):
-        vals = refine(y)
-        return np.where(is_max, vals, -vals)
-    arg, got = _zoom(signed, lo, hi, np.where(is_max, best_vals, -best_vals), grid[best])
-    value = np.where(is_max, got, -got)
+    arg, value = _zoom(refine, lo, hi, np.asarray(best_vals, dtype=float), grid[best], maxima)
     return list(zip(value.tolist(), arg.tolist(), (best == SAMPLES - 1).tolist()))
 
 
@@ -137,19 +158,22 @@ def sum_series(terms, tol: float, q: complex, replay=None):
     """
     cap = SERIES_CAP + 1
     size, seen = min(_table_size(q, tol), cap), -1
-    while True:
-        table = np.asarray(terms(size))
-        with np.errstate(all="ignore"):  # as the Python floats of a loop, silently
+    # terms past the stop may overflow, and the rule's ratios divide by 0:
+    # silently, as the Python floats of a loop; a replay raises outside it
+    with np.errstate(all="ignore"):
+        while True:
+            table = np.asarray(terms(size))
             mags = np.hypot(table.real, table.imag)  # abs() of each term, to the bit
             stop, tail = _tail_rule(mags, tol)
             if stop is not None:
                 value = np.add.accumulate(table[: stop + 1])[-1]  # in order, as a loop adds
                 return value.item(), stop + 1, tail
-        if table.size == seen and replay is not None:
-            replay(seen)
-        if table.size in (seen, cap):
-            raise TailBoundNotAchievedError(table.size, tail, tol)
-        seen, size = table.size, min(2 * size, cap)
+            if table.size in (seen, cap):
+                break
+            seen, size = table.size, min(2 * size, cap)
+    if table.size == seen and replay is not None:
+        replay(seen)
+    raise TailBoundNotAchievedError(table.size, tail, tol)
 
 
 def _table_size(q: complex, tol: float) -> int:
@@ -167,16 +191,21 @@ def _tail_rule(mags: np.ndarray, tol: float) -> tuple[int | None, float]:
     """The stopping rule of sum_series on the term magnitudes mags: the first
     index N at which it holds, or None, and the tail estimate at N, or else
     at the last index with TAIL_STREAK shrinking ratios (inf if none). Runs
-    under sum_series' errstate: the estimates off a streak may divide by 0."""
+    under sum_series' errstate: the ratios and the estimates off a streak
+    may divide by 0."""
     if mags.size <= TAIL_STREAK:
         return None, np.inf
     prev, mag = mags[:-1], mags[1:]
-    # 0/0 stays 0, x/0 is inf
-    ratios = np.divide(mag, prev, out=np.zeros(mag.size), where=(mag != 0.0) | (prev != 0.0))
-    # rho[j]: the largest ratio of terms j + 1, ..., j + TAIL_STREAK; NaN fails < 1
-    rho = ratios[: ratios.size - TAIL_STREAK + 1].copy()
-    for k in range(1, TAIL_STREAK):
-        np.maximum(rho, ratios[k : k + rho.size], out=rho)
+    ratios = mag / prev  # x/0 is inf
+    if not prev.all():  # 0/0 stays 0
+        ratios[(mag == 0.0) & (prev == 0.0)] = 0.0
+    # rho[j]: the largest ratio of terms j + 1, ..., j + TAIL_STREAK, each
+    # step at most doubling the window (2, 4, 5); NaN fails < 1
+    rho, width = ratios, 1
+    while width < TAIL_STREAK:
+        step = min(width, TAIL_STREAK - width)
+        rho = np.maximum(rho[:-step], rho[step:])
+        width += step
     streak = rho < 1.0
     # rho = 0 only after a zero term or an infinite one: the estimate is 0 there
     tail = mags[TAIL_STREAK:] * rho / (1.0 - rho)

@@ -675,6 +675,7 @@ def _numeric_argv(draw):
 @example(["verify", "--phi", "exp:a=2", "--t=5e-324", "--h=1e300"])
 @example(["verify", "--phi", "const:1", "--t=1e308"])
 @example(["verify", "--phi", "affine", "--t=1e-321"])
+@example(["spectrum", "--phi", "expr:exp(20*x-690)", "--t=1", "--xmax=2", "--nmax=40"])
 def test_fuzzed_numeric_flags_exit_with_a_documented_code(argv):
     # whatever the numbers, main returns 0, 1, 2 or 3 and raises nothing, and
     # a run that prints its payload prints JSON, without NaN or Infinity
@@ -706,6 +707,25 @@ def test_a_nan_residual_is_a_numeric_error(capsys, spec, xmax):
     code, out, err = run(capsys, "verify", "--phi", spec, "--t", "1e-321", *xmax)
     assert code == 3 and out == ""
     assert err == "numeric error: the adjoint_pairing residual is NaN at --t 1e-321: the check measured nothing\n"
+
+
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        (("spectrum",), "||S_t^n||"),
+        (("kernel", "--z", "0.1", "--lambda", "0.1"), "m(S_t^n)"),
+        (("verify",), "m(S_t^n)"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, tuple) else None,
+)
+def test_a_fit_whose_weights_leave_the_floats_is_a_numeric_error(capsys, command, name):
+    # phi(x + n)/phi(x) = e^(20 n) overflows from n = 36 on: the norms and
+    # the moduli read inf there, and a fit to them would print NaN
+    code, out, err = run(capsys, *command, "--phi", "expr:exp(20*x-690)", "--t", "1", "--xmax", "2", "--nmax", "40")
+    assert code == 3 and out == ""
+    assert err == (
+        f"numeric error: {name} = inf at n=36: the n-step weight left the floats, so the radius fit measured nothing\n"
+    )
 
 
 @pytest.mark.parametrize(

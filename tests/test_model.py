@@ -1358,20 +1358,27 @@ def series_outcome(fn):
 
 @st.composite
 def term_sequences(draw):
-    """Terms n = 0, 1, ...: a drawn head with exact zeros, exact repeats
-    (ratio 1) and random entries, then a geometric tail that may not shrink."""
+    """Terms n = 0, 1, ...: a drawn head with exact zeros, NaNs, exact
+    repeats (ratio 1), halvings (so that streaks run inside the head, over
+    its zeros and NaNs) and random entries, then a geometric tail that may
+    not shrink."""
     real = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     head = []
-    for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "random", "tiny"]), max_size=30)):
+    kinds = ["zero", "nan", "repeat", "half", "random", "tiny"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=30)):
         if kind == "zero":
             head.append(0.0 if real else 0j)
+        elif kind == "nan":
+            head.append(math.nan if real else complex(math.nan, rng.standard_normal()))
         elif kind == "repeat" and head:
             head.append(head[-1])
+        elif kind == "half" and head:
+            head.append(head[-1] * 0.5)
         else:
             v = rng.standard_normal() * (1e-300 if kind == "tiny" else 1.0)
             head.append(v if real else complex(v, rng.standard_normal()))
-    base = head[-1] if head and head[-1] != 0 else (0.7 if real else 0.7 - 0.2j)
+    base = head[-1] if head and abs(head[-1]) > 0 else (0.7 if real else 0.7 - 0.2j)  # neither 0 nor NaN
     ratio = draw(st.sampled_from([0.0, 0.3, 0.9, 0.999, 1.0, 1.001]))
     if not real:
         ratio = ratio * complex(np.cos(1.3), np.sin(1.3))

@@ -286,37 +286,54 @@ def test_apply_power_rows_equals_apply_power_row_by_row(spec, kind, t, m, ns, fa
 
 
 def _weight_extrema_two_calls(symbol, t, ns, x_max, fits, checked, numerator_first=True):
-    """_weight_extrema with two eval_phi calls per zoom level, the
-    numerator's first as in phi_ratio, or else the denominator's."""
+    """_weight_extrema with every grid row through eval_phi and its roots,
+    and two eval_phi calls per zoom level on the point-major table of the
+    (n, fit) lanes, the numerator's first as in phi_ratio, or else the
+    denominator's."""
     nt = np.asarray(ns) * t
     shifted = np.array([kind in _NUM_SHIFTED for kind, _ in fits])
+    # sample_then_refine takes the max rows first: lane place[i] * len(ns) + n is fit i at the n-th shift
+    place = np.argsort(sorted(range(len(fits)), key=lambda i: fits[i][1] != "max"))
+    maxima = sum(mode == "max" for _, mode in fits) * nt.size
 
     def sample(grid):
+        best = np.empty((len(fits), nt.size), dtype=int)
+        best_vals = np.empty(best.shape)
         p0 = None
-        for shift in nt:
+        for n, shift in enumerate(nt):
             pn = eval_phi(symbol, grid + shift)
             if p0 is None:
                 p0 = eval_phi(symbol, grid)
             up = np.sqrt(pn / p0) if shifted.any() else None
             down = None if shifted.all() else np.sqrt(p0 / pn)
-            for s in shifted:
-                yield up if s else down
+            for i, ((_, mode), s) in enumerate(zip(fits, shifted)):
+                vals = up if s else down
+                j = np.argmax(vals) if mode == "max" else np.argmin(vals)
+                best[place[i], n], best_vals[place[i], n] = j, vals[j]
         for kind in checked:
             make_operator(symbol, t, kind, x_max=x_max)
+        return best.ravel(), best_vals.ravel()
 
+    # lane n * len(fits) + i of the point-major table is fit i at the n-th shift
     lane_nt = np.repeat(nt, len(fits))
     lane_shifted = np.tile(shifted, nt.size)
     num = np.where(lane_shifted, lane_nt, 0.0)
     den = np.where(lane_shifted, 0.0, lane_nt)
+    table = (np.arange(nt.size)[:, None] + nt.size * place[None, :]).ravel()  # its lanes among the rows
 
     def refine(y):
+        y = y[table].T
         if numerator_first:
-            return np.sqrt(phi_ratio(symbol, y, num, den))
-        below = eval_phi(symbol, y + den)
-        return np.sqrt(eval_phi(symbol, y + num) / below)
+            vals = np.sqrt(phi_ratio(symbol, y, num, den))
+        else:
+            below = eval_phi(symbol, y + den)
+            vals = np.sqrt(eval_phi(symbol, y + num) / below)
+        rows = np.empty_like(vals.T)
+        rows[table] = vals.T
+        return rows
 
-    found = sample_then_refine(sample, refine, [mode for _, mode in fits] * nt.size, x_max)
-    return [[ExtremumEstimate(*est) for est in found[i :: len(fits)]] for i in range(len(fits))]
+    found = sample_then_refine(sample, refine, maxima, x_max)
+    return [[ExtremumEstimate(*est) for est in found[p * nt.size : (p + 1) * nt.size]] for p in place]
 
 
 def _extrema_outcome(fn):
@@ -388,3 +405,60 @@ def test_weight_extrema_refuses_a_dip_numerator_first():
     assert got[0] is NonPositiveSymbolError
     assert got == _extrema_outcome(lambda: _weight_extrema_two_calls(*args))
     assert got != _extrema_outcome(lambda: _weight_extrema_two_calls(*args, numerator_first=False))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp underflows away from the dips
+def test_weight_extrema_refuse_the_first_dip_in_point_order():
+    # two dips below 0, each narrower than the grid misses: at the first
+    # zoom level the S max lane of n = 20 meets the one at 20.003 in its
+    # 16th point, and the lane of n = 21 the one at 21.0004 in its 3rd. The
+    # zoom runs lane-major, but the refusal is the one of a table walked
+    # point by point, then lane by lane in (n, fit) order: 21.0004
+    dip = "100*exp(0-((x-{})/0.00004)^2)"
+    sym = parse_phi_spec(f"expr:x+1-{dip.format(20.003)}-{dip.format(21.0004)}")
+    args = (sym, 1.0, range(1, 33), 64.0, SUMMARY_FITS, ["S"])
+    got = _extrema_outcome(lambda: _weight_extrema(*args))
+    assert got == (NonPositiveSymbolError, "symbol value -77.9996 at x=21.0004 violates positivity")
+    assert got == _extrema_outcome(lambda: _weight_extrema_two_calls(*args))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # log of a negative number, exp past the floats
+@pytest.mark.parametrize(
+    "spec,fits",
+    [
+        ("expr:70-x", SUMMARY_FITS),  # phi(70) = 0, on the grid row n = 6
+        ("expr:70-x", (("L", "max"), ("S", "min"))),  # the zero as L's denominator first
+        ("expr:log(70-x)+9", SUMMARY_FITS),  # NaN past x = 70
+        ("expr:exp(10*x)", (("L_adjoint", "min"),)),  # inf past x = 70.98
+    ],
+)
+def test_weight_extrema_refuse_a_later_row_with_eval_phis_error(spec, fits):
+    # phi is positive and finite on the window [0, 64] and on the first grid
+    # row, so only a later row, walked without eval_phi's checks, meets the
+    # refused point: its error is the one eval_phi raises on that row
+    sym = parse_phi_spec(spec)
+    args = (sym, 1.0, range(1, 33), 64.0, fits, [])
+    got = _extrema_outcome(lambda: _weight_extrema(*args))
+    assert got == _extrema_outcome(lambda: _weight_extrema_two_calls(*args))
+    grid = np.linspace(0.0, 64.0, SAMPLES)
+    for n in range(1, 33):
+        refused = _extrema_outcome(lambda: eval_phi(sym, grid + n))
+        if isinstance(refused, tuple):
+            break
+    assert n > 1 and got == refused and got[0] is NonPositiveSymbolError
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the ratios over- and underflow
+@pytest.mark.parametrize("spec", ["expr:exp(20*x-690)", "expr:exp(690-20*x)"])
+def test_weight_extrema_keep_a_row_whose_ratio_leaves_the_floats(spec):
+    # phi is positive and finite at every sampled point, but from n = 36 on
+    # phi(x + n)/phi(x) = e^(20 n) overflows, and from n = 38 its inverse
+    # underflows: those rows fail the ratio's own check, pass eval_phi's, and
+    # are kept with their extrema inf and 0
+    sym = parse_phi_spec(spec)
+    fits = SUMMARY_FITS + (("L", "max"), ("L", "min"))
+    args = (sym, 1.0, range(1, 41), 2.0, fits, [])
+    got = _weight_extrema(*args)
+    assert repr(got) == _extrema_outcome(lambda: _weight_extrema_two_calls(*args))
+    values = {est.value for ests in got for est in ests}
+    assert np.inf in values and 0.0 in values

@@ -65,13 +65,13 @@ def _reference_extrema(op, n_max, x_max, mode):
         vals = fn(grid, row)
         best[row] = pick(vals)
         best_vals[row] = vals[best[row]]
-    lanes = np.arange(n_max)
+    lanes = np.arange(n_max)[:, None]
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, SAMPLES - 1)]
     if mode == "max":
-        arg, value = _zoom(lambda y: fn(y, lanes), lo, hi, best_vals, grid[best])
+        arg, value = _zoom(lambda y: fn(y, lanes), lo, hi, best_vals, grid[best], n_max)
     else:
-        arg, neg = _zoom(lambda y: -fn(y, lanes), lo, hi, -best_vals, grid[best])
+        arg, neg = _zoom(lambda y: -fn(y, lanes), lo, hi, -best_vals, grid[best], n_max)
         value = -neg
     return [ExtremumEstimate(*est) for est in zip(value.tolist(), arg.tolist(), (best == SAMPLES - 1).tolist())]
 

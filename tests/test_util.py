@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wtsemigroup import (
@@ -17,7 +17,16 @@ from wtsemigroup import (
 )
 from wtsemigroup.operators import phi_ratio
 from wtsemigroup.errors import TailBoundNotAchievedError
-from wtsemigroup.util import SAMPLES, SERIES_CAP, ZOOM_LEVELS, ZOOM_POINTS, _zoom, sample_then_refine, sum_series
+from wtsemigroup.util import (
+    SAMPLES,
+    SERIES_CAP,
+    ZOOM_LEVELS,
+    ZOOM_POINTS,
+    _zoom,
+    root_extreme,
+    sample_then_refine,
+    sum_series,
+)
 
 
 def _zoom_scalar(fn, lo, hi, value, arg):
@@ -85,15 +94,58 @@ def test_zoom_lockstep_equals_scalar(lanes):
     objectives = [obj for *_, obj in lanes]
     # obj sees a Python float on both sides: round() on an np.float64 rounds
     # differently (round(np.float64(-0.05), 1) is -0.0, round(-0.05, 1) is -0.1)
-    fn = lambda ys: np.array([[obj(float(y)) for obj, y in zip(objectives, row)] for row in ys])
+    fn = lambda ys: np.array([[obj(float(y)) for y in row] for obj, row in zip(objectives, ys)])
     lo, hi, value = (np.array([lane[j] for lane in lanes]) for j in range(3))
-    args, values = _zoom(fn, lo, hi, value, lo)
+    args, values = _zoom(fn, lo, hi, value, lo, len(lanes))
     for i, (lo_i, hi_i, value_i, obj) in enumerate(lanes):
         arg, best = _zoom_scalar(obj, lo_i, hi_i, value_i, lo_i)
         assert args[i] == arg
         assert values[i] == best
         if hi_i >= lo_i:  # every point it keeps lies in the bracket
             assert lo_i <= args[i] <= hi_i
+
+
+def _best_samples(rows, modes):
+    """The first best sample of each row, and its value: what a sampler returns."""
+    best = [int(np.argmax(vals) if mode == "max" else np.argmin(vals)) for vals, mode in zip(rows, modes)]
+    return best, [vals[i] for vals, i in zip(rows, best)]
+
+
+def _ulps_away(v, k, toward):
+    for _ in range(k):
+        v = math.nextafter(v, toward)
+    return v
+
+
+@st.composite
+def _ratio_rows(draw):
+    """A row of a ratio r: no NaN, no negative value; random floats, and
+    floats up to two ulps either side of a drawn value, among them 0 and
+    inf, so that runs of floats with one root sit at the row's extremes."""
+    centre = draw(
+        st.one_of(
+            st.sampled_from([0.0, 5e-324, 1.5, 2.0, 3.0, 0.7, 1e300, np.finfo(float).max, np.inf]),
+            st.floats(0.0, np.inf),
+        )
+    )
+    near = [_ulps_away(centre, k, toward) for k in (0, 1, 2) for toward in (0.0, np.inf)] + [0.0, np.inf]
+    return np.array(draw(st.lists(st.one_of(st.sampled_from(near), st.floats(0.0, np.inf)), min_size=1, max_size=30)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ratio_rows(), st.booleans())
+@example(np.array([1.0, _ulps_away(1.5, 2, 0.0), _ulps_away(1.5, 1, 0.0), 1.5]), True)  # three floats, one root
+@example(np.array([1.0, _ulps_away(0.7, 1, np.inf), 0.7, _ulps_away(0.7, 1, np.inf)]), False)
+@example(np.array([3.0, _ulps_away(3.0, 1, 0.0), 3.0]), True)
+def test_root_extreme_is_the_roots_argmax(r, is_max):
+    # the first best index of np.sqrt(r), and the root there, from r's own
+    # first extreme
+    first = int(np.argmax(r) if is_max else np.argmin(r))
+    roots = np.sqrt(r)
+    want = int(np.argmax(roots) if is_max else np.argmin(roots))
+    i, root = root_extreme(r, first, is_max)
+    assert i == want
+    assert np.float64(root).tobytes() == roots[want].tobytes()
 
 
 @pytest.mark.parametrize("mode", ["max", "min"])
@@ -103,8 +155,9 @@ def test_sample_then_refine_rows_equal_scalar(spec, t, mode):
     shifts = np.array([1, 2, 5]) * t
     fn = lambda x, row: np.sqrt(phi_ratio(symbol, x, 0.0, shifts[row]))
     lanes = np.arange(len(shifts))
-    sample = lambda grid: (fn(grid, row) for row in lanes)
-    rows = sample_then_refine(sample, lambda y: fn(y, lanes), [mode] * len(shifts), 64.0 * t)
+    sample = lambda grid: _best_samples([fn(grid, row) for row in lanes], [mode] * len(shifts))
+    maxima = len(shifts) if mode == "max" else 0
+    rows = sample_then_refine(sample, lambda y: fn(y, lanes[:, None]), maxima, 64.0 * t)
     for row, shift in enumerate(shifts):
         ref = _sample_then_refine_scalar(lambda x: np.sqrt(phi_ratio(symbol, x, 0.0, shift)), 64.0 * t, mode)
         assert rows[row] == ref
@@ -115,17 +168,16 @@ def test_sample_then_refine_mode_per_row_equals_scalar(spec, t):
     # one sampled array serves a max row and a min row; each row is still
     # the one-function search in its own mode
     symbol = parse_phi_spec(spec)
-    shifts = np.array([1, 1, 3, 3, 2]) * t
-    modes = ["max", "min", "min", "max", "min"]
+    shifts = np.array([1, 3, 1, 3, 2]) * t
+    modes = ["max", "max", "min", "min", "min"]
     lanes = np.arange(len(shifts))
     fn = lambda x, row: np.sqrt(phi_ratio(symbol, x, shifts[row], 0.0))
 
     def sample(grid):
-        for row in (0, 2, 4):
-            vals = fn(grid, row)
-            yield from [vals, vals] if row < 4 else [vals]
+        drawn = {shifts[row]: fn(grid, row) for row in (0, 1, 4)}
+        return _best_samples([drawn[shift] for shift in shifts], modes)
 
-    rows = sample_then_refine(sample, lambda y: fn(y, lanes), modes, 64.0 * t)
+    rows = sample_then_refine(sample, lambda y: fn(y, lanes[:, None]), 2, 64.0 * t)
     for row, (shift, mode) in enumerate(zip(shifts, modes)):
         ref = _sample_then_refine_scalar(lambda x: np.sqrt(phi_ratio(symbol, x, shift, 0.0)), 64.0 * t, mode)
         assert rows[row] == ref

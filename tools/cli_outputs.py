@@ -56,7 +56,11 @@ COMMANDS = (
 # rows and stop after 332, and the column stops before the rows past
 # x = 355, where e^(2x) overflows; last, verify at verify.MAX_CELLS, whose
 # model passes build the largest tables of any command line here, rows of
-# 65,536 cells, of which a table stores the 2 that fit in 2 MiB
+# 65,536 cells, of which a table stores the 2 that fit in 2 MiB; then the
+# spectral fits: phi(x + n t)/phi(x) overflows from n = 36 on, so the norms
+# leave the floats; phi = 0 at x = 70, past validate_positivity's window
+# [0, 64], which a later grid row of the sampling refuses; and a constant
+# phi, on which every sample of every row ties
 EDGES = (
     ("kernel", "--phi", "exp2x", "--t", "1", "--z", "2.5552", "--lambda", "2.718281828"),
     ("spectrum", "--phi", "expr:3-x"),
@@ -77,6 +81,9 @@ EDGES = (
     ("verify", "--phi", "affine", "--t", "0.3", "--h", "0.003"),
     ("kernel", "--phi", "exp2x", "--t", "1", "--z-grid", "unit:8", "--lambda", "6.84", "--x", "0.1"),
     ("verify", "--phi", "affine", "--t", "1", "--h", "1.52587890625e-05"),
+    ("spectrum", "--phi", "expr:exp(20*x-690)", "--t", "1", "--xmax", "2", "--nmax", "40"),
+    ("spectrum", "--phi", "expr:70-x", "--t", "1"),
+    ("spectrum", "--phi", "const:1", "--t", "1", "--nmax", "128"),
 )
 # each run twice in a row, the second run on the tables the first left
 # cached: every weight table; the kernel column that stops before x = 355;

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .util import check_step, window
@@ -47,8 +48,8 @@ class RunConfig:
     def __post_init__(self):
         check_step(self.t)
         for name, value in self.tol.items():
-            if value < 0:
-                raise ValueError(f"tolerance {name} must be nonnegative")
+            if not (value >= 0 and math.isfinite(value)):  # NaN fails every check, inf passes any
+                raise ValueError(f"tolerance {name} must be a nonnegative finite number")
 
     @property
     def resolved_x_max(self) -> float:

@@ -27,7 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LatticeError, NoClosedFormError, NonPositiveSymbolError, NumericError, OutsideConvergenceDomainError
+from .errors import (
+    LatticeError, NoClosedFormError, NonPositiveSymbolError, NumericError, OutsideConvergenceDomainError,
+    TailBoundNotAchievedError,
+)
 from .operators import make_operator, phi_ratio
 from .stepfun import StepFunction, _trimmed, norm_sq, zero
 from .symbols import Symbol, eval_phi
@@ -425,37 +428,48 @@ def kernel_preimage(
     return _trimmed(_points(terms.size + 1, t, m), terms.reshape(-1))
 
 
-def _preimage_terms(weights: _Ratios, lam: complex, e: np.ndarray, tol: float = 1e-12, rows: int = SERIES_CAP + 1) -> np.ndarray:
-    """The first rows of the N summed terms conj(lambda)^n W[n] e of
-    kernel_preimage, e given on E's lattice cells, formed once the sum
-    stops. W is real, so the tail rule reads term n's norm as |lambda^n| s
-    sqrt(sum_i W[n, i]^2 |e_i/s|^2 h_i), s = max|e|, off one product grown
-    by new rows as sum_series asks; as in stepfun.norm, a row whose norm so
-    read is 0 or inf is divided by its largest cell first. A summed row with a phi
-    value eval_phi refuses raises that error, one not finite a NumericError."""
+def _preimage_terms(weights: _Ratios, lam: complex, e: np.ndarray, tol: float = 1e-12, rows: int | None = None) -> np.ndarray:
+    """The N summed terms conj(lambda)^n W[n] e of kernel_preimage, e given
+    on E's lattice cells, formed once the sum stops. W is real, so the tail
+    rule reads term n's norm as |lambda^n| s sqrt(sum_i W[n, i]^2 |e_i/s|^2
+    h_i), s = max|e|, off one product grown by new rows as sum_series asks;
+    as in stepfun.norm, a row whose norm so read is 0 or inf is divided by
+    its largest cell first. A summed row with a phi value eval_phi refuses
+    raises that error, one not finite a NumericError. Given rows, f's blocks
+    in reproducing_check, the rule reads only the first rows norms, and no
+    weight row past them is asked for: N is the same where the rule holds
+    before row rows, and rows otherwise; past SERIES_CAP + 1 the cap raises."""
     lam_bar = np.conj(complex(lam))
     widths = np.diff(_edges(weights.t, e.size))
     s = float(np.abs(e).max()) or 1.0  # 1 for a zero e
     u, norms = np.abs(e) / s, np.empty(0)
+    v, summed = np.square(u) * widths, norms  # summed: the terms of the last call
 
-    def terms(size: int) -> np.ndarray:
-        nonlocal norms
-        w = weights.rows(size)[norms.size :]
-        with np.errstate(over="ignore", invalid="ignore"):
-            row_norms = s * np.sqrt(np.square(w) @ (np.square(u) * widths))
+    def terms(size: int) -> np.ndarray:  # under sum_series' errstate
+        nonlocal norms, summed
+        w = weights.rows(size if rows is None else min(size, rows))[norms.size :]
+        if len(w):  # else the table has stopped, and the terms are those of the last call
+            row_norms = s * np.sqrt(np.square(w) @ v)
             for i in np.flatnonzero((row_norms == 0.0) | (row_norms == np.inf)):
                 r = (u * w[i]).max() or 1.0  # 1 for a zero row
                 row_norms[i] = s * r * np.sqrt(np.sum((u * w[i] / r) ** 2 * widths))
             row_norms *= np.abs(np.power(lam_bar, np.arange(norms.size, norms.size + len(w))))  # the rows' powers
-        norms = np.concatenate([norms, row_norms])
-        finite = np.isfinite(norms)
-        return norms if finite.all() else norms[: np.argmin(finite)]
+            norms = np.concatenate([norms, row_norms])
+            finite = np.isfinite(norms)
+            summed = norms if finite.all() else norms[: np.argmin(finite)]
+        return summed
 
     def replay(n: int):
-        weights.raise_at(n)  # raises the error of term n's weights
-        raise NumericError(f"term {n} of the kernel preimage is not finite")
+        if n != rows:  # a table that ends at row rows ends the finite sum
+            weights.raise_at(n)  # raises the error of term n's weights
+            raise NumericError(f"term {n} of the kernel preimage is not finite")
 
-    n = min(rows, sum_series(terms, tol, lam_bar, replay)[1])
+    try:
+        n = sum_series(terms, tol, lam_bar, replay)[1]
+    except TailBoundNotAchievedError:
+        if norms.size != rows:
+            raise
+        n = rows
     with np.errstate(over="ignore", invalid="ignore"):
         formed = e * weights.rows(n)
         return np.multiply(formed, np.power(lam_bar, np.arange(n))[:, None], out=formed)  # lam_bar**n, numpy's power
@@ -476,8 +490,10 @@ def reproducing_check(
     e: StepFunction,
 ) -> ReproducingCheck:
     """Both sides of the reproducing identity, computed independently, on
-    the lattice of f and e: m = t over their narrowest cell, rounded.
-    Raises ValueError for f or e off that lattice, or e outside E."""
+    the lattice of f and e: m = t over their narrowest cell, rounded. For f
+    on B blocks both are finite sums over the rows n < B, exact at any
+    lambda; no row past f's blocks is built, summed or refused. Raises
+    ValueError for f or e off that lattice, or e outside E."""
     m = _lattice(t, f, e)
     e_row, f_blocks = _in_E(e, t, m), _blocks(f, t, m)
     widths = np.diff(_edges(t, m))

@@ -163,12 +163,14 @@ def sum_series(terms, tol: float, q: complex, replay=None):
     with np.errstate(all="ignore"):
         while True:
             table = np.asarray(terms(size))
+            if table.size == seen:  # the table stopped, on terms the rule has read
+                break
             mags = np.hypot(table.real, table.imag)  # abs() of each term, to the bit
             stop, tail = _tail_rule(mags, tol)
             if stop is not None:
                 value = np.add.accumulate(table[: stop + 1])[-1]  # in order, as a loop adds
                 return value.item(), stop + 1, tail
-            if table.size in (seen, cap):
+            if table.size == cap:
                 break
             seen, size = table.size, min(2 * size, cap)
     if table.size == seen and replay is not None:

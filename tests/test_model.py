@@ -597,8 +597,41 @@ def reference_preimage(sym, t, lam, e, tol):
     return model_outcome(lambda: pre), len(terms)
 
 
-def reference_sides(sym, t, f, lam, e):
-    """outcome() of both sides of reproducing_check, from the row-norm reference."""
+def reference_preimage_head(weights, lam, e, blocks, tol=1e-12):
+    """The rows of the preimage that reproducing_check pairs with f's
+    blocks, from the sequential tail rule read over the first blocks terms
+    alone: the N + 1 summed rows when the rule holds at some N < blocks,
+    all blocks rows otherwise. Each term is formed as a complex row and
+    normed cell by cell, as in reference_preimage_terms; weights must hold
+    the blocks rows (the left side reads them strictly first)."""
+    lam_bar = np.conj(complex(lam))
+    widths = np.diff(model_module._edges(weights.t, e.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = e * weights.rows(blocks)
+        rows *= np.power(lam_bar, np.arange(blocks))[:, None]
+
+    def term_norm(n):
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = np.abs(rows[n])
+            value = np.sqrt(np.sum(row**2 * widths))
+            if value in (0.0, np.inf):
+                s = row.max() or 1.0
+                value = s * np.sqrt(np.sum((row / s) ** 2 * widths))
+        if not np.isfinite(value):
+            raise NumericError(f"term {n} of the kernel preimage is not finite")
+        return value
+
+    try:
+        n = reference_sum_series(term_norm, tol, n_cap=blocks - 1)[1]
+    except TailBoundNotAchievedError:
+        n = blocks
+    return rows[:n]
+
+
+def reference_sides(sym, t, f, lam, e, whole=False):
+    """outcome() of both sides of reproducing_check: the right side from
+    the rule read over f's blocks, or, whole, from the whole preimage
+    series of the row-norm reference, cut to the blocks f has."""
     m = model_module._lattice(t, f, e)
     e_row, f_blocks = model_module._in_E(e, t, m), model_module._blocks(f, t, m)
     widths = np.diff(model_module._edges(t, m))
@@ -607,9 +640,11 @@ def reference_sides(sym, t, f, lam, e):
     def sides():
         coeffs = EValuedPolynomial(t, f_blocks * model_module._weights(weights, len(f_blocks)))
         lhs = model_module._pair(model_module._evaluate(coeffs, lam), e_row, widths)
-        whole = reference_preimage_terms(weights, lam, e_row)
-        n = min(len(f_blocks), len(whole))
-        return lhs, model_module._pair(f_blocks[:n], whole[:n], widths)
+        if whole:
+            terms = reference_preimage_terms(weights, lam, e_row)[: len(f_blocks)]
+        else:
+            terms = reference_preimage_head(weights, lam, e_row, len(f_blocks))
+        return lhs, model_module._pair(f_blocks[: len(terms)], terms, widths)
 
     return outcome(sides)
 
@@ -622,7 +657,11 @@ def test_preimage_equals_the_row_norm_reference(spec, m):
     # rows formed after the stop are the reference's, bit for bit: for
     # kernel_preimage at tol scaled with e, and at 1e-12 for e of modulus
     # 1e-170, and both sides of reproducing_check (at 1e-12), with e of
-    # modulus 1, 1e-170 (squares that underflow) and 1e170 (that overflow)
+    # modulus 1, 1e-170 (squares that underflow) and 1e170 (that overflow).
+    # reproducing_check reads the rule over f's 16 blocks only; wherever the
+    # whole series returns, its sides are the same floats; where it raises
+    # on a row past them (2^x overflows at x = 1024 and e^(2x) at 355, for
+    # exp:a=2 and exp2x at 0.9 and 0.93 of the radius), the check returns
     sym = parse_phi_spec(spec)
     rng = np.random.default_rng(m)
     # one step a wide lattice, for time; below t = 1/2 the first table, sized
@@ -647,7 +686,11 @@ def test_preimage_equals_the_row_norm_reference(spec, m):
                         assert (pre, n) == reference_preimage(sym, t, lam, es, tol), (t, frac, scale, tol)
                     chk = outcome(lambda: reproducing_check(sym, t, f, lam, es))
                     ref = reference_sides(sym, t, f, lam, es)
-                assert repr(chk if isinstance(chk, tuple) else (chk.lhs, chk.rhs)) == repr(ref), (t, frac, scale)
+                    series = reference_sides(sym, t, f, lam, es, whole=True)
+                got = repr(chk if isinstance(chk, tuple) else (chk.lhs, chk.rhs))
+                assert got == repr(ref), (t, frac, scale)
+                if not isinstance(series[0], type):  # wherever the whole series returns, the same floats
+                    assert got == repr(series), (t, frac, scale)
 
 
 @pytest.mark.parametrize(
@@ -683,9 +726,10 @@ def test_preimage_rescales_the_rows_whose_products_leave_the_floats(spec, t, lam
 
 
 def test_reproducing_check_forms_only_the_rows_it_pairs(monkeypatch):
-    # the norms are read off the weight table, so of the terms the sum runs
-    # through, reproducing_check forms as complex rows only those that meet
-    # f's 16 blocks, and kernel_preimage all of them
+    # reproducing_check reads the tail rule over f's 16 blocks alone: the
+    # rule holds past them, so the sum sees 16 terms and ends there, and
+    # forms those 16 as complex rows; kernel_preimage sums and forms all of
+    # its terms
     formed, summed = [], []
     terms, series = model_module._preimage_terms, model_module.sum_series
 
@@ -695,7 +739,11 @@ def test_reproducing_check_forms_only_the_rows_it_pairs(monkeypatch):
         return rows
 
     def counted_series(*args):
-        result = series(*args)
+        try:
+            result = series(*args)
+        except TailBoundNotAchievedError as exc:  # the terms seen when the table ends
+            summed.append(exc.n_terms)
+            raise
         summed.append(result[1])
         return result
 
@@ -708,9 +756,9 @@ def test_reproducing_check_forms_only_the_rows_it_pairs(monkeypatch):
         f, e = random_step(rng, 0.0, 16 * t, 16 * m), indicator(0.0, t).subdivide(m)
         formed.clear(), summed.clear()
         reproducing_check(sym, t, f, lam, e)
-        assert (formed, summed) == ([16], [count])
+        assert (formed, summed) == ([16], [16])
         assert kernel_preimage(sym, t, lam, e).hi == pytest.approx(count * t)
-        assert (formed, summed) == ([16, count], [count, count])
+        assert (formed, summed) == ([16, count], [16, count])
 
 
 def reference_model_map_table(sym, t, f):
@@ -781,7 +829,8 @@ def test_model_inverse_divides_by_the_weights(spec):
 def test_reproducing_check_evaluates_phi_once_per_point(monkeypatch):
     # both sides read one table of weights: once the left-invertibility
     # check is cached, phi is evaluated once at the midpoints mu_i of E, and
-    # once at each mu_i + n t of the rows the table builds, row 0 included
+    # once at each mu_i + n t of the rows the table builds, row 0 included:
+    # the rows of f's 8 blocks, and none past them
     sym, t, m = affine(), 1.0, 16
     f = random_step(np.random.default_rng(3), 0.0, 8.0 * t, 8 * m, unit_norm=True)
     e = indicator(0.0, t).subdivide(m)
@@ -798,7 +847,7 @@ def test_reproducing_check_evaluates_phi_once_per_point(monkeypatch):
     reproducing_check(sym, t, f, 0.5, e)
     points = np.concatenate(seen)
     rows = points.size // m - 1
-    assert rows > 8  # the preimage's rows reach past f's blocks
+    assert rows == 8
     mu = (np.arange(m) + 0.5) * (t / m)
     assert np.array_equal(np.sort(points), np.sort(np.concatenate([mu, (mu + np.arange(rows)[:, None] * t).ravel()])))
 
@@ -1741,7 +1790,8 @@ def test_model_map_tables_are_exactly_sized():
 
 
 def test_reproducing_near_disc_boundary():
-    # |lambda| = 0.99 of the disc radius: the preimage sums 2,831 blocks
+    # |lambda| = 0.99 of the disc radius: the whole preimage series sums
+    # 2,831 terms, of which the check sums the 16 that meet f's blocks
     sym, t = affine(), 1.0
     rng = np.random.default_rng(5)
     f = random_step(rng, 0.0, 16 * t, 16 * 256, unit_norm=True)
@@ -1749,6 +1799,89 @@ def test_reproducing_near_disc_boundary():
     lam = 0.99 * sym.model_disc_radius(t) * np.exp(0.7j)
     chk = reproducing_check(sym, t, f, lam, e)
     assert chk.diff <= DEFAULT_TOLERANCES["reproducing"]
+
+
+@pytest.mark.parametrize("t, frac", [(0.3, 0.9), (0.5, 0.99)])
+def test_reproducing_check_builds_only_the_weights_of_f_blocks(monkeypatch, t, frac):
+    # exp:a=2 on 16 blocks of 256 cells. At t = 0.3 and 0.9 of the radius
+    # (|lambda| = 0.9986) the first table of the whole series asked for the
+    # capped 10,001 rows, and phi was evaluated at 5.1 million points; at
+    # t = 0.5 and 0.99 of it the series reached 2^x's overflow at x = 1024
+    # and raised. The check builds the 16 rows of f's blocks, phi(mu) and
+    # nothing more, and returns
+    sym, m = parse_phi_spec("exp:a=2"), 256
+    f = random_step(np.random.default_rng(5), 0.0, 16 * t, 16 * m, unit_norm=True)
+    e = indicator(0.0, t).scale(1.0 / np.sqrt(t)).subdivide(m)
+    lam = frac * sym.model_disc_radius(t) * np.exp(0.7j)
+    make_operator(sym, t, "L")
+    model_module._model_weights.cache_clear()
+    seen, values = [], Symbol.values
+
+    def counted_values(symbol, x):
+        seen.append(np.size(x))
+        return values(symbol, x)
+
+    monkeypatch.setattr(Symbol, "values", counted_values)
+    chk = reproducing_check(sym, t, f, lam, e)
+    assert sum(seen) <= 17 * m
+    assert chk.diff <= DEFAULT_TOLERANCES["reproducing"]
+
+
+def test_kernel_preimage_past_the_overflow_still_raises():
+    # whether the series of k(., lambda) e converges stays kernel_preimage's
+    # question: at 0.99 of the radius for exp:a=2 at t = 0.5 its sum reaches
+    # the rows past x = 1024, where 2^x overflows (ROADMAP item 3)
+    sym, t = parse_phi_spec("exp:a=2"), 0.5
+    e = indicator(0.0, t).scale(1.0 / np.sqrt(t)).subdivide(256)
+    lam = 0.99 * sym.model_disc_radius(t) * np.exp(0.7j)
+    with pytest.raises(NonPositiveSymbolError, match=r"value inf at x=1024\.0009765625 "), pytest.warns(RuntimeWarning, match="overflow"):
+        kernel_preimage(sym, t, lam, e)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.5])
+def test_reproducing_check_is_the_finite_sum_for_const(r):
+    # W = 1 for const:1, so for f on B blocks both sides are the finite sum
+    # sum_{n < B} lambda^n <f_n, e>, also outside the disc (|lambda| = 1.5),
+    # where the preimage's series itself has no sum: its norms leave the
+    # floats at term 1,750
+    sym, t, m, blocks = constant(1.0), 1.0, 4, 16
+    rng = np.random.default_rng(21)
+    f = random_step(rng, 0.0, blocks * t, blocks * m)
+    e = StepFunction(np.linspace(0.0, t, m + 1), rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    lam = r * np.exp(0.3j)
+    pairs = f.values.reshape(blocks, m) @ np.conj(e.values) * (t / m)
+    direct = complex(np.sum(np.power(lam, np.arange(blocks)) * pairs))
+    chk = reproducing_check(sym, t, f, lam, e)
+    assert abs(chk.lhs - direct) <= 1e-14 * abs(direct)
+    assert abs(chk.rhs - direct) <= 1e-14 * abs(direct)
+    if r > 1:
+        with pytest.raises(NumericError, match="term 1750 of the kernel preimage is not finite"):
+            kernel_preimage(sym, t, lam, e)
+
+
+def test_reproducing_check_work_stays_capped():
+    # on |lambda| = 1 the norms of const:1 never shrink, so no tail bound
+    # holds: f on SERIES_CAP + 1 one-cell blocks is summed to its end, one
+    # block more raises at the cap, and at |lambda| = 1.5 the sum reaches a
+    # norm that is not finite before the cap
+    sym, t, cap = constant(1.0), 1.0, util_module.SERIES_CAP + 1
+    e = indicator(0.0, t)
+    rng = np.random.default_rng(22)
+    capped = (TailBoundNotAchievedError, f"no geometric tail below 1e-12 after {cap} terms (last estimate inf)")
+    for blocks, lam, want in (
+        (cap, np.exp(0.3j), None),
+        (cap + 1, np.exp(0.3j), capped),
+        (cap + 1, 1.5 * np.exp(0.3j), (NumericError, "term 1751 of the kernel preimage is not finite")),
+    ):
+        f = random_step(rng, 0.0, blocks * t, blocks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # lambda^n overflows on the left side at |lambda| = 1.5
+            got = outcome(lambda: reproducing_check(sym, t, f, lam, e))
+        if want is None:
+            direct = complex(np.sum(np.power(lam, np.arange(blocks)) * f.values))
+            assert abs(got.lhs - direct) <= 1e-14 * abs(direct) and abs(got.rhs - direct) <= 1e-14 * abs(direct)
+        else:
+            assert got == want
 
 
 def test_adjoint_eigenvector_relation_through_model():

@@ -86,3 +86,13 @@ def test_the_printed_spectral_claims_read_their_rows(spec, t):
     assert results["adjoint_kernel"].residual == 0.0
     assert results["left_inverse"].passed
     assert results["adjoint_eigenvector"].passed
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-300])
+def test_run_config_refuses_a_tolerance_that_is_not_a_nonnegative_finite_number(value):
+    # a NaN tolerance failed every row (affine's reproducing row read FAIL
+    # with a residual of 4.7e-18), an infinite one passed any residual and
+    # has no JSON form; the CLI refuses both with the same words
+    with pytest.raises(ValueError, match="^tolerance reproducing must be a nonnegative finite number$"):
+        RunConfig(phi="const:1", tol={"reproducing": value})
+    assert RunConfig(phi="const:1", tol={"reproducing": 0.0}).tol == {"reproducing": 0.0}

@@ -60,7 +60,9 @@ COMMANDS = (
 # spectral fits: phi(x + n t)/phi(x) overflows from n = 36 on, so the norms
 # leave the floats; phi = 0 at x = 70, past validate_positivity's window
 # [0, 64], which a later grid row of the sampling refuses; and a constant
-# phi, on which every sample of every row ties
+# phi, on which every sample of every row ties; last, the reproducing row
+# on a non-dyadic lattice of 2^x, whose preimage series, summed whole, runs
+# to 30 terms, past f's 8 blocks
 EDGES = (
     ("kernel", "--phi", "exp2x", "--t", "1", "--z", "2.5552", "--lambda", "2.718281828"),
     ("spectrum", "--phi", "expr:3-x"),
@@ -84,6 +86,7 @@ EDGES = (
     ("spectrum", "--phi", "expr:exp(20*x-690)", "--t", "1", "--xmax", "2", "--nmax", "40"),
     ("spectrum", "--phi", "expr:70-x", "--t", "1"),
     ("spectrum", "--phi", "const:1", "--t", "1", "--nmax", "128"),
+    ("verify", "--phi", "exp:a=2", "--t", "0.3"),
 )
 # each run twice in a row, the second run on the tables the first left
 # cached: every weight table; the kernel column that stops before x = 355;

@@ -28,7 +28,7 @@ from .errors import NumericError, SymbolSyntaxError
 from .model import kernel_closed_form, kernel_series, make_kernel
 from .spectral import MAX_FIT_ORDER, model_disc_radius, spectral_summary
 from .symbols import parse_phi_spec, validate_positivity
-from .util import fmt17
+from .util import fmt17, window
 from .verify import MAX_CELLS, all_passed, run_verify
 
 USAGE_ERROR = 2
@@ -105,30 +105,31 @@ def _config_from_args(args) -> RunConfig:
             raise SymbolSyntaxError(f"{flag} must be a positive finite number, got {value!r}")
     if args.seed < 0:
         raise SymbolSyntaxError(f"--seed must be nonnegative, got {args.seed}")
-    cfg = RunConfig(
-        phi=args.phi,
-        t=args.t,
-        x_max=args.xmax,
-        h=args.h,
-        n_max=args.nmax,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.fmt,
-    )
-    if not math.isfinite(cfg.resolved_x_max):  # 64 t overflows above t ~ 2.8e306
-        raise SymbolSyntaxError(f"--t {cfg.t!r} makes the sampling window 64 t infinite; give --xmax")
+    if not math.isfinite(window(args.t, args.xmax)):  # 64 t overflows above t ~ 2.8e306
+        raise SymbolSyntaxError(f"--t {args.t!r} makes the sampling window 64 t infinite; give --xmax")
+    tol = {}
     for item in args.tol:
         name, _, value = item.partition("=")
         if not value:
             raise SymbolSyntaxError(f"bad tolerance override {item!r}; use NAME=VAL")
-        if name not in cfg.tol:
-            raise SymbolSyntaxError(f"unknown tolerance {name!r}; known: {sorted(cfg.tol)}")
         try:
-            cfg.tol[name] = float(value)
-        except ValueError:
-            raise SymbolSyntaxError(f"tolerance {name}: {value!r} is not a number") from None
-        if not (cfg.tol[name] >= 0 and math.isfinite(cfg.tol[name])):  # inf has no JSON form
-            raise SymbolSyntaxError(f"tolerance {name} must be a nonnegative finite number")
+            tol[name] = float(value)
+        except ValueError:  # handed on as text: RunConfig refuses an unknown name first, then the text
+            tol[name] = value
+    try:
+        cfg = RunConfig(
+            phi=args.phi,
+            t=args.t,
+            x_max=args.xmax,
+            h=args.h,
+            n_max=args.nmax,
+            seed=args.seed,
+            out=args.out,
+            fmt=args.fmt,
+            tol=tol,
+        )
+    except ValueError as exc:  # the flags above are checked: a refused tolerance
+        raise SymbolSyntaxError(str(exc)) from None
     _check_out(cfg.out)
     return cfg
 

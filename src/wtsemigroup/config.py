@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from numbers import Real
+from types import MappingProxyType
 
 from .util import check_step, window
 
@@ -43,13 +46,18 @@ class RunConfig:
     seed: int = 0
     out: str | None = None
     fmt: str = "json"
-    tol: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    tol: Mapping = field(default_factory=dict)  # overrides of DEFAULT_TOLERANCES, by name
 
     def __post_init__(self):
         check_step(self.t)
         for name, value in self.tol.items():
-            if not (value >= 0 and math.isfinite(value)):  # NaN fails every check, inf passes any
+            if name not in DEFAULT_TOLERANCES:
+                raise ValueError(f"unknown tolerance {name!r}; known: {sorted(DEFAULT_TOLERANCES)}")
+            if not isinstance(value, Real):
+                raise ValueError(f"tolerance {name}: {value!r} is not a number")
+            if not 0 <= value < math.inf:  # NaN fails every check, inf passes any
                 raise ValueError(f"tolerance {name} must be a nonnegative finite number")
+        self.tol = MappingProxyType({**DEFAULT_TOLERANCES, **self.tol})  # merged, and read-only: checked once
 
     @property
     def resolved_x_max(self) -> float:

@@ -27,10 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    LatticeError, NoClosedFormError, NonPositiveSymbolError, NumericError, OutsideConvergenceDomainError,
-    TailBoundNotAchievedError,
-)
+from .errors import LatticeError, NoClosedFormError, NonPositiveSymbolError, NumericError, OutsideConvergenceDomainError
 from .operators import make_operator, phi_ratio
 from .stepfun import StepFunction, _trimmed, norm_sq, zero
 from .symbols import Symbol, eval_phi
@@ -428,51 +425,45 @@ def kernel_preimage(
     return _trimmed(_points(terms.size + 1, t, m), terms.reshape(-1))
 
 
-def _preimage_terms(weights: _Ratios, lam: complex, e: np.ndarray, tol: float = 1e-12, rows: int | None = None) -> np.ndarray:
+def _preimage_terms(weights: _Ratios, lam: complex, e: np.ndarray, tol: float) -> np.ndarray:
     """The N summed terms conj(lambda)^n W[n] e of kernel_preimage, e given
     on E's lattice cells, formed once the sum stops. W is real, so the tail
     rule reads term n's norm as |lambda^n| s sqrt(sum_i W[n, i]^2 |e_i/s|^2
     h_i), s = max|e|, off one product grown by new rows as sum_series asks;
     as in stepfun.norm, a row whose norm so read is 0 or inf is divided by
     its largest cell first. A summed row with a phi value eval_phi refuses
-    raises that error, one not finite a NumericError. Given rows, f's blocks
-    in reproducing_check, the rule reads only the first rows norms, and no
-    weight row past them is asked for: N is the same where the rule holds
-    before row rows, and rows otherwise; past SERIES_CAP + 1 the cap raises."""
+    raises that error, one not finite a NumericError."""
     lam_bar = np.conj(complex(lam))
     widths = np.diff(_edges(weights.t, e.size))
     s = float(np.abs(e).max()) or 1.0  # 1 for a zero e
     u, norms = np.abs(e) / s, np.empty(0)
-    v, summed = np.square(u) * widths, norms  # summed: the terms of the last call
+    v = np.square(u) * widths
 
     def terms(size: int) -> np.ndarray:  # under sum_series' errstate
-        nonlocal norms, summed
-        w = weights.rows(size if rows is None else min(size, rows))[norms.size :]
-        if len(w):  # else the table has stopped, and the terms are those of the last call
-            row_norms = s * np.sqrt(np.square(w) @ v)
-            for i in np.flatnonzero((row_norms == 0.0) | (row_norms == np.inf)):
-                r = (u * w[i]).max() or 1.0  # 1 for a zero row
-                row_norms[i] = s * r * np.sqrt(np.sum((u * w[i] / r) ** 2 * widths))
-            row_norms *= np.abs(np.power(lam_bar, np.arange(norms.size, norms.size + len(w))))  # the rows' powers
-            norms = np.concatenate([norms, row_norms])
-            finite = np.isfinite(norms)
-            summed = norms if finite.all() else norms[: np.argmin(finite)]
-        return summed
+        nonlocal norms
+        w = weights.rows(size)[norms.size :]
+        row_norms = s * np.sqrt(np.square(w) @ v)
+        for i in np.flatnonzero((row_norms == 0.0) | (row_norms == np.inf)):
+            r = (u * w[i]).max() or 1.0  # 1 for a zero row
+            row_norms[i] = s * r * np.sqrt(np.sum((u * w[i] / r) ** 2 * widths))
+        row_norms *= np.abs(np.power(lam_bar, np.arange(norms.size, norms.size + len(w))))  # the rows' powers
+        norms = np.concatenate([norms, row_norms])
+        finite = np.isfinite(norms)
+        return norms if finite.all() else norms[: np.argmin(finite)]
 
     def replay(n: int):
-        if n != rows:  # a table that ends at row rows ends the finite sum
-            weights.raise_at(n)  # raises the error of term n's weights
-            raise NumericError(f"term {n} of the kernel preimage is not finite")
+        weights.raise_at(n)  # raises the error of term n's weights
+        raise NumericError(f"term {n} of the kernel preimage is not finite")
 
-    try:
-        n = sum_series(terms, tol, lam_bar, replay)[1]
-    except TailBoundNotAchievedError:
-        if norms.size != rows:
-            raise
-        n = rows
+    return _weighted_e(e, weights.rows(sum_series(terms, tol, lam_bar, replay)[1]), lam_bar)
+
+
+def _weighted_e(e: np.ndarray, w: np.ndarray, lam_bar: complex) -> np.ndarray:
+    """The rows conj(lambda)^n W[n] e for the weight rows w, n < len(w):
+    e times each row, then scaled by lam_bar**n, numpy's power."""
     with np.errstate(over="ignore", invalid="ignore"):
-        formed = e * weights.rows(n)
-        return np.multiply(formed, np.power(lam_bar, np.arange(n))[:, None], out=formed)  # lam_bar**n, numpy's power
+        formed = e * w
+        return np.multiply(formed, np.power(lam_bar, np.arange(len(w)))[:, None], out=formed)
 
 
 @dataclass(frozen=True)
@@ -482,33 +473,28 @@ class ReproducingCheck:
     diff: float
 
 
-def reproducing_check(
-    symbol: Symbol,
-    t: float,
-    f: StepFunction,
-    lam: complex,
-    e: StepFunction,
-) -> ReproducingCheck:
-    """Both sides of the reproducing identity, computed independently, on
-    the lattice of f and e: m = t over their narrowest cell, rounded. For f
-    on B blocks both are finite sums over the rows n < B, exact at any
-    lambda; no row past f's blocks is built, summed or refused. Raises
-    ValueError for f or e off that lattice, or e outside E."""
+def reproducing_check(symbol: Symbol, t: float, f: StepFunction, lam: complex, e: StepFunction) -> ReproducingCheck:
+    """Both sides of the reproducing identity <(Uf)(lambda), e> = <f,
+    U^{-1} k(., lambda) e>, computed independently on the lattice of f and
+    e: m = t over their narrowest cell, rounded. For f on B blocks f_n both
+    are finite sums over n < B, of lambda^n <W[n] f_n, e> and of <f_n,
+    conj(lambda)^n W[n] e>, at any lambda; a side that leaves the floats
+    makes diff inf or NaN. Raises ValueError for f or e off that lattice,
+    or e outside E."""
     m = _lattice(t, f, e)
     e_row, f_blocks = _in_E(e, t, m), _blocks(f, t, m)
     widths = np.diff(_edges(t, m))
     make_operator(symbol, t, "L")  # refuses a symbol whose L_t, and so L_t*, is unbounded
-    weights = _model_weights(symbol, t, m)
-    lhs = _pair(_evaluate(EValuedPolynomial._owned(t, f_blocks * _weights(weights, len(f_blocks))), lam), e_row, widths)
-    terms = _preimage_terms(weights, lam, e_row, rows=len(f_blocks))  # the blocks both have
-    rhs = _pair(f_blocks[: len(terms)], terms, widths)
+    w = _weights(_model_weights(symbol, t, m), len(f_blocks))
+    lhs = _pair(_evaluate(f_blocks * w, lam), e_row, widths)
+    rhs = _pair(f_blocks, _weighted_e(e_row, w, np.conj(complex(lam))), widths)
     return ReproducingCheck(lhs, rhs, abs(lhs - rhs))
 
 
-def _evaluate(p: EValuedPolynomial, z: complex) -> np.ndarray:
-    """(Uf)(z) = sum_n c_n z^n on E's lattice cells: row n scaled by z^n,
-    numpy's power as in _preimage_terms, and the rows added in order of n."""
-    return (np.power(complex(z), np.arange(len(p.table)))[:, None] * p.table).sum(axis=0)
+def _evaluate(table: np.ndarray, z: complex) -> np.ndarray:
+    """(Uf)(z) = sum_n c_n z^n on E's lattice cells, c_n row n of table:
+    scaled by z^n, numpy's power as in _weighted_e, and added in order of n."""
+    return (np.power(complex(z), np.arange(len(table)))[:, None] * table).sum(axis=0)
 
 
 def _pair(a: np.ndarray, b: np.ndarray, widths: np.ndarray) -> complex:

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +54,8 @@ from wtsemigroup import (
 import wtsemigroup.util as util_module
 from wtsemigroup.symbols import Symbol, eval_phi
 from wtsemigroup.util import TAIL_STREAK, sum_series
+
+import oracles
 
 E2X = exponential(np.exp(2.0))
 EPS = np.finfo(float).eps
@@ -597,71 +600,56 @@ def reference_preimage(sym, t, lam, e, tol):
     return model_outcome(lambda: pre), len(terms)
 
 
-def reference_preimage_head(weights, lam, e, blocks, tol=1e-12):
-    """The rows of the preimage that reproducing_check pairs with f's
-    blocks, from the sequential tail rule read over the first blocks terms
-    alone: the N + 1 summed rows when the rule holds at some N < blocks,
-    all blocks rows otherwise. Each term is formed as a complex row and
-    normed cell by cell, as in reference_preimage_terms; weights must hold
-    the blocks rows (the left side reads them strictly first)."""
-    lam_bar = np.conj(complex(lam))
-    widths = np.diff(model_module._edges(weights.t, e.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = e * weights.rows(blocks)
-        rows *= np.power(lam_bar, np.arange(blocks))[:, None]
-
-    def term_norm(n):
-        with np.errstate(over="ignore", invalid="ignore"):
-            row = np.abs(rows[n])
-            value = np.sqrt(np.sum(row**2 * widths))
-            if value in (0.0, np.inf):
-                s = row.max() or 1.0
-                value = s * np.sqrt(np.sum((row / s) ** 2 * widths))
-        if not np.isfinite(value):
-            raise NumericError(f"term {n} of the kernel preimage is not finite")
-        return value
-
-    try:
-        n = reference_sum_series(term_norm, tol, n_cap=blocks - 1)[1]
-    except TailBoundNotAchievedError:
-        n = blocks
-    return rows[:n]
-
-
-def reference_sides(sym, t, f, lam, e, whole=False):
-    """outcome() of both sides of reproducing_check: the right side from
-    the rule read over f's blocks, or, whole, from the whole preimage
-    series of the row-norm reference, cut to the blocks f has."""
+def finite_sum_data(sym, t, f, e):
+    """The floats both sides of reproducing_check are built from: the weight
+    rows of f's blocks, f's blocks, e on E's cells and the cell widths."""
     m = model_module._lattice(t, f, e)
-    e_row, f_blocks = model_module._in_E(e, t, m), model_module._blocks(f, t, m)
-    widths = np.diff(model_module._edges(t, m))
-    weights = model_module._model_weights(sym, t, m)
+    f_blocks = model_module._blocks(f, t, m)
+    w = model_module._weights(model_module._model_weights(sym, t, m), len(f_blocks))
+    return w, f_blocks, model_module._in_E(e, t, m), np.diff(model_module._edges(t, m))
+
+
+def reference_sides(sym, t, f, lam, e):
+    """outcome() of both sides of reproducing_check as the finite sums over
+    f's B blocks: (Uf)(lambda) paired with e, and f paired with the B rows
+    conj(lambda)^n W[n] e, each formed as e times the weights, then scaled."""
 
     def sides():
-        coeffs = EValuedPolynomial(t, f_blocks * model_module._weights(weights, len(f_blocks)))
-        lhs = model_module._pair(model_module._evaluate(coeffs, lam), e_row, widths)
-        if whole:
-            terms = reference_preimage_terms(weights, lam, e_row)[: len(f_blocks)]
-        else:
-            terms = reference_preimage_head(weights, lam, e_row, len(f_blocks))
-        return lhs, model_module._pair(f_blocks[: len(terms)], terms, widths)
+        w, f_blocks, e_row, widths = finite_sum_data(sym, t, f, e)
+        lhs = model_module._pair(model_module._evaluate(f_blocks * w, lam), e_row, widths)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = e_row * w
+            rows *= np.power(np.conj(complex(lam)), np.arange(len(w)))[:, None]
+        return lhs, model_module._pair(f_blocks, rows, widths)
 
     return outcome(sides)
+
+
+def assert_near_the_exact_sum(chk, sym, t, f, lam, e):
+    """Both sides of chk lie within oracles.reproducing_bound of the exact
+    finite sum over f's blocks, the distance taken exactly."""
+    data = finite_sum_data(sym, t, f, e)
+    re, im = oracles.reproducing_sum(*data, lam)
+    bound = Fraction(oracles.reproducing_bound(*data, lam))
+    for side in (chk.lhs, chk.rhs):
+        dr, di = Fraction(side.real) - re, Fraction(side.imag) - im
+        within = dr * dr + di * di <= bound * bound
+        assert within, f"{side!r} is off the exact {complex(re, im)!r} by more than {float(bound)!r}"
 
 
 @pytest.mark.parametrize("spec", SPECS + ["expr:x+1"])
 @pytest.mark.parametrize("m", [1, 4, 64, 256])
 def test_preimage_equals_the_row_norm_reference(spec, m):
-    # the norms read off the weight table stop every sum at the term at
-    # which the complex rows' norms stop it, or raise the same error, and the
-    # rows formed after the stop are the reference's, bit for bit: for
-    # kernel_preimage at tol scaled with e, and at 1e-12 for e of modulus
-    # 1e-170, and both sides of reproducing_check (at 1e-12), with e of
-    # modulus 1, 1e-170 (squares that underflow) and 1e170 (that overflow).
-    # reproducing_check reads the rule over f's 16 blocks only; wherever the
-    # whole series returns, its sides are the same floats; where it raises
-    # on a row past them (2^x overflows at x = 1024 and e^(2x) at 355, for
-    # exp:a=2 and exp2x at 0.9 and 0.93 of the radius), the check returns
+    # the norms read off the weight table stop every sum of kernel_preimage
+    # at the term at which the complex rows' norms stop it, or raise the same
+    # error, and the rows formed after the stop are the reference's, bit for
+    # bit: at tol scaled with e, and at 1e-12 for e of modulus 1e-170, with e
+    # of modulus 1, 1e-170 (squares that underflow) and 1e170 (that
+    # overflow). Both sides of reproducing_check are the finite sums over
+    # f's 16 blocks, the same floats as the reference's; where the
+    # preimage's tail rule at 1e-12 held before row 16 (lambda = 0, and e of
+    # modulus 1e-170, whose norms sit far below it), the right side once
+    # stopped there, and both sides are held to the exact sum
     sym = parse_phi_spec(spec)
     rng = np.random.default_rng(m)
     # one step a wide lattice, for time; below t = 1/2 the first table, sized
@@ -680,17 +668,16 @@ def test_preimage_equals_the_row_norm_reference(spec, m):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     weights, e_row = model_module._model_weights(sym, t, m), model_module._in_E(es, t, m)
-                    for tol in {1e-12 * scale, min(1e-12, 1e-12 * scale)}:  # at 1e170 reproducing_check sums at 1e-12
+                    for tol in {1e-12 * scale, min(1e-12, 1e-12 * scale)}:  # at 1e170 the tail rule once read 1e-12 too
                         pre = model_outcome(lambda: kernel_preimage(sym, t, lam, es, tol))
                         n = outcome(lambda: len(model_module._preimage_terms(weights, lam, e_row, tol)))
                         assert (pre, n) == reference_preimage(sym, t, lam, es, tol), (t, frac, scale, tol)
                     chk = outcome(lambda: reproducing_check(sym, t, f, lam, es))
                     ref = reference_sides(sym, t, f, lam, es)
-                    series = reference_sides(sym, t, f, lam, es, whole=True)
-                got = repr(chk if isinstance(chk, tuple) else (chk.lhs, chk.rhs))
-                assert got == repr(ref), (t, frac, scale)
-                if not isinstance(series[0], type):  # wherever the whole series returns, the same floats
-                    assert got == repr(series), (t, frac, scale)
+                    rule = outcome(lambda: len(model_module._preimage_terms(weights, lam, e_row, 1e-12)))
+                assert repr(chk if isinstance(chk, tuple) else (chk.lhs, chk.rhs)) == repr(ref), (t, frac, scale)
+                if not (isinstance(rule, int) and rule >= 16):
+                    assert_near_the_exact_sum(chk, sym, t, f, lam, es)
 
 
 @pytest.mark.parametrize(
@@ -715,7 +702,7 @@ def test_preimage_rescales_the_rows_whose_products_leave_the_floats(spec, t, lam
     weights, e_row = model_module._model_weights(sym, t, m), model_module._in_E(e, t, m)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = outcome(lambda: len(model_module._preimage_terms(weights, lam, e_row)))
+        got = outcome(lambda: len(model_module._preimage_terms(weights, lam, e_row, 1e-12)))
         ref = outcome(lambda: len(reference_preimage_terms(weights, lam, e_row)))
         w = weights.rows(summed)
         products = np.square(w) @ (np.abs(e_row) ** 2 * np.diff(model_module._edges(t, m)))
@@ -726,39 +713,39 @@ def test_preimage_rescales_the_rows_whose_products_leave_the_floats(spec, t, lam
 
 
 def test_reproducing_check_forms_only_the_rows_it_pairs(monkeypatch):
-    # reproducing_check reads the tail rule over f's 16 blocks alone: the
-    # rule holds past them, so the sum sees 16 terms and ends there, and
-    # forms those 16 as complex rows; kernel_preimage sums and forms all of
-    # its terms
+    # reproducing_check pairs f's 16 blocks with the weighted e directly: it
+    # reaches neither the preimage's terms nor a series, and its cold weight
+    # table holds the 16 rows of f's blocks; kernel_preimage sums and forms
+    # all of its terms
     formed, summed = [], []
     terms, series = model_module._preimage_terms, model_module.sum_series
 
-    def counted_terms(*args, **kwargs):
-        rows = terms(*args, **kwargs)
+    def counted_terms(*args):
+        rows = terms(*args)
         formed.append(len(rows))
         return rows
 
     def counted_series(*args):
-        try:
-            result = series(*args)
-        except TailBoundNotAchievedError as exc:  # the terms seen when the table ends
-            summed.append(exc.n_terms)
-            raise
+        result = series(*args)
         summed.append(result[1])
         return result
 
     monkeypatch.setattr(model_module, "_preimage_terms", counted_terms)
     monkeypatch.setattr(model_module, "sum_series", counted_series)
+    monkeypatch.setattr(util_module, "sum_series", counted_series)
     rng = np.random.default_rng(9)
     for spec, t, count in (("affine", 1.0, 260), ("reciprocal", 2.0, 316)):
         sym, m = parse_phi_spec(spec), 256
         lam = 0.9 * sym.model_disc_radius(t) * np.exp(0.4j)
         f, e = random_step(rng, 0.0, 16 * t, 16 * m), indicator(0.0, t).subdivide(m)
         formed.clear(), summed.clear()
-        reproducing_check(sym, t, f, lam, e)
-        assert (formed, summed) == ([16], [16])
+        model_module._model_weights.cache_clear()
+        chk = reproducing_check(sym, t, f, lam, e)
+        assert (formed, summed) == ([], [])
+        assert model_module._model_weights(sym, t, m)._table[0].shape == (16, m)
+        assert_near_the_exact_sum(chk, sym, t, f, lam, e)
         assert kernel_preimage(sym, t, lam, e).hi == pytest.approx(count * t)
-        assert (formed, summed) == ([16, count], [16, count])
+        assert (formed, summed) == ([count], [count])
 
 
 def reference_model_map_table(sym, t, f):
@@ -1186,7 +1173,7 @@ def polynomials(draw, t):
 def test_evaluate_sums_the_coefficients_at_every_point(t, data, modulus, angle):
     p = data.draw(polynomials(t))
     z = modulus * np.exp(1j * angle)
-    g = model_module._evaluate(p, z)
+    g = model_module._evaluate(p.table, z)
     left = model_module._edges(t, p.table.shape[1])[:-1]
     terms = np.array([complex(z) ** n * c.values_at_left_edges(left) for n, c in enumerate(p.coeffs)]).reshape(-1, left.size)
     ref, scale = terms.sum(axis=0), np.abs(terms).sum(axis=0)
@@ -1198,7 +1185,7 @@ def test_evaluate_sums_the_coefficients_at_every_point(t, data, modulus, angle):
 @given(t=st.sampled_from([0.3, 1.0]), data=st.data())
 def test_evaluate_at_zero_is_the_constant_coefficient(t, data):
     p = data.draw(polynomials(t))
-    g = model_module._evaluate(p, 0.0)
+    g = model_module._evaluate(p.table, 0.0)
     left = model_module._edges(t, p.table.shape[1])[:-1]
     c0 = p.coeffs[0] if p.coeffs else zero()
     assert np.array_equal(g, c0.values_at_left_edges(left))
@@ -1207,7 +1194,7 @@ def test_evaluate_at_zero_is_the_constant_coefficient(t, data):
 @pytest.mark.parametrize("z", [0.0, 0.5 - 0.25j, 3.0])
 def test_evaluate_the_zero_polynomial_is_zero(z):
     for table in (np.zeros((0, 2)), np.zeros((2, 3)), [[0.0]]):
-        g = model_module._evaluate(EValuedPolynomial(0.5, table), z)
+        g = model_module._evaluate(EValuedPolynomial(0.5, table).table, z)
         assert np.array_equal(g, np.zeros(np.shape(table)[1]))
     # the finiteness check runs over the whole table
     with pytest.raises(ValueError):
@@ -1729,6 +1716,25 @@ def test_reproducing_rhs_falls_back_to_the_whole_preimage():
     assert chk.rhs != 0.0 and abs(chk.rhs - inner(f, whole)) <= 8 * EPS * abs(inner(f, whole))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e170])
+@pytest.mark.parametrize("spec", GOLDEN_SPECS)
+def test_reproducing_check_is_within_rounding_of_the_exact_sum(spec, scale):
+    # both sides are the finite sum over f's 16 blocks, to within the
+    # rounding bound of the exact sum over the same floats, for any scale of
+    # e and any lambda. At e x 1e-170 the right side once stopped where the
+    # preimage's tail rule, read against an absolute 1e-12, held: after 6
+    # of the 16 blocks, up to 60% off
+    sym = parse_phi_spec(spec)
+    rng = np.random.default_rng(31)
+    for t, m in ((1.0, 16), (0.3, 8)):
+        radius = sym.model_disc_radius(t) or 1.0
+        e = StepFunction(model_module._edges(t, m), rng.standard_normal(m) + 1j * rng.standard_normal(m)).scale(scale)
+        f = random_step(rng, 0.0, 16 * t, 16 * m)
+        for frac in (0.0, 0.3, 0.9, 0.93):
+            lam = frac * radius * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+            assert_near_the_exact_sum(reproducing_check(sym, t, f, lam, e), sym, t, f, lam, e)
+
+
 def test_model_results_are_read_only_and_the_coefficients_views():
     f = random_step(np.random.default_rng(6), 0.0, 3.0, 48)
     p = model_map(affine(), 1.0, f)
@@ -1860,28 +1866,27 @@ def test_reproducing_check_is_the_finite_sum_for_const(r):
 
 
 def test_reproducing_check_work_stays_capped():
-    # on |lambda| = 1 the norms of const:1 never shrink, so no tail bound
-    # holds: f on SERIES_CAP + 1 one-cell blocks is summed to its end, one
-    # block more raises at the cap, and at |lambda| = 1.5 the sum reaches a
-    # norm that is not finite before the cap
-    sym, t, cap = constant(1.0), 1.0, util_module.SERIES_CAP + 1
+    # the check's work is f's B blocks of m cells, and MAX_LATTICE_CELLS
+    # refuses an f past it before any table is built; no series cap is
+    # left. On |lambda| = 1 the preimage's norms of const:1 never shrink, so
+    # no tail bound holds: 10,002 one-cell blocks, one past the series cap,
+    # still return the finite sum; at |lambda| = 1.5, lambda^n leaves the
+    # floats from n = 1,751, and diff is not finite, with nothing raised
+    sym, t = constant(1.0), 1.0
     e = indicator(0.0, t)
-    rng = np.random.default_rng(22)
-    capped = (TailBoundNotAchievedError, f"no geometric tail below 1e-12 after {cap} terms (last estimate inf)")
-    for blocks, lam, want in (
-        (cap, np.exp(0.3j), None),
-        (cap + 1, np.exp(0.3j), capped),
-        (cap + 1, 1.5 * np.exp(0.3j), (NumericError, "term 1751 of the kernel preimage is not finite")),
-    ):
-        f = random_step(rng, 0.0, blocks * t, blocks)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # lambda^n overflows on the left side at |lambda| = 1.5
-            got = outcome(lambda: reproducing_check(sym, t, f, lam, e))
-        if want is None:
-            direct = complex(np.sum(np.power(lam, np.arange(blocks)) * f.values))
-            assert abs(got.lhs - direct) <= 1e-14 * abs(direct) and abs(got.rhs - direct) <= 1e-14 * abs(direct)
-        else:
-            assert got == want
+    blocks = util_module.SERIES_CAP + 2
+    f = random_step(np.random.default_rng(22), 0.0, blocks * t, blocks)
+    lam = np.exp(0.3j)
+    chk = reproducing_check(sym, t, f, lam, e)
+    direct = complex(np.sum(np.power(lam, np.arange(blocks)) * f.values))
+    assert abs(chk.lhs - direct) <= 1e-14 * abs(direct) and abs(chk.rhs - direct) <= 1e-14 * abs(direct)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # lambda^n overflows on both sides
+        chk = reproducing_check(sym, t, f, 1.5 * lam, e)
+    assert not np.isfinite(chk.diff)
+    past = indicator(0.0, model_module.MAX_LATTICE_CELLS + 1.0)
+    with pytest.raises(LatticeError, match=f"past {model_module.MAX_LATTICE_CELLS}$"):
+        reproducing_check(sym, t, past, lam, e)
 
 
 def test_adjoint_eigenvector_relation_through_model():

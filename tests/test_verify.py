@@ -1,6 +1,6 @@
 import pytest
 
-from wtsemigroup import RunConfig, all_passed, parse_phi_spec, run_verify
+from wtsemigroup import DEFAULT_TOLERANCES, RunConfig, all_passed, parse_phi_spec, run_verify
 
 
 def names(results):
@@ -95,4 +95,43 @@ def test_run_config_refuses_a_tolerance_that_is_not_a_nonnegative_finite_number(
     # has no JSON form; the CLI refuses both with the same words
     with pytest.raises(ValueError, match="^tolerance reproducing must be a nonnegative finite number$"):
         RunConfig(phi="const:1", tol={"reproducing": value})
-    assert RunConfig(phi="const:1", tol={"reproducing": 0.0}).tol == {"reproducing": 0.0}
+    assert RunConfig(phi="const:1", tol={"reproducing": 0.0}).tol == {**DEFAULT_TOLERANCES, "reproducing": 0.0}
+
+
+def test_run_config_merges_its_tolerances_over_the_defaults():
+    # a partial dict ran until verify read a name it lacks (KeyError:
+    # 'semigroup_law'); the given values now override the defaults
+    cfg = RunConfig(phi="affine", tol={"reproducing": 1e-6})
+    assert cfg.tol == DEFAULT_TOLERANCES
+    results = run_verify(parse_phi_spec("affine"), cfg)
+    assert names(results) == names(run_verify(parse_phi_spec("affine"), RunConfig(phi="affine")))
+    assert all_passed(results)
+    assert RunConfig(tol={"reproducing": 1e-7}).tol == {**DEFAULT_TOLERANCES, "reproducing": 1e-7}
+    assert RunConfig().tol == DEFAULT_TOLERANCES
+
+
+@pytest.mark.parametrize(
+    "tol, message",
+    [
+        ({"reproducing": "1e-6"}, "^tolerance reproducing: '1e-6' is not a number$"),
+        ({"reproducing": None}, "^tolerance reproducing: None is not a number$"),
+        ({"bogus": 1e-6}, r"^unknown tolerance 'bogus'; known: \['adjoint_eigenvector', "),
+        ({"bogus": "x"}, "^unknown tolerance 'bogus'"),  # the name is refused first, as on the command line
+    ],
+    ids=["text", "None", "unknown", "unknown text"],
+)
+def test_run_config_refuses_unknown_names_and_values_that_are_not_numbers(tol, message):
+    # a string failed later in verify's comparison, with a TypeError
+    with pytest.raises(ValueError, match=message):
+        RunConfig(phi="const:1", tol=tol)
+
+
+def test_run_config_tolerances_are_read_only():
+    # a tolerance written after the check would reach run_verify unchecked:
+    # a NaN one failed the reproducing row with a residual of 4.67e-18
+    cfg = RunConfig(phi="affine")
+    with pytest.raises(TypeError):
+        cfg.tol["reproducing"] = float("nan")
+    with pytest.raises(TypeError):
+        del cfg.tol["reproducing"]
+    assert cfg.tol["reproducing"] == DEFAULT_TOLERANCES["reproducing"]

@@ -188,8 +188,11 @@ def classify(
     or every order above N ruled out: a probe value |delta_n| > TOL_CLASS
     rules order n out, since max |delta_n| is finite whenever there are
     probes. Rows past N keep NaN extrema and fail every test, which changes
-    no label, since each test's first failure is at or below N.
+    no label, since each test's first failure is at or below N. An order
+    below 1 leaves no row to read, and is refused.
     """
+    if max_order < 1:
+        raise ValueError(f"classify needs max_order >= 1, got {max_order!r}")
     x_max = window(t, x_max)
     grid = _sample_grid(symbol, t, max_order, x_max)
     rows, probe = _bracket_rows(symbol, t, max_order, grid)

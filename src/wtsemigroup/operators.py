@@ -60,21 +60,22 @@ class LeftInvertibilityCheck:
 
 @functools.lru_cache(maxsize=256)
 def check_left_invertible(symbol: Symbol, t: float, x_max: float) -> LeftInvertibilityCheck:
-    """Estimate inf over [0, x_max] of phi(x+t)/phi(x) and compare to EPS_INV.
+    """Estimate inf over [0, x_max] of phi(x+t)/phi(x) and compare to EPS_INV:
+    a one-row search for the sup of the negated ratio.
 
     Memoized on (symbol, t, x_max): symbols are frozen and hashable, and the
     result is frozen, so every caller may share it.
     """
     check_step(t)
-    ratio = lambda x: phi_ratio(symbol, x, t, 0)
+    negated = lambda x: -phi_ratio(symbol, x, t, 0)
 
     def sample(grid):
-        r = ratio(grid)
-        i = r.argmin()
+        r = negated(grid)
+        i = r.argmax()
         return [i], [r[i]]
 
-    inf_est, arg_inf, _ = sample_then_refine(sample, ratio, 0, x_max)[0]
-    return LeftInvertibilityCheck(inf_est > EPS_INV, inf_est, arg_inf)
+    sup, arg_inf, _ = sample_then_refine(sample, negated, x_max)[0]
+    return LeftInvertibilityCheck(-sup > EPS_INV, -sup, arg_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +154,16 @@ def _weight_extrema(symbol: Symbol, t: float, ns, x_max: float, fits, checked) -
     floats. Each row is reduced on r, the root taken at the chosen sample
     only (util.root_extreme). Once the grid is sampled, each kind in
     checked is built with make_operator (left invertibility for the dual
-    kinds); then one lockstep search refines every (fit, n) lane.
+    kinds); then one lockstep search maximises every (fit, n) lane, an
+    inf lane on the negated weight.
     """
     if not ns or min(ns) < 1:
         raise ValueError("n must be >= 1")
     nt = np.asarray(ns) * t  # the floats n * t, one per n
-    # lanes: the fits' rows, a block of len(ns) per fit, the max fits first
-    order = sorted(range(len(fits)), key=lambda i: fits[i][1] != "max")
-    lane_fits = [fits[i] for i in order]
-    maxima = sum(mode == "max" for _, mode in fits) * nt.size
-    shifted = np.array([kind in _NUM_SHIFTED for kind, _ in lane_fits])
-    reads = set(shifted.tolist())  # the ratios r the fits read: up (True), down (False)
+    # lanes: the fits' rows, a block of len(ns) per fit, in the order of fits
+    maxes = [mode == "max" for _, mode in fits]
+    shifted = [kind in _NUM_SHIFTED for kind, _ in fits]
+    reads = set(shifted)  # the ratios r the fits read: up (True), down (False)
 
     def sample(grid):
         best = np.empty((len(fits), nt.size), dtype=np.intp)
@@ -183,10 +183,10 @@ def _weight_extrema(symbol: Symbol, t: float, ns, x_max: float, fits, checked) -
                 if not (r[bottom] > 0 and r[top] < np.inf):
                     eval_phi(symbol, grid + shift)  # raises, unless only the ratio left the floats
                 rows[up] = r, top, bottom
-            for lane, ((_, mode), up) in enumerate(zip(lane_fits, shifted)):
+            for lane, (is_max, up) in enumerate(zip(maxes, shifted)):
                 r, top, bottom = rows[up]
-                is_max = mode == "max"
-                best[lane, n], best_vals[lane, n] = root_extreme(r, top if is_max else bottom, is_max)
+                i, root = root_extreme(r, top if is_max else bottom, is_max)
+                best[lane, n], best_vals[lane, n] = i, root if is_max else -root
         for kind in checked:
             make_operator(symbol, t, kind, x_max=x_max)
         return best.ravel(), best_vals.ravel()
@@ -196,13 +196,12 @@ def _weight_extrema(symbol: Symbol, t: float, ns, x_max: float, fits, checked) -
     lane_nt = np.tile(nt, len(fits))
     lane_shifted = np.repeat(shifted, nt.size)
     shifts = np.stack([np.where(lane_shifted, lane_nt, 0.0), np.where(lane_shifted, 0.0, lane_nt)])[:, :, None]
-    # first_order[n * len(fits) + i] is the lane of fit i at the n-th shift:
-    # a refusal is raised from the table (2, points, lanes in that order),
-    # so the first refused point is the one that one eval_phi per zoom level
-    # on that table meets first, a numerator's before any denominator's, as
-    # phi_ratio does
-    place = np.argsort(order)
-    first_order = (np.arange(nt.size)[:, None] + nt.size * place[None, :]).ravel()
+    sign = np.repeat(np.where(maxes, 1.0, -1.0), nt.size)[:, None]
+    # the lanes in (n, fit) order: a refusal is raised from the table
+    # (2, points, lanes in that order), so the first refused point is the
+    # one that one eval_phi per zoom level on that table meets first, a
+    # numerator's before any denominator's, as phi_ratio does
+    first_order = np.arange(lane_nt.size).reshape(len(fits), nt.size).T.ravel()
 
     def refine(y):
         pts = y + shifts
@@ -210,7 +209,8 @@ def _weight_extrema(symbol: Symbol, t: float, ns, x_max: float, fits, checked) -
         if not (np.minimum.reduce(vals, None) > 0 and np.maximum.reduce(vals, None) < np.inf):
             eval_phi(symbol, pts[:, first_order].transpose(0, 2, 1))
         num, den = vals
-        return np.sqrt(num / den)
+        return np.sqrt(num / den) * sign
 
-    found = [ExtremumEstimate(*est) for est in sample_then_refine(sample, refine, maxima, x_max)]
-    return [found[p * nt.size : (p + 1) * nt.size] for p in place]
+    found = sample_then_refine(sample, refine, x_max)
+    blocks = (found[p * nt.size : (p + 1) * nt.size] for p in range(len(fits)))
+    return [[ExtremumEstimate(v if is_max else -v, a, e) for v, a, e in block] for is_max, block in zip(maxes, blocks)]

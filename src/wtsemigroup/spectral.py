@@ -19,7 +19,7 @@ from .model import kernel_preimage
 from .operators import OperatorHandle, _weight_extrema, apply, make_operator
 from .stepfun import StepFunction, norm
 from .symbols import Symbol
-from .util import window
+from .util import check_step, window
 
 FIT_RESIDUAL_MAX = 0.05  # a tail fit with a larger log residual is flagged non_convergent
 MAX_FIT_ORDER = 1024  # largest n_max the command line fits, 32 times the default
@@ -70,28 +70,35 @@ def _fit_radius(ests) -> RadiusEstimate:
     )
 
 
-def _check_n_max(n_max: int):
+def _tail_fits(symbol: Symbol, t: float, n_max: int, x_max: float, fits, checked, checked_first=()):
+    """Tail fits of each (kind, mode) in fits over n = 1..n_max on [0, x_max]:
+    ||kind_t^n|| for "max", m(kind_t^n) for "min". t and n_max are refused
+    before any phi is evaluated; each kind in checked_first is built with
+    make_operator before the grid is sampled, each in checked once it is."""
+    check_step(t)
     if n_max < 2:
         raise ValueError("need n_max >= 2 for the tail fit")
+    for kind in checked_first:
+        make_operator(symbol, t, kind, x_max=x_max)
+    extrema = _weight_extrema(symbol, t, range(1, n_max + 1), x_max, fits, checked)
+    names = (f"||{kind}_t^n||" if mode == "max" else f"m({kind}_t^n)" for kind, mode in fits)
+    return [_fit_radius(_measured(ests, name)) for ests, name in zip(extrema, names)]
 
 
 def spectral_radius(op: OperatorHandle, n_max: int, x_max: float) -> RadiusEstimate:
     """r(op) from the norm sequence; diagnostics flag slow or window-biased fits."""
-    _check_n_max(n_max)
-    ests = _weight_extrema(op.symbol, op.t, range(1, n_max + 1), x_max, [(op.kind, "max")], [op.kind])
-    return _fit_radius(_measured(ests[0], f"||{op.kind}_t^n||"))
+    return _tail_fits(op.symbol, op.t, n_max, x_max, [(op.kind, "max")], [op.kind])[0]
 
 
 def model_disc_radius(symbol: Symbol, t: float, n_max: int, x_max: float) -> float:
     """The model disc radius 1/r(L_t) = r_1(S_t): exact for the built-in
-    symbols, else the tail fit of m(S_t^n) = 1/||L_t^n|| over n = 1..n_max
-    on [0, x_max], the r_1 of spectral_summary to the bit."""
+    symbols, at any n_max, else the tail fit of m(S_t^n) = 1/||L_t^n|| over
+    n = 1..n_max on [0, x_max], the r_1 of spectral_summary to the bit. L_t
+    is checked before the grid is sampled."""
     exact = symbol.model_disc_radius(t)
     if exact is not None:
         return exact
-    make_operator(symbol, t, "L", x_max=x_max)
-    ests = _weight_extrema(symbol, t, range(1, n_max + 1), x_max, [("S", "min")], [])[0]
-    return _fit_radius(_measured(ests, "m(S_t^n)")).estimate
+    return _tail_fits(symbol, t, n_max, x_max, [("S", "min")], [], checked_first=["L"])[0].estimate
 
 
 @dataclass(frozen=True)
@@ -126,10 +133,7 @@ def spectral_summary(
     L_t is checked once the grid is sampled.
     """
     x_max = window(t, x_max)
-    make_operator(symbol, t, "S")  # refuses t <= 0 before any phi is evaluated
-    _check_n_max(n_max)
-    extrema = _weight_extrema(symbol, t, range(1, n_max + 1), x_max, SUMMARY_FITS, ["L"])
-    fit_r, fit_r1 = (_fit_radius(_measured(ests, name)) for ests, name in zip(extrema, ("||S_t^n||", "m(S_t^n)")))
+    fit_r, fit_r1 = _tail_fits(symbol, t, n_max, x_max, SUMMARY_FITS, ["L"])
     note = None
     if symbol.closed_form == "scaled_szego":
         a = symbol.growth

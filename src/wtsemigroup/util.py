@@ -52,17 +52,17 @@ def root_extreme(r: np.ndarray, i: int, is_max: bool) -> tuple[int, float]:
     return i, root
 
 
-def _zoom(fn, lo, hi, value, arg, maxima: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep zoom for the maxima of fn on the brackets [lo_i, hi_i] of the
-    first maxima lanes and the minima on the others, starting from the
-    values value_i attained at arg_i.
+def _zoom(fn, lo, hi, value, arg) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep zoom for the maxima of fn on the brackets [lo_i, hi_i],
+    starting from the values value_i attained at arg_i; an inf is the sup of
+    -fn, since argmax(-v) is argmin(v), NaN included, and negation is exact.
 
     fn maps a (lanes, ZOOM_POINTS + 1) array of points, lane i in row i, to
     their values. Each of ZOOM_LEVELS levels evaluates ZOOM_POINTS + 1
     evenly spaced points across every bracket, clipped to it, and keeps the
-    neighbours of the lane's best point (the first, on ties) as its next
+    neighbours of the lane's largest point (the first, on ties) as its next
     bracket; a point replaces the running best only if its value is
-    strictly better. Returns (args, values) per lane.
+    strictly larger. Returns (args, values) per lane.
     """
     at = np.arange(value.size) * (ZOOM_POINTS + 1)  # flat index of each lane's first point
     k = np.empty(value.size, dtype=np.intp)
@@ -71,37 +71,35 @@ def _zoom(fn, lo, hi, value, arg, maxima: int) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(ZOOM_LEVELS):
         y = np.minimum(lo + _ZOOM_STEPS * (hi - lo), hi)
         vals = fn(y)
-        vals[:maxima].argmax(axis=1, out=k[:maxima])
-        vals[maxima:].argmin(axis=1, out=k[maxima:])
+        vals.argmax(axis=1, out=k)
         best = at + k
         got = vals.take(best)
-        np.greater(got[:maxima], value[:maxima], out=better[:maxima])
-        np.less(got[maxima:], value[maxima:], out=better[maxima:])
+        np.greater(got, value, out=better)
         value, arg = np.where(better, got, value), np.where(better, y.take(best), arg)
         lo = y.take(at + np.maximum(k - 1, 0))[:, None]
         hi = y.take(at + np.minimum(k + 1, ZOOM_POINTS))[:, None]
     return arg, value
 
 
-def sample_then_refine(sample, refine, maxima: int, x_max: float) -> list[tuple[float, float, bool]]:
-    """Sup on [0, x_max] of the first maxima of several functions (rows), and
-    inf of the others.
+def sample_then_refine(sample, refine, x_max: float) -> list[tuple[float, float, bool]]:
+    """Sup on [0, x_max] of several functions (rows); a caller after an inf
+    hands in the negated row and negates the sup it gets back.
 
-    sample(grid) returns, for every row, the index of its best sample on a
-    uniform grid (the first, on ties) and the value there, as two sequences;
-    it reduces each row as it draws it. refine(y) evaluates row i at the
-    points y[i] for every row at once. All rows are then refined together
-    by one lockstep zoom between the neighbours of their best samples; the
-    grid value wins ties, so no result falls behind its grid. Returns
-    (value, arg, at_edge) per row, where at_edge flags a best sample at the
-    far edge x = x_max.
+    sample(grid) returns, for every row, the index of its largest sample on
+    a uniform grid (the first, on ties) and the value there, as two
+    sequences; it reduces each row as it draws it. refine(y) evaluates row i
+    at the points y[i] for every row at once. All rows are then refined
+    together by one lockstep zoom between the neighbours of their best
+    samples; the grid value wins ties, so no result falls behind its grid.
+    Returns (value, arg, at_edge) per row, where at_edge flags a best sample
+    at the far edge x = x_max.
     """
     grid = np.linspace(0.0, x_max, SAMPLES)
     best, best_vals = sample(grid)
     best = np.asarray(best, dtype=np.intp)
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, SAMPLES - 1)]
-    arg, value = _zoom(refine, lo, hi, np.asarray(best_vals, dtype=float), grid[best], maxima)
+    arg, value = _zoom(refine, lo, hi, np.asarray(best_vals, dtype=float), grid[best])
     return list(zip(value.tolist(), arg.tolist(), (best == SAMPLES - 1).tolist()))
 
 

@@ -27,7 +27,7 @@ from wtsemigroup.classify import (
 )
 from wtsemigroup.operators import OperatorHandle, apply_power
 from wtsemigroup.stepfun import norm_sq
-from wtsemigroup.symbols import eval_phi
+from wtsemigroup.symbols import Symbol, eval_phi
 from wtsemigroup.util import window
 
 # the package exports the function classify under the module's name
@@ -506,3 +506,17 @@ def test_bracket_agreement_keeps_the_per_order_bytes(spec):
         got = max(abs(forms[n] - integrals[n]) for n in range(1, 7))
         want = _reference_agreement(symbol, t, f)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("max_order", [0, -1])
+@pytest.mark.parametrize("spec", ["exp:a=2", "reciprocal"])
+def test_an_order_below_one_is_refused_before_any_phi(monkeypatch, spec, max_order):
+    # an order below 1 reads no delta_n with n >= 1, so no label has evidence
+    calls = []
+    values = Symbol.values
+    monkeypatch.setattr(Symbol, "values", lambda self, x: calls.append(x) or values(self, x))
+    with pytest.raises(ValueError, match=r"^classify needs max_order >= 1, got -?\d+$"):
+        classify(parse_phi_spec(spec), 1.0, max_order=max_order)
+    assert calls == []
+    # delta_0 = 1 stays a bracket
+    assert bracket(parse_phi_spec(spec), 1.0, 0, 0.5) == 1.0

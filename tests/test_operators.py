@@ -289,12 +289,11 @@ def _weight_extrema_two_calls(symbol, t, ns, x_max, fits, checked, numerator_fir
     """_weight_extrema with every grid row through eval_phi and its roots,
     and two eval_phi calls per zoom level on the point-major table of the
     (n, fit) lanes, the numerator's first as in phi_ratio, or else the
-    denominator's."""
+    denominator's. sample_then_refine maximises: an inf lane zooms on the
+    negated roots, and its estimate is negated back."""
     nt = np.asarray(ns) * t
     shifted = np.array([kind in _NUM_SHIFTED for kind, _ in fits])
-    # sample_then_refine takes the max rows first: lane place[i] * len(ns) + n is fit i at the n-th shift
-    place = np.argsort(sorted(range(len(fits)), key=lambda i: fits[i][1] != "max"))
-    maxima = sum(mode == "max" for _, mode in fits) * nt.size
+    signs = [1.0 if mode == "max" else -1.0 for _, mode in fits]
 
     def sample(grid):
         best = np.empty((len(fits), nt.size), dtype=int)
@@ -306,10 +305,10 @@ def _weight_extrema_two_calls(symbol, t, ns, x_max, fits, checked, numerator_fir
                 p0 = eval_phi(symbol, grid)
             up = np.sqrt(pn / p0) if shifted.any() else None
             down = None if shifted.all() else np.sqrt(p0 / pn)
-            for i, ((_, mode), s) in enumerate(zip(fits, shifted)):
+            for i, ((_, mode), s, sign) in enumerate(zip(fits, shifted, signs)):
                 vals = up if s else down
                 j = np.argmax(vals) if mode == "max" else np.argmin(vals)
-                best[place[i], n], best_vals[place[i], n] = j, vals[j]
+                best[i, n], best_vals[i, n] = j, sign * vals[j]
         for kind in checked:
             make_operator(symbol, t, kind, x_max=x_max)
         return best.ravel(), best_vals.ravel()
@@ -319,7 +318,8 @@ def _weight_extrema_two_calls(symbol, t, ns, x_max, fits, checked, numerator_fir
     lane_shifted = np.tile(shifted, nt.size)
     num = np.where(lane_shifted, lane_nt, 0.0)
     den = np.where(lane_shifted, 0.0, lane_nt)
-    table = (np.arange(nt.size)[:, None] + nt.size * place[None, :]).ravel()  # its lanes among the rows
+    table = (np.arange(nt.size)[:, None] + nt.size * np.arange(len(fits))[None, :]).ravel()  # its lanes among the rows
+    lane_signs = np.repeat(signs, nt.size)[:, None]
 
     def refine(y):
         y = y[table].T
@@ -330,10 +330,11 @@ def _weight_extrema_two_calls(symbol, t, ns, x_max, fits, checked, numerator_fir
             vals = np.sqrt(eval_phi(symbol, y + num) / below)
         rows = np.empty_like(vals.T)
         rows[table] = vals.T
-        return rows
+        return lane_signs * rows
 
-    found = sample_then_refine(sample, refine, maxima, x_max)
-    return [[ExtremumEstimate(*est) for est in found[p * nt.size : (p + 1) * nt.size]] for p in place]
+    found = sample_then_refine(sample, refine, x_max)
+    blocks = [found[i * nt.size : (i + 1) * nt.size] for i in range(len(fits))]
+    return [[ExtremumEstimate(sign * v, a, e) for v, a, e in block] for sign, block in zip(signs, blocks)]
 
 
 def _extrema_outcome(fn):
@@ -355,6 +356,22 @@ def test_weight_extrema_equals_two_phi_ratio_calls(spec, t):
     sym = parse_phi_spec(spec)
     args = (sym, t, range(1, 33), window(t, None), SUMMARY_FITS + (("L", "max"),), ["L"])
     assert _extrema_outcome(lambda: _weight_extrema(*args)) == _extrema_outcome(lambda: _weight_extrema_two_calls(*args))
+
+
+@pytest.mark.parametrize("t", [0.25, 1 / 3, 1.0])
+@pytest.mark.parametrize(
+    "spec", ["const:1", "affine", "reciprocal", "cap", "exp:a=2", "exp2x", "expr:x+1", "expr:x^2+1"]
+)
+def test_weight_extrema_of_a_fit_do_not_depend_on_the_order_of_fits(spec, t):
+    # every lane maximises, a sup lane on the weight and an inf lane on its
+    # negation, so a fit's estimates are the same floats wherever it stands
+    sym = parse_phi_spec(spec)
+    fits = SUMMARY_FITS + (("L", "max"),)
+    per_fit = []
+    for order in (fits, fits[::-1], (("S", "min"), ("L", "max"), ("S", "max"))):
+        extrema = _weight_extrema(sym, t, range(1, 33), window(t, None), order, ["L"])
+        per_fit.append({fit: repr(ests) for fit, ests in zip(order, extrema)})
+    assert per_fit[0] == per_fit[1] == per_fit[2]
 
 
 @pytest.mark.parametrize("t", [0.25, 1 / 3, 1.0])

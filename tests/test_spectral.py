@@ -26,8 +26,9 @@ from wtsemigroup import (
     verify_circular_symmetry,
 )
 from wtsemigroup.errors import NonPositiveSymbolError, NotLeftInvertibleError, TailBoundNotAchievedError
-from wtsemigroup.operators import ExtremumEstimate, _weight_extrema, phi_ratio
+from wtsemigroup.operators import ExtremumEstimate, _weight_extrema, check_left_invertible, phi_ratio
 from wtsemigroup.spectral import SUMMARY_FITS, _fit_radius
+from wtsemigroup.symbols import Symbol
 import wtsemigroup.util as util_module
 from wtsemigroup.util import SAMPLES, TAIL_STREAK, _zoom, window
 
@@ -69,9 +70,9 @@ def _reference_extrema(op, n_max, x_max, mode):
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, SAMPLES - 1)]
     if mode == "max":
-        arg, value = _zoom(lambda y: fn(y, lanes), lo, hi, best_vals, grid[best], n_max)
+        arg, value = _zoom(lambda y: fn(y, lanes), lo, hi, best_vals, grid[best])
     else:
-        arg, neg = _zoom(lambda y: -fn(y, lanes), lo, hi, -best_vals, grid[best], n_max)
+        arg, neg = _zoom(lambda y: -fn(y, lanes), lo, hi, -best_vals, grid[best])
         value = -neg
     return [ExtremumEstimate(*est) for est in zip(value.tolist(), arg.tolist(), (best == SAMPLES - 1).tolist())]
 
@@ -185,6 +186,22 @@ def test_model_disc_radius_fitted_matches_summary():
     assert sym.model_disc_radius(1.0) is None
     summary = spectral_summary(sym, 1.0)
     assert model_disc_radius(sym, 1.0, 32, 64.0) == summary.model_disc_radius == summary.r1
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_model_disc_radius_refuses_a_one_point_fit_before_any_phi(monkeypatch, n_max):
+    # one point fixes no tail line: refused as its siblings refuse it, before
+    # the left invertibility check evaluates phi
+    sym = parse_phi_spec("expr:x+1")
+    check_left_invertible.cache_clear()
+    calls = []
+    values = Symbol.values
+    monkeypatch.setattr(Symbol, "values", lambda self, x: calls.append(x) or values(self, x))
+    with pytest.raises(ValueError, match=r"^need n_max >= 2 for the tail fit$"):
+        model_disc_radius(sym, 1.0, n_max, 64.0)
+    assert calls == []
+    # a built-in's radius is exact, whatever n_max
+    assert model_disc_radius(affine(), 1.0, n_max, 64.0) == affine().model_disc_radius(1.0)
 
 
 def test_radius_constant_symbol():

@@ -96,7 +96,7 @@ def test_zoom_lockstep_equals_scalar(lanes):
     # differently (round(np.float64(-0.05), 1) is -0.0, round(-0.05, 1) is -0.1)
     fn = lambda ys: np.array([[obj(float(y)) for y in row] for obj, row in zip(objectives, ys)])
     lo, hi, value = (np.array([lane[j] for lane in lanes]) for j in range(3))
-    args, values = _zoom(fn, lo, hi, value, lo, len(lanes))
+    args, values = _zoom(fn, lo, hi, value, lo)
     for i, (lo_i, hi_i, value_i, obj) in enumerate(lanes):
         arg, best = _zoom_scalar(obj, lo_i, hi_i, value_i, lo_i)
         assert args[i] == arg
@@ -105,9 +105,9 @@ def test_zoom_lockstep_equals_scalar(lanes):
             assert lo_i <= args[i] <= hi_i
 
 
-def _best_samples(rows, modes):
-    """The first best sample of each row, and its value: what a sampler returns."""
-    best = [int(np.argmax(vals) if mode == "max" else np.argmin(vals)) for vals, mode in zip(rows, modes)]
+def _best_samples(rows):
+    """The first largest sample of each row, and its value: what a sampler returns."""
+    best = [int(np.argmax(vals)) for vals in rows]
     return best, [vals[i] for vals, i in zip(rows, best)]
 
 
@@ -151,36 +151,38 @@ def test_root_extreme_is_the_roots_argmax(r, is_max):
 @pytest.mark.parametrize("mode", ["max", "min"])
 @pytest.mark.parametrize("spec,t", [("cap", 0.25), ("exp:a=2", 0.5), ("expr:x^2+1", 1.0)])
 def test_sample_then_refine_rows_equal_scalar(spec, t, mode):
+    # an inf row is searched as the sup of the negated row
     symbol = parse_phi_spec(spec)
     shifts = np.array([1, 2, 5]) * t
-    fn = lambda x, row: np.sqrt(phi_ratio(symbol, x, 0.0, shifts[row]))
+    sign = 1.0 if mode == "max" else -1.0
+    fn = lambda x, row: sign * np.sqrt(phi_ratio(symbol, x, 0.0, shifts[row]))
     lanes = np.arange(len(shifts))
-    sample = lambda grid: _best_samples([fn(grid, row) for row in lanes], [mode] * len(shifts))
-    maxima = len(shifts) if mode == "max" else 0
-    rows = sample_then_refine(sample, lambda y: fn(y, lanes[:, None]), maxima, 64.0 * t)
-    for row, shift in enumerate(shifts):
+    sample = lambda grid: _best_samples([fn(grid, row) for row in lanes])
+    rows = sample_then_refine(sample, lambda y: fn(y, lanes[:, None]), 64.0 * t)
+    for (value, arg, at_edge), shift in zip(rows, shifts):
         ref = _sample_then_refine_scalar(lambda x: np.sqrt(phi_ratio(symbol, x, 0.0, shift)), 64.0 * t, mode)
-        assert rows[row] == ref
+        assert (sign * value, arg, at_edge) == ref
 
 
 @pytest.mark.parametrize("spec,t", [("cap", 0.25), ("affine", 1.0), ("expr:x^2+1", 1.0)])
 def test_sample_then_refine_mode_per_row_equals_scalar(spec, t):
-    # one sampled array serves a max row and a min row; each row is still
-    # the one-function search in its own mode
+    # one sampled array serves a max row and a negated min row; each row is
+    # still the one-function search in its own mode
     symbol = parse_phi_spec(spec)
     shifts = np.array([1, 3, 1, 3, 2]) * t
     modes = ["max", "max", "min", "min", "min"]
+    signs = [1.0 if mode == "max" else -1.0 for mode in modes]
     lanes = np.arange(len(shifts))
     fn = lambda x, row: np.sqrt(phi_ratio(symbol, x, shifts[row], 0.0))
 
     def sample(grid):
         drawn = {shifts[row]: fn(grid, row) for row in (0, 1, 4)}
-        return _best_samples([drawn[shift] for shift in shifts], modes)
+        return _best_samples([sign * drawn[shift] for shift, sign in zip(shifts, signs)])
 
-    rows = sample_then_refine(sample, lambda y: fn(y, lanes[:, None]), 2, 64.0 * t)
-    for row, (shift, mode) in enumerate(zip(shifts, modes)):
+    rows = sample_then_refine(sample, lambda y: np.array(signs)[:, None] * fn(y, lanes[:, None]), 64.0 * t)
+    for (value, arg, at_edge), shift, mode, sign in zip(rows, shifts, modes, signs):
         ref = _sample_then_refine_scalar(lambda x: np.sqrt(phi_ratio(symbol, x, shift, 0.0)), 64.0 * t, mode)
-        assert rows[row] == ref
+        assert (sign * value, arg, at_edge) == ref
 
 
 def test_left_invertibility_check_equals_scalar():

@@ -62,7 +62,8 @@ COMMANDS = (
 # [0, 64], which a later grid row of the sampling refuses; and a constant
 # phi, on which every sample of every row ties; last, the reproducing row
 # on a non-dyadic lattice of 2^x, whose preimage series, summed whole, runs
-# to 30 terms, past f's 8 blocks
+# to 30 terms, past f's 8 blocks; last, the two CSV writers, which no
+# other command line here runs
 EDGES = (
     ("kernel", "--phi", "exp2x", "--t", "1", "--z", "2.5552", "--lambda", "2.718281828"),
     ("spectrum", "--phi", "expr:3-x"),
@@ -87,6 +88,8 @@ EDGES = (
     ("spectrum", "--phi", "expr:70-x", "--t", "1"),
     ("spectrum", "--phi", "const:1", "--t", "1", "--nmax", "128"),
     ("verify", "--phi", "exp:a=2", "--t", "0.3"),
+    ("kernel", "--phi", "expr:x^2+1", "--t", "1", "--z-grid", "unit:64", "--lambda=0.6,0.2", "--x", "0.3", "--format", "csv"),
+    ("spectrum", "--phi", "exp2x", "--t", "1", "--format", "csv"),
 )
 # each run twice in a row, the second run on the tables the first left
 # cached: every weight table; the kernel column that stops before x = 355;

@@ -27,12 +27,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .operators import OperatorHandle, apply_power
+from .operators import OperatorHandle, RatioRows, apply_power
 from .stepfun import StepFunction, norm_sq
-from .symbols import Symbol, eval_phi
+from .symbols import Symbol
 from .util import window
 
-MAX_ORDER = 64  # highest bracket order that _ratio_table computes
+MAX_ORDER = 64  # highest bracket order
 CLASS_SAMPLES = 4096  # uniform grid points of the sign analysis, before kink clusters
 TOL_CLASS = 1e-9  # zero band of delta_n, relative to max(1, max |delta_n|) on the grid
 
@@ -42,19 +42,6 @@ _SIGNED_BINOMIALS = tuple(
 )
 # the same floats as a lower-triangular table: column k holds (-1)^k C(n, k) at row n >= k
 _BINOMIAL_COLUMNS = np.array([row + (0.0,) * (MAX_ORDER - n) for n, row in enumerate(_SIGNED_BINOMIALS)])
-
-
-def _ratio_table(symbol: Symbol, t: float, n_max: int, grid: np.ndarray) -> np.ndarray:
-    """Row k holds phi(grid + k t) / phi(grid), k = 0..n_max."""
-    if n_max < 0:
-        raise ValueError("order must be nonnegative")
-    if n_max > MAX_ORDER:
-        raise OverflowError(f"bracket order capped at {MAX_ORDER}")
-    table = np.empty((n_max + 1, *grid.shape), dtype=float)
-    base = eval_phi(symbol, grid)
-    for k, row in enumerate(table):
-        np.divide(eval_phi(symbol, grid + k * t), base, out=row)
-    return table
 
 
 def _fold(ratios: np.ndarray, n: int, acc: np.ndarray, term: np.ndarray) -> np.ndarray:
@@ -81,20 +68,32 @@ def _probe(ratios: np.ndarray) -> np.ndarray | None:
     return probes
 
 
+def _check_order(n_max: int):
+    """Refuse a bracket order below 0 or past MAX_ORDER."""
+    if n_max < 0:
+        raise ValueError("order must be nonnegative")
+    if n_max > MAX_ORDER:
+        raise OverflowError(f"bracket order capped at {MAX_ORDER}")
+
+
 def _bracket_rows(symbol: Symbol, t: float, n_max: int, grid: np.ndarray):
     """delta_n(grid) for n = 0, 1, ..., n_max, each folded into one scratch row
     that the next overwrites, and a callable that returns _probe's columns.
-    Every phi(x + k t) is evaluated before the first row is made."""
-    ratios = _ratio_table(symbol, t, n_max, grid)
+    Every phi(x + k t) is read, as one RatioRows block, before the first row."""
+    _check_order(n_max)
+    ratios = RatioRows(symbol, t, grid).full(n_max + 1)  # row k: phi(grid + k t) / phi(grid)
     acc, term = np.empty(grid.shape), np.empty(grid.shape)
     rows = (_fold(ratios, n, acc, term) for n in range(n_max + 1))
     return rows, lambda: _probe(ratios)
 
 
 def bracket(symbol: Symbol, t: float, n: int, x) -> float | np.ndarray:
-    """delta_n(x): exact finite alternating sum; binomials in integer arithmetic."""
+    """delta_n(x): the finite alternating sum, in float64. The binomials are
+    exact, but the rounding grows like 2^n eps max ratio: bracket(reciprocal,
+    1, 64, 0.0) reads 9.5385, against the exact 1/65 (ROADMAP item 1)."""
     grid = np.atleast_1d(np.asarray(x, dtype=float))
-    ratios = _ratio_table(symbol, t, n, grid)
+    _check_order(n)
+    ratios = RatioRows(symbol, t, grid).full(n + 1)
     total = _fold(ratios, n, np.empty(grid.shape), np.empty(grid.shape))
     if np.ndim(x) == 0:
         return float(total[0])

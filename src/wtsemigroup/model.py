@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LatticeError, NoClosedFormError, NonPositiveSymbolError, NumericError, OutsideConvergenceDomainError
-from .operators import make_operator, phi_ratio
+from .errors import LatticeError, NoClosedFormError, NumericError, OutsideConvergenceDomainError
+from .operators import RatioRows, make_operator, phi_ratio
 from .stepfun import StepFunction, _trimmed, norm_sq, zero
-from .symbols import Symbol, eval_phi
+from .symbols import Symbol
 from .util import SERIES_CAP, check_step, gauss5_cells, sum_series
 
 DOMAIN_MARGIN = 0.05  # kernel series run only for |z conj(lambda)| < radius^2 (1 - margin)
@@ -160,68 +160,16 @@ def _in_E(e: StepFunction, t: float, m: int) -> np.ndarray:
     return row
 
 
-class _Ratios:
-    """The rows phi(x)/phi(x + n t) at the points x, phi(x) checked first: the
-    kernel's coefficients; with weights, their square roots, the model's
-    weight table. They grow by new rows only, as callers ask, and stop,
-    silently, before the first row with a phi value eval_phi refuses, whose
-    error raise_at raises. Row n is the same floats at any length; rows and
-    stop are stored at once, so threads may share a table. Rows that would
-    take the rows, x and phi(x) past _TABLE_BYTES go to the caller and are
-    not stored. The rows are read-only."""
-
-    def __init__(self, symbol: Symbol, t: float, x, *, weights: bool = False):
-        self.symbol, self.t, self.x, self._is_weights = symbol, t, np.asarray(x, dtype=float), weights
-        self.phi_x = eval_phi(symbol, self.x)
-        self._table = (np.empty((0, self.x.size)), None)  # the rows, and the first refused row once met
-
-    def rows(self, size: int) -> np.ndarray:
-        """Rows n < size, fewer when the table stops before size."""
-        rows, stop = self._table
-        if len(rows) < size and stop is None:
-            points = self.x + np.arange(len(rows), size)[:, None] * self.t
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                try:
-                    vals = eval_phi(self.symbol, points)
-                except NonPositiveSymbolError:  # evaluated again, unchecked, to find the first refused row
-                    vals = self.symbol.values(points)
-                    stop = len(rows) + int(np.argmin((np.isfinite(vals) & (vals > 0)).all(axis=-1)))
-                    vals = vals[: stop - len(rows)]
-                np.divide(self.phi_x, vals, out=vals)
-                if self._is_weights:  # correctly rounded: the floats np.sqrt gives the whole table
-                    np.sqrt(vals, out=vals)
-            rows = np.concatenate([rows, vals]) if len(rows) else vals
-            rows.setflags(write=False)
-            if rows.nbytes + 2 * self.x.nbytes <= _TABLE_BYTES:  # rows, x and phi(x)
-                self._table = (rows, stop)
-        return rows[:size]
-
-    def raise_at(self, n: int):
-        """Evaluate row n again with eval_phi, which raises its error if it refuses the row."""
-        eval_phi(self.symbol, self.x + n * self.t)
-
-
-_TABLE_BYTES = 2**21  # the most bytes of rows, x and phi(x) a table stores
-# one column per (symbol, t, x): a session's kernel commands and verify's
-# kernel checks read some 70 columns again and again
-_kernel_ratios = functools.lru_cache(maxsize=256)(_Ratios)
+# the kernel's coefficients, one column per (symbol, t, x): kernel sessions and verify reread some 70
+_kernel_ratios = functools.lru_cache(maxsize=256)(functools.partial(RatioRows, form="down"))
 
 
 @functools.lru_cache(maxsize=8)  # few lattices recur: verify's passes share one, model-roundtrip's jobs use five
-def _model_weights(symbol: Symbol, t: float, m: int) -> _Ratios:
-    """The model's weight table W[n, i] = sqrt(phi(mu_i) / phi(mu_i + n t)) at
-    E's midpoints mu_i, one per (symbol, t, m), shared by every pass on that
-    lattice while it is cached: the weight of L_t^n from block n onto E. A
-    refused phi(mu) raises, and nothing is cached."""
-    return _Ratios(symbol, t, _midpoints(t, m), weights=True)
-
-
-def _weights(weights: _Ratios, rows: int) -> np.ndarray:
-    """Rows n < rows of the weight table; a refused row raises."""
-    w = weights.rows(rows)
-    if len(w) < rows:
-        weights.raise_at(len(w))
-    return w
+def _model_weights(symbol: Symbol, t: float, m: int) -> RatioRows:
+    """W[n, i] = sqrt(phi(mu_i) / phi(mu_i + n t)) at E's midpoints mu_i, the
+    weight of L_t^n from block n onto E: one table per (symbol, t, m), shared
+    by the passes on that lattice. A refused phi(mu) raises; nothing is cached."""
+    return RatioRows(symbol, t, _midpoints(t, m), form="root")
 
 
 def model_map(symbol: Symbol, t: float, f: StepFunction) -> EValuedPolynomial:
@@ -237,7 +185,7 @@ def model_map(symbol: Symbol, t: float, f: StepFunction) -> EValuedPolynomial:
     table = np.empty((-(-int(k[-1]) // m), m), dtype=complex)
     cells = table.reshape(-1)
     cells[: k[0]] = cells[k[-1] :] = 0.0  # the cells f leaves empty
-    w = _weights(_model_weights(symbol, t, m), len(table)).reshape(-1)[k[0] : k[-1]]
+    w = _model_weights(symbol, t, m).full(len(table)).reshape(-1)[k[0] : k[-1]]
     np.multiply(_spread(f.values, k), w, out=cells[k[0] : k[-1]])  # f's cells, weighted in one product
     return EValuedPolynomial._owned(t, table)
 
@@ -249,7 +197,7 @@ def model_inverse(symbol: Symbol, t: float, p: EValuedPolynomial) -> StepFunctio
     rows, m = p.degree + 1, p.table.shape[1]
     if not rows:
         return zero()
-    values = p.table[:rows] / _weights(_model_weights(symbol, t, m), rows)
+    values = p.table[:rows] / _model_weights(symbol, t, m).full(rows)
     return _trimmed(_points(rows * m + 1, t, m), values.reshape(-1))
 
 
@@ -425,7 +373,7 @@ def kernel_preimage(
     return _trimmed(_points(terms.size + 1, t, m), terms.reshape(-1))
 
 
-def _preimage_terms(weights: _Ratios, lam: complex, e: np.ndarray, tol: float) -> np.ndarray:
+def _preimage_terms(weights: RatioRows, lam: complex, e: np.ndarray, tol: float) -> np.ndarray:
     """The N summed terms conj(lambda)^n W[n] e of kernel_preimage, e given
     on E's lattice cells, formed once the sum stops. W is real, so the tail
     rule reads term n's norm as |lambda^n| s sqrt(sum_i W[n, i]^2 |e_i/s|^2
@@ -485,7 +433,7 @@ def reproducing_check(symbol: Symbol, t: float, f: StepFunction, lam: complex, e
     e_row, f_blocks = _in_E(e, t, m), _blocks(f, t, m)
     widths = np.diff(_edges(t, m))
     make_operator(symbol, t, "L")  # refuses a symbol whose L_t, and so L_t*, is unbounded
-    w = _weights(_model_weights(symbol, t, m), len(f_blocks))
+    w = _model_weights(symbol, t, m).full(len(f_blocks))
     lhs = _pair(_evaluate(f_blocks * w, lam), e_row, widths)
     rhs = _pair(f_blocks, _weighted_e(e_row, w, np.conj(complex(lam))), widths)
     return ReproducingCheck(lhs, rhs, abs(lhs - rhs))

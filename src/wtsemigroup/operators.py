@@ -40,10 +40,86 @@ EPS_INV = 1e-6  # inf phi(x+t)/phi(x) must exceed this for left invertibility
 
 
 def phi_ratio(symbol: Symbol, x, num: float, den: float):
-    """phi(x + num) / phi(x + den): the quantity behind the operators'
-    weights and left invertibility; the model's rows are model._Ratios'."""
+    """phi(x + num) / phi(x + den), pointwise: the operators' weights and left
+    invertibility; rows n of phi(x + n t)/phi(x) on one base x are RatioRows'."""
     x = np.asarray(x, dtype=float)
     return eval_phi(symbol, x + num) / eval_phi(symbol, x + den)
+
+
+_TABLE_BYTES = 2**21  # the most bytes of rows, x and phi(x) a RatioRows stores
+_WALK_POINTS = 2**15  # the most points of a block's walk: bounds its temporaries
+
+
+class RatioRows:
+    """Rows n of phi(x + n t)/phi(x) at the base points x ("up"), their
+    reciprocals ("down") or the roots of those ("root"), one at a time
+    (stream) or as a block of the rows n < size (rows, full): Symbol.values
+    walks, warnings off, certified by their ratios' extremes and tested as
+    eval_phi tests them where that fails. The one refusal rule: eval_phi's
+    error, with its warning, for the first refused point of row first (row
+    0 is x itself), then of x, then of each later row by n; stream raises
+    it, a block stops silently before it, and raise_at(n) raises row n's.
+    A block is read-only, the same floats at any length, stored with its
+    stop at once (threads may share it), and past _TABLE_BYTES unstored."""
+
+    def __init__(self, symbol: Symbol, t: float, x, *, form: str = "up", first: int = 0):
+        self.symbol, self.t, self.x, self.form = symbol, t, np.asarray(x, dtype=float), form
+        head = eval_phi(symbol, self.x + first * t) if first else None
+        self.phi_x = eval_phi(symbol, self.x)
+        self._head = first, self.phi_x if head is None else head  # row first's phi values
+        self._table = (np.empty((0, self.x.size)), None)  # the rows, and the first refused row once met
+
+    def _formed(self, vals, form: str, out=None):
+        """The phi rows vals in the given form, under the caller's errstate."""
+        r = np.divide(vals, self.phi_x, out=out) if form == "up" else np.divide(self.phi_x, vals, out=out)
+        return np.sqrt(r, out=r) if form == "root" else r  # correctly rounded: the floats of any block
+
+    def stream(self, ns, forms):
+        """For each n of ns, {form: (row n in form, first index of its largest
+        entry, of its smallest)} for the forms, from one phi row."""
+        first, head = self._head
+        for n in ns:
+            with np.errstate(all="ignore"):
+                vals = head if n == first else self.symbol.values(self.x + n * self.t)
+                rows = {form: self._formed(vals, form) for form in forms}
+            for form, r in rows.items():
+                top, bottom = r.argmax(), r.argmin()  # the first NaN, if any, for both
+                if not (r[bottom] > 0 and r[top] < np.inf):
+                    self.raise_at(n)  # raises, unless only the ratio left the floats
+                rows[form] = r, top, bottom
+            yield rows
+
+    def rows(self, size: int) -> np.ndarray:
+        """Rows n < size, fewer when the rows stop before size."""
+        rows, stop = self._table
+        if len(rows) < size and stop is None:
+            block = np.empty((size - len(rows), self.x.size))
+            step = max(1, _WALK_POINTS // max(1, self.x.size))  # rows a walk
+            for i in range(0, len(block), step):
+                ns = np.arange(len(rows) + i, min(size, len(rows) + i + step))
+                with np.errstate(all="ignore"):
+                    vals = self.symbol.values(self.x + ns[:, None] * self.t)
+                    r = self._formed(vals, self.form, out=block[i : i + len(ns)])
+                if r.size and not (r.flat[r.argmin()] > 0 and r.flat[r.argmax()] < np.inf):
+                    good = (np.isfinite(vals) & (vals > 0)).all(axis=-1)  # eval_phi's test, row by row
+                    if not good.all():
+                        stop = int(ns[np.argmin(good)])
+                        block = block[: stop - len(rows)]
+                        break
+            rows = np.concatenate([rows, block]) if len(rows) else block
+            rows.setflags(write=False)
+            if rows.nbytes + 2 * self.x.nbytes <= _TABLE_BYTES:  # rows, x and phi(x)
+                self._table = (rows, stop)
+        return rows[:size]
+
+    def full(self, size: int) -> np.ndarray:
+        """Rows n < size, all of them: a refused row raises its error."""
+        rows = self.rows(size)
+        return rows if len(rows) == size else self.raise_at(len(rows))  # a block stops only at a refused row
+
+    def raise_at(self, n: int):
+        """Evaluate row n again with eval_phi, which raises its error if it refuses the row."""
+        eval_phi(self.symbol, self.x + n * self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -143,48 +219,26 @@ def _weight_extrema(symbol: Symbol, t: float, ns, x_max: float, fits, checked) -
 
     ||op^n f||^2 = integral of the squared weight against |f|^2, so its
     essential sup / inf over the window bound the operator norm from both
-    sides. The weight is sqrt(r) with r = phi(x + nt)/phi(x) for S and
-    S_adjoint and r = phi(x)/phi(x + nt) for the other kinds, so every fit
-    reads one table: phi(grid + nt) per n, and phi(grid) once, right after
-    the first of them (phi_ratio's order for S), both through eval_phi. A
-    later row is one walk of Symbol.values, certified by its ratio's own
-    extremes: with phi(grid) positive and finite, 0 < min r and max r < inf
-    hold only where phi(grid + nt) is too; a row that fails goes through
-    eval_phi, which raises its error, or passes a ratio that only left the
-    floats. Each row is reduced on r, the root taken at the chosen sample
-    only (util.root_extreme). Once the grid is sampled, each kind in
-    checked is built with make_operator (left invertibility for the dual
-    kinds); then one lockstep search maximises every (fit, n) lane, an
-    inf lane on the negated weight.
+    sides. The weight is sqrt(r), r the RatioRows "up" for S and S_adjoint
+    and "down" for the others, streamed from row ns[0] (phi_ratio's order
+    for S), reduced on r and rooted at the chosen sample (root_extreme).
+    Then each kind in checked is built with make_operator, and one lockstep
+    search maximises every (fit, n) lane, an inf lane on the negated weight.
     """
     if not ns or min(ns) < 1:
         raise ValueError("n must be >= 1")
     nt = np.asarray(ns) * t  # the floats n * t, one per n
     # lanes: the fits' rows, a block of len(ns) per fit, in the order of fits
     maxes = [mode == "max" for _, mode in fits]
-    shifted = [kind in _NUM_SHIFTED for kind, _ in fits]
-    reads = set(shifted)  # the ratios r the fits read: up (True), down (False)
+    forms = ["up" if kind in _NUM_SHIFTED else "down" for kind, _ in fits]
 
     def sample(grid):
         best = np.empty((len(fits), nt.size), dtype=np.intp)
         best_vals = np.empty(best.shape)
-        p0 = None
-        for n, shift in enumerate(nt):
-            if p0 is None:
-                pn = eval_phi(symbol, grid + shift)
-                p0 = eval_phi(symbol, grid)
-            else:
-                pn = symbol.values(grid + shift)
-            rows = {}
-            for up in reads:
-                with np.errstate(divide="ignore"):  # a zero pn is refused just below
-                    r = pn / p0 if up else p0 / pn
-                top, bottom = r.argmax(), r.argmin()  # the first NaN, if any, for both
-                if not (r[bottom] > 0 and r[top] < np.inf):
-                    eval_phi(symbol, grid + shift)  # raises, unless only the ratio left the floats
-                rows[up] = r, top, bottom
-            for lane, (is_max, up) in enumerate(zip(maxes, shifted)):
-                r, top, bottom = rows[up]
+        stream = RatioRows(symbol, t, grid, first=ns[0]).stream(ns, sorted(set(forms)))
+        for n, rows in enumerate(stream):
+            for lane, (is_max, form) in enumerate(zip(maxes, forms)):
+                r, top, bottom = rows[form]
                 i, root = root_extreme(r, top if is_max else bottom, is_max)
                 best[lane, n], best_vals[lane, n] = i, root if is_max else -root
         for kind in checked:
@@ -194,7 +248,7 @@ def _weight_extrema(symbol: Symbol, t: float, ns, x_max: float, fits, checked) -
     # rows (num, den) of every lane's shifts, (2, lanes, 1); y lies in
     # [0, x_max] and the shifts are >= 0, so x is never below 0
     lane_nt = np.tile(nt, len(fits))
-    lane_shifted = np.repeat(shifted, nt.size)
+    lane_shifted = np.repeat([form == "up" for form in forms], nt.size)
     shifts = np.stack([np.where(lane_shifted, lane_nt, 0.0), np.where(lane_shifted, 0.0, lane_nt)])[:, :, None]
     sign = np.repeat(np.where(maxes, 1.0, -1.0), nt.size)[:, None]
     # the lanes in (n, fit) order: a refusal is raised from the table

@@ -13,9 +13,8 @@ The weights that phi generates, and the left-invertibility test, live in
 operators.py. All positivity checking is by dense sampling on a finite
 window; what the symbol does past the window is the caller's responsibility.
 Symbol.values is the one place where phi meets points: eval_phi checks its
-values, and the spectral fits' later grid rows and zoom levels, walked by
-values alone, are certified from their own extremes and go through eval_phi
-only where they fail (operators._weight_extrema).
+values; the rows of operators.RatioRows and the spectral fits' zoom levels,
+walked by values alone, are certified by their extremes.
 """
 
 from __future__ import annotations

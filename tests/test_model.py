@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import wtsemigroup.model as model_module
+import wtsemigroup.operators as operators_module
 from wtsemigroup import (
     DEFAULT_TOLERANCES,
     DiagonalKernel,
@@ -480,7 +481,8 @@ def test_model_passes_raise_the_first_error_of_the_block_loop():
 def test_kernel_preimage_builds_one_chunk_past_its_last_term(monkeypatch):
     # the term table grows by new rows only: the rows past the stopping
     # term are what is left of the first table, whose size |lambda| and tol
-    # give, and no row is evaluated twice
+    # give, walked in blocks of at most _WALK_POINTS points, and no row is
+    # evaluated twice
     sym = affine()
     make_operator(sym, 1.0, "L_adjoint")  # warms the left-invertibility cache: phi is then read by the table alone
     model_module._model_weights.cache_clear()
@@ -506,7 +508,8 @@ def test_kernel_preimage_builds_one_chunk_past_its_last_term(monkeypatch):
     assert built[0] == (256,)  # phi at the midpoints of E
     rows = [shape[0] for shape in built[1:]]
     assert built[1:] == [(n, 256) for n in rows]
-    assert rows == [util_module._table_size(0.9, 1e-12)] and sum(rows) < 260 + 64
+    first, step = util_module._table_size(0.9, 1e-12), operators_module._WALK_POINTS // 256
+    assert rows == [min(step, first - i) for i in range(0, first, step)] and sum(rows) < 260 + 64
 
 
 def test_kernel_preimage_table_past_overflow():
@@ -605,7 +608,7 @@ def finite_sum_data(sym, t, f, e):
     rows of f's blocks, f's blocks, e on E's cells and the cell widths."""
     m = model_module._lattice(t, f, e)
     f_blocks = model_module._blocks(f, t, m)
-    w = model_module._weights(model_module._model_weights(sym, t, m), len(f_blocks))
+    w = model_module._model_weights(sym, t, m).full(len(f_blocks))
     return w, f_blocks, model_module._in_E(e, t, m), np.diff(model_module._edges(t, m))
 
 
@@ -756,7 +759,7 @@ def reference_model_map_table(sym, t, f):
     make_operator(sym, t, "L")
     table = np.zeros((-(-int(k[-1]) // m), m), dtype=complex)
     table.reshape(-1)[k[0] : k[-1]] = np.repeat(f.values, np.diff(k))
-    table *= model_module._weights(model_module._model_weights(sym, t, m), len(table))
+    table *= model_module._model_weights(sym, t, m).full(len(table))
     return table.tobytes()
 
 
@@ -808,7 +811,7 @@ def test_model_inverse_divides_by_the_weights(spec):
     table[-1, -1] = complex(-0.0, 1.0)  # the last row nonzero
     p = EValuedPolynomial(t, table)
     got = model_inverse(sym, t, p)
-    values = p.table / model_module._weights(model_module._model_weights(sym, t, m), len(table))
+    values = p.table / model_module._model_weights(sym, t, m).full(len(table))
     ref = model_module._trimmed(model_module._points(values.size + 1, t, m), values.reshape(-1))
     assert (got.breakpoints.tobytes(), got.values.tobytes()) == (ref.breakpoints.tobytes(), ref.values.tobytes())
 
@@ -943,7 +946,7 @@ def test_refused_rows_raise_the_same_error_from_a_warm_table():
 
 def test_weight_rows_are_read_only():
     weights = model_module._model_weights(affine(), 1.0, 4)
-    w = model_module._weights(weights, 6)
+    w = weights.full(6)
     with pytest.raises(ValueError, match="read-only"):
         w[0, 0] = 2.0
     with pytest.raises(ValueError, match="read-only"):
@@ -1004,7 +1007,7 @@ def test_weight_rows_past_the_byte_limit_are_not_stored():
     # go to the pass that asked for them, unstored: a pass on 7 blocks gives
     # the bytes of a cold call, and leaves at most the 6 rows that fit
     sym, t, m = reciprocal(), 0.5, 2**15
-    assert 8 * m * (6 + 2) == model_module._TABLE_BYTES  # 6 rows of m cells, with x and phi(x), fill it
+    assert 8 * m * (6 + 2) == operators_module._TABLE_BYTES  # 6 rows of m cells, with x and phi(x), fill it
     rng = np.random.default_rng(6)
     f = random_step(rng, 0.0, 7 * t, 7 * m)
     model_module._model_weights.cache_clear()
@@ -1025,7 +1028,7 @@ def test_kernel_column_past_the_byte_limit_keeps_no_rows(monkeypatch):
     model_module._kernel_ratios.cache_clear()
     want = kernel_series(k, 0.9, 0.9 * np.exp(2.0j), 0.2, 1e-14)
     model_module._kernel_ratios.cache_clear()
-    monkeypatch.setattr(model_module, "_TABLE_BYTES", 8)  # x and phi(x) alone take 16
+    monkeypatch.setattr(operators_module, "_TABLE_BYTES", 8)  # x and phi(x) alone take 16
     for _ in range(2):
         assert kernel_series(k, 0.9, 0.9 * np.exp(2.0j), 0.2, 1e-14) == want
         assert len(model_module._kernel_ratios(k.symbol, k.t, 0.2)._table[0]) == 0
@@ -1041,13 +1044,13 @@ def test_weight_cache_rebuilds_the_least_recently_used_table(monkeypatch):
     model_inverse(sym, 1.0, EValuedPolynomial(1.0, np.ones((1, 1))))  # m = 1 is used again
     model_map(sym, 1.0, indicator(0.0, 1.0).subdivide(9))  # drops m = 2
     built = []
-    init = model_module._Ratios.__init__
+    init = operators_module.RatioRows.__init__
 
     def counted_init(self, symbol, t, x, **kwargs):
         built.append(np.size(x))
         init(self, symbol, t, x, **kwargs)
 
-    monkeypatch.setattr(model_module._Ratios, "__init__", counted_init)
+    monkeypatch.setattr(operators_module.RatioRows, "__init__", counted_init)
     for m in (1, 9, 2):
         model_map(sym, 1.0, indicator(0.0, 1.0).subdivide(m))
     assert built == [2]

@@ -59,7 +59,8 @@ COMMANDS = (
 # 65,536 cells, of which a table stores the 2 that fit in 2 MiB; then the
 # spectral fits: phi(x + n t)/phi(x) overflows from n = 36 on, so the norms
 # leave the floats; phi = 0 at x = 70, past validate_positivity's window
-# [0, 64], which a later grid row of the sampling refuses; and a constant
+# [0, 64], which a later grid row of the sampling refuses, and which
+# classify's ratio rows refuse at their row k = 6; and a constant
 # phi, on which every sample of every row ties; last, the reproducing row
 # on a non-dyadic lattice of 2^x, whose preimage series, summed whole, runs
 # to 30 terms, past f's 8 blocks; last, the two CSV writers, which no
@@ -86,6 +87,7 @@ EDGES = (
     ("verify", "--phi", "affine", "--t", "1", "--h", "1.52587890625e-05"),
     ("spectrum", "--phi", "expr:exp(20*x-690)", "--t", "1", "--xmax", "2", "--nmax", "40"),
     ("spectrum", "--phi", "expr:70-x", "--t", "1"),
+    ("classify", "--phi", "expr:70-x", "--t", "1", "--nmax", "64"),
     ("spectrum", "--phi", "const:1", "--t", "1", "--nmax", "128"),
     ("verify", "--phi", "exp:a=2", "--t", "0.3"),
     ("kernel", "--phi", "expr:x^2+1", "--t", "1", "--z-grid", "unit:64", "--lambda=0.6,0.2", "--x", "0.3", "--format", "csv"),
